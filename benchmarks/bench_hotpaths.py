@@ -39,6 +39,7 @@ from repro.index import (IVFPQConfig, build_ivfpq,  # noqa: E402
                          deterministic_topk_rows)
 from repro.clip.pretrain import PretrainConfig  # noqa: E402
 from repro.clip.zoo import get_pretrained_bundle  # noqa: E402
+from repro.core.losses import batch_contrastive_loss  # noqa: E402
 from repro.core.matcher import CrossEM, CrossEMConfig  # noqa: E402
 from repro.core.minibatch import (kmeans, kmeans_reference,  # noqa: E402
                                   pairwise_proximity,
@@ -75,6 +76,52 @@ def _bench_pair(name: str, optimized, reference, repeats: int) -> dict:
     print(f"  {name:28s} {opt * 1e3:9.2f} ms vs {ref * 1e3:9.2f} ms "
           f"-> {entry['speedup']:6.2f}x")
     return entry
+
+
+def _bench_calls(name: str, fn, calls: int, repeats: int) -> dict:
+    """Time ``calls`` back-to-back calls of an engine step that has no
+    reference twin in the tree.  The row reports the total (so a
+    regression clears the differ's absolute noise floor) beside the
+    per-call figure a reader wants."""
+    fn()  # warm
+    total = _best_of(lambda: [fn() for _ in range(calls)], repeats, name)
+    entry = {"optimized_s": total, "calls": calls,
+             "per_call_ms": 1e3 * total / calls}
+    print(f"  {name:28s} {entry['per_call_ms']:9.3f} ms/call "
+          f"({calls} calls, {total * 1e3:.1f} ms)")
+    return entry
+
+
+def bench_engine(bundle, dataset, repeats: int, paths: dict) -> None:
+    """The ``repro.nn`` engine under the soft prompt: one training step
+    (``nn_fwd_bwd``: prompt + text tower forward, contrastive loss,
+    backward, ``AdamW.step`` on one 8 x 16 batch) and one served query
+    (``soft_text_query``: ``encode_vertices([v])`` under ``no_grad``)."""
+    matcher = CrossEM(bundle, CrossEMConfig(prompt="soft", epochs=0))
+    matcher.fit(dataset.graph, dataset.images, dataset.entity_vertices)
+    vertices = matcher.vertex_ids[:8]
+    with nn.no_grad():
+        image_embeds = matcher._encode_images(range(16))
+    positives = np.arange(len(vertices))
+    # lr=0: every step sees the same parameters, so calls are comparable
+    optimizer = nn.AdamW(matcher._trainable_parameters(), lr=0.0)
+
+    def step():
+        optimizer.zero_grad()
+        loss = batch_contrastive_loss(matcher.encode_vertices(vertices),
+                                      image_embeds,
+                                      matcher.config.temperature, positives)
+        loss.backward()
+        nn.clip_grad_norm(optimizer.params, 5.0)
+        optimizer.step()
+
+    def query():
+        with nn.no_grad():
+            matcher.encode_vertices(vertices[:1])
+
+    paths["nn_fwd_bwd"] = _bench_calls("nn_fwd_bwd", step, 100, repeats)
+    paths["soft_text_query"] = _bench_calls("soft_text_query", query, 400,
+                                            repeats)
 
 
 def _load_scene(quick: bool):
@@ -264,6 +311,7 @@ def run(quick: bool, repeats: int, index_only: bool = False) -> dict:
         _reference_images,
         repeats)
 
+    bench_engine(bundle, dataset, repeats, paths)
     bench_index(quick, repeats, paths)
 
     return results

@@ -375,7 +375,12 @@ class CrossEM:
                                else graph.entity_ids())
         if len(self.vertex_ids) < 2 or len(self.images) < 2:
             raise ValueError("need at least two vertices and two images")
-        self.clip.freeze_image_tower()
+        # Prompt tuning updates the prompting function only (Alg. 1 line
+        # 10), so the whole private CLIP copy is frozen, image tower
+        # (§II-C) and text tower alike: backward then carries activation
+        # gradients through the text tower to the prompts without also
+        # accumulating weight gradients nobody reads.
+        self.clip.freeze()
         self._prepare_prompts()
         self._image_embeds = None
         self._pseudo_labels = {}
@@ -407,14 +412,24 @@ class CrossEM:
                 self.epoch_losses.append(mean_loss)
                 pairs = sum(len(vc) * len(ic) for vc, ic in batches)
                 pairs_per_sec = pairs / ep.elapsed if ep.elapsed > 0 else 0.0
+                # A batch with empty X_p pays its forward and no backward
+                # (see _train_batch); how many do is what the next
+                # efficiency decision needs to read off the registry.
+                empty = len(batches) - len(losses)
+                productive_share = len(losses) / len(batches) \
+                    if batches else 0.0
                 reg.counter("train.batches").inc(len(batches))
+                reg.counter("train.batches_empty").inc(empty)
+                reg.gauge("train.productive_batch_share").set(productive_share)
                 reg.counter("train.pairs").inc(pairs)
                 reg.histogram("train.epoch_loss").observe(mean_loss)
                 reg.histogram("train.epoch_seconds").observe(ep.elapsed)
                 reg.gauge("train.pairs_per_sec").set(pairs_per_sec)
                 _log.info("epoch done", epoch=epoch + 1, epochs=epochs,
                           loss=mean_loss, pairs=pairs,
-                          pairs_per_sec=pairs_per_sec, seconds=ep.elapsed)
+                          pairs_per_sec=pairs_per_sec, seconds=ep.elapsed,
+                          batches=len(batches), batches_empty=empty,
+                          productive_share=productive_share)
                 if manager is not None and \
                         (manager.should_save(epoch) or epoch == epochs - 1):
                     self._save_checkpoint(manager, optimizer, rng, epoch)

@@ -15,7 +15,7 @@ import numpy as np
 from . import functional as F
 from .init import SeedLike, rng_from
 from .layers import Dropout, LayerNorm, Linear, Module
-from .tensor import Tensor
+from .tensor import Tensor, _matmul_backward
 
 __all__ = ["MultiHeadSelfAttention", "CrossAttention", "TransformerBlock",
            "TransformerEncoder", "sinusoidal_positions"]
@@ -34,7 +34,8 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
             mask: Optional[np.ndarray]) -> Tensor:
-    """Scaled dot-product attention with head splitting.
+    """Scaled dot-product attention with head splitting, as one
+    autograd node (split, scaled QK^T, mask, softmax, .V, merge).
 
     ``q`` has shape (B, Lq, D); ``k``/``v`` have shape (B, Lk, D).
     ``mask`` is a boolean array of shape (B, Lk) marking *valid* keys.
@@ -42,18 +43,46 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     batch, len_q, dim = q.shape
     len_k = k.shape[1]
     head_dim = dim // num_heads
+    scale = np.float32(1.0 / np.sqrt(head_dim))
 
-    def split(x: Tensor, length: int) -> Tensor:
+    def split(x: np.ndarray, length: int) -> np.ndarray:
         return x.reshape(batch, length, num_heads, head_dim).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = split(q, len_q), split(k, len_k), split(v, len_k)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(head_dim))
+    def merge(x: np.ndarray, length: int) -> np.ndarray:
+        return x.transpose(0, 2, 1, 3).reshape(batch, length, dim)
+
+    qh, vh = split(q.data, len_q), split(v.data, len_k)
+    kh_t = split(k.data, len_k).transpose(0, 1, 3, 2)
+    scores = (qh @ kh_t) * scale
     if mask is not None:
-        bias = np.where(mask[:, None, None, :], 0.0, -1e9).astype(np.float32)
-        scores = scores + Tensor(bias)
-    weights = F.softmax(scores, axis=-1)
-    mixed = weights @ vh
-    return mixed.transpose(0, 2, 1, 3).reshape(batch, len_q, dim)
+        scores = scores + np.where(mask[:, None, None, :], 0.0,
+                                   -1e9).astype(np.float32)
+    weights, exps, total = F._softmax_forward(scores, -1)
+    out = merge(weights @ vh, len_q)
+
+    def backward(grad: np.ndarray) -> None:
+        # Gradients reach every matmul as C-contiguous arrays and the
+        # operands keep the strides of the forward views, as in the
+        # primitive graph: BLAS then sums in the same order.
+        g_mixed = np.ascontiguousarray(split(grad, len_q))
+        g_weights, g_vh = _matmul_backward(
+            weights, vh, g_mixed, q.requires_grad or k.requires_grad,
+            v.requires_grad)
+        if g_vh is not None:
+            v._accumulate(merge(g_vh, len_k))
+        if g_weights is None:
+            return
+        g_scores = F._softmax_backward(exps, total, g_weights) * scale
+        g_qh, g_kh_t = _matmul_backward(qh, kh_t, g_scores, q.requires_grad,
+                                        k.requires_grad)
+        if g_qh is not None:
+            q._accumulate(merge(g_qh, len_q))
+        if g_kh_t is not None:
+            k._accumulate(merge(g_kh_t.transpose(0, 1, 3, 2), len_k))
+
+    return Tensor._make(
+        out, (q, k, v), backward,
+        saved_bytes=weights.nbytes + exps.nbytes + total.nbytes)
 
 
 class MultiHeadSelfAttention(Module):

@@ -169,10 +169,7 @@ class Linear(Module):
         self.bias = Parameter(zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):

@@ -19,6 +19,13 @@ __all__ = ["MemoryTracker", "current_tracker"]
 _ACTIVE_TRACKERS: list["MemoryTracker"] = []
 
 
+class _Entry(weakref.ref):
+    """Ledger row: a weak reference to a live tensor and the bytes it
+    was charged.  The tracker is the row's death callback."""
+
+    __slots__ = ("nbytes",)
+
+
 class MemoryTracker:
     """Record the peak number of live tensor bytes inside a ``with`` block.
 
@@ -30,15 +37,17 @@ class MemoryTracker:
         print(tracker.peak_bytes, tracker.peak_gb)
 
     Trackers nest; every active tracker observes every allocation.  Buffers
-    are released from the ledger when the owning array is garbage
+    are released from the ledger when the owning tensor is garbage
     collected, so the peak reflects simultaneous residency rather than
-    cumulative traffic.
+    cumulative traffic.  The ledger holds one weak entry per *live*
+    tensor and drops it on collection, so a tracker kept around after a
+    long fit retains nothing of the tensors it watched.
     """
 
     def __init__(self) -> None:
         self.current_bytes = 0
         self.peak_bytes = 0
-        self._finalizers: list[weakref.finalize] = []
+        self._live: set[_Entry] = set()
 
     # -- context manager ------------------------------------------------
     def __enter__(self) -> "MemoryTracker":
@@ -49,14 +58,22 @@ class MemoryTracker:
         _ACTIVE_TRACKERS.remove(self)
 
     # -- ledger ----------------------------------------------------------
-    def _on_alloc(self, owner: object, nbytes: int) -> None:
+    def _on_alloc(self, owner: object, nbytes: int, transient: int) -> None:
         self.current_bytes += nbytes
-        if self.current_bytes > self.peak_bytes:
-            self.peak_bytes = self.current_bytes
-        self._finalizers.append(weakref.finalize(owner, self._on_free, nbytes))
+        if self.current_bytes + transient > self.peak_bytes:
+            self.peak_bytes = self.current_bytes + transient
+        entry = _Entry(owner, self._on_free)
+        entry.nbytes = nbytes
+        self._live.add(entry)
 
-    def _on_free(self, nbytes: int) -> None:
-        self.current_bytes -= nbytes
+    def _on_free(self, entry: "_Entry") -> None:
+        self._live.discard(entry)
+        self.current_bytes -= entry.nbytes
+
+    @property
+    def live_count(self) -> int:
+        """Tensors observed by this tracker that are still alive."""
+        return len(self._live)
 
     # -- reporting --------------------------------------------------------
     @property
@@ -75,9 +92,13 @@ def current_tracker() -> list["MemoryTracker"]:
     return _ACTIVE_TRACKERS
 
 
-def observe_allocation(owner: object, nbytes: int) -> None:
-    """Report a fresh buffer of ``nbytes`` owned by ``owner`` to every
-    active tracker.  Called by the :class:`~repro.nn.tensor.Tensor`
-    constructor; cheap no-op when no tracker is active."""
+def observe_allocation(owner: object, nbytes: int, transient: int = 0) -> None:
+    """Report ``nbytes`` of fresh buffers kept alive by ``owner`` to
+    every active tracker: a tensor's own array plus whatever arrays its
+    backward closure saved.  ``transient`` bytes exist right now but
+    die when the op returns (the would-be saved arrays of a node that
+    records no closure): they count towards the peak, not the ledger.
+    Called on every tensor creation; cheap no-op when no tracker is
+    active."""
     for tracker in _ACTIVE_TRACKERS:
-        tracker._on_alloc(owner, nbytes)
+        tracker._on_alloc(owner, nbytes, transient)

@@ -16,6 +16,11 @@ Design notes
 * The graph is a DAG of ``Tensor`` nodes; ``backward`` runs a topological
   sort and accumulates gradients with ``+=`` so shared subexpressions are
   handled correctly.
+* Gradients reach an interior node in groups, one per consumer closure,
+  each summed before it joins the rest (:meth:`Tensor._settle`).  The
+  fused nodes in ``functional`` and ``attention`` stand for several
+  primitives each and deposit in the primitives' groups, so their
+  gradients keep the primitive graph's float association bit for bit.
 * ``no_grad`` disables graph recording, used for frozen encoders (the
   paper freezes the CLIP image tower and contrastive head).
 """
@@ -34,6 +39,7 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor", "concat", "stack
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 _GRAD_ENABLED = [True]
+_FLOAT32 = np.dtype(np.float32)
 
 
 @contextlib.contextmanager
@@ -49,6 +55,15 @@ def no_grad():
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph."""
     return _GRAD_ENABLED[-1]
+
+
+def _coerce(data) -> np.ndarray:
+    """``data`` as an array in the engine's storage dtype: integers,
+    booleans and float64 become float32, other floats are kept."""
+    arr = np.asarray(data)
+    if arr.dtype.kind in "iub" or arr.dtype == np.float64:
+        arr = arr.astype(np.float32)
+    return arr
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -79,32 +94,53 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "_staged", "__weakref__")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data)
-        if arr.dtype.kind in "iub":
-            arr = arr.astype(np.float32)
-        elif arr.dtype == np.float64:
-            arr = arr.astype(np.float32)
+        arr = _coerce(data)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: tuple = ()
+        self._staged: Optional[np.ndarray] = None
         observe_allocation(self, arr.nbytes)
 
     # -- construction helpers --------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(parents)
-            out._backward = backward
+              backward: Callable[[np.ndarray], None],
+              saved_bytes: int = 0) -> "Tensor":
+        """Record one graph node over ``data``.
+
+        ``saved_bytes`` is the size of the arrays ``backward`` keeps
+        alive beyond ``data`` and the parents' own buffers.  The memory
+        meter is charged for them as long as the node lives when the
+        closure is retained, and for this instant only when it is not.
+        Float32 arrays, which is what every op produces from float32
+        operands, skip the constructor's coercion.
+        """
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT32:
+            data = _coerce(data)  # e.g. the numpy scalar of a full reduction
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out.grad = None
+        out.requires_grad = False
+        out._backward = None
+        out._parents = ()
+        out._staged = None
+        if _GRAD_ENABLED[-1]:
+            for parent in parents:
+                if parent.requires_grad:
+                    out.requires_grad = True
+                    out._parents = tuple(parents)
+                    out._backward = backward
+                    observe_allocation(out, data.nbytes + saved_bytes)
+                    return out
+        observe_allocation(out, data.nbytes, saved_bytes)
         return out
 
     # -- basic protocol ----------------------------------------------------
@@ -218,31 +254,16 @@ class Tensor:
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
         a, b = self.data, other.data
-        out_data = a @ b
 
         def backward(grad: np.ndarray) -> None:
-            grad = np.asarray(grad)
-            if a.ndim == 1 and b.ndim == 1:
-                grad_a, grad_b = grad * b, grad * a
-            elif a.ndim == 1:
-                # (k,) @ (..., k, n) -> (..., n)
-                grad_a = grad[..., None, :] @ np.swapaxes(b, -1, -2)
-                grad_a = grad_a.reshape(grad.shape[:-1] + (a.shape[0],))
-                grad_b = a[:, None] * grad[..., None, :]
-            elif b.ndim == 1:
-                # (..., m, k) @ (k,) -> (..., m)
-                grad_a = grad[..., :, None] * b
-                grad_b = np.swapaxes(a, -1, -2) @ grad[..., None]
-                grad_b = grad_b.reshape(grad.shape[:-1] + (b.shape[0],))
-            else:
-                grad_a = grad @ np.swapaxes(b, -1, -2)
-                grad_b = np.swapaxes(a, -1, -2) @ grad
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(np.asarray(grad_a), a.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(np.asarray(grad_b), b.shape))
+            grad_a, grad_b = _matmul_backward(
+                a, b, grad, self.requires_grad, other.requires_grad)
+            if grad_a is not None:
+                self._accumulate(grad_a)
+            if grad_b is not None:
+                other._accumulate(grad_b)
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(a @ b, (self, other), backward)
 
     # -- elementwise nonlinearities -----------------------------------------
     def exp(self) -> "Tensor":
@@ -401,6 +422,24 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
+    def _settle(self) -> None:
+        """Close the group of gradients deposited on this interior node.
+
+        While a node's backward closure runs, its deposits on a parent
+        add up in ``parent.grad``; settling moves that sum onto what
+        earlier consumers of the parent staged.  :meth:`backward`
+        settles every parent after each closure, so one closure is one
+        group.  A fused closure that stands for several primitive nodes
+        settles between the deposits those nodes would have made, which
+        keeps the float association, and so every bit of the result,
+        what the primitive graph produced.  Leaves have nothing to
+        stage: their ``.grad`` is the running total.
+        """
+        if self._backward is not None and self.grad is not None:
+            self._staged = self.grad if self._staged is None \
+                else self._staged + self.grad
+            self.grad = None
+
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
@@ -411,6 +450,11 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without a gradient requires a scalar")
             grad = np.ones_like(self.data)
+        grad = np.asarray(grad, dtype=self.data.dtype)
+        if self._backward is None:
+            if self.requires_grad:
+                self._accumulate(grad)
+            return
         # Topological order via iterative DFS.
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -427,18 +471,21 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        # Seed and propagate in reverse topological order.
-        grads: dict[int, np.ndarray] = {id(self): np.asarray(grad, dtype=self.data.dtype)}
-        for node in reversed(order):
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if node.requires_grad and node._backward is None:
-                node._accumulate(node_grad)
-            if node._backward is not None:
-                # The op's closure accumulates into parents' .grad for leaf
-                # tensors; for interior nodes we stage gradients in `grads`.
-                _route_through(node, node_grad, grads)
+        # Seed and propagate in reverse topological order.  Closures
+        # deposit into their parents' ``.grad``: final for leaves, staged
+        # for interior nodes until their own turn comes.
+        self._staged = grad
+        try:
+            for node in reversed(order):
+                node_grad, node._staged = node._staged, None
+                if node_grad is None:
+                    continue
+                node._backward(node_grad)
+                for parent in node._parents:
+                    parent._settle()
+        finally:
+            for node in order:  # a closure that raised leaves nothing behind
+                node._staged = None
 
     def detach_graph(self) -> None:
         """Drop references to parents so the graph can be collected."""
@@ -446,17 +493,35 @@ class Tensor:
         self._backward = None
 
 
-def _route_through(node: "Tensor", node_grad: np.ndarray,
-                   grads: dict[int, np.ndarray]) -> None:
-    """Invoke ``node``'s backward closure, then move any gradient it
-    deposited on *interior* parents into the staging dict so propagation
-    continues; leaf tensors keep their accumulated ``.grad``."""
-    node._backward(node_grad)
-    for parent in node._parents:
-        if parent._backward is not None and parent.grad is not None:
-            existing = grads.get(id(parent))
-            grads[id(parent)] = parent.grad if existing is None else existing + parent.grad
-            parent.grad = None
+def _matmul_backward(a: np.ndarray, b: np.ndarray, grad: np.ndarray,
+                     want_a: bool, want_b: bool) -> tuple:
+    """Gradients of ``a @ b`` with respect to ``a`` and ``b``, each
+    reduced to its operand's shape; ``None`` where not wanted."""
+    grad = np.asarray(grad)
+    grad_a = grad_b = None
+    if a.ndim == 1 and b.ndim == 1:
+        grad_a, grad_b = grad * b, grad * a
+    elif a.ndim == 1:
+        # (k,) @ (..., k, n) -> (..., n)
+        if want_a:
+            grad_a = grad[..., None, :] @ np.swapaxes(b, -1, -2)
+            grad_a = grad_a.reshape(grad.shape[:-1] + (a.shape[0],))
+        if want_b:
+            grad_b = a[:, None] * grad[..., None, :]
+    elif b.ndim == 1:
+        # (..., m, k) @ (k,) -> (..., m)
+        if want_a:
+            grad_a = grad[..., :, None] * b
+        if want_b:
+            grad_b = np.swapaxes(a, -1, -2) @ grad[..., None]
+            grad_b = grad_b.reshape(grad.shape[:-1] + (b.shape[0],))
+    else:
+        if want_a:
+            grad_a = grad @ np.swapaxes(b, -1, -2)
+        if want_b:
+            grad_b = np.swapaxes(a, -1, -2) @ grad
+    return (_unbroadcast(np.asarray(grad_a), a.shape) if want_a else None,
+            _unbroadcast(np.asarray(grad_b), b.shape) if want_b else None)
 
 
 def as_tensor(value: ArrayLike) -> Tensor:

@@ -81,3 +81,42 @@ class TestTraining:
         subsets = {tuple(sorted(p.vertex_ids))
                    for p in matcher.plan.partitions}
         assert len(subsets) == 1
+
+
+def clip_parameters(matcher):
+    params = {}
+    matcher.clip._collect_params("", params)
+    return params
+
+
+class TestFrozenClip:
+    """Prompt tuning trains the prompts only: the matcher's private CLIP
+    copy is frozen whole, so backward never accumulates gradients on
+    the text tower that no optimizer reads."""
+
+    def test_fit_leaves_no_clip_gradients(self, tiny_bundle, tiny_dataset):
+        matcher = make_plus(tiny_bundle, tiny_dataset, epochs=2)
+        assert any(np.isfinite(l) and l > 0 for l in matcher.epoch_losses)
+        for name, param in clip_parameters(matcher).items():
+            assert not param.requires_grad, name
+            assert param.grad is None, name
+        tuned = {id(p) for p in matcher.soft_prompts.parameters()}
+        assert tuned == {id(matcher.soft_prompts.prompt_table),
+                         id(matcher.soft_prompts.fusion.weight),
+                         id(matcher.soft_prompts.fusion.bias)}
+
+    def test_freeze_does_not_change_what_is_learned(
+            self, tiny_bundle, tiny_dataset, monkeypatch):
+        frozen = make_plus(tiny_bundle, tiny_dataset, epochs=2)
+        # the previous behaviour: image tower frozen, text tower not
+        monkeypatch.setattr(type(frozen.clip), "freeze",
+                            type(frozen.clip).freeze_image_tower)
+        thawed = make_plus(tiny_bundle, tiny_dataset, epochs=2)
+        stale = [name for name, param in clip_parameters(thawed).items()
+                 if param.grad is not None]
+        assert stale and all(name.startswith("text.") for name in stale)
+        for name in ("prompt_table", "fusion.weight", "fusion.bias"):
+            assert np.array_equal(frozen.soft_prompts.state_dict()[name],
+                                  thawed.soft_prompts.state_dict()[name]), name
+        assert frozen.epoch_losses == thawed.epoch_losses
+        assert np.array_equal(frozen.score(), thawed.score())
