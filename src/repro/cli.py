@@ -238,17 +238,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .obs import (configure_logging, export_jsonl, export_prom,
-                      registry, reset_spans, trace_recorder)
     from .serve import MatchService, ServeConfig, serve_loop
 
-    if args.log_level:
-        configure_logging(args.log_level)
-    reg = registry()
-    reg.reset()
-    reset_spans()
-    trace_recorder().reset()
-
+    _reset_telemetry(args)
     if (args.shard_slot is None) != (args.shard_count is None):
         print("--shard-slot and --shard-count must be given together",
               file=sys.stderr)
@@ -319,17 +311,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"images — one JSON request per stdin line", file=sys.stderr)
         served = serve_loop(service, sys.stdin, sys.stdout)
         print(f"served {served} responses", file=sys.stderr)
-    if args.metrics_out:
-        rows = export_jsonl(args.metrics_out,
-                            meta={"benchmark": args.benchmark,
-                                  "method": args.method,
-                                  "command": "serve",
-                                  "seed": args.seed})
-        print(f"wrote {rows} metric rows to {args.metrics_out}",
-              file=sys.stderr)
-        prom_path = export_prom(Path(args.metrics_out).with_suffix(".prom"))
-        print(f"wrote OpenMetrics snapshot to {prom_path}", file=sys.stderr)
+    _export_telemetry(args, benchmark=args.benchmark, method=args.method,
+                      command="serve", seed=args.seed)
     return exit_code
+
+
+def _export_telemetry(args: argparse.Namespace, **meta) -> None:
+    """``--metrics-out``: the registry as JSONL plus a scrape-ready
+    ``.prom`` snapshot next to it.  Diagnostics go to stderr."""
+    from pathlib import Path
+
+    from .obs import export_jsonl, export_prom
+
+    if not args.metrics_out:
+        return
+    rows = export_jsonl(args.metrics_out, meta=meta)
+    print(f"wrote {rows} metric rows to {args.metrics_out}", file=sys.stderr)
+    prom_path = export_prom(Path(args.metrics_out).with_suffix(".prom"))
+    print(f"wrote OpenMetrics snapshot to {prom_path}", file=sys.stderr)
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
@@ -337,7 +336,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .loadgen.socketdrv import parse_address
-    from .obs import export_jsonl, export_prom
     from .shard import (RouterConfig, ShardRouter, SupervisorConfig,
                         WorkerSupervisor)
 
@@ -406,17 +404,8 @@ def _cmd_route(args: argparse.Namespace) -> int:
     exit_code = router.run(ready=_announce)
     print(f"drained ({'clean' if exit_code == 0 else 'timed out'})",
           file=sys.stderr)
-    if args.metrics_out:
-        rows = export_jsonl(args.metrics_out,
-                            meta={"benchmark": args.benchmark,
-                                  "method": args.method,
-                                  "command": "route",
-                                  "shards": args.shards,
-                                  "seed": args.seed})
-        print(f"wrote {rows} metric rows to {args.metrics_out}",
-              file=sys.stderr)
-        prom_path = export_prom(Path(args.metrics_out).with_suffix(".prom"))
-        print(f"wrote OpenMetrics snapshot to {prom_path}", file=sys.stderr)
+    _export_telemetry(args, benchmark=args.benchmark, method=args.method,
+                      command="route", shards=args.shards, seed=args.seed)
     return exit_code
 
 
@@ -534,10 +523,6 @@ def _spec_from_args(args: argparse.Namespace):
 
 
 def _emit_load_artifacts(report, args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from .obs import export_jsonl, export_prom
-
     report.publish()
     summary = report.summary()
     print(f"offered {summary['offered']} requests over "
@@ -555,15 +540,8 @@ def _emit_load_artifacts(report, args: argparse.Namespace) -> None:
     if args.output:
         saved = report.save(args.output)
         print(f"wrote load report to {saved}", file=sys.stderr)
-    if args.metrics_out:
-        rows = export_jsonl(args.metrics_out,
-                            meta={"benchmark": args.benchmark,
-                                  "command": "load",
-                                  "seed": args.seed})
-        print(f"wrote {rows} metric rows to {args.metrics_out}",
-              file=sys.stderr)
-        prom_path = export_prom(Path(args.metrics_out).with_suffix(".prom"))
-        print(f"wrote OpenMetrics snapshot to {prom_path}", file=sys.stderr)
+    _export_telemetry(args, benchmark=args.benchmark, command="load",
+                      seed=args.seed)
 
 
 def _remote_vertices(args: argparse.Namespace):
@@ -685,13 +663,13 @@ def _cmd_obs_scrape(args: argparse.Namespace) -> int:
 
     from .iosafe import atomic_write_bytes
     from .loadgen.socketdrv import parse_address
+    from .netserve.protocol import request_op
     from .obs.export import SCHEMA_VERSION
     from .obs.promtext import render_openmetrics
-    from .obs.scrape import fetch_stats
 
     address = parse_address(args.connect)
     try:
-        stats = fetch_stats(address, timeout=args.timeout)
+        stats = request_op(address, "stats", timeout=args.timeout)
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"scrape of {address[0]}:{address[1]} failed: {exc}",
               file=sys.stderr)
@@ -736,13 +714,14 @@ def _live_slo(spec, args: argparse.Namespace) -> int:
     from collections import deque
 
     from .loadgen.socketdrv import parse_address
-    from .obs.scrape import combine_summaries, delta_summary, fetch_stats
+    from .netserve.protocol import request_op
+    from .obs.scrape import combine_summaries, delta_summary
     from .obs.slo import evaluate_slo, format_slo
 
     address = parse_address(args.connect)
 
     def scrape() -> dict:
-        return fetch_stats(address, timeout=args.timeout)
+        return request_op(address, "stats", timeout=args.timeout)
 
     try:
         previous = scrape()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import threading
-import warnings
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
@@ -573,20 +572,13 @@ class CrossEM:
             raise RuntimeError("CrossEM.fit must be called before inference")
 
     def score(self, vertex_ids: Optional[Sequence[int]] = None,
-              vertex_batch: int = 64, *,
-              image_batch: Optional[int] = None) -> np.ndarray:
+              vertex_batch: int = 64) -> np.ndarray:
         """Similarity matrix (vertices x all images), evaluated frozen.
 
-        ``vertex_batch`` chunks the *vertex* encoding (it was misnamed
-        ``image_batch`` historically; the old keyword still works but
-        warns).  Discrete prompts skip the chunking entirely: their
-        cached embedding matrix is sliced instead of re-encoded.
+        ``vertex_batch`` chunks the *vertex* encoding.  Discrete prompts
+        skip the chunking entirely: their cached embedding matrix is
+        sliced instead of re-encoded.
         """
-        if image_batch is not None:
-            warnings.warn("score(image_batch=...) chunks vertices and was "
-                          "renamed to vertex_batch", DeprecationWarning,
-                          stacklevel=2)
-            vertex_batch = image_batch
         self._require_fitted()
         with trace_span("matcher/score"):
             self._stage("score")

@@ -30,7 +30,9 @@ import socket
 import threading
 from typing import Any, Callable, Optional, Tuple
 
+from ..netserve.protocol import request_op
 from ..obs import get_logger
+from ..serve.errors import error_response
 
 __all__ = ["SocketDriver", "fetch_info", "parse_address", "probe_info"]
 
@@ -57,10 +59,9 @@ def fetch_info(address: Tuple[str, int], *,
                timeout: float = 10.0, attempts: int = 2) -> dict:
     """The server's ``info`` payload, via a short-lived connection.
 
-    ``timeout`` bounds every socket operation of one attempt (connect
-    *and* the answer read — the socket timeout set by
-    ``create_connection`` persists onto reads), so a hung server costs
-    at most ``attempts * timeout`` instead of stalling the harness
+    ``timeout`` bounds every socket operation of one attempt
+    (:func:`~repro.netserve.protocol.request_op`), so a hung server
+    costs at most ``attempts * timeout`` instead of stalling the harness
     forever.  One retry by default: a server mid-restart or a dropped
     SYN should not fail a whole load run, but a genuinely dead one
     should fail it fast.
@@ -70,7 +71,7 @@ def fetch_info(address: Tuple[str, int], *,
     last: Exception = ConnectionError("unreachable")
     for _ in range(attempts):
         try:
-            return _fetch_info_once(address, timeout)
+            return request_op(address, "info", timeout=timeout)
         except (OSError, ValueError, RuntimeError) as exc:
             # OSError covers refused/reset/timeout; ValueError a
             # garbled response line; RuntimeError a typed server error
@@ -79,20 +80,6 @@ def fetch_info(address: Tuple[str, int], *,
                          port=address[1], error=f"{type(exc).__name__}: "
                                                 f"{exc}")
     raise last
-
-
-def _fetch_info_once(address: Tuple[str, int], timeout: float) -> dict:
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.sendall(b'{"op":"info","id":"info"}\n')
-        stream = sock.makefile("rb")
-        line = stream.readline()
-    if not line:
-        raise ConnectionError(f"server at {address[0]}:{address[1]} "
-                              f"closed without answering info")
-    response = json.loads(line)
-    if not response.get("ok"):
-        raise RuntimeError(f"info request failed: {response.get('error')}")
-    return response["info"]
 
 
 def probe_info(address: Tuple[str, int], *, timeout: float = 2.0,
@@ -170,10 +157,8 @@ class SocketDriver:
                 self._down.set()
                 _log.warning("connection lost mid-run", error=str(exc))
         request_id = request.get("id") if isinstance(request, dict) else None
-        return {"id": request_id, "ok": False,
-                "error": {"type": "unavailable",
-                          "message": "connection to server lost"},
-                "elapsed_ms": 0.0}
+        return error_response(request_id, "unavailable",
+                              "connection to server lost")
 
     def shutdown(self) -> None:
         """Half-close, drain trailing responses, then tear down."""

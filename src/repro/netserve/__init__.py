@@ -7,28 +7,30 @@ pipes works unchanged against ``repro serve --listen``.  The pieces:
 
 * :mod:`repro.netserve.batcher` — the dynamic micro-batcher: concurrent
   single-vertex queries arriving within a latency-bounded window are
-  coalesced into one fused :meth:`MatchService.handle_batch` call
-  (N GEMV-shaped requests become tile-shaped GEMMs) without changing
-  any answer bit (DESIGN.md §13).
-* :mod:`repro.netserve.server` — the asyncio TCP server: per-connection
-  JSONL framing, bounded write queues with typed ``overloaded``
-  rejections for slow readers, and graceful drain on SIGTERM/SIGINT.
-* :mod:`repro.netserve.protocol` — shared framing helpers and the
-  ``info`` handshake answering repository metadata (vertex ids, sizes)
-  so remote load generators need no local fit.
+  coalesced into one :meth:`MatchService.handle_batch` call without
+  changing any answer bit (DESIGN.md §13).
+* :mod:`repro.netserve.lineserver` — the asyncio JSONL line server every
+  networked door shares (``NetServer`` here, the shard router): framing,
+  typed ``overloaded`` rejections for slow readers, control-op
+  dispatch, graceful drain on SIGTERM/SIGINT.
+* :mod:`repro.netserve.server` — ``NetServer``: that line server over
+  the micro-batcher.
+* :mod:`repro.netserve.protocol` — framing helpers, the control-op
+  table (``info`` / ``stats``) and the one-shot control-op client.
 
 See README "Networked serving" and DESIGN.md §13 for the window-vs-
 deadline semantics and the batched-exactness argument.
 """
 
 from .batcher import BatchWindow, MicroBatcher, bypasses_window
-from .protocol import (LineReader, OversizedLine, decode_line,
-                       encode_response, info_payload)
+from .lineserver import LineServer
+from .protocol import (LineReader, OversizedLine, control_op, decode_line,
+                       encode_response, request_op)
 from .server import NetServeConfig, NetServer
 
 __all__ = [
     "BatchWindow", "MicroBatcher", "bypasses_window",
-    "LineReader", "OversizedLine",
-    "decode_line", "encode_response", "info_payload",
+    "LineReader", "OversizedLine", "LineServer",
+    "control_op", "decode_line", "encode_response", "request_op",
     "NetServeConfig", "NetServer",
 ]

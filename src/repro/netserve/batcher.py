@@ -1,14 +1,14 @@
 """The dynamic micro-batcher: windowed coalescing of match queries.
 
 Many clients each send single-vertex queries; served one at a time,
-every query is a GEMV-shaped scoring call.  The batcher holds each
+every query pays for a whole scoring tile.  The batcher holds each
 arriving request for at most one *window* (``batch_window_ms``), fusing
 everything that arrives meanwhile into one
-:meth:`MatchService.handle_batch` call — N GEMV-shaped requests become
-tile-shaped GEMMs — and demultiplexes the positional responses back to
-their callers.  Answers are bit-identical to unbatched serving because
-``handle_batch`` scores through fixed-shape row tiles (DESIGN.md §13);
-the batcher only changes *when* scoring runs, never *what* it computes.
+:meth:`MatchService.handle_batch` call — N one-vertex tiles become full
+tiles — and demultiplexes the positional responses back to their
+callers.  Answers are bit-identical to unbatched serving because the
+service scores through fixed-shape row tiles (DESIGN.md §13); the
+batcher only changes *when* scoring runs, never *what* it computes.
 
 Three latency rules, in priority order:
 
@@ -35,6 +35,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..obs import get_logger, registry
+from ..serve.deadline import is_budget_ms
+from ..serve.errors import error_response
 
 __all__ = ["BatchWindow", "MicroBatcher", "bypasses_window",
            "BYPASS_SLACK"]
@@ -60,11 +62,7 @@ def bypasses_window(budget_ms: Any, window_ms: float,
     """
     if window_ms <= 0:
         return True  # windowless configuration: everything immediate
-    if isinstance(budget_ms, bool) or not isinstance(budget_ms, (int, float)):
-        return False
-    if budget_ms <= 0:
-        return False
-    return float(budget_ms) < slack * window_ms
+    return is_budget_ms(budget_ms) and float(budget_ms) < slack * window_ms
 
 
 class BatchWindow:
@@ -198,9 +196,7 @@ class MicroBatcher:
             budget_ms = request.get("budget_ms") \
                 if isinstance(request, dict) else None
             if self._hurry or bypasses_window(budget_ms, self.window_ms):
-                # Too urgent to wait: dispatch alone, right now.  Still
-                # through handle_batch, so the scoring kernel (and thus
-                # every answer bit) matches the batched path.
+                # Too urgent to wait: dispatch alone, right now.
                 self._bypass_total.inc()
                 self._pool.submit(self._run_batch, [(request, deliver)])
                 return
@@ -293,6 +289,4 @@ def rejection_response(request_id: Any, code: str, message: str) -> dict:
     registry().counter("serve.requests_total").inc()
     registry().counter("serve.error_total").inc()
     registry().counter(f"serve.error.{code}").inc()
-    return {"id": request_id, "ok": False,
-            "error": {"type": code, "message": message},
-            "elapsed_ms": 0.0}
+    return error_response(request_id, code, message)

@@ -2,11 +2,13 @@
 
 The framing is exactly the stdio loop's: one JSON object per line,
 ``\\n``-terminated, responses correlated by ``id`` and allowed to
-arrive out of submission order.  This module holds the few pieces both
-the server and the socket load-generator driver need to agree on, so
-neither grows a private copy.
+arrive out of submission order.  This module holds what every front
+door (stdio loop, TCP server, shard router) and every client must agree
+on, so none grows a private copy: the framing, the control-op table
+(:func:`control_op`) and the one-shot control-op client
+(:func:`request_op`).
 
-Beyond match requests, the server answers two control operations:
+Beyond match requests, every door answers two control operations:
 
 ``{"op": "info", "id": ...}`` →
 ``{"id": ..., "ok": true, "info": {...}}``
@@ -20,7 +22,7 @@ without fitting a local matcher — the socket equivalent of what
 ``{"id": ..., "ok": true, "stats": {...}}``
 
 carrying a point-in-time snapshot of the process's metrics registry and
-span aggregates (:func:`stats_payload`) — the live-scrape primitive
+span aggregates (:meth:`MatchService.stats`) — the live-scrape primitive
 behind ``repro obs scrape`` and the router's fleet aggregation
 (DESIGN.md §15).  Answered inline off the event loop: a snapshot is a
 locked copy of in-memory instruments, never a scoring call, so a scrape
@@ -30,11 +32,11 @@ cannot queue behind (or be shed by) match traffic.
 from __future__ import annotations
 
 import json
-import time
-from typing import Any, Optional
+import socket
+from typing import Any, Tuple
 
 __all__ = ["MAX_LINE_BYTES", "LineReader", "OversizedLine", "decode_line",
-           "encode_response", "info_payload", "stats_payload"]
+           "encode_response", "CONTROL_OPS", "control_op", "request_op"]
 
 #: hard per-line cap; a longer line is answered ``bad_request`` with the
 #: offending bytes discarded, so one hostile client cannot balloon
@@ -135,51 +137,50 @@ def encode_response(response: dict) -> bytes:
         + b"\n"
 
 
-def info_payload(service: Any, *, max_batch: Optional[int] = None,
-                 window_ms: Optional[float] = None) -> dict:
-    """The ``info`` operation's body, read off a live service.
+#: control operations: answered inline by the backend method of the same
+#: name instead of being submitted as a match query
+CONTROL_OPS = ("info", "stats")
 
-    ``vertices`` lists every queryable entity vertex so a remote client
-    can build a workload; ``images`` bounds meaningful ``top_k``.
+
+def control_op(backend: Any, request: Any) -> Any:
+    """Dispatch a control operation to ``backend`` — the only place
+    ``op`` strings are matched.
+
+    ``None`` for a match query (or an op nobody knows: the service
+    answers that ``bad_request`` like any vertex-less object); else
+    ``backend.<op>(request_id)`` — a complete response dict, or an
+    awaitable of one from a backend that asks other processes.
     """
-    matcher = service.matcher
-    info = {
-        "vertices": [int(v) for v in matcher.vertex_ids],
-        "images": len(matcher.images),
-        "top_k_default": service.config.top_k_default,
-        "indexed": matcher.search_index is not None,
-    }
-    if max_batch is not None:
-        info["max_batch"] = max_batch
-    if window_ms is not None:
-        info["batch_window_ms"] = window_ms
-    if service.config.shard_count is not None:
-        # a shard worker advertises its partition so a router (or a
-        # human with netcat) can see which slice of the image space
-        # this process answers for
-        info["shard"] = {"slot": service.config.shard_slot,
-                         "count": service.config.shard_count,
-                         "owned_images": service.owned_images}
-    return info
+    if not isinstance(request, dict) or \
+            request.get("op") not in CONTROL_OPS:
+        return None
+    return getattr(backend, request["op"])(request.get("id"))
 
 
-def stats_payload(service: Any = None) -> dict:
-    """The ``stats`` operation's body: the process's instruments, live.
+def request_op(address: Tuple[str, int], op: str, *,
+               timeout: float = 10.0) -> dict:
+    """One control operation against the server at ``address``, on a
+    throwaway connection; returns the ``op`` payload of the response.
 
-    One registry snapshot plus the span aggregate — every row read
-    under its instrument's lock, so each row is internally consistent
-    even while worker threads are mid-observation (rows are not a
-    cross-instrument atomic cut; see DESIGN.md §15).  ``captured_unix``
-    lets a scraper order snapshots and compute rates.
+    ``timeout`` bounds every socket operation (connect *and* the answer
+    read), so a hung server costs one timeout.  Raises ``OSError`` on
+    refused/reset/timeout (``ConnectionError`` when the server hangs up
+    without answering), ``RuntimeError`` on a typed error response
+    (e.g. a server too old to know the op), ``ValueError`` on a garbled
+    line or a response without the payload.
     """
-    from ..obs import registry, span_snapshot  # late: avoid cycle at import
-
-    payload = {
-        "metrics": registry().snapshot(),
-        "spans": span_snapshot(),
-        "captured_unix": time.time(),
-    }
-    if service is not None and service.config.shard_count is not None:
-        payload["shard"] = {"slot": service.config.shard_slot,
-                            "count": service.config.shard_count}
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(encode_response({"op": op, "id": op}))
+        line = sock.makefile("rb").readline()
+    if not line:
+        raise ConnectionError(f"server at {address[0]}:{address[1]} "
+                              f"closed without answering {op}")
+    response = decode_line(line)
+    if not isinstance(response, dict):
+        raise ValueError(f"{op} response is not a JSON object")
+    if not response.get("ok"):
+        raise RuntimeError(f"{op} request failed: {response.get('error')}")
+    payload = response.get(op)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{op} response carries no {op} object")
     return payload

@@ -6,52 +6,25 @@ fused scoring calls, which is where networked micro-batching earns its
 keep — a single pipe can only batch against itself, a socket batches
 across the whole client population.
 
-Threading model: the asyncio event loop owns all socket I/O; the
-batcher's worker pool owns all scoring.  Responses cross back via
-``loop.call_soon_threadsafe`` onto per-connection write queues, so the
-loop never blocks on a GEMM and a worker never touches a socket.
-
-Per-connection discipline:
-
-* at most ``conn_inflight`` match requests outstanding (submitted,
-  response not yet written); beyond that the connection gets typed
-  ``overloaded`` rejections — a client that pipelines without reading
-  responses is shed, not buffered without bound;
-* the write queue's depth is therefore bounded by
-  ``conn_inflight + 1`` (tracked responses are capped by the
-  outstanding limit; untracked ones — info, bad-line, rejections — are
-  enqueued by the reader one at a time);
-* a request's outstanding slot is released only after its response is
-  written *and* drained to the kernel, so the cap reflects true
-  end-to-end occupancy, not just scoring.
-
-Graceful drain (SIGTERM/SIGINT): stop accepting, let every reader
-finish its current line, answer everything in flight, flush every
-write queue, then exit 0.  A second signal is idempotent.  Drain
-progress is visible as ``netserve.drain.*`` metrics in the exported
-snapshot.
+Sockets, framing, the per-connection outstanding cap and the graceful
+drain are :class:`~repro.netserve.lineserver.LineServer`'s; this module
+is the backend it serves: the batcher's worker pool owns all scoring,
+and a drain hurries the batcher (no more windowing), lets every
+connection flush, then drains the pool.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import dataclasses
-import signal
-import time
-from typing import Any, Callable, Optional, Set, Tuple
+from typing import Any, Callable, Optional
 
-from ..obs import get_logger, registry
-from ..serve.loop import bad_line_response
+from ..obs import registry
 from ..serve.service import MatchService
 from .batcher import MicroBatcher, rejection_response
-from .protocol import (MAX_LINE_BYTES, LineReader, OversizedLine,
-                       decode_line, encode_response, info_payload,
-                       stats_payload)
+from .lineserver import LineServer
 
 __all__ = ["NetServeConfig", "NetServer"]
-
-_log = get_logger("repro.netserve.server")
 
 
 @dataclasses.dataclass
@@ -91,244 +64,50 @@ class NetServeConfig:
             raise ValueError("drain_timeout_s must be positive")
 
 
-class NetServer:
-    """Serve one :class:`MatchService` to many TCP clients.
-
-    ``run()`` blocks until a drain completes (signal-initiated or via
-    :meth:`trigger_drain`) and returns a process exit code: 0 when
-    every in-flight request was answered and flushed, 1 when the drain
-    timed out with work still pending.
-    """
+class NetServer(LineServer):
+    """Serve one :class:`MatchService` to many TCP clients: the shared
+    line server (``run()`` / ``trigger_drain()`` / ``bound`` are
+    :class:`LineServer`'s) over a :class:`MicroBatcher`."""
 
     def __init__(self, service: MatchService,
                  config: Optional[NetServeConfig] = None) -> None:
+        super().__init__(config if config is not None else NetServeConfig(),
+                         metric_prefix="netserve")
         self.service = service
-        self.config = config if config is not None else NetServeConfig()
         self.batcher: Optional[MicroBatcher] = None
-        #: (host, port) actually bound, available once serving
-        self.bound: Optional[Tuple[str, int]] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._drain_event: Optional[asyncio.Event] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
 
-    # -- lifecycle ---------------------------------------------------------
-    def run(self, *, install_signals: bool = True,
-            ready: Optional[Callable[[Tuple[str, int]], None]] = None) -> int:
-        """Blocking entry point; see class docstring."""
-        return asyncio.run(self._main(install_signals, ready))
-
-    def trigger_drain(self) -> None:
-        """Thread-safe drain initiation (the programmatic SIGTERM).
-        Idempotent, including after the server has already exited."""
-        loop, event = self._loop, self._drain_event
-        if loop is None or event is None:
-            return
-        try:
-            loop.call_soon_threadsafe(event.set)
-        except RuntimeError:
-            pass  # loop already closed: the drain it would ask for is done
-
-    async def _main(self, install_signals: bool,
-                    ready: Optional[Callable[[Tuple[str, int]], None]]) -> int:
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._drain_event = asyncio.Event()
-        if install_signals:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(sig, self._on_signal, sig)
-        clean = await self._serve(ready)
-        return 0 if clean else 1
-
-    def _on_signal(self, sig: int) -> None:
-        registry().counter("netserve.drain.signals").inc()
-        _log.info("drain signal received", signal=signal.Signals(sig).name)
-        self._drain_event.set()
-
-    async def _serve(
-            self,
-            ready: Optional[Callable[[Tuple[str, int]], None]]) -> bool:
+    async def _open(self) -> None:
         cfg = self.config
         self.service.warmup()  # fail loud before accepting any client
         self.batcher = MicroBatcher(
             self.service, window_ms=cfg.batch_window_ms,
             max_batch=cfg.max_batch, max_pending=cfg.max_pending,
             workers=cfg.batch_workers)
-        reg = registry()
-        self._conns_gauge = reg.gauge("netserve.conns")
-        self._conns_gauge.set(0)
-        self._conns_total = reg.counter("netserve.conns_total")
-        self._conn_shed = reg.counter("netserve.conn.overloaded_total")
-        server = await asyncio.start_server(
-            self._on_connection, cfg.host, cfg.port, limit=MAX_LINE_BYTES)
-        sockname = server.sockets[0].getsockname()
-        self.bound = (sockname[0], sockname[1])
-        _log.info("listening", host=self.bound[0], port=self.bound[1],
-                  window_ms=cfg.batch_window_ms, max_batch=cfg.max_batch)
-        if ready is not None:
-            ready(self.bound)
-        await self._drain_event.wait()
+        # registered up front so a scrape shows the shed counter at zero
+        registry().counter("netserve.conn.overloaded_total")
 
-        # -- drain sequence -----------------------------------------------
-        started = time.monotonic()
-        _log.info("draining", conns=len(self._conn_tasks))
-        server.close()
-        await server.wait_closed()  # no new connections
+    def submit(self, request: Any, deliver: Callable[[dict], None]) -> None:
+        self.batcher.submit(request, deliver)
+
+    def info(self, request_id: Any) -> dict:
+        response = self.service.info(request_id)
+        response["info"].update(max_batch=self.config.max_batch,
+                                batch_window_ms=self.config.batch_window_ms)
+        return response
+
+    def stats(self, request_id: Any) -> dict:
+        return self.service.stats(request_id)
+
+    def bad_line(self, error: Exception) -> dict:
+        return self.service.bad_line(error)
+
+    reject = staticmethod(rejection_response)
+
+    def _hurry(self) -> None:
         # stop windowing immediately: every held request is pure delay
         # now, and connections cannot flush until they are answered
         self.batcher.hurry()
-        pending: Set[asyncio.Task] = set()
-        if self._conn_tasks:
-            # readers observe the drain event, stop reading, wait for
-            # their outstanding responses, flush, and close
-            _, pending = await asyncio.wait(
-                set(self._conn_tasks), timeout=cfg.drain_timeout_s)
-            for task in pending:
-                task.cancel()
-        batch_clean = await asyncio.get_running_loop().run_in_executor(
-            None, self.batcher.drain, cfg.drain_timeout_s)
-        clean = batch_clean and not pending
-        elapsed_ms = (time.monotonic() - started) * 1e3
-        reg = registry()
-        reg.histogram("netserve.drain.duration_ms").observe(elapsed_ms)
-        reg.gauge("netserve.drain.clean").set(1.0 if clean else 0.0)
-        _log.info("drain complete", clean=clean,
-                  duration_ms=round(elapsed_ms, 3))
-        return clean
 
-    # -- per-connection handling -------------------------------------------
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._conns_total.inc()
-        self._conns_gauge.set(float(len(self._conn_tasks)))
-        try:
-            await self._connection_loop(reader, writer)
-        except Exception as exc:  # a broken conn must never kill serving
-            _log.warning("connection failed", error=f"{type(exc).__name__}: "
-                                                    f"{exc}")
-        finally:
-            self._conn_tasks.discard(task)
-            self._conns_gauge.set(float(len(self._conn_tasks)))
-            with contextlib.suppress(Exception):
-                writer.close()
-
-    async def _connection_loop(self, reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter) -> None:
-        cfg = self.config
-        loop = asyncio.get_running_loop()
-        # Unbounded queue with a bounded occupancy invariant: tracked
-        # responses are capped by conn_inflight, untracked ones are
-        # enqueued by this (sequential) reader — see module docstring.
-        out_queue: asyncio.Queue = asyncio.Queue()
-        outstanding = {"n": 0}
-        writer_task = asyncio.ensure_future(
-            self._writer_loop(writer, out_queue, outstanding))
-
-        def deliver(response: dict) -> None:
-            # called from a batcher worker thread
-            loop.call_soon_threadsafe(out_queue.put_nowait, (response, True))
-
-        drain_wait = asyncio.ensure_future(self._drain_event.wait())
-        line_reader = LineReader(reader)
-        try:
-            while not self._drain_event.is_set():
-                line_task = asyncio.ensure_future(line_reader.readline())
-                done, _ = await asyncio.wait(
-                    {line_task, drain_wait},
-                    return_when=asyncio.FIRST_COMPLETED)
-                if line_task not in done:
-                    # draining: abandon the read, fall through to flush
-                    line_task.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await line_task
-                    break
-                try:
-                    raw = line_task.result()
-                except OversizedLine as exc:
-                    # the reader discarded the line and resynchronised:
-                    # answer a typed bad_request, keep the connection
-                    registry().counter("netserve.oversized_line").inc()
-                    await out_queue.put((bad_line_response(
-                        self.service, exc), False))
-                    continue
-                except (ConnectionError, OSError):
-                    break
-                if not raw:
-                    break  # EOF: client half-closed, flush and finish
-                if not raw.strip():
-                    continue
-                try:
-                    request = decode_line(raw)
-                except ValueError as exc:
-                    await out_queue.put((bad_line_response(
-                        self.service, exc), False))
-                    continue
-                if isinstance(request, dict) and request.get("op") == "info":
-                    await out_queue.put((
-                        {"id": request.get("id"), "ok": True,
-                         "info": info_payload(
-                             self.service, max_batch=cfg.max_batch,
-                             window_ms=cfg.batch_window_ms)}, False))
-                    continue
-                if isinstance(request, dict) and \
-                        request.get("op") == "stats":
-                    # live scrape: answered inline like info — reading
-                    # locked in-memory instruments, never a scoring call,
-                    # so it cannot queue behind (or be shed by) matching
-                    registry().counter("netserve.stats_total").inc()
-                    await out_queue.put((
-                        {"id": request.get("id"), "ok": True,
-                         "stats": stats_payload(self.service)}, False))
-                    continue
-                if outstanding["n"] >= cfg.conn_inflight:
-                    # pipelining past the cap without reading responses:
-                    # typed shed, never unbounded buffering
-                    self._conn_shed.inc()
-                    request_id = request.get("id") \
-                        if isinstance(request, dict) else None
-                    await out_queue.put((rejection_response(
-                        request_id, "overloaded",
-                        f"connection has {outstanding['n']} responses "
-                        f"outstanding (cap {cfg.conn_inflight}); "
-                        f"read before writing more"), False))
-                    continue
-                outstanding["n"] += 1
-                self.batcher.submit(request, deliver)
-        finally:
-            drain_wait.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await drain_wait
-            # answer everything this connection still has in flight
-            # before closing; batcher flushes are window-bounded, so
-            # this resolves within ~one window unless scoring is stuck
-            give_up = loop.time() + cfg.drain_timeout_s
-            while outstanding["n"] > 0 and loop.time() < give_up:
-                await asyncio.sleep(0.005)
-            await out_queue.put(None)  # writer: flush then stop
-            with contextlib.suppress(Exception):
-                await writer_task
-
-    async def _writer_loop(self, writer: asyncio.StreamWriter,
-                           out_queue: asyncio.Queue,
-                           outstanding: dict) -> None:
-        broken = False
-        while True:
-            item = await out_queue.get()
-            if item is None:
-                break
-            response, tracked = item
-            if not broken:
-                try:
-                    writer.write(encode_response(response))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    # client went away mid-write: stop writing but keep
-                    # consuming so outstanding slots still free up
-                    broken = True
-                    registry().counter("netserve.conn.broken_total").inc()
-            if tracked:
-                outstanding["n"] -= 1
-        if not broken:
-            with contextlib.suppress(Exception):
-                await writer.drain()
+    async def _close(self) -> bool:
+        return await asyncio.get_running_loop().run_in_executor(
+            None, self.batcher.drain, self.config.drain_timeout_s)

@@ -42,8 +42,7 @@ from .hist import BucketHistogram, log_bounds
 from .log import Logger, configure as configure_logging, get_logger, level_name
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry, registry)
 from .promtext import export_prom, render_openmetrics
-from .scrape import (aggregate_fleet, combine_summaries, delta_summary,
-                     fetch_stats)
+from .scrape import aggregate_fleet, combine_summaries, delta_summary
 from .slo import (ObjectiveResult, SLOResult, SLOSpec, evaluate_slo,
                   format_slo, load_spec)
 from .spans import (format_profile, reset_spans, set_spans_enabled, span,
@@ -70,5 +69,5 @@ __all__ = [
     "trace_recorder", "tracer", "set_tracing_enabled", "tracing_enabled",
     "current_trace", "trace_span", "add_trace_event", "flag_trace",
     "capture_context", "activate_context", "shift_span_row",
-    "fetch_stats", "aggregate_fleet", "delta_summary", "combine_summaries",
+    "aggregate_fleet", "delta_summary", "combine_summaries",
 ]

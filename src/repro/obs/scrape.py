@@ -4,11 +4,9 @@ The ``stats`` protocol op (DESIGN.md §15) lets any process in the fleet
 answer "what do your instruments say *right now*" without stopping:
 workers reply with their registry snapshot plus span aggregates, and
 the router replies with an already-aggregated fleet view.  This module
-is the client and the aggregation math behind both:
+is the aggregation math behind both (the one-shot scrape client is
+:func:`repro.netserve.protocol.request_op` with ``"stats"``):
 
-* :func:`fetch_stats` — one-shot blocking scrape of a ``stats``-capable
-  endpoint over a throwaway connection (the scrape analogue of
-  ``loadgen.socketdrv.fetch_info``).
 * :func:`aggregate_fleet` — fold per-shard snapshots into one fleet
   snapshot: counters **summed** (fleet throughput is the sum of shard
   throughputs), bucket histograms **merged bucketwise** when bounds
@@ -32,14 +30,11 @@ are exact regardless.
 
 from __future__ import annotations
 
-import json
-import socket
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .hist import BucketHistogram
 
-__all__ = ["fetch_stats", "aggregate_fleet", "delta_summary",
-           "combine_summaries"]
+__all__ = ["aggregate_fleet", "delta_summary", "combine_summaries"]
 
 #: counter names the delta summary reads (see ``serve.service``)
 _OFFERED = "serve.requests_total"
@@ -47,32 +42,6 @@ _OK = "serve.ok_total"
 _DEGRADED = "serve.degraded_total"
 _SHED = "serve.error.overloaded"
 _ERRORS = "serve.error_total"
-
-
-def fetch_stats(address: Tuple[str, int], *,
-                timeout: float = 10.0) -> dict:
-    """The ``stats`` payload of the server at ``address``.
-
-    One throwaway connection, one request line, one (possibly large)
-    response line; ``timeout`` bounds connect and read.  Raises
-    ``ConnectionError`` when the server hangs up without answering,
-    ``RuntimeError`` on a typed error response (e.g. a server too old
-    to know the op), ``ValueError`` on a garbled line.
-    """
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.sendall(b'{"op":"stats","id":"scrape"}\n')
-        stream = sock.makefile("rb")
-        line = stream.readline()
-    if not line:
-        raise ConnectionError(f"server at {address[0]}:{address[1]} "
-                              f"closed without answering stats")
-    response = json.loads(line)
-    if not response.get("ok"):
-        raise RuntimeError(f"stats request failed: {response.get('error')}")
-    stats = response.get("stats")
-    if not isinstance(stats, dict):
-        raise ValueError("stats response carries no stats object")
-    return stats
 
 
 def _labeled(row: dict, slot: str) -> dict:

@@ -23,22 +23,22 @@ for the failure model and its guarantees.
 from .admission import BoundedQueue
 from .breaker import (STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN,
                       CircuitBreaker)
-from .deadline import Deadline
+from .deadline import Deadline, is_budget_ms
 from .degrade import (LADDER, TIER_CACHED, TIER_FULL, TIER_STALE,
                       DegradationPolicy, DegradeDecision)
 from .errors import (BadRequest, BreakerOpen, DeadlineExceeded, Overloaded,
-                     ServeError, Unavailable)
-from .loop import bad_line_response, serve_loop
+                     ServeError, Unavailable, error_response)
+from .loop import serve_loop
 from .service import MatchService, ServeConfig
 
 __all__ = [
     "ServeError", "BadRequest", "DeadlineExceeded", "Overloaded",
-    "Unavailable", "BreakerOpen",
-    "Deadline",
+    "Unavailable", "BreakerOpen", "error_response",
+    "Deadline", "is_budget_ms",
     "CircuitBreaker", "STATE_CLOSED", "STATE_HALF_OPEN", "STATE_OPEN",
     "BoundedQueue",
     "DegradationPolicy", "DegradeDecision",
     "TIER_FULL", "TIER_CACHED", "TIER_STALE", "LADDER",
     "MatchService", "ServeConfig",
-    "serve_loop", "bad_line_response",
+    "serve_loop",
 ]

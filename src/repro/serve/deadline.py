@@ -16,12 +16,22 @@ overshooting the request budget (see :func:`repro.iosafe.retry_io`).
 from __future__ import annotations
 
 import math
+import sys
 import time
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .errors import DeadlineExceeded
 
-__all__ = ["Deadline"]
+__all__ = ["Deadline", "is_budget_ms"]
+
+
+def is_budget_ms(value: Any) -> bool:
+    """Is ``value`` a usable wire ``budget_ms`` — a positive, *finite*
+    number?  ``json.loads`` admits ``NaN``/``Infinity`` (and integers
+    past float range); a budget that never expires is no budget, and a
+    ``NaN`` would make an exported trace invalid strict JSON."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and 0 < value <= sys.float_info.max
 
 
 class Deadline:

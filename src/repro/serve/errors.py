@@ -25,10 +25,20 @@ one ``except`` clause while genuinely unexpected bugs stay loud.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 __all__ = ["ServeError", "BadRequest", "DeadlineExceeded", "Overloaded",
-           "Unavailable", "BreakerOpen"]
+           "Unavailable", "BreakerOpen", "error_response"]
+
+
+def error_response(request_id: Any, code: str, message: str,
+                   elapsed_ms: float = 0.0) -> dict:
+    """The one wire form of a server-side failure (every door accounts
+    it in its own metrics, then builds the body here): ``code`` is a
+    :attr:`ServeError.code`, or ``internal`` for an isolated bug."""
+    return {"id": request_id, "ok": False,
+            "error": {"type": code, "message": message},
+            "elapsed_ms": round(elapsed_ms, 3)}
 
 
 class ServeError(RuntimeError):

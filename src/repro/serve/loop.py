@@ -5,7 +5,9 @@ framing with no network dependency, so the whole resilient path stays
 exercisable in CI with nothing but pipes.  Responses carry the
 request's ``id`` and may arrive out of submission order (workers and
 shed rejections interleave); clients correlate by ``id``, exactly as
-they would against a real RPC service.
+they would against a real RPC service.  The control operations
+(``info``, ``stats``) go through the same table as the TCP doors
+(:func:`repro.netserve.protocol.control_op`).
 
 A line that is not valid JSON yields a structured ``bad_request``
 response (with ``id: null``, since no id could be read) and the loop
@@ -26,40 +28,15 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import IO, Iterable, Union
+from typing import IO, Iterable
 
+from ..netserve.protocol import control_op
 from ..obs import get_logger, registry
 from .service import MatchService
 
-__all__ = ["serve_loop", "bad_line_response"]
+__all__ = ["serve_loop"]
 
 _log = get_logger("repro.serve.loop")
-
-
-def bad_line_response(service: MatchService, error: Exception) -> dict:
-    """The structured answer to an undecodable request line.
-
-    Counts the framing failure separately from semantic bad requests
-    and mints a flagged (thus always-retained) trace so the failure is
-    findable by id.  Shared by the stdin/stdout loop and the TCP front
-    end (:mod:`repro.netserve`), which frame identically.
-    """
-    reg = registry()
-    reg.counter("serve.requests_total").inc()
-    reg.counter("serve.requests.bad_line").inc()
-    reg.counter("serve.error_total").inc()
-    reg.counter("serve.error.bad_request").inc()
-    trace = service.tracer.start("serve.request")
-    trace.flag("error")
-    trace.add_event("error", code="bad_request")
-    trace.finish()
-    response = {"id": None, "ok": False,
-                "error": {"type": "bad_request",
-                          "message": f"invalid JSON: {error}"},
-                "elapsed_ms": 0.0}
-    if trace.trace_id is not None:
-        response["trace_id"] = trace.trace_id
-    return response
 
 
 def serve_loop(service: MatchService, source: Iterable[str],
@@ -78,11 +55,7 @@ def serve_loop(service: MatchService, source: Iterable[str],
     # every subsequent write would fail identically, so workers skip
     # straight past it and the reader loop below winds down.
     sink_failed = threading.Event()
-    # instrument handles hoisted out of the loop: the bad-line path is
-    # exactly where input is arriving malformed at rate, so it should
-    # not pay a registry lock + dict lookup per counter per line
-    reg = registry()
-    emit_failed_total = reg.counter("serve.emit.failed")
+    emit_failed_total = registry().counter("serve.emit.failed")
 
     def emit(response: dict) -> None:
         if sink_failed.is_set():
@@ -113,21 +86,17 @@ def serve_loop(service: MatchService, source: Iterable[str],
             if not line:
                 continue
             try:
-                request: Union[dict, object] = json.loads(line)
+                request = json.loads(line)
             except ValueError as exc:
                 _log.warning("undecodable request line", error=str(exc))
-                emit(bad_line_response(service, exc))
+                emit(service.bad_line(exc))
                 continue
-            if isinstance(request, dict) and request.get("op") == "stats":
-                # live scrape, answered inline by the reader (like the
-                # TCP front end): a locked in-memory snapshot, never a
-                # scoring call, so it cannot queue behind match traffic
-                from ..netserve.protocol import stats_payload  # late:
-                # netserve imports serve; importing it here at module
-                # top would be circular
-                reg.counter("netserve.stats_total").inc()
-                emit({"id": request.get("id"), "ok": True,
-                      "stats": stats_payload(service)})
+            # control ops are answered inline by the reader, like every
+            # other door: a locked in-memory snapshot, never a scoring
+            # call, so they cannot queue behind match traffic
+            answer = control_op(service, request)
+            if answer is not None:
+                emit(answer)
                 continue
             rejection = service.submit(request)
             if rejection is not None:

@@ -37,17 +37,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.matcher import CrossEM, CrossEMConfig
-from ..obs import get_logger, registry, span
+from ..obs import get_logger, registry, span, span_snapshot
 from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS
 from ..obs.trace import (FLAG_DEADLINE, FLAG_DEGRADED, FLAG_ERROR,
                          FLAG_SHED, SamplePolicy, Tracer, add_trace_event,
                          flag_trace, trace_recorder, trace_span)
 from .admission import BoundedQueue
 from .breaker import CircuitBreaker
-from .deadline import Deadline
+from .deadline import Deadline, is_budget_ms
 from .degrade import (TIER_CACHED, TIER_FULL, TIER_STALE, DegradationPolicy)
 from .errors import (BadRequest, DeadlineExceeded, Overloaded, ServeError,
-                     Unavailable)
+                     Unavailable, error_response)
 
 __all__ = ["ServeConfig", "MatchService", "parse_trace_context"]
 
@@ -102,11 +102,10 @@ class ServeConfig:
     #: minimum k fetched from an attached ANN index on the full tier,
     #: so stale-cached top-k rows can also serve later, larger requests
     index_k_floor: int = 16
-    #: fixed row-tile width of the fused batch scoring path
-    #: (:meth:`MatchService.handle_batch`): every fused request is
-    #: scored through an operand of exactly this many rows (padded with
-    #: duplicates), which pins the BLAS kernel and makes batched
-    #: answers bit-identical to one-at-a-time answers (DESIGN.md §13)
+    #: fixed row-tile width of full-tier scoring: every request, lone or
+    #: fused, is scored through an operand of exactly this many rows
+    #: (padded with duplicates), which pins the BLAS kernel and makes an
+    #: answer independent of batch composition (DESIGN.md §13)
     batch_tile: int = 8
     #: circuit breaker: sliding window size (calls)
     breaker_window: int = 8
@@ -295,93 +294,68 @@ class MatchService:
         budget_ms = request.get("budget_ms", self.config.default_budget_ms)
         budget = None
         if budget_ms is not None:
-            if isinstance(budget_ms, bool) or \
-                    not isinstance(budget_ms, (int, float)) or budget_ms <= 0:
-                raise BadRequest("field 'budget_ms' must be a positive "
-                                 "number of milliseconds")
+            if not is_budget_ms(budget_ms):
+                raise BadRequest("field 'budget_ms' must be a positive, "
+                                 "finite number of milliseconds")
             budget = float(budget_ms) / 1000.0
         return _Query(vertex=vertex, top_k=top_k, budget=budget)
 
     # -- scoring tiers -----------------------------------------------------
-    def _score_full(self, vertex: int, deadline: Deadline,
-                    top_k: int) -> np.ndarray:
-        # The pre-flight check sits *outside* the breaker: a request
-        # whose budget is already dead is not evidence against the
-        # encoder.  Inside, the matcher's stage hooks check the same
-        # deadline between encode stages, so a hung encoder surfaces as
-        # DeadlineExceeded — which the breaker does count.
-        deadline.check("score_full")
+    def _index_k(self, top_k: int) -> int:
+        """The ANN fetch width serving ``top_k`` (0 = brute force, where
+        k does not shape the score row).  Floored so a stale-cached row
+        can also serve later requests asking for a few more matches."""
+        if self.matcher.search_index is None:
+            return 0
+        return max(top_k, self.config.index_k_floor)
 
-        def run() -> np.ndarray:
-            with self.matcher.encode_hook(deadline.check):
-                if self.matcher.search_index is not None:
-                    # Sublinear path: top-k through the ANN index,
-                    # returned as a dense row (-inf off the shortlist)
-                    # so the stale cache and _top_matches need no new
-                    # shape.  k is floored so the cached row can serve
-                    # later requests asking for a few more matches.
-                    k = max(top_k, self.config.index_k_floor)
-                    ids, scores = self.matcher.score_topk([vertex], k)
-                    row = np.full(len(self._image_ids), -np.inf,
-                                  dtype=np.float32)
-                    valid = ids[0] >= 0
-                    row[ids[0][valid]] = scores[0][valid]
-                else:
-                    row = self.matcher.score([vertex])[0]
-            deadline.check("score_full")
-            return row
-
-        return self.text_breaker.call(run)
-
-    def _score_rows_fused(self, vertices: List[int], top_k: int,
-                          deadline: Deadline) -> np.ndarray:
-        """Full-tier score rows for many vertices in one breaker-guarded
-        call, computed in fixed ``batch_tile``-row tiles.
+    def _score_tile(self, vertices: List[int], top_k: int,
+                    deadline: Deadline) -> np.ndarray:
+        """Full-tier score rows for ``vertices`` in one breaker-guarded
+        call, in fixed ``batch_tile``-row tiles — the one function that
+        defines a served score.
 
         The fixed operand shape is the exactness argument (DESIGN.md
         §13): BLAS kernels round differently per operand *shape*, but
         for a pinned shape each output row depends only on its own
-        query row.  Padding every tile to exactly ``batch_tile`` rows
-        (with duplicate vertices) therefore makes each row of a fused
-        batch bit-identical to the same request scored alone through
-        this same path, regardless of batch composition.
+        query row.  Padding every tile to ``batch_tile`` rows (with
+        duplicate vertices) makes a row bit-identical whether its
+        vertex came alone or fused with any companions.  With an ANN
+        index attached a row is dense but ``-inf`` off the shortlist,
+        so the stale cache and ``_top_matches`` need no second shape.
 
-        ``deadline`` is the tightest budget in the group; the matcher's
-        stage hooks re-check it between tiles, so a hung encoder
-        surfaces as DeadlineExceeded — which the breaker counts.
+        ``deadline`` is the tightest budget among the callers.  The
+        pre-flight check sits *outside* the breaker: an already-dead
+        budget is not evidence against the encoder.  Inside, the
+        matcher's stage hooks re-check it between encode stages and
+        tiles, so a hung encoder surfaces as DeadlineExceeded — which
+        the breaker does count.
         """
         deadline.check("score_full")
         tile = self.config.batch_tile
         matcher = self.matcher
-        n_images = len(self._image_ids)
+        k = self._index_k(top_k)
 
         def run() -> np.ndarray:
-            rows = np.empty((len(vertices), n_images), dtype=np.float32)
+            shape = (len(vertices), len(self._image_ids))
+            rows = np.full(shape, -np.inf, dtype=np.float32) if k \
+                else np.empty(shape, dtype=np.float32)
             with matcher.encode_hook(deadline.check):
                 for start in range(0, len(vertices), tile):
                     chunk = vertices[start:start + tile]
                     padded = chunk + [chunk[-1]] * (tile - len(chunk))
-                    if matcher.search_index is not None:
-                        k = max(top_k, self.config.index_k_floor)
+                    block = rows[start:start + len(chunk)]
+                    if k:
                         ids, scores = matcher.score_topk(padded, k)
-                        block = np.full((len(chunk), n_images), -np.inf,
-                                        dtype=np.float32)
                         for r in range(len(chunk)):
                             valid = ids[r] >= 0
                             block[r][ids[r][valid]] = scores[r][valid]
-                        rows[start:start + len(chunk)] = block
                     else:
-                        rows[start:start + len(chunk)] = \
-                            matcher.score(padded)[:len(chunk)]
+                        block[:] = matcher.score(padded)[:len(chunk)]
                     deadline.check("score_full")
             return rows
 
         return self.text_breaker.call(run)
-
-    def _score_cached(self, vertex: int) -> np.ndarray:
-        # Pure cache: slices the discrete-prompt embedding matrix and
-        # one GEMM row — no encoder call, nothing for a breaker to trip.
-        return self.fallback.score([vertex])[0]
 
     def _stale_put(self, vertex: int, scores: np.ndarray, tier: str) -> None:
         with self._stale_lock:
@@ -440,10 +414,10 @@ class MatchService:
         mid-ladder skips straight to the stale tier — once the budget is
         blown, only a free tier is honest to run.
 
-        ``full_row`` is a precomputed full-tier score row from the
-        fused batch path (:meth:`handle_batch`); when present the full
-        tier consumes it instead of scoring again, everything else —
-        deadlines, stale refill, degradation — unchanged.
+        ``full_row`` is this request's row of a tile already scored for
+        its fused group (:meth:`handle_batch`); without one the full
+        tier scores the lone vertex through the same tile kernel, right
+        here inside the request's trace.
         """
         reg = registry()
         decision = self.policy.plan(deadline)
@@ -459,12 +433,14 @@ class MatchService:
                             deadline.check("score_full")
                             scores = full_row
                         else:
-                            scores = self._score_full(query.vertex,
-                                                      deadline,
-                                                      query.top_k)
+                            scores = self._score_tile(
+                                [query.vertex], query.top_k, deadline)[0]
                     elif tier == TIER_CACHED:
+                        # pure cache: slices the discrete-prompt
+                        # embedding matrix and one GEMM — no encoder
+                        # call, nothing for a breaker to trip
                         deadline.check("score_cached")
-                        scores = self._score_cached(query.vertex)
+                        scores = self.fallback.score([query.vertex])[0]
                     else:
                         entry = self._stale_get(query.vertex)
                         # An index-backed stale row knows only its
@@ -506,35 +482,27 @@ class MatchService:
         raise last_error
 
     # -- request lifecycle -------------------------------------------------
-    def handle(self, request: Any, *,
-               full_row: Optional[np.ndarray] = None,
-               started: Optional[float] = None) -> dict:
-        """Process one request synchronously; always returns a response
-        dict (carrying its ``trace_id``), never raises (per-request
-        isolation).
+    def _traced(self, request: Any,
+                respond: Callable[[Any], dict]) -> dict:
+        """Count one request and answer it inside its ``serve.request``
+        trace: ``respond(request_id)`` runs with the trace active, and
+        the response leaves carrying its ``trace_id``.
 
-        Every request gets a trace; whether it is *retained* is the
-        sampling policy's call at finish — errors, degraded answers and
-        deadline blows are always kept (their flags are set on the way
-        through :meth:`_error_response` / :meth:`_handle`).
-
-        ``full_row`` and ``started`` belong to the fused batch path
-        (:meth:`handle_batch`): a precomputed full-tier score row, and
-        the batch's admission time so ``elapsed_ms`` charges this
-        request its share of the shared scoring call.
-
-        A request carrying a ``trace`` context *joins* the caller's
-        trace instead of minting one, and — when the context asks for
-        ``return_spans`` and local sampling retained the trace — ships
-        its span tree back in the response's ``trace`` field so the
-        caller can stitch a cross-process timeline (DESIGN.md §15).
+        Whether a trace is *retained* is the sampling policy's call at
+        finish; errors, degraded answers, deadline blows and sheds flag
+        themselves on the way through and are always kept.  A request
+        carrying a ``trace`` context *joins* the caller's trace, and —
+        if it asks for ``return_spans`` and the trace was retained —
+        ships its span tree back in the response's ``trace`` field for
+        cross-process stitching (DESIGN.md §15).
         """
+        registry().counter("serve.requests_total").inc()
+        request_id = request.get("id") if isinstance(request, dict) else None
         trace_id, parent_span, return_spans = parse_trace_context(request)
         trace = self.tracer.start("serve.request", trace_id=trace_id,
                                   parent_span_id=parent_span)
         with trace.activate():
-            response = self._handle(request, full_row=full_row,
-                                    started=started)
+            response = respond(request_id)
         kept = trace.finish()
         if trace.trace_id is not None:
             response["trace_id"] = trace.trace_id
@@ -542,26 +510,98 @@ class MatchService:
                 response["trace"] = trace.to_wire()
         return response
 
-    def _handle(self, request: Any, *,
-                full_row: Optional[np.ndarray] = None,
-                started: Optional[float] = None) -> dict:
-        reg = registry()
-        reg.counter("serve.requests_total").inc()
-        started = self._clock() if started is None else started
-        request_id = request.get("id") if isinstance(request, dict) else None
+    def handle(self, request: Any) -> dict:
+        """Process one request synchronously — a batch of one; always
+        returns a response dict (carrying its ``trace_id``), never
+        raises (per-request isolation)."""
+        return self.handle_batch([request])[0]
+
+    def handle_batch(self, requests: Sequence[Any]) -> List[dict]:
+        """Answer independent requests — the one pipeline behind every
+        front door (in-process, stdio, TCP micro-batches, shard
+        workers).  Responses align positionally with ``requests``.
+
+        Each request is parsed once, then walks its own degradation
+        ladder inside its own trace with its own deadline, metrics and
+        isolation.  What a batch shares is full-tier scoring: requests
+        entering the ladder at the full tier are grouped by ANN fetch
+        width, and each group of two or more is scored up front in one
+        :meth:`_score_tile` call.  A group of one is *not* pre-scored —
+        its ladder makes the same call itself, so a lone query is
+        scored inside its trace and a failure is accounted once.
+        Either way the operand is the ``batch_tile`` tile, so answers
+        do not depend on batch composition (DESIGN.md §13).  If a fused
+        call fails — deadline, breaker, encoder bug — its members fall
+        back to their own ladders; a batch never turns one failure into
+        N undiagnosed ones.
+        """
+        started = self._clock()
         try:
             self.warmup()
         except Exception as exc:  # a backend too sick to even warm up
-            reg.counter("serve.internal_errors_total").inc()
-            _log.error("warmup failed",
-                       error=f"{type(exc).__name__}: {exc}")
-            return self._error_response(
-                request_id, "internal",
-                f"warmup failed: {type(exc).__name__}: {exc}", started)
-        try:
-            query = self._parse(request)
-        except BadRequest as exc:
-            return self._error_response(request_id, exc.code, str(exc),
+            message = f"warmup failed: {type(exc).__name__}: {exc}"
+            return [self._traced(request, lambda request_id:
+                                 self._internal_error(request_id, message,
+                                                      started))
+                    for request in requests]
+        parsed: List[Any] = []
+        groups: Dict[int, List[int]] = {}
+        for position, request in enumerate(requests):
+            try:
+                query = self._parse(request)
+            except BadRequest as exc:
+                query = exc
+            else:
+                if self._fusible(query):
+                    # with an ANN index attached, k shapes the shortlist
+                    # and therefore the answer, so only like-k requests
+                    # may share a call; brute force ignores k (one group)
+                    groups.setdefault(self._index_k(query.top_k),
+                                      []).append(position)
+            parsed.append(query)
+        rows: Dict[int, np.ndarray] = {}
+        reg = registry()
+        for k, positions in groups.items():
+            if len(positions) < 2:
+                continue
+            budgets = [parsed[p].budget for p in positions
+                       if parsed[p].budget is not None]
+            deadline = Deadline(min(budgets) if budgets else None,
+                                clock=self._clock)
+            try:
+                block = self._score_tile(
+                    [parsed[p].vertex for p in positions], k, deadline)
+            except Exception:
+                continue  # per-request ladders take over below
+            reg.counter("serve.batch.fused_total").inc(len(positions))
+            reg.histogram("serve.batch.group_size").observe(
+                float(len(positions)))
+            rows.update(zip(positions, block))
+        return [self._traced(request, lambda request_id, p=position:
+                             self._respond(request_id, parsed[p],
+                                           rows.get(p), started))
+                for position, request in enumerate(requests)]
+
+    def _fusible(self, query: _Query) -> bool:
+        """Would this request enter the ladder at the full tier right
+        now?  Mirrors :meth:`DegradationPolicy.plan` (breaker admits
+        encoder calls, budget clears the full floor) without emitting
+        its trace event — evaluated once at fuse time; the per-request
+        ladder re-plans with full accounting afterwards."""
+        if not self.text_breaker.allows_call():
+            return False
+        if query.budget is None:
+            return True
+        return query.budget >= self.policy.full_floor
+
+    def _respond(self, request_id: Any, query: Any,
+                 full_row: Optional[np.ndarray], started: float) -> dict:
+        """One request's answer, given its parse outcome (a
+        :class:`_Query` or the :class:`BadRequest` it raised).
+        ``started`` is the batch's admission time, so ``elapsed_ms``
+        charges a fused request its share of the shared scoring call."""
+        if isinstance(query, BadRequest):
+            return self._error_response(request_id, query.code, str(query),
                                         started)
         # the parsed shape, so exported traces replay as load schedules
         add_trace_event("request", vertex=query.vertex, top_k=query.top_k,
@@ -571,22 +611,17 @@ class MatchService:
             add_trace_event("batch", fused=True)
         deadline = Deadline(query.budget, clock=self._clock)
         try:
-            matches, tier, reason = self._execute(query, deadline,
-                                                  full_row=full_row)
+            matches, tier, reason = self._execute(query, deadline, full_row)
         except ServeError as exc:
             return self._error_response(request_id, exc.code, str(exc),
                                         started)
         except Exception as exc:
             # Unexpected bug while answering: isolate it to this request.
-            reg.counter("serve.internal_errors_total").inc()
-            _log.error("internal error answering request",
-                       vertex=query.vertex,
-                       error=f"{type(exc).__name__}: {exc}")
-            return self._error_response(
-                request_id, "internal",
-                f"{type(exc).__name__}: {exc}", started)
+            return self._internal_error(
+                request_id, f"{type(exc).__name__}: {exc}", started)
         elapsed_ms = (self._clock() - started) * 1e3
         degraded = tier != TIER_FULL
+        reg = registry()
         reg.counter("serve.ok_total").inc()
         reg.counter(f"serve.tier.{tier}").inc()
         if degraded:
@@ -603,84 +638,11 @@ class MatchService:
             response["reason"] = reason
         return response
 
-    # -- fused batch mode --------------------------------------------------
-    def _fusible(self, query: _Query) -> bool:
-        """Would this request enter the ladder at the full tier right
-        now?  Mirrors :meth:`DegradationPolicy.plan` (breaker admits
-        encoder calls, budget clears the full floor) without emitting
-        its trace event — evaluated once at fuse time; the per-request
-        ladder re-plans with full accounting afterwards."""
-        if not self.text_breaker.allows_call():
-            return False
-        if query.budget is None:
-            return True
-        return query.budget >= self.policy.full_floor
-
-    def handle_batch(self, requests: Sequence[Any]) -> List[dict]:
-        """Answer many independent requests, fusing their full-tier
-        scoring into tile-shaped batched calls — the micro-batch path
-        behind :mod:`repro.netserve`.
-
-        Responses align positionally with ``requests``.  Semantics are
-        identical to calling :meth:`handle` once per request — same
-        parsing, deadlines, degradation ladder, per-request isolation,
-        metrics and traces — except that requests eligible for the full
-        tier share one breaker-guarded scoring call per ``top_k``
-        group, so N GEMV-shaped queries become tile-shaped GEMMs.
-        Answers are bit-identical to one-at-a-time calls of this same
-        method (the fixed-tile argument, DESIGN.md §13).  If a fused
-        call fails — deadline, breaker, encoder bug — every member
-        falls back to its own per-request ladder; a batch never turns
-        one failure into N undiagnosed ones.
-        """
-        if not requests:
-            return []
-        started = self._clock()
-        warm = True
-        try:
-            self.warmup()
-        except Exception:
-            # Per-request handling below reports the warmup failure
-            # with full error accounting; nothing to fuse meanwhile.
-            warm = False
-        rows: Dict[int, np.ndarray] = {}
-        if warm and len(requests) >= 1:
-            # Group fusible requests by their effective index fetch
-            # width: with an ANN index attached, k shapes the shortlist
-            # and therefore the answer, so only like-k requests may
-            # share a call.  Brute-force scoring ignores k (one group).
-            groups: Dict[int, List[int]] = {}
-            queries: Dict[int, _Query] = {}
-            for position, request in enumerate(requests):
-                try:
-                    query = self._parse(request)
-                except Exception:
-                    continue  # re-parsed with accounting in _handle
-                if not self._fusible(query):
-                    continue
-                queries[position] = query
-                k = max(query.top_k, self.config.index_k_floor) \
-                    if self.matcher.search_index is not None else 0
-                groups.setdefault(k, []).append(position)
-            reg = registry()
-            for k, positions in groups.items():
-                fused = [queries[p] for p in positions]
-                finite = [q.budget for q in fused if q.budget is not None]
-                deadline = Deadline(min(finite) if finite else None,
-                                    clock=self._clock)
-                try:
-                    block = self._score_rows_fused(
-                        [q.vertex for q in fused], max(k, 1), deadline)
-                except Exception:
-                    continue  # per-request ladders take over below
-                reg.counter("serve.batch.fused_total").inc(len(fused))
-                reg.histogram("serve.batch.group_size").observe(
-                    float(len(fused)))
-                for row, position in enumerate(positions):
-                    rows[position] = block[row]
-        return [self.handle(request, full_row=rows.get(position),
-                            started=started)
-                for position, request in enumerate(requests)]
+    def _internal_error(self, request_id: Any, message: str,
+                        started: float) -> dict:
+        registry().counter("serve.internal_errors_total").inc()
+        _log.error("internal error answering request", error=message)
+        return self._error_response(request_id, "internal", message, started)
 
     def _error_response(self, request_id: Any, code: str, message: str,
                         started: float) -> dict:
@@ -692,9 +654,7 @@ class MatchService:
         reg.counter(f"serve.error.{code}").inc()
         reg.histogram("serve.request_ms",
                       buckets=DEFAULT_LATENCY_BOUNDS_MS).observe(elapsed_ms)
-        return {"id": request_id, "ok": False,
-                "error": {"type": code, "message": message},
-                "elapsed_ms": round(elapsed_ms, 3)}
+        return error_response(request_id, code, message, elapsed_ms)
 
     # -- threaded mode -----------------------------------------------------
     def start(self, emit: Callable[[dict], None]) -> None:
@@ -724,46 +684,74 @@ class MatchService:
         try:
             self.queue.put(request)
             return None
-        except Unavailable as exc:
-            registry().counter("serve.requests_total").inc()
-            request_id = request.get("id") if isinstance(request, dict) \
-                else None
-            trace_id, parent_span, return_spans = \
-                parse_trace_context(request)
-            trace = self.tracer.start("serve.request", trace_id=trace_id,
-                                      parent_span_id=parent_span)
-            with trace.activate():
-                trace.add_event("rejected", code=exc.code)
-                response = self._error_response(request_id, exc.code,
-                                                str(exc), self._clock())
-            kept = trace.finish()
-            if trace.trace_id is not None:
-                response["trace_id"] = trace.trace_id
-                if return_spans and kept:
-                    response["trace"] = trace.to_wire()
-            return response
-        except Overloaded as exc:
-            registry().counter("serve.requests_total").inc()
-            request_id = request.get("id") if isinstance(request, dict) \
-                else None
-            trace_id, parent_span, return_spans = \
-                parse_trace_context(request)
-            # A shed request never reaches handle(), so it gets its
-            # (always-retained) trace right here on the admission path.
-            trace = self.tracer.start("serve.request", trace_id=trace_id,
-                                      parent_span_id=parent_span)
-            with trace.activate():
-                trace.flag(FLAG_SHED)
-                trace.add_event("shed", depth=exc.depth,
-                                capacity=exc.capacity)
-                response = self._error_response(request_id, exc.code,
-                                                str(exc), self._clock())
-            kept = trace.finish()
-            if trace.trace_id is not None:
-                response["trace_id"] = trace.trace_id
-                if return_spans and kept:
-                    response["trace"] = trace.to_wire()
-            return response
+        except (Overloaded, Unavailable) as exc:
+            refusal = exc  # (the name ``exc`` dies with this block)
+
+        def reject(request_id: Any) -> dict:
+            # A refused request never reaches handle(), so it gets its
+            # trace right here on the admission path; a shed is flagged
+            # and therefore always retained.
+            if isinstance(refusal, Overloaded):
+                flag_trace(FLAG_SHED)
+                add_trace_event("shed", depth=refusal.depth,
+                                capacity=refusal.capacity)
+            else:
+                add_trace_event("rejected", code=refusal.code)
+            return self._error_response(request_id, refusal.code,
+                                        str(refusal), self._clock())
+
+        return self._traced(request, reject)
+
+    def bad_line(self, error: Exception) -> dict:
+        """The answer to an undecodable or oversized request line, for
+        any door framing JSONL over this service.  Counted apart from
+        semantic bad requests (``serve.requests.bad_line``) and traced
+        like one: the error flag keeps the trace findable by id."""
+        registry().counter("serve.requests.bad_line").inc()
+        return self._traced(None, lambda request_id: self._error_response(
+            request_id, "bad_request", f"invalid JSON: {error}",
+            self._clock()))
+
+    # -- control operations ------------------------------------------------
+    def info(self, request_id: Any = None) -> dict:
+        """Answer the ``info`` op: repository metadata a remote client
+        needs to build a workload without fitting a local matcher —
+        ``vertices`` lists every queryable entity vertex, ``images``
+        bounds meaningful ``top_k``."""
+        info = {
+            "vertices": [int(v) for v in self.matcher.vertex_ids],
+            "images": len(self._image_ids),
+            "top_k_default": self.config.top_k_default,
+            "indexed": self.matcher.search_index is not None,
+        }
+        if self.config.shard_count is not None:
+            # a shard worker advertises its partition so a router (or a
+            # human with netcat) can see which slice of the image space
+            # this process answers for
+            info["shard"] = {"slot": self.config.shard_slot,
+                             "count": self.config.shard_count,
+                             "owned_images": self.owned_images}
+        return {"id": request_id, "ok": True, "info": info}
+
+    def stats(self, request_id: Any = None) -> dict:
+        """Answer the ``stats`` op: the process's instruments, live.
+
+        One registry snapshot plus the span aggregate — every row read
+        under its instrument's lock, so each row is internally
+        consistent even while worker threads are mid-observation (not a
+        cross-instrument atomic cut; DESIGN.md §15).  ``captured_unix``
+        lets a scraper order snapshots and compute rates.  Never a
+        scoring call, so doors answer it inline.
+        """
+        reg = registry()
+        # counted under its historical name for every door, pipe included
+        reg.counter("netserve.stats_total").inc()
+        stats = {"metrics": reg.snapshot(), "spans": span_snapshot(),
+                 "captured_unix": time.time()}
+        if self.config.shard_count is not None:
+            stats["shard"] = {"slot": self.config.shard_slot,
+                              "count": self.config.shard_count}
+        return {"id": request_id, "ok": True, "stats": stats}
 
     def _worker_main(self) -> None:
         while True:
@@ -773,11 +761,8 @@ class MatchService:
             try:
                 response = self.handle(item)
             except BaseException as exc:  # handle() should never raise
-                response = {"id": None, "ok": False,
-                            "error": {"type": "internal",
-                                      "message": f"{type(exc).__name__}: "
-                                                 f"{exc}"},
-                            "elapsed_ms": 0.0}
+                response = error_response(None, "internal",
+                                          f"{type(exc).__name__}: {exc}")
             if self._emit is not None:
                 self._emit(response)
 

@@ -53,19 +53,18 @@ merged, gauges/spans labeled ``shard="<slot>"``.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import dataclasses
-import signal
 import time
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..netserve.protocol import (LineReader, OversizedLine, decode_line,
-                                 encode_response)
+from ..netserve.lineserver import LineServer
 from ..obs import get_logger, registry, span_snapshot
 from ..obs.scrape import aggregate_fleet
 from ..obs.trace import (FLAG_DEGRADED, FLAG_ERROR, SamplePolicy, Tracer,
                          shift_span_row, trace_recorder)
 from ..serve.breaker import STATE_CODES, CircuitBreaker
+from ..serve.deadline import is_budget_ms
+from ..serve.errors import error_response
 from ..serve.service import parse_trace_context
 from .client import ShardClient, ShardUnavailable
 from .partition import merge_matches, worst_tier
@@ -138,8 +137,9 @@ class RouterConfig:
             raise ValueError("stats_timeout_ms must be positive")
 
 
-class ShardRouter:
-    """Scatter/gather over an *endpoint provider*.
+class ShardRouter(LineServer):
+    """Scatter/gather over an *endpoint provider*: the shared line
+    server whose backend is N services.
 
     ``endpoints`` supplies the fleet: ``count`` (total slots),
     ``address_of(slot)`` (``None`` while a worker is down — the
@@ -153,14 +153,14 @@ class ShardRouter:
     def __init__(self, endpoints: Any,
                  config: Optional[RouterConfig] = None,
                  tracer: Optional[Tracer] = None) -> None:
+        super().__init__(config if config is not None else RouterConfig(),
+                         metric_prefix="shard.router")
         self.endpoints = endpoints
-        self.config = config if config is not None else RouterConfig()
         if tracer is None:
             trace_recorder().set_capacity(self.config.trace_capacity)
             tracer = Tracer(policy=SamplePolicy(
                 rate=self.config.trace_sample_rate))
         self.tracer = tracer
-        self.bound: Optional[Tuple[str, int]] = None
         cooldown = self.config.breaker_cooldown_ms / 1000.0
         self._breakers = [
             CircuitBreaker(f"shard{slot}", window=self.config.breaker_window,
@@ -170,201 +170,34 @@ class ShardRouter:
                            cooldown=cooldown)
             for slot in range(endpoints.count)]
         self._clients: List[ShardClient] = []
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._drain_event: Optional[asyncio.Event] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
+        self._fanouts: Set[asyncio.Task] = set()
         self._info_cache: Optional[dict] = None
 
-    # -- lifecycle ----------------------------------------------------------
-    def run(self, *, install_signals: bool = True,
-            ready: Optional[Callable[[Tuple[str, int]], None]] = None) -> int:
-        """Blocking entry point; returns the process exit code (0 for a
-        clean drain, 1 when in-flight work outlived the timeout)."""
-        return asyncio.run(self._main(install_signals, ready))
-
-    def trigger_drain(self) -> None:
-        """Thread-safe drain initiation (the programmatic SIGTERM)."""
-        loop, event = self._loop, self._drain_event
-        if loop is None or event is None:
-            return
-        try:
-            loop.call_soon_threadsafe(event.set)
-        except RuntimeError:
-            pass  # loop already closed: the drain it would ask for is done
-
-    async def _main(self, install_signals: bool,
-                    ready: Optional[Callable[[Tuple[str, int]], None]]) -> int:
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._drain_event = asyncio.Event()
+    # -- the line server's backend ------------------------------------------
+    async def _open(self) -> None:
         self._clients = [
-            ShardClient(slot, self._address_getter(slot))
+            ShardClient(slot, lambda slot=slot:
+                        self.endpoints.address_of(slot))
             for slot in range(self.endpoints.count)]
-        if install_signals:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(sig, self._on_signal, sig)
-        clean = await self._serve(ready)
-        return 0 if clean else 1
 
-    def _address_getter(self, slot: int) -> Callable[[], Optional[Tuple]]:
-        return lambda: self.endpoints.address_of(slot)
-
-    def _on_signal(self, sig: int) -> None:
-        registry().counter("shard.router.drain.signals").inc()
-        _log.info("drain signal received", signal=signal.Signals(sig).name)
-        self._drain_event.set()
-
-    async def _serve(
-            self,
-            ready: Optional[Callable[[Tuple[str, int]], None]]) -> bool:
-        cfg = self.config
-        reg = registry()
-        self._conns_gauge = reg.gauge("shard.router.conns")
-        self._conns_gauge.set(0)
-        server = await asyncio.start_server(
-            self._on_connection, cfg.host, cfg.port)
-        sockname = server.sockets[0].getsockname()
-        self.bound = (sockname[0], sockname[1])
-        _log.info("routing", host=self.bound[0], port=self.bound[1],
-                  shards=self.endpoints.count)
-        if ready is not None:
-            ready(self.bound)
-        await self._drain_event.wait()
-
-        # -- ordered drain ------------------------------------------------
-        started = time.monotonic()
-        _log.info("draining", conns=len(self._conn_tasks))
-        server.close()
-        await server.wait_closed()  # 1. stop accepting
-        pending: Set[asyncio.Task] = set()
-        if self._conn_tasks:  # 2. finish in-flight fan-outs, flush
-            _, pending = await asyncio.wait(
-                set(self._conn_tasks), timeout=cfg.drain_timeout_s)
-            for task in pending:
-                task.cancel()
-        for client in self._clients:  # 3. close shard connections
+    async def _close(self) -> bool:
+        # in-flight fan-outs finished with their connections; what is
+        # left of the ordered drain is the back side
+        for client in self._clients:  # close shard connections
             await client.close()
-        if hasattr(self.endpoints, "stop"):  # 4. SIGTERM workers, reap
+        if hasattr(self.endpoints, "stop"):  # SIGTERM workers, reap
             await asyncio.get_running_loop().run_in_executor(
                 None, self.endpoints.stop)
-        clean = not pending
-        elapsed_ms = (time.monotonic() - started) * 1e3
-        reg.histogram("shard.router.drain.duration_ms").observe(elapsed_ms)
-        reg.gauge("shard.router.drain.clean").set(1.0 if clean else 0.0)
-        _log.info("drain complete", clean=clean,
-                  duration_ms=round(elapsed_ms, 3))
-        return clean
+        return True
 
-    # -- per-connection handling -------------------------------------------
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        registry().counter("shard.router.conns_total").inc()
-        self._conns_gauge.set(float(len(self._conn_tasks)))
-        try:
-            await self._connection_loop(reader, writer)
-        except Exception as exc:  # a broken conn must never kill routing
-            _log.warning("connection failed",
-                         error=f"{type(exc).__name__}: {exc}")
-        finally:
-            self._conn_tasks.discard(task)
-            self._conns_gauge.set(float(len(self._conn_tasks)))
-            with contextlib.suppress(Exception):
-                writer.close()
+    def submit(self, request: Any, deliver: Callable[[dict], None]) -> None:
+        task = asyncio.ensure_future(self._answer_and_deliver(request,
+                                                              deliver))
+        self._fanouts.add(task)
+        task.add_done_callback(self._fanouts.discard)
 
-    async def _connection_loop(self, reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter) -> None:
-        cfg = self.config
-        lines = LineReader(reader)
-        write_lock = asyncio.Lock()
-        state = {"broken": False}
-        inflight: Set[asyncio.Task] = set()
-
-        async def respond(response: dict) -> None:
-            if state["broken"]:
-                return
-            async with write_lock:
-                try:
-                    writer.write(encode_response(response))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    # client went away mid-write: stop writing, keep
-                    # answering so fan-outs still complete and drain
-                    state["broken"] = True
-                    registry().counter(
-                        "shard.router.conn.broken_total").inc()
-
-        drain_wait = asyncio.ensure_future(self._drain_event.wait())
-        try:
-            while not self._drain_event.is_set():
-                line_task = asyncio.ensure_future(lines.readline())
-                done, _ = await asyncio.wait(
-                    {line_task, drain_wait},
-                    return_when=asyncio.FIRST_COMPLETED)
-                if line_task not in done:
-                    line_task.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await line_task
-                    break
-                try:
-                    raw = line_task.result()
-                except OversizedLine as exc:
-                    registry().counter(
-                        "shard.router.oversized_line").inc()
-                    await respond(self._bad_line_response(exc))
-                    continue
-                except (ConnectionError, OSError):
-                    break
-                if not raw:
-                    break  # EOF: client half-closed, flush and finish
-                if not raw.strip():
-                    continue
-                try:
-                    request = decode_line(raw)
-                except ValueError as exc:
-                    await respond(self._bad_line_response(exc))
-                    continue
-                if isinstance(request, dict) and request.get("op") == "info":
-                    await respond(await self._info_response(
-                        request.get("id")))
-                    continue
-                if isinstance(request, dict) and \
-                        request.get("op") == "stats":
-                    await respond(await self._stats_response(
-                        request.get("id")))
-                    continue
-                if len(inflight) >= cfg.conn_inflight:
-                    registry().counter(
-                        "shard.router.conn.overloaded_total").inc()
-                    request_id = request.get("id") \
-                        if isinstance(request, dict) else None
-                    await respond(self._rejection(
-                        request_id, "overloaded",
-                        f"connection has {len(inflight)} requests in "
-                        f"flight (cap {cfg.conn_inflight}); read before "
-                        f"writing more"))
-                    continue
-                request_task = asyncio.ensure_future(
-                    self._answer_and_respond(request, respond))
-                inflight.add(request_task)
-                request_task.add_done_callback(inflight.discard)
-        finally:
-            drain_wait.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await drain_wait
-            if inflight:
-                # every fan-out is bounded by the shard timeout, so
-                # this resolves; the drain timeout is the backstop
-                await asyncio.wait(set(inflight),
-                                   timeout=self.config.drain_timeout_s)
-            if not state["broken"]:
-                with contextlib.suppress(Exception):
-                    await writer.drain()
-
-    async def _answer_and_respond(
-            self, request: Any,
-            respond: Callable[[dict], Any]) -> None:
+    async def _answer_and_deliver(self, request: Any,
+                                  deliver: Callable[[dict], None]) -> None:
         try:
             response = await self._answer(request)
         except Exception as exc:  # isolate a router bug to its request
@@ -373,9 +206,9 @@ class ShardRouter:
                        error=f"{type(exc).__name__}: {exc}")
             request_id = request.get("id") \
                 if isinstance(request, dict) else None
-            response = self._rejection(
+            response = self.reject(
                 request_id, "internal", f"{type(exc).__name__}: {exc}")
-        await respond(response)
+        deliver(response)
 
     # -- scatter/gather -----------------------------------------------------
     async def _answer(self, request: Any) -> dict:
@@ -386,8 +219,8 @@ class ShardRouter:
         started = loop.time()
         if not isinstance(request, dict):
             # same wording the serve layer's validation uses
-            return self._rejection(None, "bad_request",
-                                   "request must be a JSON object")
+            return self.reject(None, "bad_request",
+                               "request must be a JSON object")
         request_id = request.get("id")
         # join the client's trace when it sent a context, else mint —
         # either way the fan-out below propagates *this* trace's id to
@@ -398,8 +231,7 @@ class ShardRouter:
                                   parent_span_id=parent_span)
         budget_s = cfg.shard_timeout_ms / 1000.0
         budget_ms = request.get("budget_ms")
-        if isinstance(budget_ms, (int, float)) \
-                and not isinstance(budget_ms, bool) and budget_ms > 0:
+        if is_budget_ms(budget_ms):
             # the shard applies the same budget server-side (the field
             # is forwarded verbatim); this caps the router's own wait
             budget_s = min(budget_s, float(budget_ms) / 1000.0)
@@ -426,7 +258,7 @@ class ShardRouter:
                         "elapsed_ms": round(elapsed_ms, 3)}
         else:
             reg.counter("shard.router.unavailable_total").inc()
-            response = self._rejection(
+            response = self.reject(
                 request_id, "unavailable",
                 f"no shard answered (0/{count})")
         # flags drive forced retention: a partial/degraded or failed
@@ -657,11 +489,11 @@ class ShardRouter:
             return max(1, info["top_k_default"])
         return max(1, fallback)
 
-    async def _info_response(self, request_id: Any) -> dict:
+    async def info(self, request_id: Any) -> dict:
         info = await self._shard_info()
         if info is None:
-            return self._rejection(request_id, "unavailable",
-                                   "no shard reachable for info")
+            return self.reject(request_id, "unavailable",
+                               "no shard reachable for info")
         live = self.endpoints.live_count() \
             if hasattr(self.endpoints, "live_count") \
             else sum(1 for b in self._breakers if b.state() != "open")
@@ -669,7 +501,7 @@ class ShardRouter:
         payload["shards"] = {"total": self.endpoints.count, "live": live}
         return {"id": request_id, "ok": True, "info": payload}
 
-    async def _stats_response(self, request_id: Any) -> dict:
+    async def stats(self, request_id: Any) -> dict:
         """Answer ``stats`` with the *fleet's* live snapshot: scrape
         every shard concurrently, aggregate (counters summed, bucket
         histograms merged, gauges/spans labeled per shard —
@@ -700,17 +532,12 @@ class ShardRouter:
             stats["captured_unix"] = time.time()
         return {"id": request_id, "ok": True, "stats": stats}
 
-    def _bad_line_response(self, error: Exception) -> dict:
+    def bad_line(self, error: Exception) -> dict:
         reg = registry()
         reg.counter("shard.router.requests_total").inc()
         reg.counter("shard.router.requests.bad_line").inc()
-        return self._rejection(None, "bad_request",
-                               f"invalid JSON: {error}")
+        return self.reject(None, "bad_request", f"invalid JSON: {error}")
 
-    @staticmethod
-    def _rejection(request_id: Any, code: str, message: str) -> dict:
-        reg = registry()
-        reg.counter(f"shard.router.error.{code}").inc()
-        return {"id": request_id, "ok": False,
-                "error": {"type": code, "message": message},
-                "elapsed_ms": 0.0}
+    def reject(self, request_id: Any, code: str, message: str) -> dict:
+        registry().counter(f"shard.router.error.{code}").inc()
+        return error_response(request_id, code, message)

@@ -3,7 +3,6 @@ pipeline's matcher-side half): cache hits are observable through the
 metrics registry, invalidation happens on fit, and the cached scores
 agree with the uncached reference encode path."""
 
-import warnings
 
 import numpy as np
 import pytest
@@ -63,14 +62,6 @@ class TestScoreRename:
     def test_vertex_batch_is_the_parameter(self, fitted):
         scores = fitted.score(vertex_batch=8)
         assert scores.shape[0] == len(fitted.vertex_ids)
-
-    def test_image_batch_still_works_but_warns(self, fitted):
-        with pytest.warns(DeprecationWarning):
-            legacy = fitted.score(image_batch=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            current = fitted.score(vertex_batch=8)
-        np.testing.assert_array_equal(legacy, current)
 
 
 class TestMatchPairsTopK:

@@ -96,6 +96,18 @@ class TestProtocol:
         assert response["ok"] is False
         assert response["error"]["type"] == "bad_request"
 
+    def test_non_finite_budget_typed_error(self, run_server, fitted_hard):
+        """``NaN`` is valid to ``json.loads``; it is not a budget."""
+        _, address = run_server()
+        client = Client(address)
+        vertex = int(fitted_hard.vertex_ids[0])
+        for budget in (b"NaN", b"Infinity"):
+            response = client.ask(b'{"id": 1, "vertex": %d, "budget_ms": %s}'
+                                  % (vertex, budget))
+            assert response["ok"] is False
+            assert response["error"]["type"] == "bad_request"
+        client.close()
+
     def test_eof_flushes_in_flight_responses(self, run_server,
                                              fitted_hard):
         """Half-closing after pipelining must still deliver every

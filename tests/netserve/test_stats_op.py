@@ -13,7 +13,8 @@ import io
 import json
 import time
 
-from repro.obs.scrape import delta_summary, fetch_stats
+from repro.netserve.protocol import request_op
+from repro.obs.scrape import delta_summary
 from repro.serve.loop import serve_loop
 
 from .test_server import Client
@@ -68,7 +69,7 @@ class TestStatsOverTcp:
 
     def test_fetch_stats_speaks_the_op(self, run_server):
         _, address = run_server()
-        stats = fetch_stats(address, timeout=10.0)
+        stats = request_op(address, "stats", timeout=10.0)
         assert isinstance(stats["metrics"], list)
         names = {row["name"] for row in stats["metrics"]}
         assert "netserve.stats_total" in names

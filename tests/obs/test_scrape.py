@@ -3,8 +3,8 @@
 Fabricated per-shard snapshots exercise the aggregation semantics
 exactly (counters summed, identical bucket layouts merged bucketwise,
 everything else labeled per shard); a threaded stub socket server
-exercises :func:`fetch_stats` end to end, including its typed failure
-modes.  The window math (:func:`delta_summary` /
+exercises the one-shot op client (:func:`request_op` with ``"stats"``)
+end to end, including its typed failure modes.  The window math (:func:`delta_summary` /
 :func:`combine_summaries`) is checked against hand-computed deltas —
 it is what ``repro obs slo --connect`` judges a live fleet with.
 """
@@ -17,9 +17,10 @@ import threading
 
 import pytest
 
+from repro.netserve.protocol import request_op
 from repro.obs.hist import BucketHistogram
 from repro.obs.scrape import (aggregate_fleet, combine_summaries,
-                              delta_summary, fetch_stats)
+                              delta_summary)
 
 
 def bucket_row(name: str, values, bounds=(1.0, 10.0, 100.0)) -> dict:
@@ -220,7 +221,7 @@ class TestFetchStats:
         server = StubStatsServer(
             (json.dumps(payload) + "\n").encode("utf-8"))
         try:
-            stats = fetch_stats(server.address, timeout=5.0)
+            stats = request_op(server.address, "stats", timeout=5.0)
         finally:
             server.close()
         assert stats["metrics"][0]["value"] == 3
@@ -230,7 +231,7 @@ class TestFetchStats:
         server = StubStatsServer(b"")
         with pytest.raises(ConnectionError):
             try:
-                fetch_stats(server.address, timeout=5.0)
+                request_op(server.address, "stats", timeout=5.0)
             finally:
                 server.close()
 
@@ -241,6 +242,6 @@ class TestFetchStats:
             (json.dumps(body) + "\n").encode("utf-8"))
         with pytest.raises(RuntimeError):
             try:
-                fetch_stats(server.address, timeout=5.0)
+                request_op(server.address, "stats", timeout=5.0)
             finally:
                 server.close()

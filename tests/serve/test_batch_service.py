@@ -83,9 +83,13 @@ class TestBatchedBitIdentity:
         answered through its own ladder — never N errors for one bug."""
         service = make_service(capacity=64, breaker_min_calls=100)
         real_score = type(service.matcher).score
+        calls = []
 
         def fussy_score(self, vertices, **kwargs):
-            if len(vertices) > 1:
+            # every served score is a full tile now, so "the fused
+            # call" is simply the first one: the group's pre-fetch
+            calls.append(list(vertices))
+            if len(calls) == 1:
                 raise RuntimeError("injected fused-path failure")
             return real_score(self, vertices, **kwargs)
 
@@ -93,9 +97,89 @@ class TestBatchedBitIdentity:
         requests = [{"id": i, "vertex": v}
                     for i, v in enumerate(fitted_soft.vertex_ids[:4])]
         responses = service.handle_batch(requests)
-        assert all(r["ok"] for r in responses)
-        # and nothing was served off the fused path
+        assert all(r["ok"] and r["tier"] == "full" for r in responses)
+        # nothing was served off the fused path: the failed group call,
+        # then one tile per member from its own ladder
         assert registry().counter("serve.batch.fused_total").value == 0
+        assert len(calls) == 1 + len(requests)
+
+
+class TestOnePipeline:
+    """``handle`` is ``handle_batch`` of one: same kernel, and every
+    request parsed exactly once whichever way it came in."""
+
+    def test_handle_is_a_batch_of_one(self, make_service, fitted_soft):
+        service = make_service(capacity=64)
+        for i, vertex in enumerate(fitted_soft.vertex_ids):
+            request = {"id": i, "vertex": vertex, "top_k": (i % 4) + 1}
+            assert canonical(service.handle(request)) == \
+                canonical(service.handle_batch([request])[0])
+
+    @pytest.fixture()
+    def counting_service(self, make_service, monkeypatch):
+        service = make_service(capacity=64, breaker_min_calls=100)
+        parsed = []
+        real_parse = service._parse
+
+        def counting_parse(request):
+            parsed.append(request.get("id")
+                          if isinstance(request, dict) else None)
+            return real_parse(request)
+
+        monkeypatch.setattr(service, "_parse", counting_parse)
+        return service, parsed
+
+    def test_each_request_is_parsed_once(self, counting_service,
+                                         fitted_soft):
+        service, parsed = counting_service
+        v = fitted_soft.vertex_ids
+        service.handle({"id": "lone", "vertex": v[0]})
+        service.handle({"id": "lone-bad", "vertex": "x"})
+        service.handle_batch([{"id": "b0", "vertex": v[0]},
+                              {"id": "b-bad", "vertex": 10 ** 9},
+                              {"id": "b1", "vertex": v[1], "top_k": 3},
+                              "not even an object"])
+        emitted = []
+        service.start(emitted.append)
+        assert service.submit({"id": "queued", "vertex": v[2]}) is None
+        service.shutdown(timeout=10.0)
+        assert [r["id"] for r in emitted] == ["queued"]
+        assert parsed == ["lone", "lone-bad", "b0", "b-bad", "b1", None,
+                          "queued"]
+
+    def test_parsed_once_even_when_the_fused_call_fails(
+            self, counting_service, fitted_soft, monkeypatch):
+        service, parsed = counting_service
+        real_tile = service._score_tile
+        calls = []
+
+        def first_call_fails(vertices, top_k, deadline):
+            calls.append(len(vertices))
+            if len(calls) == 1:
+                raise RuntimeError("injected fused-path failure")
+            return real_tile(vertices, top_k, deadline)
+
+        monkeypatch.setattr(service, "_score_tile", first_call_fails)
+        responses = service.handle_batch(
+            [{"id": i, "vertex": v}
+             for i, v in enumerate(fitted_soft.vertex_ids[:3])])
+        assert all(r["ok"] and r["tier"] == "full" for r in responses)
+        assert calls == [3, 1, 1, 1]
+        assert parsed == [0, 1, 2]
+
+    def test_lone_request_is_not_prefetched(self, make_service,
+                                            fitted_soft, monkeypatch):
+        """A group of one is scored by its own ladder — one breaker
+        failure for one failed call, not two."""
+        service = make_service(capacity=64, breaker_min_calls=100)
+        monkeypatch.setattr(
+            service.matcher, "score",
+            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("down")))
+        response = service.handle_batch(
+            [{"id": 1, "vertex": fitted_soft.vertex_ids[0]}])[0]
+        assert response["ok"] and response["tier"] == "cached"
+        failures = registry().counter("serve.breaker.text.failures_total").value
+        assert failures == 1
 
 
 class TestIndexedBatchedBitIdentity:
@@ -128,6 +212,8 @@ class TestIndexedBatchedBitIdentity:
         assert [canonical(r) for r in batched] == \
             [canonical(r) for r in singles]
         assert all(r["ok"] and r["tier"] == "full" for r in batched)
+        assert [canonical(indexed_service.handle(r)) for r in requests] \
+            == [canonical(r) for r in singles]
 
 
 class TestBatchTileConfig:

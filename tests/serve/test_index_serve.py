@@ -93,8 +93,8 @@ class TestDenseRowSurrogate:
         """The surrogate row holds max(top_k, index_k_floor) finite
         entries — enough for cache reuse, far from a full GEMM row."""
         floor = indexed_service.config.index_k_floor
-        row = indexed_service._score_full(
-            indexed_matcher.vertex_ids[0], Deadline.unbounded(), 1)
+        [row] = indexed_service._score_tile(
+            [indexed_matcher.vertex_ids[0]], 1, Deadline.unbounded())
         finite = int(np.isfinite(row).sum())
         assert finite == min(floor, len(indexed_matcher.images))
 

@@ -64,6 +64,30 @@ class TestServeLoop:
         assert "\n" not in lines[0]
         assert json.loads(lines[0])["id"] == 7
 
+    def test_control_ops_are_answered_like_the_tcp_door(self, make_service,
+                                                        fitted_soft):
+        """``info`` and ``stats`` go through the ops table every door
+        shares — stdio used to answer ``info`` with ``bad_request``."""
+        service = make_service()
+        vertex = fitted_soft.vertex_ids[0]
+        written, responses = run_loop(service, [
+            json.dumps({"op": "info", "id": "i1"}),
+            json.dumps({"id": "q1", "vertex": vertex}),
+            json.dumps({"op": "stats", "id": "s1"}),
+            json.dumps({"op": "reboot", "id": "u1"}),
+        ])
+        assert written == 4
+        by_id = {r["id"]: r for r in responses}
+        assert by_id["i1"]["ok"] is True
+        info = by_id["i1"]["info"]
+        assert info["vertices"] == [int(v) for v in fitted_soft.vertex_ids]
+        assert info["images"] == len(fitted_soft.images)
+        assert by_id["q1"]["ok"] is True
+        assert by_id["s1"]["ok"] is True
+        assert isinstance(by_id["s1"]["stats"]["metrics"], list)
+        # an op nobody knows is just a vertex-less request
+        assert by_id["u1"]["error"]["type"] == "bad_request"
+
     def test_empty_input_serves_nothing(self, make_service):
         service = make_service()
         written, responses = run_loop(service, [])

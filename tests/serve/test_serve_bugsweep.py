@@ -9,6 +9,9 @@ Three previously-latent bugs, each pinned by a regression test:
 * ``_parse`` accepted any positive ``top_k`` (``10**9`` included) and
   downstream code dutifully tried to honour it; now it clamps to the
   image repository size and answers with that many matches.
+* ``_parse`` let a non-finite ``budget_ms`` (``NaN``, ``Infinity``)
+  through: a never-expiring deadline, and a bare ``NaN`` in the exported
+  trace.
 * ``serve_loop``'s ``emit`` let a sink write failure propagate out of a
   worker thread mid-drain, silently killing the worker; now it is
   caught, counted (``serve.emit.failed``), and triggers a clean stop.
@@ -21,7 +24,7 @@ import json
 
 import pytest
 
-from repro.obs import registry
+from repro.obs import registry, trace_recorder
 from repro.serve import MatchService, ServeConfig, serve_loop
 
 
@@ -92,6 +95,34 @@ class TestTopKClamp:
                                    "top_k": 0})
         assert response["ok"] is False
         assert response["error"]["type"] == "bad_request"
+
+
+class TestNonFiniteBudget:
+    """``json.loads`` admits NaN/Infinity; a budget that never expires
+    is not a budget, and a NaN in the ``request`` trace event would make
+    the exported trace invalid strict JSON."""
+
+    @pytest.mark.parametrize("budget", [
+        "NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400,
+    ], ids=["nan", "inf", "neg-inf", "float-overflow", "int-past-float"])
+    def test_rejected_as_bad_request(self, make_service, fitted_soft,
+                                     budget):
+        service = make_service()
+        request = json.loads('{"id": 1, "vertex": %d, "budget_ms": %s}'
+                             % (fitted_soft.vertex_ids[0], budget))
+        response = service.handle(request)
+        assert response["ok"] is False
+        assert response["error"]["type"] == "bad_request"
+        assert "budget_ms" in response["error"]["message"]
+        for row in trace_recorder().snapshot():
+            json.dumps(row, allow_nan=False)  # strict JSON or it raises
+
+    def test_finite_budgets_still_accepted(self, make_service, fitted_soft):
+        service = make_service()
+        for budget in (5000, 5000.0):
+            response = service.handle({"id": 1, "budget_ms": budget,
+                                       "vertex": fitted_soft.vertex_ids[0]})
+            assert response["ok"] is True
 
 
 class _FailingSink(io.StringIO):

@@ -62,7 +62,10 @@ class TestHappyPath:
         assert response["degraded"] is False
         assert "reason" not in response
         assert response["elapsed_ms"] >= 0
-        expected = fitted_soft.score([vertex])[0]
+        # the oracle is the vertex's row of a batch_tile-row operand:
+        # that tile is what defines a served score (DESIGN.md §13)
+        expected = fitted_soft.score(
+            [vertex] * service.config.batch_tile)[0]
         image_ids = [img.image_id for img in fitted_soft.images]
         assert len(response["matches"]) == 3
         scores = [m["score"] for m in response["matches"]]

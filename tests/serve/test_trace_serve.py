@@ -99,6 +99,25 @@ class TestTraceIds:
         assert "encode_text" in stages
 
 
+    def test_lone_batched_query_is_scored_inside_its_trace(self,
+                                                           fitted_soft):
+        """What a lone TCP query gets: ``handle_batch([r])`` scores in
+        the request's own ladder, so the retained trace shows the
+        matcher's span under ``tier/full`` (a pre-fetched group member
+        shows only the ``batch`` event — its scoring was shared)."""
+        service, recorder = make_traced_service(fitted_soft)
+        v = fitted_soft.vertex_ids
+        service.handle_batch([{"vertex": v[0]}])
+        service.handle_batch([{"vertex": v[1]}, {"vertex": v[2]}])
+        lone, fused, _ = recorder.snapshot()
+        tier_span = next(c for c in lone["spans"]["children"]
+                         if c["name"] == "tier/full")
+        assert "matcher/score" in span_names(tier_span)
+        assert not events_of(lone["spans"], "batch")
+        assert "matcher/score" not in span_names(fused["spans"])
+        assert events_of(fused["spans"], "batch")
+
+
 class TestForcedRetention:
     def test_errors_always_sampled_at_rate_zero(self, fitted_soft):
         service, recorder = make_traced_service(fitted_soft, rate=0.0)
@@ -113,7 +132,7 @@ class TestForcedRetention:
     def test_degraded_answers_always_sampled(self, fitted_soft,
                                              monkeypatch):
         service, recorder = make_traced_service(fitted_soft, rate=0.0)
-        monkeypatch.setattr(service, "_score_full",
+        monkeypatch.setattr(service, "_score_tile",
                             lambda *a, **k: (_ for _ in ()).throw(
                                 RuntimeError("encoder down")))
         response = service.handle({"vertex": fitted_soft.vertex_ids[0]})

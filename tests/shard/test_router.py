@@ -119,6 +119,25 @@ class TestBitIdentity:
         routed.close()
         single.close()
 
+    def test_non_finite_budget_is_a_bad_request_not_a_wait_cap(
+            self, shard_cluster, run_router, fitted_hard):
+        """The router caps its own wait with the same finite-budget
+        predicate the workers validate with; ``NaN`` reaches them
+        verbatim and comes back typed."""
+        endpoints, single_address = shard_cluster
+        _, routed_address = run_router(endpoints)
+        routed = Client(routed_address)
+        single = Client(single_address)
+        line = b'{"id": "nan", "vertex": %d, "budget_ms": NaN}' \
+            % int(fitted_hard.vertex_ids[0])
+        response = json.loads(routed.ask_raw(line))
+        assert response["ok"] is False and response["id"] == "nan"
+        assert response["error"]["type"] == "bad_request"
+        assert response["error"] == \
+            json.loads(single.ask_raw(line))["error"]
+        routed.close()
+        single.close()
+
     def test_typed_errors_forwarded_verbatim(self, shard_cluster,
                                              run_router):
         endpoints, _ = shard_cluster
