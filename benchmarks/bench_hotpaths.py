@@ -124,6 +124,44 @@ def bench_engine(bundle, dataset, repeats: int, paths: dict) -> None:
                                             repeats)
 
 
+#: images behind the ``score_tile_hard`` row in quick mode: enough that
+#: rebuilding the image operand per call would cost more than the GEMM
+TILE_WORLD_IMAGES_PER_CONCEPT = 400
+
+
+def bench_score_tile(bundle, dataset, quick: bool, repeats: int,
+                     paths: dict) -> None:
+    """``score_tile_hard``: the served scoring call — ``CrossEM.score``
+    on one 8-row tile of hard prompts — against the per-call operand
+    rebuild it used to do (index array over the whole repository, then
+    a gather copy of the image matrix).  Both sides return equal bits
+    (``tests/core/test_frozen_operands.py``); the speedup is what the
+    zero-copy operand buys and falls to 1 if the copy comes back."""
+    if quick:
+        dataset = build_attribute_dataset(
+            bundle.universe, name="bench-tile", concept_indices=range(10),
+            images_per_concept=TILE_WORLD_IMAGES_PER_CONCEPT, seed=7)
+    matcher = CrossEM(bundle, CrossEMConfig(prompt="hard", epochs=0))
+    matcher.fit(dataset.graph, dataset.images, dataset.entity_vertices)
+    matcher.score()  # populate both caches
+    tile = list(matcher.vertex_ids[:8])
+    calls = 600
+
+    def rebuilt_operand():
+        text = matcher._text_queries(tile)
+        copied = matcher._encode_images(range(len(matcher.images))).numpy()
+        return text @ copied.T
+
+    entry = _bench_pair(
+        "score_tile_hard",
+        lambda: [matcher.score(tile) for _ in range(calls)],
+        lambda: [rebuilt_operand() for _ in range(calls)],
+        repeats)
+    entry.update(calls=calls, images=len(matcher.images),
+                 per_call_ms=1e3 * entry["optimized_s"] / calls)
+    paths["score_tile_hard"] = entry
+
+
 def _load_scene(quick: bool):
     if quick:
         bundle = get_pretrained_bundle(kind="bird", num_concepts=16, seed=7,
@@ -311,6 +349,7 @@ def run(quick: bool, repeats: int, index_only: bool = False) -> dict:
         _reference_images,
         repeats)
 
+    bench_score_tile(bundle, dataset, quick, repeats, paths)
     bench_engine(bundle, dataset, repeats, paths)
     bench_index(quick, repeats, paths)
 

@@ -201,6 +201,7 @@ class CrossEM:
                         self._prompt_token_ids[s:e],
                         self._prompt_mask[s:e]).numpy(),
                     len(self.vertex_ids), chunk=64, name="encode_text")
+            self._text_embeds.setflags(write=False)
         else:
             reg.counter("matcher.prompt_cache.hit").inc()
             add_trace_event("cache", cache="prompt", hit=True)
@@ -225,21 +226,31 @@ class CrossEM:
         mask = self.tokenizer.attention_mask(token_ids)
         return self.clip.encode_text(token_ids, mask)
 
-    def _encode_images(self, indices: Sequence[int]) -> nn.Tensor:
-        """Frozen image-tower embeddings for a batch of image indices.
+    def _encode_images(self,
+                       indices: Optional[Sequence[int]] = None) -> nn.Tensor:
+        """Frozen image-tower embeddings for a batch of image indices;
+        ``None`` is the whole repository.
 
         The tower is frozen (§II-C), so embeddings are computed once per
         fit and sliced afterwards; the first call fills the cache via
-        the shared chunked (optionally thread-pooled) encode path.
+        the shared chunked (optionally thread-pooled) encode path.  An
+        index subset is gathered into a fresh array; the whole
+        repository is the cached matrix itself — read-only, because a
+        write through it would corrupt every later answer.
         """
         self._stage("encode_image")
         if self._image_embeds is None:
             with span("encode/image_cache"), nn.no_grad():
-                self._image_embeds = chunked_encode(
+                # C-contiguous, as the per-call gather used to hand it
+                # to the GEMM: layout picks the BLAS path (DESIGN.md §6)
+                self._image_embeds = np.ascontiguousarray(chunked_encode(
                     lambda s, e: self.clip.encode_image(
                         np.stack([img.pixels
                                   for img in self.images[s:e]])).numpy(),
-                    len(self.images), chunk=64, name="encode_image")
+                    len(self.images), chunk=64, name="encode_image"))
+            self._image_embeds.setflags(write=False)
+        if indices is None:
+            return nn.Tensor(self._image_embeds)
         return nn.Tensor(self._image_embeds[np.asarray(indices)])
 
     # -- training (Algorithm 1) ------------------------------------------------
@@ -325,8 +336,7 @@ class CrossEM:
         """
         with nn.no_grad():
             text = self._encode_all_vertices()
-            scores = nn.Tensor(text) @ self._encode_images(
-                range(len(self.images))).transpose()
+            scores = nn.Tensor(text) @ self._encode_images().transpose()
         return scores.numpy()
 
     def _refresh_pseudo_labels(self) -> None:
@@ -585,8 +595,7 @@ class CrossEM:
             vertex_ids = list(vertex_ids if vertex_ids is not None
                               else self.vertex_ids)
             text = self._text_queries(vertex_ids, vertex_batch)
-            image_matrix = self._encode_images(range(len(self.images))).numpy()
-            return text @ image_matrix.T
+            return text @ self._encode_images().numpy().T
 
     def _text_queries(self, vertex_ids: Sequence[int],
                       vertex_batch: int = 64) -> np.ndarray:
@@ -636,10 +645,7 @@ class CrossEM:
         from ..index import build_ivfpq
 
         self._require_fitted()
-        embeddings = np.ascontiguousarray(
-            self._encode_images(range(len(self.images))).numpy(),
-            dtype=np.float32)
-        index = build_ivfpq(embeddings, config)
+        index = build_ivfpq(self._encode_images().numpy(), config)
         self.attach_index(index)
         return index
 

@@ -10,17 +10,29 @@ callers.  Answers are bit-identical to unbatched serving because the
 service scores through fixed-shape row tiles (DESIGN.md §13); the
 batcher only changes *when* scoring runs, never *what* it computes.
 
-Three latency rules, in priority order:
+Four latency rules, in priority order:
 
-1. **Full batch beats the window** — the moment ``max_batch`` requests
+1. **Idle and sparse dispatches now** — a request that finds no scoring
+   call in flight and nothing pending, while the batcher's own measure
+   of recent inter-arrival gaps (:attr:`BatchWindow.sparse`) says no
+   companion is due inside a window, goes to the pool at once: no
+   window, no flusher hop.  Behind an in-flight call arrivals
+   accumulate; the worker that completes it takes them with it if
+   arrivals are still sparse.
+2. **Full batch beats the window** — the moment ``max_batch`` requests
    are pending the batch flushes, without waiting the window out.
-2. **Deadlines beat the window** — a request whose ``budget_ms`` is too
+3. **Deadlines beat the window** — a request whose ``budget_ms`` is too
    tight to survive a worst-case window wait (see
    :func:`bypasses_window`) skips coalescing and dispatches alone,
    immediately.  The window is an offer of amortization, never a tax on
    an urgent request.
-3. **The window bounds everyone else** — no request waits longer than
+4. **The window bounds everyone else** — no request waits longer than
    one window for its batch to form.
+
+Rule 1 is deliberately not "dispatch whenever idle": under a closed
+loop of callers that variant sends the first request of every round
+alone and the rest one window later, which costs a scoring tile per
+round (DESIGN.md §13 has the measurement).
 
 :class:`BatchWindow` is the pure, clock-free decision core (tested on a
 fake clock); :class:`MicroBatcher` adds the real threads: a flusher
@@ -35,18 +47,26 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..obs import get_logger, registry
+from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS
 from ..serve.deadline import is_budget_ms
 from ..serve.errors import error_response
 
 __all__ = ["BatchWindow", "MicroBatcher", "bypasses_window",
-           "BYPASS_SLACK"]
+           "BYPASS_SLACK", "GAP_EWMA_WEIGHT"]
 
 _log = get_logger("repro.netserve.batcher")
+
+#: one held request: (request, deliver, arrival time on the batcher clock)
+_Held = Tuple[Any, Callable[[dict], None], float]
 
 #: a request only joins a window if its budget covers at least this
 #: many windows — waiting the window out must not eat a large fraction
 #: of the budget, or the wait itself manufactures deadline failures
 BYPASS_SLACK = 2.0
+
+#: weight of the newest inter-arrival gap in the running share of gaps
+#: that fit inside a window (see :attr:`BatchWindow.sparse`)
+GAP_EWMA_WEIGHT = 0.2
 
 
 def bypasses_window(budget_ms: Any, window_ms: float,
@@ -66,14 +86,21 @@ def bypasses_window(budget_ms: Any, window_ms: float,
 
 
 class BatchWindow:
-    """Pure batching-decision state: what is pending, when to flush.
+    """Pure batching-decision state: what is pending, what is in flight,
+    how fast requests arrive — and from those, when to dispatch.
 
     Not thread-safe and never reads a clock — callers pass ``now`` in,
-    which is what makes the window semantics testable on a fake clock.
+    which is what makes the rules testable on a fake clock.
     The window opens when the first item arrives into an empty batch
     and closes ``window_s`` later (or immediately on reaching
     ``max_batch``); it does NOT slide on later arrivals, so a steady
     trickle cannot postpone a flush indefinitely.
+
+    :meth:`arrive`, :meth:`expire` and :meth:`complete` are the three
+    events of a batcher's life; each returns ``(rule, items)`` when a
+    scoring call must start now — ``rule`` names which of the module's
+    rules fired — or ``None``.  Every returned batch counts as in
+    flight until its :meth:`complete`.
     """
 
     def __init__(self, window_s: float, max_batch: int) -> None:
@@ -83,8 +110,14 @@ class BatchWindow:
             raise ValueError("max_batch must be at least 1")
         self.window_s = window_s
         self.max_batch = max_batch
+        #: scoring calls dispatched and not yet completed
+        self.inflight = 0
+        #: windowing is over (shutdown began): dispatch everything now
+        self.hurried = False
         self._items: List[Any] = []
         self._opened_at: Optional[float] = None
+        self._last_arrival: Optional[float] = None
+        self._companion_share: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -115,6 +148,62 @@ class BatchWindow:
         items, self._items = self._items, []
         self._opened_at = None
         return items
+
+    # -- arrival rate ------------------------------------------------------
+    @property
+    def sparse(self) -> bool:
+        """Is no companion expected inside a window?  True while fewer
+        than half of recent arrivals came within a window of their
+        predecessor (an exponentially weighted share, newest gap
+        weighing ``GAP_EWMA_WEIGHT``), and before two arrivals have
+        been seen.  Each gap is one vote however long it was, so the
+        one pause per round of a closed loop waiting on its own batch
+        does not read as sparse traffic."""
+        return self._companion_share is None or self._companion_share < 0.5
+
+    def _observe_arrival(self, now: float) -> None:
+        if self._last_arrival is not None:
+            near = 1.0 if now - self._last_arrival <= self.window_s else 0.0
+            share = self._companion_share
+            self._companion_share = near if share is None \
+                else share + GAP_EWMA_WEIGHT * (near - share)
+        self._last_arrival = now
+
+    # -- the three events --------------------------------------------------
+    def _dispatch(self, rule: str, items: List[Any]) -> Tuple[str, List[Any]]:
+        self.inflight += 1
+        return rule, items
+
+    def arrive(self, item: Any, now: float, urgent: bool = False,
+               ) -> Optional[Tuple[str, List[Any]]]:
+        """A request arrived; ``urgent`` marks a budget too tight for
+        the window (:func:`bypasses_window`)."""
+        self._observe_arrival(now)
+        if urgent:
+            return self._dispatch("bypass", [item])
+        if self.hurried:
+            return self._dispatch("hurry", [item])
+        if not self.inflight and not self._items and self.sparse:
+            return self._dispatch("eager", [item])
+        if self.add(item, now):
+            return self._dispatch("full", self.drain())
+        return None
+
+    def expire(self, now: float) -> Optional[Tuple[str, List[Any]]]:
+        """The flusher looked at the clock: the pending batch, if its
+        window ran out (or :attr:`hurried` says not to wait for that)."""
+        if self._items and (self.hurried or self.due(now)):
+            return self._dispatch("window", self.drain())
+        return None
+
+    def complete(self) -> Optional[Tuple[str, List[Any]]]:
+        """A dispatched call finished.  If that leaves the scorer idle
+        with requests pending and arrivals sparse, the completing worker
+        takes them along instead of leaving them to the window."""
+        self.inflight -= 1
+        if self._items and not self.inflight and self.sparse:
+            return self._dispatch("eager", self.drain())
+        return None
 
 
 class MicroBatcher:
@@ -152,13 +241,17 @@ class MicroBatcher:
         self._pending = 0
         self._all_done = threading.Condition(self._lock)
         self._stopping = False
-        self._hurry = False
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="netserve-batch")
         reg = registry()
         self._batch_size = reg.histogram("netserve.batch.size")
+        # submit -> dispatch per request; bucket-backed so a fleet
+        # scrape merges the shards' park times exactly
+        self._hold_ms = reg.histogram("netserve.batch.hold_ms",
+                                      buckets=DEFAULT_LATENCY_BOUNDS_MS)
         self._flush_total = reg.counter("netserve.batch.flush_total")
         self._bypass_total = reg.counter("netserve.batch.bypass_total")
+        self._eager_total = reg.counter("netserve.batch.eager_total")
         self._shed_total = reg.counter("netserve.shed_total")
         self._pending_gauge = reg.gauge("netserve.pending")
         self._pending_gauge.set(0)
@@ -195,41 +288,60 @@ class MicroBatcher:
             self._pending_gauge.set(self._pending)
             budget_ms = request.get("budget_ms") \
                 if isinstance(request, dict) else None
-            if self._hurry or bypasses_window(budget_ms, self.window_ms):
-                # Too urgent to wait: dispatch alone, right now.
-                self._bypass_total.inc()
-                self._pool.submit(self._run_batch, [(request, deliver)])
-                return
-            full = self._window.add((request, deliver), self._clock())
-            self._wakeup.notify()
-            if full:
-                batch = self._window.drain()
-                self._pool.submit(self._run_batch, batch)
+            now = self._clock()
+            dispatch = self._window.arrive(
+                (request, deliver, now), now,
+                urgent=bypasses_window(budget_ms, self.window_ms))
+            if dispatch is not None:
+                self._start(dispatch)
+            elif len(self._window) == 1:
+                self._wakeup.notify()  # a window opened: time it out
+
+    def _count(self, dispatch: Tuple[str, List[_Held]]) -> List[_Held]:
+        rule, batch = dispatch
+        if rule == "bypass":
+            self._bypass_total.inc()
+        elif rule == "eager":
+            self._eager_total.inc()
+        return batch
+
+    def _start(self, dispatch: Tuple[str, List[_Held]]) -> None:
+        """Hand a batch the window released to the pool (lock held)."""
+        self._pool.submit(self._run_batches, self._count(dispatch))
 
     # -- flushing ----------------------------------------------------------
     def _flush_loop(self) -> None:
         while True:
             with self._lock:
-                if self._stopping and not len(self._window):
+                dispatch = self._window.expire(self._clock())
+                if dispatch is not None:
+                    self._start(dispatch)
+                    continue
+                if self._stopping:
                     return
                 flush_at = self._window.flush_at()
-                if flush_at is None:
-                    if self._stopping:
-                        return
-                    self._wakeup.wait(timeout=0.1)
-                    continue
-                now = self._clock()
-                if not self._stopping and not self._hurry \
-                        and not self._window.due(now):
-                    self._wakeup.wait(timeout=max(flush_at - now, 0.0))
-                    continue
-                batch = self._window.drain()
-            if batch:
-                self._pool.submit(self._run_batch, batch)
+                self._wakeup.wait(
+                    timeout=0.1 if flush_at is None
+                    else max(flush_at - self._clock(), 0.0))
 
-    def _run_batch(self,
-                   batch: List[Tuple[Any, Callable[[dict], None]]]) -> None:
-        requests = [request for request, _ in batch]
+    def _run_batches(self, batch: List[_Held]) -> None:
+        """Worker entry: score ``batch``, then whatever the window hands
+        the completing worker, until it hands over nothing."""
+        while batch:
+            self._run_batch(batch)
+            with self._all_done:
+                self._pending -= len(batch)
+                self._pending_gauge.set(self._pending)
+                if self._pending == 0:
+                    self._all_done.notify_all()
+                taken = self._window.complete()
+                batch = self._count(taken) if taken is not None else []
+
+    def _run_batch(self, batch: List[_Held]) -> None:
+        started = self._clock()
+        for _, _, arrived in batch:
+            self._hold_ms.observe((started - arrived) * 1e3)
+        requests = [request for request, _, _ in batch]
         try:
             responses = self.service.handle_batch(requests)
         except Exception as exc:  # handle_batch answers per-request;
@@ -242,16 +354,11 @@ class MicroBatcher:
                 for r in requests]
         self._flush_total.inc()
         self._batch_size.observe(float(len(batch)))
-        for (_, deliver), response in zip(batch, responses):
+        for (_, deliver, _), response in zip(batch, responses):
             try:
                 deliver(response)
             except Exception as exc:
                 _log.warning("response delivery failed", error=str(exc))
-        with self._all_done:
-            self._pending -= len(batch)
-            self._pending_gauge.set(self._pending)
-            if self._pending == 0:
-                self._all_done.notify_all()
 
     # -- shutdown ----------------------------------------------------------
     def hurry(self) -> None:
@@ -261,7 +368,7 @@ class MicroBatcher:
         amortization is over and every held request is pure delay.
         Non-blocking; intake stays open until :meth:`drain`."""
         with self._lock:
-            self._hurry = True
+            self._window.hurried = True
             self._wakeup.notify_all()
 
     def drain(self, timeout: Optional[float] = 30.0) -> bool:
@@ -272,6 +379,7 @@ class MicroBatcher:
         """
         with self._lock:
             self._stopping = True
+            self._window.hurried = True
             self._wakeup.notify_all()
         self._flusher.join(timeout=timeout)
         with self._all_done:

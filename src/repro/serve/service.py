@@ -255,8 +255,7 @@ class MatchService:
         with span("serve/warmup"):
             matcher, fallback = self.matcher, self.fallback
             probe = matcher.vertex_ids[0]
-            self.vision_breaker.call(
-                lambda: matcher._encode_images(range(len(matcher.images))))
+            self.vision_breaker.call(matcher._encode_images)
             self.text_breaker.call(lambda: matcher.score([probe]))
             if matcher.search_index is not None:
                 self.text_breaker.call(
@@ -266,9 +265,7 @@ class MatchService:
                 # other: run it through the breakers too, so a hung
                 # fallback backend trips a breaker here instead of
                 # stalling warmup with no circuit ever opening.
-                self.vision_breaker.call(
-                    lambda: fallback._encode_images(
-                        range(len(fallback.images))))
+                self.vision_breaker.call(fallback._encode_images)
                 self.text_breaker.call(
                     lambda: fallback.score([fallback.vertex_ids[0]]))
         self._warm = True
@@ -310,7 +307,7 @@ class MatchService:
         return max(top_k, self.config.index_k_floor)
 
     def _score_tile(self, vertices: List[int], top_k: int,
-                    deadline: Deadline) -> np.ndarray:
+                    deadline: Deadline) -> List[np.ndarray]:
         """Full-tier score rows for ``vertices`` in one breaker-guarded
         call, in fixed ``batch_tile``-row tiles — the one function that
         defines a served score.
@@ -324,6 +321,9 @@ class MatchService:
         index attached a row is dense but ``-inf`` off the shortlist,
         so the stale cache and ``_top_matches`` need no second shape.
 
+        Every returned row owns its memory: the stale LRU keeps rows
+        long after their batch, and a view would pin the whole tile.
+
         ``deadline`` is the tightest budget among the callers.  The
         pre-flight check sits *outside* the breaker: an already-dead
         budget is not evidence against the encoder.  Inside, the
@@ -336,22 +336,24 @@ class MatchService:
         matcher = self.matcher
         k = self._index_k(top_k)
 
-        def run() -> np.ndarray:
-            shape = (len(vertices), len(self._image_ids))
-            rows = np.full(shape, -np.inf, dtype=np.float32) if k \
-                else np.empty(shape, dtype=np.float32)
+        def run() -> List[np.ndarray]:
+            rows: List[np.ndarray] = []
             with matcher.encode_hook(deadline.check):
                 for start in range(0, len(vertices), tile):
                     chunk = vertices[start:start + tile]
                     padded = chunk + [chunk[-1]] * (tile - len(chunk))
-                    block = rows[start:start + len(chunk)]
                     if k:
                         ids, scores = matcher.score_topk(padded, k)
                         for r in range(len(chunk)):
+                            row = np.full(len(self._image_ids), -np.inf,
+                                          dtype=np.float32)
                             valid = ids[r] >= 0
-                            block[r][ids[r][valid]] = scores[r][valid]
+                            row[ids[r][valid]] = scores[r][valid]
+                            rows.append(row)
                     else:
-                        block[:] = matcher.score(padded)[:len(chunk)]
+                        block = matcher.score(padded)
+                        rows.extend(np.array(block[r], dtype=np.float32)
+                                    for r in range(len(chunk)))
                     deadline.check("score_full")
             return rows
 

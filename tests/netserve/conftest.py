@@ -60,6 +60,25 @@ def make_service(fitted_hard):
 
 
 @pytest.fixture()
+def gated_service(make_service):
+    """``(service, gate)``: a service whose scoring calls block until
+    ``gate`` is set — a busy scorer on demand, so a test can pile
+    requests up behind an in-flight call instead of racing the
+    batcher's dispatch-when-idle rule."""
+    service = make_service()
+    gate = threading.Event()
+    handle_batch = service.handle_batch
+
+    def held(requests):
+        assert gate.wait(timeout=30)
+        return handle_batch(requests)
+
+    service.handle_batch = held
+    yield service, gate
+    gate.set()
+
+
+@pytest.fixture()
 def run_server(make_service):
     """Start a NetServer on an ephemeral port; returns
     ``(server, (host, port))``.  Teardown drains gracefully and asserts

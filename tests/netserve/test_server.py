@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 
 from repro.obs import registry
 
@@ -45,6 +46,15 @@ class Client:
             self.sock.close()
         except OSError:
             pass
+
+
+def wait_until(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return predicate()
 
 
 def match_payload(response: dict) -> str:
@@ -162,38 +172,51 @@ class TestBatchedExactness:
         sizes = registry().histogram("netserve.batch.size")
         assert sizes.row()["max"] > 1
 
-    def test_cross_connection_coalescing(self, run_server, fitted_hard):
+    def test_cross_connection_coalescing(self, run_server, gated_service,
+                                         fitted_hard):
         """Two clients inside one window share a fused call — the whole
         point of batching at the server instead of the client."""
-        _, address = run_server(batch_window_ms=200.0, max_batch=32)
+        service, gate = gated_service
+        _, address = run_server(service=service, batch_window_ms=200.0,
+                                max_batch=32)
         vertices = [int(v) for v in fitted_hard.vertex_ids]
         first, second = Client(address), Client(address)
+        # an idle batcher dispatches a lone request at once: keep the
+        # scorer busy, so the two clients' requests meet in the window
+        first.send({"id": "busy", "vertex": vertices[2]})
         first.send({"id": "a", "vertex": vertices[0]})
         second.send({"id": "b", "vertex": vertices[1]})
-        assert first.recv()["ok"] is True
+        pending = registry().gauge("netserve.pending")
+        assert wait_until(lambda: pending.value == 3)
+        gate.set()
+        assert {first.recv()["id"], first.recv()["id"]} == {"busy", "a"}
         assert second.recv()["ok"] is True
         first.close()
         second.close()
         flushes = registry().counter("netserve.batch.flush_total").value
         sizes = registry().histogram("netserve.batch.size")
-        assert flushes == 1
+        assert flushes == 2
         assert sizes.row()["max"] == 2
 
 
 class TestBackpressure:
     def test_overloaded_shed_past_conn_inflight(self, run_server,
-                                                make_service,
+                                                gated_service,
                                                 fitted_hard):
         """Pipelining past the per-connection cap without reading gets
         typed overloaded rejections, not unbounded buffering."""
-        service = make_service()
+        service, gate = gated_service
         _, address = run_server(service=service, batch_window_ms=2000.0,
                                 max_batch=1000, conn_inflight=2)
         client = Client(address)
         vertex = int(fitted_hard.vertex_ids[0])
-        # 2 occupy the cap (parked in the huge window), the rest shed
+        # 2 occupy the cap (one held in the busy scorer, one parked in
+        # the huge window behind it), the rest shed
         for i in range(5):
             client.send({"id": i, "vertex": vertex})
+        shed_total = registry().counter("netserve.conn.overloaded_total")
+        assert wait_until(lambda: shed_total.value == 3)
+        gate.set()
         outcomes = {}
         for _ in range(5):
             response = client.recv()
@@ -204,8 +227,7 @@ class TestBackpressure:
         served = [r for r in outcomes.values() if r["ok"]]
         assert len(shed) == 3
         assert len(served) == 2
-        assert registry().counter(
-            "netserve.conn.overloaded_total").value == 3
+        assert shed_total.value == 3
 
     def test_conns_gauge_tracks_connections(self, run_server):
         _, address = run_server()
@@ -221,25 +243,25 @@ class TestBackpressure:
 
 class TestDrain:
     def test_drain_flushes_inflight_then_exits_clean(self, run_server,
+                                                     gated_service,
                                                      fitted_hard):
         """Requests parked in the window when drain starts are still
         answered; the fixture teardown asserts exit code 0."""
-        server, address = run_server(batch_window_ms=5000.0,
+        service, gate = gated_service
+        server, address = run_server(service=service,
+                                     batch_window_ms=5000.0,
                                      max_batch=1000)
         client = Client(address)
         for i, vertex in enumerate(fitted_hard.vertex_ids[:3]):
             client.send({"id": i, "vertex": int(vertex)})
-        # wait until all three are accepted (in flight at the batcher):
-        # drain guarantees flushing what was *accepted*, and bytes the
-        # reader has not yet seen are not accepted
-        import time
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and \
-                registry().gauge("netserve.pending").value < 3:
-            time.sleep(0.005)
-        assert registry().gauge("netserve.pending").value == 3
+        # wait until all three are accepted (one in the busy scorer, two
+        # parked behind it): drain guarantees flushing what was
+        # *accepted*, and bytes the reader has not yet seen are not
+        pending = registry().gauge("netserve.pending")
+        assert wait_until(lambda: pending.value == 3)
         started = time.monotonic()
         server.trigger_drain()  # window has ~5s left: drain must not wait
+        gate.set()
         got = []
         while len(got) < 3:
             response = client.recv()
@@ -256,7 +278,6 @@ class TestDrain:
         server.trigger_drain()
         client.close()
         # accept socket closes promptly; retry until it does
-        import time
         deadline = time.monotonic() + 10.0
         refused = False
         while time.monotonic() < deadline and not refused:

@@ -54,7 +54,7 @@ class TestWarmupThroughBreakers:
                                config=ServeConfig(capacity=4, workers=1))
         fallback = service.fallback
 
-        def broken_encode(indices):
+        def broken_encode(indices=None):
             raise RuntimeError("image tower wedged")
 
         monkeypatch.setattr(fallback, "_encode_images", broken_encode)
