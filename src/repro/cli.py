@@ -257,7 +257,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     matcher.fit(dataset.graph, dataset.images, dataset.entity_vertices)
     _attach_index_from_args(matcher, args)
     config = ServeConfig(
-        capacity=args.capacity, workers=args.workers,
         default_budget_ms=args.default_budget_ms,
         top_k_default=args.top_k, full_floor_ms=args.full_floor_ms,
         stale_capacity=args.stale_capacity,
@@ -309,7 +308,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving {dataset.name} / {args.method}: "
               f"{len(matcher.vertex_ids)} vertices, {len(matcher.images)} "
               f"images — one JSON request per stdin line", file=sys.stderr)
-        served = serve_loop(service, sys.stdin, sys.stdout)
+        served = serve_loop(
+            service, sys.stdin, sys.stdout,
+            window_ms=args.batch_window_ms, max_batch=args.max_batch,
+            max_pending=args.max_pending, workers=args.batch_workers)
         print(f"served {served} responses", file=sys.stderr)
     _export_telemetry(args, benchmark=args.benchmark, method=args.method,
                       command="serve", seed=args.seed)
@@ -354,8 +356,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
                    "--method", args.method,
                    "--epochs", str(args.epochs), "--lr", str(args.lr),
                    "--top-k", str(args.top_k),
-                   "--capacity", str(args.capacity),
-                   "--workers", str(args.workers),
                    "--batch-window-ms", str(args.batch_window_ms),
                    "--listen", "127.0.0.1:0",
                    "--port-file", str(port_file),
@@ -472,16 +472,11 @@ def _fit_for_load(args: argparse.Namespace):
 
 
 def _service_for_load(matcher, args: argparse.Namespace):
-    """A fresh warmed service over an already-fitted matcher.
-
-    Fresh per run/sweep point because a drained service's admission
-    queue is closed for good; the expensive part (the fitted matcher
-    and its encoded repository) is shared across points.
-    """
+    """The warmed service a load command drives, built once per
+    command: each run or sweep point gets a fresh micro-batcher."""
     from .serve import MatchService, ServeConfig
 
-    config = ServeConfig(capacity=args.capacity, workers=args.workers,
-                         default_budget_ms=args.default_budget_ms,
+    config = ServeConfig(default_budget_ms=args.default_budget_ms,
                          trace_sample_rate=args.trace_sample_rate)
     return MatchService(matcher, config=config).warmup()
 
@@ -596,30 +591,25 @@ def _cmd_load_sweep(args: argparse.Namespace) -> int:
         from .loadgen import SocketDriver
 
         address, vertices = _remote_vertices(args)
-
-        def make_target():
-            # fresh connection per point: each measurement starts from
-            # a clean server-side outstanding count
-            return SocketDriver(address)
     else:
         matcher, _ = _fit_for_load(args)
         vertices = matcher.vertex_ids
-
-        def make_target():
-            return _service_for_load(matcher, args)
+        service = _service_for_load(matcher, args)
 
     def run_point(rate: float) -> dict:
         config = _load_config_from_args(args, rate=rate)
         schedule = build_schedule(config, vertices)
-        report = run_schedule(make_target(), schedule)
+        # fresh connection (or, in process, fresh batcher) per point:
+        # each measurement starts from a clean outstanding count
+        target = SocketDriver(address) if args.connect else service
+        report = run_schedule(target, schedule)
         return report.summary()
 
     doc = sweep_frontier(
         run_point, args.rates, spec,
         meta={"benchmark": args.benchmark, "seed": args.seed,
               "connect": args.connect,
-              "process": args.process, "duration": args.duration,
-              "workers": args.workers, "capacity": args.capacity},
+              "process": args.process, "duration": args.duration},
         progress=lambda message: print(message, file=sys.stderr))
     print(format_frontier(doc))
     if args.output:
@@ -930,10 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--lr", type=float, default=1e-3)
     serve.add_argument("--top-k", type=_positive_int, default=1,
                        help="matches returned when a request names none")
-    serve.add_argument("--capacity", type=_positive_int, default=16,
-                       help="work-queue slots before requests are shed")
-    serve.add_argument("--workers", type=_positive_int, default=1,
-                       help="worker threads draining the queue")
     serve.add_argument("--default-budget-ms", type=_positive_float,
                        default=None, metavar="MS",
                        help="deadline applied to requests without one")
@@ -975,19 +961,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "drains gracefully")
     serve.add_argument("--batch-window-ms", type=_non_negative_float,
                        default=2.0, metavar="MS",
-                       help="micro-batch coalescing window for --listen "
-                            "(0 disables batching)")
+                       help="micro-batch coalescing window, both doors "
+                            "(0 disables batching: one at a time)")
     serve.add_argument("--max-batch", type=_positive_int, default=16,
                        help="flush a micro-batch at this many requests "
                             "without waiting out the window")
     serve.add_argument("--max-pending", type=_positive_int, default=256,
                        help="requests queued + in flight before the "
-                            "batcher sheds (--listen)")
+                            "batcher sheds")
     serve.add_argument("--conn-inflight", type=_positive_int, default=32,
                        help="per-connection outstanding-response cap "
                             "(--listen)")
     serve.add_argument("--batch-workers", type=_positive_int, default=2,
-                       help="threads running fused scoring (--listen)")
+                       help="threads running fused scoring")
     serve.add_argument("--drain-timeout-s", type=_positive_float,
                        default=30.0, metavar="S",
                        help="seconds the drain waits for in-flight work")
@@ -1022,10 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--lr", type=float, default=1e-3)
     route.add_argument("--top-k", type=_positive_int, default=1,
                        help="worker default when a request names none")
-    route.add_argument("--capacity", type=_positive_int, default=16,
-                       help="per-worker queue slots before shedding")
-    route.add_argument("--workers", type=_positive_int, default=1,
-                       help="scoring threads per worker process")
     route.add_argument("--batch-window-ms", type=_non_negative_float,
                        default=2.0, metavar="MS",
                        help="per-worker micro-batch window")
@@ -1091,10 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
     load_service.add_argument("--epochs", type=_positive_int, default=1,
                               help="training epochs before the run")
     load_service.add_argument("--lr", type=float, default=1e-3)
-    load_service.add_argument("--capacity", type=_positive_int, default=16,
-                              help="work-queue slots before shedding")
-    load_service.add_argument("--workers", type=_positive_int, default=1,
-                              help="worker threads draining the queue")
     load_service.add_argument("--default-budget-ms", type=_positive_float,
                               default=None, metavar="MS",
                               help="deadline applied to requests without one")

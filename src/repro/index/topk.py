@@ -14,23 +14,30 @@ highest score first, lowest index among equals.  It keeps the
 argpartition O(n) selection, then widens the candidate set to *every*
 element tied with the k-th value before sorting, so the returned ids
 are a pure function of the scores — never of the partition's internal
-pivot walk.
+pivot walk.  A caller whose answer must not depend on how the items
+are laid out either (a shard worker sees every N-th repository
+position) passes ``tie_break``: a key per index, image ids there.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
 __all__ = ["deterministic_topk", "deterministic_topk_rows"]
 
 
-def deterministic_topk(scores: np.ndarray, k: int) -> np.ndarray:
+def deterministic_topk(scores: np.ndarray, k: int,
+                       tie_break: Optional[np.ndarray] = None) -> np.ndarray:
     """Indices of the ``k`` largest entries of 1-D ``scores``, ordered
-    by ``(-score, index)``.
+    by ``(-score, index)`` — or ``(-score, tie_break[index])``, given a
+    ``tie_break`` array aligned with ``scores`` (read at the few
+    candidate indices only, never in a pass over the row).
 
     Ties at the selection boundary are resolved toward the smallest
-    index, so the result depends only on the score values.  ``k`` is
-    clamped to ``len(scores)``; ``k <= 0`` returns an empty array.
+    index (key), so the result depends only on the score values.  ``k``
+    is clamped to ``len(scores)``; ``k <= 0`` returns an empty array.
     """
     scores = np.asarray(scores)
     n = scores.shape[0]
@@ -45,7 +52,8 @@ def deterministic_topk(scores: np.ndarray, k: int) -> np.ndarray:
         rough = np.argpartition(-scores, k - 1)[:k]
         kth = scores[rough].min()
         candidates = np.flatnonzero(scores >= kth).astype(np.int64)
-    order = np.lexsort((candidates, -scores[candidates]))
+    keys = candidates if tie_break is None else tie_break[candidates]
+    order = np.lexsort((keys, -scores[candidates]))
     return candidates[order[:min(k, n)]]
 
 

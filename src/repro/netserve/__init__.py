@@ -5,7 +5,8 @@ package serves many, over a socket, with the same JSONL framing and the
 same response schema — a client that worked against ``repro serve``
 pipes works unchanged against ``repro serve --listen``.  The pieces:
 
-* :mod:`repro.netserve.batcher` — the dynamic micro-batcher: concurrent
+* :mod:`repro.serve.batcher` (re-exported here; the pipe door and the
+  load driver submit to it too) — the dynamic micro-batcher: concurrent
   single-vertex queries arriving within a latency-bounded window are
   coalesced into one :meth:`MatchService.handle_batch` call without
   changing any answer bit (DESIGN.md §13).
@@ -22,7 +23,7 @@ See README "Networked serving" and DESIGN.md §13 for the window-vs-
 deadline semantics and the batched-exactness argument.
 """
 
-from .batcher import BatchWindow, MicroBatcher, bypasses_window
+from ..serve.batcher import BatchWindow, MicroBatcher, bypasses_window
 from .lineserver import LineServer
 from .protocol import (LineReader, OversizedLine, control_op, decode_line,
                        encode_response, request_op)

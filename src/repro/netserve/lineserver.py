@@ -7,7 +7,7 @@ per-connection outstanding cap, the write queue, drain bookkeeping —
 and nothing about what a request *means*.  A front door subclasses it
 with a backend (the methods under "the backend interface" below):
 :class:`~repro.netserve.server.NetServer` is this server over a
-:class:`~repro.netserve.batcher.MicroBatcher`,
+:class:`~repro.serve.batcher.MicroBatcher`,
 :class:`~repro.shard.router.ShardRouter` is this server over
 scatter/gather — a service whose backend is N services.
 
@@ -86,7 +86,9 @@ class LineServer:
         accounted in the backend's own metrics."""
         raise NotImplementedError
 
-    def reject(self, request_id: Any, code: str, message: str) -> dict:
+    def reject(self, request: Any, code: str, message: str) -> dict:
+        """The typed refusal of ``request`` — the whole request, not
+        just its id, so the backend can join the caller's trace."""
         raise NotImplementedError
 
     async def _open(self) -> None:
@@ -249,10 +251,8 @@ class LineServer:
                     # pipelining past the cap without reading responses:
                     # typed shed, never unbounded buffering
                     reg.counter(self._metric("conn.overloaded_total")).inc()
-                    request_id = request.get("id") \
-                        if isinstance(request, dict) else None
                     await out_queue.put((self.reject(
-                        request_id, "overloaded",
+                        request, "overloaded",
                         f"connection has {outstanding['n']} responses "
                         f"outstanding (cap {cfg.conn_inflight}); "
                         f"read before writing more"), False))

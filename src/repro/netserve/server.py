@@ -20,8 +20,8 @@ import dataclasses
 from typing import Any, Callable, Optional
 
 from ..obs import registry
+from ..serve.batcher import MicroBatcher
 from ..serve.service import MatchService
-from .batcher import MicroBatcher, rejection_response
 from .lineserver import LineServer
 
 __all__ = ["NetServeConfig", "NetServer"]
@@ -101,7 +101,8 @@ class NetServer(LineServer):
     def bad_line(self, error: Exception) -> dict:
         return self.service.bad_line(error)
 
-    reject = staticmethod(rejection_response)
+    def reject(self, request: Any, code: str, message: str) -> dict:
+        return self.service.reject(request, code, message)
 
     def _hurry(self) -> None:
         # stop windowing immediately: every held request is pure delay

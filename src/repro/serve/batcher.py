@@ -48,8 +48,8 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from ..obs import get_logger, registry
 from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS
-from ..serve.deadline import is_budget_ms
-from ..serve.errors import error_response
+from .deadline import is_budget_ms
+from .errors import error_response
 
 __all__ = ["BatchWindow", "MicroBatcher", "bypasses_window",
            "BYPASS_SLACK", "GAP_EWMA_WEIGHT"]
@@ -209,13 +209,15 @@ class BatchWindow:
 class MicroBatcher:
     """Thread-safe batching front door over a ``MatchService``.
 
-    ``submit(request, deliver)`` enqueues one request; ``deliver`` is
-    later called exactly once — from a worker thread — with the JSON
-    response dict.  Requests are shed with a typed ``overloaded``
-    response once ``max_pending`` are queued or in flight, mirroring
-    the service's own admission semantics at the batching layer (the
-    fused path does not pass through the service's BoundedQueue, so it
-    needs its own honest bound).
+    ``submit(request, deliver)`` is the one place a match request is
+    admitted, queued and handed to a scoring thread, for every door
+    (stdio, TCP, shard workers, the in-process load driver).
+    ``deliver`` is later called exactly once — from a worker thread —
+    with the JSON response dict.  Past ``max_pending`` requests queued
+    or in flight, further ones are shed with a fast, typed
+    ``overloaded`` answer (``service.reject``) a client can back off
+    on: a stuck scorer cannot grow a backlog of requests that would all
+    blow their deadlines anyway.
 
     ``drain()`` stops intake, flushes whatever is pending, and blocks
     until every accepted request has been answered — the graceful-
@@ -267,35 +269,35 @@ class MicroBatcher:
 
         Never raises for per-request conditions: shed, shutdown and
         malformed requests all flow back through ``deliver`` as typed
-        error responses, exactly like the service's own ``submit``.
+        error responses.  A refusal is decided under the lock but
+        minted and delivered after it is released: ``deliver`` may be
+        a blocking pipe write, and must not stall other submitters.
         """
-        request_id = request.get("id") if isinstance(request, dict) else None
+        refusal: Optional[Tuple[str, str]] = None
         with self._lock:
             if self._stopping:
-                self._shed_total.inc()
-                deliver(rejection_response(request_id, "unavailable",
-                                   "server is draining and no longer "
-                                   "admits requests"))
-                return
-            if self._pending >= self.max_pending:
-                self._shed_total.inc()
-                deliver(rejection_response(
-                    request_id, "overloaded",
-                    f"batcher at capacity ({self._pending}/"
-                    f"{self.max_pending}); request shed"))
-                return
-            self._pending += 1
-            self._pending_gauge.set(self._pending)
-            budget_ms = request.get("budget_ms") \
-                if isinstance(request, dict) else None
-            now = self._clock()
-            dispatch = self._window.arrive(
-                (request, deliver, now), now,
-                urgent=bypasses_window(budget_ms, self.window_ms))
-            if dispatch is not None:
-                self._start(dispatch)
-            elif len(self._window) == 1:
-                self._wakeup.notify()  # a window opened: time it out
+                refusal = ("unavailable", "server is draining and no "
+                                          "longer admits requests")
+            elif self._pending >= self.max_pending:
+                refusal = ("overloaded",
+                           f"batcher at capacity ({self._pending}/"
+                           f"{self.max_pending}); request shed")
+            else:
+                self._pending += 1
+                self._pending_gauge.set(self._pending)
+                budget_ms = request.get("budget_ms") \
+                    if isinstance(request, dict) else None
+                now = self._clock()
+                dispatch = self._window.arrive(
+                    (request, deliver, now), now,
+                    urgent=bypasses_window(budget_ms, self.window_ms))
+                if dispatch is not None:
+                    self._start(dispatch)
+                elif len(self._window) == 1:
+                    self._wakeup.notify()  # a window opened: time it out
+        if refusal is not None:
+            self._shed_total.inc()
+            deliver(self.service.reject(request, *refusal))
 
     def _count(self, dispatch: Tuple[str, List[_Held]]) -> List[_Held]:
         rule, batch = dispatch
@@ -345,10 +347,14 @@ class MicroBatcher:
         try:
             responses = self.service.handle_batch(requests)
         except Exception as exc:  # handle_batch answers per-request;
-            # reaching here is a bug, but callers still get answers
+            # reaching here is a bug, but callers still get answers —
+            # minted here, since the service may be what is broken
             _log.error("fused batch call failed", error=str(exc),
                        batch=len(batch))
-            responses = [rejection_response(
+            for name in ("requests_total", "error_total",
+                         "error.serve_error"):
+                registry().counter(f"serve.{name}").inc(len(batch))
+            responses = [error_response(
                 r.get("id") if isinstance(r, dict) else None,
                 "serve_error", f"internal batch failure: {exc}")
                 for r in requests]
@@ -389,12 +395,3 @@ class MicroBatcher:
             drained = self._pending == 0
         self._pool.shutdown(wait=True)
         return drained
-
-
-def rejection_response(request_id: Any, code: str, message: str) -> dict:
-    """A typed error response minted at the batching layer (the request
-    never reached the service, so no service-side trace exists)."""
-    registry().counter("serve.requests_total").inc()
-    registry().counter("serve.error_total").inc()
-    registry().counter(f"serve.error.{code}").inc()
-    return error_response(request_id, code, message)

@@ -10,32 +10,33 @@ serving API:
   vertex, wrong field type).  Retrying it verbatim will never help.
 * :class:`DeadlineExceeded` — the per-request budget ran out mid-stage.
   The request was well-formed; a retry with a larger budget may work.
-* :class:`Overloaded` — admission control shed the request because the
-  work queue was full.  Retrying after backoff is appropriate.
-* :class:`Unavailable` — the service is shutting down (or already shut
-  down) and no longer admits work.  Retrying against *this* instance
-  will never help; a client should fail over.
 * :class:`BreakerOpen` — a circuit breaker is refusing calls to a
   failing backend; the degradation ladder normally absorbs this before
   it reaches a client.
 
 All inherit :class:`ServeError`, so "any expected serving failure" is
 one ``except`` clause while genuinely unexpected bugs stay loud.
+
+Two codes have no class, because a door refuses the request before
+anything could raise (``MatchService.reject``): ``overloaded`` (shed at
+an admission bound; back off and retry) and ``unavailable`` (this
+instance is draining; fail over).
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-__all__ = ["ServeError", "BadRequest", "DeadlineExceeded", "Overloaded",
-           "Unavailable", "BreakerOpen", "error_response"]
+__all__ = ["ServeError", "BadRequest", "DeadlineExceeded", "BreakerOpen",
+           "error_response"]
 
 
 def error_response(request_id: Any, code: str, message: str,
                    elapsed_ms: float = 0.0) -> dict:
     """The one wire form of a server-side failure (every door accounts
     it in its own metrics, then builds the body here): ``code`` is a
-    :attr:`ServeError.code`, or ``internal`` for an isolated bug."""
+    :attr:`ServeError.code`, ``overloaded`` / ``unavailable`` for a
+    refusal, or ``internal`` for an isolated bug."""
     return {"id": request_id, "ok": False,
             "error": {"type": code, "message": message},
             "elapsed_ms": round(elapsed_ms, 3)}
@@ -70,34 +71,6 @@ class DeadlineExceeded(ServeError):
         self.stage = stage
         self.budget = budget
         self.elapsed = elapsed
-
-
-class Overloaded(ServeError):
-    """Admission control rejected the request instead of queueing it."""
-
-    code = "overloaded"
-
-    def __init__(self, depth: int, capacity: int) -> None:
-        super().__init__(f"work queue full ({depth}/{capacity}); "
-                         f"request shed")
-        self.depth = depth
-        self.capacity = capacity
-
-
-class Unavailable(ServeError):
-    """The service stopped admitting work (draining or shut down).
-
-    Distinct from :class:`Overloaded`: an overload is transient and
-    backoff-retryable against the same instance, while an unavailable
-    instance is going away — the honest client action is failover.
-    """
-
-    code = "unavailable"
-
-    def __init__(self, name: str = "serve.queue") -> None:
-        super().__init__(f"{name!r} is shut down and no longer "
-                         f"admits requests")
-        self.name = name
 
 
 class BreakerOpen(ServeError):

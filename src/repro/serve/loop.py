@@ -2,11 +2,14 @@
 
 One request per input line, one response per output line — stdin/stdout
 framing with no network dependency, so the whole resilient path stays
-exercisable in CI with nothing but pipes.  Responses carry the
-request's ``id`` and may arrive out of submission order (workers and
-shed rejections interleave); clients correlate by ``id``, exactly as
-they would against a real RPC service.  The control operations
-(``info``, ``stats``) go through the same table as the TCP doors
+exercisable in CI with nothing but pipes.  Match requests go through
+the same :class:`~repro.serve.batcher.MicroBatcher` as the TCP door: a
+lone interactive query is scored at once, a piped burst coalesces, and
+past ``max_pending`` lines are shed.  Responses carry the request's
+``id`` and may arrive out of submission order (workers and shed
+rejections interleave); clients correlate by ``id``, exactly as they
+would against a real RPC service.  The control operations (``info``,
+``stats``) go through the same table as the TCP doors
 (:func:`repro.netserve.protocol.control_op`).
 
 A line that is not valid JSON yields a structured ``bad_request``
@@ -19,8 +22,8 @@ from well-formed-but-invalid requests in the exported telemetry.
 Failures in the *other* direction — the response sink going away
 mid-drain (broken pipe, closed file) — are caught in ``emit`` rather
 than propagated out of worker threads: each is counted
-(``serve.emit.failed``), and the loop stops reading and shuts down
-cleanly instead of silently losing every response after the first
+(``serve.emit.failed``), and the loop stops reading and drains the
+batcher instead of silently losing every response after the first
 failed write.
 """
 
@@ -28,10 +31,11 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import IO, Iterable
+from typing import IO, Any, Iterable
 
 from ..netserve.protocol import control_op
 from ..obs import get_logger, registry
+from .batcher import MicroBatcher
 from .service import MatchService
 
 __all__ = ["serve_loop"]
@@ -40,14 +44,15 @@ _log = get_logger("repro.serve.loop")
 
 
 def serve_loop(service: MatchService, source: Iterable[str],
-               sink: IO[str]) -> int:
+               sink: IO[str], **batching: Any) -> int:
     """Serve JSON-lines requests from ``source`` into ``sink``.
 
-    Starts the service's worker pool, feeds it every non-blank line,
-    emits one JSON response line per request (shed and parse failures
-    answered inline by the reader), and shuts the pool down at EOF —
-    or as soon as the sink stops accepting writes.  Returns the number
-    of responses written.
+    Submits every non-blank line to a micro-batcher over the warmed
+    service (``batching``: :class:`MicroBatcher`'s keywords), emits one
+    JSON response line per request (control ops and parse failures
+    answered inline by the reader), and drains the batcher at EOF — or
+    as soon as the sink stops accepting writes.  Returns the number of
+    responses written.
     """
     emit_lock = threading.Lock()
     written = [0]
@@ -70,14 +75,14 @@ def serve_loop(service: MatchService, source: Iterable[str],
                 # The reader of our responses went away (broken pipe,
                 # closed sink).  A worker thread must not die on this —
                 # count it, remember it, and let the loop drain out.
-                emit_failed_total.inc()
                 sink_failed.set()
+                emit_failed_total.inc()
                 _log.warning("response sink failed; shutting down",
                              error=f"{type(exc).__name__}: {exc}")
                 return
             written[0] += 1
 
-    service.start(emit)
+    batcher = MicroBatcher(service.warmup(), **batching)
     try:
         for raw in source:
             if sink_failed.is_set():
@@ -98,9 +103,7 @@ def serve_loop(service: MatchService, source: Iterable[str],
             if answer is not None:
                 emit(answer)
                 continue
-            rejection = service.submit(request)
-            if rejection is not None:
-                emit(rejection)
+            batcher.submit(request, emit)
     finally:
-        service.shutdown()
+        batcher.drain()
     return written[0]

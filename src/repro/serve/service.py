@@ -10,8 +10,9 @@ vertex match queries with production failure semantics:
   :class:`~repro.serve.breaker.CircuitBreaker` (a second breaker guards
   the image-tower warmup), so a hung or flaky encoder stops being
   called instead of stalling every request behind it;
-* a bounded :class:`~repro.serve.admission.BoundedQueue` sheds load
-  with typed ``Overloaded`` rejections under burst;
+* a request a door refuses to admit (the micro-batcher's
+  ``max_pending`` under burst, a connection's cap, a drain) gets one
+  typed, traced ``overloaded`` / ``unavailable`` shape, :meth:`reject`;
 * on breaker-open or deadline pressure the
   :class:`~repro.serve.degrade.DegradationPolicy` ladder falls back
   full → cached → stale, tagging each degraded response;
@@ -24,6 +25,9 @@ The cached tier scores against a dedicated hard-prompt
 and image repository, so a degraded response is bit-identical to what
 that fallback matcher would return standalone (the PR 2 prompt-cache
 exactness argument, see DESIGN.md §6).
+
+The service owns no thread and no queue: admission and the scoring pool
+are :class:`~repro.serve.batcher.MicroBatcher`'s, for every door alike.
 """
 
 from __future__ import annotations
@@ -42,12 +46,11 @@ from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS
 from ..obs.trace import (FLAG_DEADLINE, FLAG_DEGRADED, FLAG_ERROR,
                          FLAG_SHED, SamplePolicy, Tracer, add_trace_event,
                          flag_trace, trace_recorder, trace_span)
-from .admission import BoundedQueue
 from .breaker import CircuitBreaker
 from .deadline import Deadline, is_budget_ms
 from .degrade import (TIER_CACHED, TIER_FULL, TIER_STALE, DegradationPolicy)
-from .errors import (BadRequest, DeadlineExceeded, Overloaded, ServeError,
-                     Unavailable, error_response)
+from .errors import (BadRequest, DeadlineExceeded, ServeError,
+                     error_response)
 
 __all__ = ["ServeConfig", "MatchService", "parse_trace_context"]
 
@@ -87,10 +90,6 @@ def parse_trace_context(request: Any) -> Tuple[Optional[str],
 class ServeConfig:
     """Tuning knobs of the serving layer (see README "Serving")."""
 
-    #: bounded work-queue capacity; beyond it requests are shed
-    capacity: int = 16
-    #: worker threads draining the queue
-    workers: int = 1
     #: budget applied when a request carries none (None = unbounded)
     default_budget_ms: Optional[float] = None
     #: matches returned when a request does not ask for a count
@@ -130,10 +129,6 @@ class ServeConfig:
     shard_count: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.default_budget_ms is not None and self.default_budget_ms <= 0:
             raise ValueError("default_budget_ms must be positive")
         if self.top_k_default < 1:
@@ -204,24 +199,25 @@ class MatchService:
             cooldown=cooldown, clock=clock)
         self.policy = DegradationPolicy(
             self.text_breaker, full_floor=self.config.full_floor_ms / 1000.0)
-        self.queue = BoundedQueue(self.config.capacity)
         self.fallback = fallback if fallback is not None \
             else self._build_fallback()
         self._vertex_set = set(matcher.vertex_ids)
-        self._image_ids = [img.image_id for img in matcher.images]
-        self._owned_mask: Optional[np.ndarray] = None
+        self._images = len(matcher.images)
+        #: repository positions this worker answers for (None = all)
+        #: and the image ids at them, aligned
+        self._owned: Optional[np.ndarray] = None
+        self._owned_ids = np.array([img.image_id for img in matcher.images],
+                                   dtype=np.int64)
         if self.config.shard_count is not None:
             # Lazy import: repro.shard's package __init__ pulls the
             # router, which imports this module.
-            from ..shard.partition import owned_mask
-            self._owned_mask = owned_mask(len(self._image_ids),
+            from ..shard.partition import owned_positions
+            self._owned = owned_positions(self._images,
                                           self.config.shard_count,
                                           self.config.shard_slot)
+            self._owned_ids = self._owned_ids[self._owned]
         self._stale: "OrderedDict[int, Tuple[np.ndarray, str]]" = OrderedDict()
         self._stale_lock = threading.Lock()
-        self._emit: Optional[Callable[[dict], None]] = None
-        self._threads: List[threading.Thread] = []
-        self._started = False
         self._warm = False
 
     # -- construction ------------------------------------------------------
@@ -287,7 +283,7 @@ class MatchService:
         # to return, and an unclamped top_k=10**9 would otherwise size
         # allocations in _top_matches and the index_k_floor over-fetch.
         # The response simply carries the clamped (achievable) count.
-        top_k = min(top_k, len(self._image_ids))
+        top_k = min(top_k, self._images)
         budget_ms = request.get("budget_ms", self.config.default_budget_ms)
         budget = None
         if budget_ms is not None:
@@ -345,7 +341,7 @@ class MatchService:
                     if k:
                         ids, scores = matcher.score_topk(padded, k)
                         for r in range(len(chunk)):
-                            row = np.full(len(self._image_ids), -np.inf,
+                            row = np.full(self._images, -np.inf,
                                           dtype=np.float32)
                             valid = ids[r] >= 0
                             row[ids[r][valid]] = scores[r][valid]
@@ -381,28 +377,28 @@ class MatchService:
     @property
     def owned_images(self) -> int:
         """Images this worker answers for (all of them unsharded)."""
-        if self._owned_mask is None:
-            return len(self._image_ids)
-        return int(self._owned_mask.sum())
+        return len(self._owned_ids)
 
     def _top_matches(self, scores: np.ndarray, top_k: int) -> List[dict]:
         from ..index.topk import deterministic_topk
 
-        # -inf marks off-shortlist entries of an index-backed row; they
-        # are never real matches.  deterministic_topk orders the rest by
-        # (-score, image position) — identical for brute and index rows.
-        # A shard worker additionally masks to its owned positions:
-        # the scores themselves are full-row exact, only selection is
-        # partitioned, so a router merging per-shard lists by
-        # (-score, image id) reconstructs the unsharded answer bit for
-        # bit (DESIGN.md §14).
+        # One total order on every served path: (-score, image id) —
+        # not position: repositories are shuffled after ids are
+        # assigned, and ids are all a router can re-sort by.  A shard
+        # worker selects among its owned positions only: the scores
+        # themselves are full-row exact, so the router's merge in the
+        # same order reconstructs the unsharded answer bit for bit,
+        # exact ties included (DESIGN.md §14).  -inf marks
+        # off-shortlist entries of an index-backed row, never real
+        # matches; clamping k to the finite count keeps them out.
+        if self._owned is not None:
+            scores = scores[self._owned]
         keep = np.isfinite(scores)
-        if self._owned_mask is not None:
-            keep &= self._owned_mask
-        finite = np.flatnonzero(keep)
-        order = finite[deterministic_topk(scores[finite],
-                                          min(top_k, len(finite)))]
-        return [{"image": int(self._image_ids[i]),
+        order = deterministic_topk(
+            np.where(keep, scores, -np.inf),
+            min(top_k, int(np.count_nonzero(keep))),
+            tie_break=self._owned_ids)
+        return [{"image": int(self._owned_ids[i]),
                  "score": float(scores[i])} for i in order]
 
     # -- the ladder --------------------------------------------------------
@@ -658,51 +654,22 @@ class MatchService:
                       buckets=DEFAULT_LATENCY_BOUNDS_MS).observe(elapsed_ms)
         return error_response(request_id, code, message, elapsed_ms)
 
-    # -- threaded mode -----------------------------------------------------
-    def start(self, emit: Callable[[dict], None]) -> None:
-        """Warm the caches and start the worker pool; ``emit`` receives
-        every response produced by a worker (it must be thread-safe)."""
-        if self._started:
-            raise RuntimeError("service already started")
-        self.warmup()
-        self._emit = emit
-        for i in range(self.config.workers):
-            thread = threading.Thread(target=self._worker_main,
-                                      name=f"serve-worker-{i}", daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        self._started = True
-
-    def submit(self, request: Any) -> Optional[dict]:
-        """Admit ``request`` to the work queue.
-
-        Returns ``None`` when enqueued (the response will reach ``emit``
-        later) or an immediate typed error response: ``overloaded`` when
-        admission control sheds the request, ``unavailable`` when the
-        submit races (or follows) :meth:`shutdown`.  Never raises — a
-        reader thread pumping requests into a closing service sees a
-        structured rejection, not a crash.
-        """
-        try:
-            self.queue.put(request)
-            return None
-        except (Overloaded, Unavailable) as exc:
-            refusal = exc  # (the name ``exc`` dies with this block)
-
-        def reject(request_id: Any) -> dict:
-            # A refused request never reaches handle(), so it gets its
-            # trace right here on the admission path; a shed is flagged
-            # and therefore always retained.
-            if isinstance(refusal, Overloaded):
+    def reject(self, request: Any, code: str, message: str) -> dict:
+        """The one refusal shape, for any door: ``overloaded`` at the
+        batcher's ``max_pending`` or a connection's outstanding cap,
+        ``unavailable`` mid-drain.  A refused request never reaches
+        :meth:`handle_batch`, so it gets its trace right here; a shed
+        is flagged and therefore always retained."""
+        def respond(request_id: Any) -> dict:
+            if code == "overloaded":
                 flag_trace(FLAG_SHED)
-                add_trace_event("shed", depth=refusal.depth,
-                                capacity=refusal.capacity)
+                add_trace_event("shed", reason=message)
             else:
-                add_trace_event("rejected", code=refusal.code)
-            return self._error_response(request_id, refusal.code,
-                                        str(refusal), self._clock())
+                add_trace_event("rejected", code=code)
+            return self._error_response(request_id, code, message,
+                                        self._clock())
 
-        return self._traced(request, reject)
+        return self._traced(request, respond)
 
     def bad_line(self, error: Exception) -> dict:
         """The answer to an undecodable or oversized request line, for
@@ -722,7 +689,7 @@ class MatchService:
         bounds meaningful ``top_k``."""
         info = {
             "vertices": [int(v) for v in self.matcher.vertex_ids],
-            "images": len(self._image_ids),
+            "images": self._images,
             "top_k_default": self.config.top_k_default,
             "indexed": self.matcher.search_index is not None,
         }
@@ -754,24 +721,3 @@ class MatchService:
             stats["shard"] = {"slot": self.config.shard_slot,
                               "count": self.config.shard_count}
         return {"id": request_id, "ok": True, "stats": stats}
-
-    def _worker_main(self) -> None:
-        while True:
-            item = self.queue.get()
-            if item is None:
-                return
-            try:
-                response = self.handle(item)
-            except BaseException as exc:  # handle() should never raise
-                response = error_response(None, "internal",
-                                          f"{type(exc).__name__}: {exc}")
-            if self._emit is not None:
-                self._emit(response)
-
-    def shutdown(self, timeout: float = 30.0) -> None:
-        """Drain the queue, stop the workers, and join them."""
-        self.queue.close()
-        for thread in self._threads:
-            thread.join(timeout=timeout)
-        self._threads = []
-        self._started = False

@@ -8,23 +8,26 @@ is balanced to within one image by construction, needs no coordination,
 and every worker can compute it locally from nothing but ``(count,
 slot)``.  A shard worker scores the *full* row exactly as the
 single-process service does (same matcher, same seed, same fused
-kernels — scoring never sees the partition) and masks to its owned
-positions only at top-k selection, so the per-image scores on any two
+kernels — scoring never sees the partition) and selects among its owned
+positions only at top-k time, so the per-image scores on any two
 shards are the same float32 bits the unsharded service would produce.
 
 **Merge** — the router concatenates per-shard match lists and re-sorts
-by ``(-score, image id)``, the same total order
-:func:`repro.index.topk.deterministic_topk` imposes by ``(-score,
-image position)``.  These orders coincide because every bundled
-repository assigns ``image_id`` ascending with position (0, 1, 2, …,
-see ``vision/image.py``); that equivalence is the one repository-level
-assumption of the scale-out layer and is stated in DESIGN.md §14.
-Together: disjoint owned sets that cover every position + bitwise-equal
-scores + the same tie order ⇒ the merged top-k is bit-identical to the
-single-process answer whenever every shard answers.
+by ``(-score, image id)``: the one total order every served path uses
+(``MatchService._top_matches`` hands the ids to
+:func:`repro.index.topk.deterministic_topk` as its tie-break), and the
+only one a router can apply, since ids are what is on the wire.
+Position would not do: ``vision/image.py`` assigns ids and *then*
+shuffles the repository, so position order and id order disagree, and
+under an exact score tie (duplicate images) a position-ordered shard
+and an id-ordered merge give a different answer than one process
+(DESIGN.md §14).  Together: disjoint owned sets that cover every
+position + bitwise-equal scores + the same tie order everywhere ⇒ the
+merged top-k is bit-identical to the single-process answer whenever
+every shard answers, with no assumption about the repository.
 
 This module must stay import-free of the rest of ``repro`` (the serve
-layer imports it lazily to build its owned mask; a cycle here would
+layer imports it lazily for its owned positions; a cycle here would
 deadlock package init).
 """
 

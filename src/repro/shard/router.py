@@ -204,10 +204,8 @@ class ShardRouter(LineServer):
             registry().counter("shard.router.internal_errors_total").inc()
             _log.error("internal error routing request",
                        error=f"{type(exc).__name__}: {exc}")
-            request_id = request.get("id") \
-                if isinstance(request, dict) else None
             response = self.reject(
-                request_id, "internal", f"{type(exc).__name__}: {exc}")
+                request, "internal", f"{type(exc).__name__}: {exc}")
         deliver(response)
 
     # -- scatter/gather -----------------------------------------------------
@@ -259,7 +257,7 @@ class ShardRouter(LineServer):
         else:
             reg.counter("shard.router.unavailable_total").inc()
             response = self.reject(
-                request_id, "unavailable",
+                request, "unavailable",
                 f"no shard answered (0/{count})")
         # flags drive forced retention: a partial/degraded or failed
         # fan-out is kept even at sample rate 0
@@ -492,7 +490,7 @@ class ShardRouter(LineServer):
     async def info(self, request_id: Any) -> dict:
         info = await self._shard_info()
         if info is None:
-            return self.reject(request_id, "unavailable",
+            return self.reject({"id": request_id}, "unavailable",
                                "no shard reachable for info")
         live = self.endpoints.live_count() \
             if hasattr(self.endpoints, "live_count") \
@@ -538,6 +536,7 @@ class ShardRouter(LineServer):
         reg.counter("shard.router.requests.bad_line").inc()
         return self.reject(None, "bad_request", f"invalid JSON: {error}")
 
-    def reject(self, request_id: Any, code: str, message: str) -> dict:
+    def reject(self, request: Any, code: str, message: str) -> dict:
         registry().counter(f"shard.router.error.{code}").inc()
+        request_id = request.get("id") if isinstance(request, dict) else None
         return error_response(request_id, code, message)

@@ -121,8 +121,8 @@ class TestCLIValidation:
         ["match", "cub", "--epochs", "two"],
         ["match", "cub", "--checkpoint-every", "0"],
         ["serve", "cub", "--epochs", "0"],
-        ["serve", "cub", "--capacity", "0"],
-        ["serve", "cub", "--workers", "0"],
+        ["serve", "cub", "--max-pending", "0"],
+        ["serve", "cub", "--batch-workers", "0"],
         ["serve", "cub", "--top-k", "0"],
         ["serve", "cub", "--default-budget-ms", "0"],
         ["serve", "cub", "--full-floor-ms", "-1"],
@@ -147,6 +147,10 @@ class TestCLIValidation:
         ["load", "sweep", "cub", "--rates", "10,5"],
         ["load", "sweep", "cub", "--rates", "1,x"],
         ["load", "replay", "t.jsonl", "cub", "--speedup", "0"],
+        # the threaded mode's knobs are gone from every subcommand
+        ["serve", "cub", "--capacity", "16"],
+        ["route", "cub", "--listen", ":0", "--workers", "1"],
+        ["load", "run", "cub", "--workers", "2"],
     ])
     def test_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

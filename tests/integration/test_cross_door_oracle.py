@@ -7,17 +7,23 @@ can reach :class:`MatchService`: ``handle``, ``handle_batch``, the stdio
 Every door must return the same canonical bytes (everything but
 ``elapsed_ms`` / ``trace_id``), and those bytes must be what the
 matcher itself computes: the vertex's row of a ``batch_tile``-row
-``CrossEM.score`` operand, cut by ``deterministic_topk``.
+``CrossEM.score`` operand, cut by ``deterministic_topk`` in the served
+total order ``(-score, image id)``.  One world holds every image twice
+under shuffled ids, so every row has exact score ties whose position
+order and id order disagree — and the pair always straddles the two
+shards.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.matcher import CrossEM, CrossEMConfig
@@ -43,15 +49,27 @@ def clean_metrics():
     trace_recorder().reset()
 
 
-@pytest.fixture(scope="module", params=["soft-brute", "hard-indexed"])
+def duplicated(images):
+    """Every image twice, adjacent (so a pair straddles two shards),
+    under ids shuffled independently of position."""
+    ids = np.random.default_rng(5).permutation(2 * len(images))
+    return [dataclasses.replace(image, image_id=int(ids[2 * p + copy]))
+            for p, image in enumerate(images) for copy in range(2)]
+
+
+@pytest.fixture(scope="module", params=["soft-brute", "hard-indexed",
+                                        "hard-duplicates"])
 def world(request, tiny_bundle, tiny_dataset):
-    """A fitted matcher: tuned soft prompts scored by brute GEMM, or
-    hard prompts behind an exhaustive (nprobe == nlist) IVF-PQ index."""
+    """A fitted matcher: tuned soft prompts scored by brute GEMM, hard
+    prompts behind an exhaustive (nprobe == nlist) IVF-PQ index, or
+    hard prompts over a repository of duplicate images (exact ties)."""
     prompt = "soft" if request.param == "soft-brute" else "hard"
     matcher = CrossEM(tiny_bundle, CrossEMConfig(
         prompt=prompt, epochs=1 if prompt == "soft" else 0, seed=3))
-    matcher.fit(tiny_dataset.graph, tiny_dataset.images,
-                tiny_dataset.entity_vertices)
+    images = tiny_dataset.images
+    if request.param == "hard-duplicates":
+        images = duplicated(images)
+    matcher.fit(tiny_dataset.graph, images, tiny_dataset.entity_vertices)
     if request.param == "hard-indexed":
         matcher.build_index(IVFPQConfig(nlist=4, nprobe=4, pq_m=4,
                                         refine=8, seed=0))
@@ -59,7 +77,7 @@ def world(request, tiny_bundle, tiny_dataset):
 
 
 def make_service(matcher, **overrides) -> MatchService:
-    settings = dict(capacity=64, workers=1, top_k_default=TOP_K_DEFAULT)
+    settings = dict(top_k_default=TOP_K_DEFAULT)
     settings.update(overrides)
     return MatchService(matcher, config=ServeConfig(**settings)).warmup()
 
@@ -86,9 +104,9 @@ def oracle(matcher, request: dict) -> str:
     tile = ServeConfig().batch_tile
     row = matcher.score([request["vertex"]] * tile)[0]
     top_k = request.get("top_k", TOP_K_DEFAULT)
-    matches = [{"image": int(matcher.images[i].image_id),
-                "score": float(row[i])}
-               for i in deterministic_topk(row, top_k)]
+    ids = np.array([image.image_id for image in matcher.images])
+    matches = [{"image": int(ids[i]), "score": float(row[i])}
+               for i in deterministic_topk(row, top_k, tie_break=ids)]
     return json.dumps({"id": request["id"], "ok": True,
                        "vertex": request["vertex"], "tier": "full",
                        "degraded": False, "matches": matches},
@@ -199,3 +217,21 @@ def test_every_door_answers_the_oracle(world, door):
             assert response["error"]["type"] == "bad_request"
         else:
             assert canonical(response) == oracle(world, request)
+
+
+def test_the_duplicates_world_has_ties_position_order_gets_wrong(
+        tiny_bundle, tiny_dataset):
+    """The F4 world keeps its teeth: every row ties each image with its
+    copy exactly, and for some pairs the lower id sits at the higher
+    position — where ``(-score, position)`` and the served
+    ``(-score, image id)`` part ways."""
+    matcher = CrossEM(tiny_bundle, CrossEMConfig(prompt="hard", epochs=0,
+                                                 seed=3))
+    images = duplicated(tiny_dataset.images)
+    matcher.fit(tiny_dataset.graph, images, tiny_dataset.entity_vertices)
+    rows = matcher.score(list(matcher.vertex_ids))
+    assert np.array_equal(rows[:, 0::2], rows[:, 1::2])
+    ids = np.array([image.image_id for image in images])
+    assert (ids[0::2] > ids[1::2]).any() and (ids[0::2] < ids[1::2]).any()
+    best = rows.argmax(axis=1) // 2  # each vertex's top pair
+    assert (ids[2 * best] > ids[2 * best + 1]).any()

@@ -59,16 +59,8 @@ def fitted_hard(tiny_bundle, tiny_dataset):
 @pytest.fixture()
 def make_service(fitted_hard):
     """Pre-warmed services over the shared fitted matcher."""
-    created = []
-
     def make(**overrides) -> MatchService:
-        settings = dict(capacity=8, workers=1)
-        settings.update(overrides)
-        service = MatchService(fitted_hard,
-                               config=ServeConfig(**settings)).warmup()
-        created.append(service)
-        return service
+        return MatchService(fitted_hard,
+                            config=ServeConfig(**overrides)).warmup()
 
-    yield make
-    for service in created:
-        service.shutdown(timeout=5.0)
+    return make

@@ -191,7 +191,7 @@ class TestReportBookkeeping:
 class TestServiceMode:
     def test_drives_real_service_and_classifies(self, make_service,
                                                 fitted_hard):
-        service = make_service(workers=2)
+        service = make_service()
         vertices = fitted_hard.vertex_ids
         config = LoadConfig(process="uniform", rate=100.0, duration=0.25,
                             bad_fraction=0.3, seed=2)
@@ -200,7 +200,7 @@ class TestServiceMode:
         summary = report.summary()
         assert summary["offered"] == 25
         outcomes = summary["outcomes"]
-        assert outcomes["lost"] == 0  # shutdown drained everything
+        assert outcomes["lost"] == 0  # the drain answered everything
         assert outcomes["ok"] > 0
         assert outcomes["error"] > 0  # the dirty queries
         assert sum(outcomes.values()) == summary["offered"]

@@ -42,7 +42,7 @@ class TestParseAddress:
 def live_server(make_service):
     """A real NetServer over the cheap fitted service, torn down through
     the drain path."""
-    service = make_service(capacity=64)
+    service = make_service()
     server = NetServer(service, NetServeConfig(
         host="127.0.0.1", port=0, batch_window_ms=5.0, max_batch=16,
         drain_timeout_s=10.0))

@@ -18,9 +18,9 @@ import time
 
 import pytest
 
-from repro.netserve.batcher import (BatchWindow, MicroBatcher,
-                                    bypasses_window)
+from repro.netserve import BatchWindow, MicroBatcher, bypasses_window
 from repro.obs import registry
+from repro.serve import error_response
 
 
 class TestBypassesWindow:
@@ -312,7 +312,8 @@ class TestClosedLoopKeepsItsBatches:
 
 class StubService:
     """Records every handle_batch call; optionally blocks until
-    released (for shed/backpressure tests)."""
+    released (for shed/backpressure tests).  Refusals are the batcher's
+    decision and the service's shape (``MatchService.reject``)."""
 
     def __init__(self, hold: bool = False) -> None:
         self.batches = []
@@ -325,6 +326,9 @@ class StubService:
         self.batches.append([r["id"] for r in requests])
         return [{"id": r["id"], "ok": True, "tier": "full",
                  "matches": [], "elapsed_ms": 0.0} for r in requests]
+
+    def reject(self, request, code, message):
+        return error_response(request["id"], code, message)
 
 
 def collect():
@@ -378,6 +382,12 @@ def wait_until(predicate, timeout=10.0):
 
 
 class TestMicroBatcher:
+    def test_an_admission_bound_or_pool_of_zero_is_rejected(self):
+        with pytest.raises(ValueError):
+            MicroBatcher(StubService(), max_pending=0)
+        with pytest.raises(ValueError):
+            MicroBatcher(StubService(), workers=0)
+
     def test_concurrent_submissions_coalesce(self):
         stub = StubService(hold=True)  # a busy scorer: arrivals pile up
         batcher = MicroBatcher(stub, window_ms=50.0, max_batch=16,
@@ -435,6 +445,41 @@ class TestMicroBatcher:
         stub.release.set()
         assert batcher.drain()
         assert wait_until(lambda: len(responses) == 4)
+
+    def test_refusal_is_delivered_with_the_lock_free(self):
+        """A refusal's ``deliver`` may be a blocking pipe write (stdio):
+        it must hold up neither a concurrent submit nor the scorer."""
+        stub = StubService(hold=True)
+        batcher = MicroBatcher(stub, window_ms=60_000.0, max_pending=1)
+        answers = Answers()
+        batcher.submit({"id": "held", "vertex": 0}, answers.deliver)
+        parked, unpark = threading.Event(), threading.Event()
+
+        def stuck_pipe(response):
+            parked.set()
+            assert unpark.wait(timeout=30)
+            answers.deliver(response)
+
+        slow = threading.Thread(target=batcher.submit, args=(
+            {"id": "slow", "vertex": 1}, stuck_pipe))
+        slow.start()
+        try:
+            assert parked.wait(timeout=10)  # inside its own deliver
+            fast = threading.Thread(target=batcher.submit, args=(
+                {"id": "fast", "vertex": 2}, answers.deliver))
+            fast.start()
+            fast.join(timeout=10)
+            assert not fast.is_alive()
+            stub.release.set()  # completing takes the lock too
+            assert answers.wait_for(2)
+            assert {r["id"] for r in answers.responses} == {"held", "fast"}
+        finally:
+            unpark.set()
+            slow.join(timeout=10)
+        assert not slow.is_alive()
+        assert batcher.drain()
+        assert [r["error"]["type"] for r in answers.responses
+                if not r["ok"]] == ["overloaded", "overloaded"]
 
     def test_drain_answers_everything_then_rejects(self):
         stub = StubService()

@@ -14,7 +14,10 @@ import json
 import socket
 import time
 
-from repro.obs import registry
+import pytest
+
+from repro.obs import registry, set_tracing_enabled, trace_recorder
+from repro.obs.trace import SamplePolicy
 
 
 class Client:
@@ -228,6 +231,48 @@ class TestBackpressure:
         assert len(shed) == 3
         assert len(served) == 2
         assert shed_total.value == 3
+
+    @pytest.mark.parametrize("cap", ["conn_inflight", "max_pending"])
+    def test_a_shed_is_traced_like_any_other_answer(self, run_server,
+                                                    gated_service,
+                                                    fitted_hard, cap):
+        """One refusal shape whichever bound refused: the answer
+        carries its ``trace_id``, joins the caller's trace context and
+        ships its spans, and the trace is flagged ``shed`` and kept at
+        sample rate 0 — or, with tracing off, carries no id at all."""
+        service, gate = gated_service
+        service.tracer.policy = SamplePolicy(rate=0.0)
+        _, address = run_server(service=service, batch_window_ms=2000.0,
+                                **{cap: 1})
+        client = Client(address)
+        vertex = int(fitted_hard.vertex_ids[0])
+        client.send({"id": "held", "vertex": vertex})  # takes the one slot
+        shed = client.ask(
+            {"id": "shed", "vertex": vertex,
+             "trace": {"trace_id": "caller-7", "parent_span": "s4",
+                       "return_spans": True}})
+        assert shed["ok"] is False
+        assert shed["error"]["type"] == "overloaded"
+        assert shed["trace_id"] == "caller-7"
+        assert "shed" in shed["trace"]["flags"]
+        [row] = trace_recorder().snapshot()
+        assert row["trace_id"] == "caller-7" and row["parent_span"] == "s4"
+        assert row["flags"] == ["error", "shed"]
+        minted = client.ask({"id": "shed-2", "vertex": vertex})
+        assert minted["error"]["type"] == "overloaded"
+        assert minted["trace_id"] and minted["trace_id"] != "caller-7"
+        set_tracing_enabled(False)
+        untraced = client.ask({"id": "shed-3", "vertex": vertex})
+        assert untraced["error"]["type"] == "overloaded"
+        assert "trace_id" not in untraced
+        reg = registry()
+        assert reg.counter("serve.error.overloaded").value == 3
+        assert reg.counter(
+            "netserve.conn.overloaded_total" if cap == "conn_inflight"
+            else "netserve.shed_total").value == 3
+        gate.set()
+        assert client.recv()["id"] == "held"
+        client.close()
 
     def test_conns_gauge_tracks_connections(self, run_server):
         _, address = run_server()

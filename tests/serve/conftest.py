@@ -2,7 +2,7 @@
 factory with fast-tripping breaker defaults.
 
 Every test runs against a clean metrics registry (breaker state and
-queue gauges are process-wide), and services are pre-warmed in the
+batcher gauges are process-wide), and services are pre-warmed in the
 factory so fault injection applied *after* construction never poisons
 warmup itself.
 """
@@ -47,18 +47,12 @@ def make_service(fitted_soft):
     Keyword overrides go straight into :class:`ServeConfig`; defaults
     trip the breaker quickly so fault tests stay fast.
     """
-    created = []
-
     def make(**overrides) -> MatchService:
-        settings = dict(capacity=4, workers=1, breaker_window=4,
-                        breaker_min_calls=2, breaker_failure_threshold=0.5,
+        settings = dict(breaker_window=4, breaker_min_calls=2,
+                        breaker_failure_threshold=0.5,
                         breaker_cooldown_ms=60_000.0)
         settings.update(overrides)
-        service = MatchService(fitted_soft,
-                               config=ServeConfig(**settings)).warmup()
-        created.append(service)
-        return service
+        return MatchService(fitted_soft,
+                            config=ServeConfig(**settings)).warmup()
 
-    yield make
-    for service in created:
-        service.shutdown(timeout=5.0)
+    return make

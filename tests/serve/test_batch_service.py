@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.matcher import CrossEM, CrossEMConfig
 from repro.obs import registry
-from repro.serve import MatchService, ServeConfig
+from repro.serve import MatchService, MicroBatcher, ServeConfig
 
 
 def canonical(response: dict) -> str:
@@ -33,7 +33,7 @@ def canonical(response: dict) -> str:
 
 class TestBatchedBitIdentity:
     def test_batched_equals_one_at_a_time(self, make_service, fitted_soft):
-        service = make_service(capacity=64)
+        service = make_service()
         vertices = list(fitted_soft.vertex_ids)
         requests = [{"id": f"b{i}", "vertex": v, "top_k": (i % 3) + 1}
                     for i, v in enumerate(vertices)]
@@ -48,7 +48,7 @@ class TestBatchedBitIdentity:
                                                  fitted_soft):
         """The same request fused with *different* companions gets the
         same bits — the batch is invisible to each member."""
-        service = make_service(capacity=64)
+        service = make_service()
         vertices = list(fitted_soft.vertex_ids)
         probe = {"id": "probe", "vertex": vertices[0], "top_k": 3}
         alone = service.handle_batch([probe])[0]
@@ -60,7 +60,7 @@ class TestBatchedBitIdentity:
 
     def test_bad_requests_isolated_inside_batch(self, make_service,
                                                 fitted_soft):
-        service = make_service(capacity=64)
+        service = make_service()
         vertex = fitted_soft.vertex_ids[0]
         responses = service.handle_batch([
             {"id": "ok1", "vertex": vertex, "top_k": 2},
@@ -81,7 +81,7 @@ class TestBatchedBitIdentity:
                                                   monkeypatch):
         """If the fused scoring call blows up, every member still gets
         answered through its own ladder — never N errors for one bug."""
-        service = make_service(capacity=64, breaker_min_calls=100)
+        service = make_service(breaker_min_calls=100)
         real_score = type(service.matcher).score
         calls = []
 
@@ -109,7 +109,7 @@ class TestOnePipeline:
     request parsed exactly once whichever way it came in."""
 
     def test_handle_is_a_batch_of_one(self, make_service, fitted_soft):
-        service = make_service(capacity=64)
+        service = make_service()
         for i, vertex in enumerate(fitted_soft.vertex_ids):
             request = {"id": i, "vertex": vertex, "top_k": (i % 4) + 1}
             assert canonical(service.handle(request)) == \
@@ -117,7 +117,7 @@ class TestOnePipeline:
 
     @pytest.fixture()
     def counting_service(self, make_service, monkeypatch):
-        service = make_service(capacity=64, breaker_min_calls=100)
+        service = make_service(breaker_min_calls=100)
         parsed = []
         real_parse = service._parse
 
@@ -140,9 +140,9 @@ class TestOnePipeline:
                               {"id": "b1", "vertex": v[1], "top_k": 3},
                               "not even an object"])
         emitted = []
-        service.start(emitted.append)
-        assert service.submit({"id": "queued", "vertex": v[2]}) is None
-        service.shutdown(timeout=10.0)
+        batcher = MicroBatcher(service)
+        batcher.submit({"id": "queued", "vertex": v[2]}, emitted.append)
+        assert batcher.drain(timeout=10.0)
         assert [r["id"] for r in emitted] == ["queued"]
         assert parsed == ["lone", "lone-bad", "b0", "b-bad", "b1", None,
                           "queued"]
@@ -171,7 +171,7 @@ class TestOnePipeline:
                                             fitted_soft, monkeypatch):
         """A group of one is scored by its own ladder — one breaker
         failure for one failed call, not two."""
-        service = make_service(capacity=64, breaker_min_calls=100)
+        service = make_service(breaker_min_calls=100)
         monkeypatch.setattr(
             service.matcher, "score",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("down")))
@@ -195,11 +195,7 @@ class TestIndexedBatchedBitIdentity:
         # index answers are deterministic across batch compositions
         matcher.build_index(IVFPQConfig(nlist=4, nprobe=4, pq_m=4,
                                         refine=8, seed=0))
-        service = MatchService(matcher,
-                               config=ServeConfig(capacity=64,
-                                                  workers=1)).warmup()
-        yield service
-        service.shutdown(timeout=5.0)
+        return MatchService(matcher).warmup()
 
     def test_batched_equals_one_at_a_time_with_index(self,
                                                      indexed_service):
@@ -227,8 +223,7 @@ class TestBatchTileConfig:
         path — the invariant is *within* a config, per DESIGN.md §13."""
         for tile in (2, 8):
             service = MatchService(
-                fitted_soft, config=ServeConfig(capacity=64,
-                                                batch_tile=tile)).warmup()
+                fitted_soft, config=ServeConfig(batch_tile=tile)).warmup()
             requests = [{"id": i, "vertex": v}
                         for i, v in enumerate(fitted_soft.vertex_ids[:5])]
             batched = service.handle_batch(requests)

@@ -37,10 +37,7 @@ def indexed_matcher(tiny_bundle, tiny_dataset):
 
 @pytest.fixture()
 def indexed_service(indexed_matcher):
-    service = MatchService(indexed_matcher,
-                           config=ServeConfig(capacity=4, workers=1)).warmup()
-    yield service
-    service.shutdown(timeout=5.0)
+    return MatchService(indexed_matcher).warmup()
 
 
 class TestIndexBackedResponses:
@@ -53,14 +50,8 @@ class TestIndexBackedResponses:
         index = indexed_matcher.search_index
         indexed_matcher.detach_index()
         try:
-            brute = MatchService(indexed_matcher,
-                                 config=ServeConfig(capacity=4,
-                                                    workers=1)).warmup()
-            try:
-                without = brute.handle(
-                    {"id": 1, "vertex": vertex, "top_k": 3})
-            finally:
-                brute.shutdown(timeout=5.0)
+            without = MatchService(indexed_matcher).warmup().handle(
+                {"id": 1, "vertex": vertex, "top_k": 3})
         finally:
             indexed_matcher.attach_index(index)
         assert [m["image"] for m in with_index["matches"]] \
@@ -111,14 +102,11 @@ class TestDenseRowSurrogate:
     def test_insufficient_stale_row_is_not_served(self, indexed_matcher):
         """A stale index row cached at small k must not answer a later
         degraded request wanting more matches than it holds."""
-        config = ServeConfig(capacity=4, workers=1, index_k_floor=2)
+        config = ServeConfig(index_k_floor=2)
         service = MatchService(indexed_matcher, config=config).warmup()
-        try:
-            vertex = indexed_matcher.vertex_ids[0]
-            service.handle({"id": 1, "vertex": vertex, "top_k": 1})
-            big = max(4, config.index_k_floor + 1)
-            entry = service._stale_get(vertex)
-            assert entry is not None
-            assert not service._stale_covers(entry[0], big)
-        finally:
-            service.shutdown(timeout=5.0)
+        vertex = indexed_matcher.vertex_ids[0]
+        service.handle({"id": 1, "vertex": vertex, "top_k": 1})
+        big = max(4, config.index_k_floor + 1)
+        entry = service._stale_get(vertex)
+        assert entry is not None
+        assert not service._stale_covers(entry[0], big)

@@ -9,6 +9,8 @@ import json
 from repro.obs import registry
 from repro.serve import serve_loop
 
+from .test_batch_service import canonical
+
 
 def run_loop(service, lines):
     source = io.StringIO("".join(line + "\n" for line in lines))
@@ -111,3 +113,25 @@ class TestServeLoop:
         # every bad line still counts as a (failed) request
         assert reg.counter("serve.requests_total").value == 4
         assert reg.counter("serve.error.bad_request").value == 3
+
+    def test_piped_burst_coalesces_and_answers_handle_bytes(
+            self, make_service, fitted_soft):
+        """Stdio goes through the same micro-batcher as the TCP door: a
+        burst of lines is fused into shared scoring calls, and fusing
+        changes no byte of any answer (DESIGN.md §13)."""
+        service = make_service()
+        vertices = fitted_soft.vertex_ids
+        requests = [{"id": f"q{i}", "vertex": vertices[i % len(vertices)],
+                     "top_k": (i % 3) + 1} for i in range(16)]
+        source = io.StringIO("".join(json.dumps(r) + "\n"
+                                     for r in requests))
+        sink = io.StringIO()
+        # a window far longer than the burst: whatever the first line's
+        # fate, the rest meet in one window (EOF's drain flushes it)
+        assert serve_loop(service, source, sink, window_ms=500.0) == 16
+        assert registry().histogram("netserve.batch.size").row()["max"] > 1
+        answers = {a["id"]: a for a in map(json.loads,
+                                           sink.getvalue().splitlines())}
+        for request in requests:
+            assert canonical(answers[request["id"]]) == \
+                canonical(service.handle(request))

@@ -1,8 +1,10 @@
-"""Overload burst: shedding with typed rejections and live queue metrics.
+"""Overload burst: shedding with typed rejections and live batcher metrics.
 
-The worker is pinned on an Event inside the encoder, the queue is filled
-behind it, and the burst's metrics snapshot is exported as the JSONL
-artifact CI uploads (``REPRO_SERVE_METRICS_OUT`` overrides the path).
+A scoring thread is pinned on an Event inside the encoder, the batcher
+is filled behind it, and the burst's metrics snapshot is exported as
+the JSONL artifact CI uploads (``REPRO_SERVE_METRICS_OUT`` overrides
+the path).  ``max_pending`` counts queued *and* in-flight requests, so
+a bound of N admits N in all — the pinned one included.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import threading
 import time
 
 from repro.obs import export_jsonl, read_jsonl, registry
+from repro.serve import MicroBatcher
 
 from .test_service import encoder_fault
 
@@ -25,93 +28,94 @@ def wait_until(predicate, timeout=10.0):
     return predicate()
 
 
+class PinnedEncoder:
+    """An encoder fault that parks every scoring call until released."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, original):
+        def wrapper(vertex_ids):
+            self.entered.set()
+            self.release.wait(timeout=30)
+            return original(vertex_ids)
+        return wrapper
+
+
 class TestOverloadBurst:
     def test_burst_sheds_typed_and_metrics_capture_it(self, make_service,
                                                       fitted_soft, tmp_path):
-        service = make_service(capacity=2, workers=1)
+        batcher = MicroBatcher(make_service(), max_pending=3)
         responses = []
-        service.start(responses.append)
-
-        entered = threading.Event()
-        release = threading.Event()
-
-        def pin(original):
-            def wrapper(vertex_ids):
-                entered.set()
-                release.wait(timeout=30)
-                return original(vertex_ids)
-            return wrapper
-
+        pin = PinnedEncoder()
         vertex = fitted_soft.vertex_ids[0]
-        shed = []
         with encoder_fault(fitted_soft, pin):
             try:
-                assert service.submit({"id": "a", "vertex": vertex}) is None
-                assert entered.wait(timeout=10)  # worker pinned inside encode
-                assert service.submit({"id": "b", "vertex": vertex}) is None
-                assert service.submit({"id": "c", "vertex": vertex}) is None
-                # queue full behind the pinned worker: the burst overflow
-                # is shed immediately with a typed error, not queued
+                batcher.submit({"id": "a", "vertex": vertex},
+                               responses.append)
+                assert pin.entered.wait(timeout=10)  # pinned inside encode
+                for request_id in ("b", "c"):
+                    batcher.submit({"id": request_id, "vertex": vertex},
+                                   responses.append)
+                assert responses == []  # three admitted, none answerable
+                # batcher full behind the pinned scorer: the burst
+                # overflow is shed immediately with a typed error, by
+                # the submitting thread, not queued
                 for request_id in ("d", "e"):
-                    rejection = service.submit({"id": request_id,
-                                                "vertex": vertex})
-                    assert rejection is not None
+                    batcher.submit({"id": request_id, "vertex": vertex},
+                                   responses.append)
+                    rejection = responses[-1]
                     assert rejection["ok"] is False
                     assert rejection["error"]["type"] == "overloaded"
                     assert rejection["id"] == request_id
-                    shed.append(rejection)
+                    assert rejection["trace_id"]
+                assert len(responses) == 2
 
                 reg = registry()
-                assert reg.gauge("serve.queue.depth").value == 2
-                assert reg.gauge("serve.queue.capacity").value == 2
-                assert reg.counter("serve.queue.shed_total").value == 2
+                assert reg.gauge("netserve.pending").value == 3
+                assert reg.counter("netserve.shed_total").value == 2
 
-                # snapshot the burst while the queue is still backed up —
-                # this is the artifact the CI serve job uploads
+                # snapshot the burst while the batcher is still backed
+                # up — this is the artifact the CI serve job uploads
                 out = os.environ.get("REPRO_SERVE_METRICS_OUT") \
                     or str(tmp_path / "serve-overload-metrics.jsonl")
                 export_jsonl(out, meta={"scenario": "overload-burst",
-                                        "capacity": 2})
+                                        "max_pending": 3})
                 rows = {row.get("name"): row for row in read_jsonl(out)}
-                assert rows["serve.queue.depth"]["value"] == 2
-                assert rows["serve.queue.shed_total"]["value"] == 2
+                assert rows["netserve.pending"]["value"] == 3
+                assert rows["netserve.shed_total"]["value"] == 2
             finally:
-                release.set()
+                pin.release.set()
 
         # the admitted requests all complete once the encoder unblocks
-        assert wait_until(lambda: len(responses) == 3)
-        assert sorted(r["id"] for r in responses) == ["a", "b", "c"]
-        assert all(r["ok"] for r in responses)
+        assert wait_until(lambda: len(responses) == 5)
+        assert batcher.drain()
+        assert sorted(r["id"] for r in responses if r["ok"]) \
+            == ["a", "b", "c"]
+        assert registry().gauge("netserve.pending").value == 0
 
     def test_shed_responses_count_as_requests(self, make_service,
                                               fitted_soft):
-        service = make_service(capacity=1, workers=1)
+        batcher = MicroBatcher(make_service(), max_pending=2)
         responses = []
-        service.start(responses.append)
-        entered = threading.Event()
-        release = threading.Event()
-
-        def pin(original):
-            def wrapper(vertex_ids):
-                entered.set()
-                release.wait(timeout=30)
-                return original(vertex_ids)
-            return wrapper
-
+        pin = PinnedEncoder()
         vertex = fitted_soft.vertex_ids[0]
         with encoder_fault(fitted_soft, pin):
             try:
-                service.submit({"id": 1, "vertex": vertex})
-                assert entered.wait(timeout=10)
-                service.submit({"id": 2, "vertex": vertex})
-                rejection = service.submit({"id": 3, "vertex": vertex})
+                batcher.submit({"id": 1, "vertex": vertex}, responses.append)
+                assert pin.entered.wait(timeout=10)
+                batcher.submit({"id": 2, "vertex": vertex}, responses.append)
+                batcher.submit({"id": 3, "vertex": vertex}, responses.append)
+                [rejection] = responses
                 assert rejection["error"]["type"] == "overloaded"
-                assert "capacity 1" in rejection["error"]["message"] or \
-                    rejection["error"]["message"]
+                assert "(2/2)" in rejection["error"]["message"]
             finally:
-                release.set()
-        assert wait_until(lambda: len(responses) == 2)
+                pin.release.set()
+        assert batcher.drain()
+        assert len(responses) == 3
         reg = registry()
         # every submission is a request: 2 served + 1 shed
         assert reg.counter("serve.requests_total").value == 3
+        assert reg.counter("serve.error_total").value == 1
         assert reg.counter("serve.error.overloaded").value == 1

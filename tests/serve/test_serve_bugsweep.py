@@ -21,19 +21,19 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
 from repro.obs import registry, trace_recorder
-from repro.serve import MatchService, ServeConfig, serve_loop
+from repro.serve import MatchService, serve_loop
 
 
 class TestWarmupThroughBreakers:
     def test_fallback_warmup_counts_breaker_calls(self, fitted_soft):
         """Every fallback encode/score in warmup shows up in breaker
         telemetry — proof the calls run *inside* the breakers."""
-        service = MatchService(fitted_soft,
-                               config=ServeConfig(capacity=4, workers=1))
+        service = MatchService(fitted_soft)
         vision_before = registry().counter(
             "serve.breaker.vision.successes_total").value
         text_before = registry().counter(
@@ -43,15 +43,13 @@ class TestWarmupThroughBreakers:
             "serve.breaker.vision.successes_total").value > vision_before
         assert registry().counter(
             "serve.breaker.text.successes_total").value > text_before
-        service.shutdown(timeout=5.0)
 
     def test_wedged_fallback_encoder_fails_loud_not_silent(self,
                                                            fitted_soft,
                                                            monkeypatch):
         """A fallback whose image tower raises must surface through the
         vision breaker (counted as a breaker failure), not bypass it."""
-        service = MatchService(fitted_soft,
-                               config=ServeConfig(capacity=4, workers=1))
+        service = MatchService(fitted_soft)
         fallback = service.fallback
 
         def broken_encode(indices=None):
@@ -145,7 +143,7 @@ class TestEmitFailure:
                                              fitted_soft):
         """A broken response sink ends the loop (counted, logged) —
         no exception escapes, no worker thread dies screaming."""
-        service = make_service(capacity=16)
+        service = make_service()
         vertex = fitted_soft.vertex_ids[0]
         lines = [json.dumps({"id": i, "vertex": vertex})
                  for i in range(8)]
@@ -154,6 +152,29 @@ class TestEmitFailure:
         written = serve_loop(service, source, sink)  # must not raise
         assert written == 1
         assert registry().counter("serve.emit.failed").value >= 1
+
+    def test_sink_failure_stops_reading(self, make_service, fitted_soft):
+        """Once a write has failed the loop takes no more work: it asks
+        the source for at most the line it was already waiting on."""
+        service = make_service()
+        line = json.dumps({"id": 1, "vertex": fitted_soft.vertex_ids[0]})
+        failed = registry().counter("serve.emit.failed")
+        pulled = []
+
+        def source():
+            yield line  # answered: the one write the sink survives
+            yield line  # answered into the broken pipe
+            deadline = time.monotonic() + 10.0
+            while not failed.value and time.monotonic() < deadline:
+                time.sleep(0.005)
+            pulled.append("one more")
+            yield line
+            pulled.append("kept reading")
+            yield line
+
+        assert serve_loop(service, source(), _FailingSink(survive=1)) == 1
+        assert failed.value >= 1
+        assert pulled == ["one more"]
 
     def test_healthy_sink_counts_nothing(self, make_service, fitted_soft):
         service = make_service()

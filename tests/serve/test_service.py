@@ -240,11 +240,11 @@ class TestConstruction:
                                                      seed=3))
         matcher.fit(tiny_dataset.graph, tiny_dataset.images,
                     tiny_dataset.entity_vertices)
-        service = MatchService(matcher, config=ServeConfig(capacity=2))
+        service = MatchService(matcher)
         assert service.fallback is matcher
 
     @pytest.mark.parametrize("kwargs", [
-        dict(capacity=0), dict(workers=0), dict(default_budget_ms=0),
+        dict(index_k_floor=0), dict(shard_slot=0), dict(default_budget_ms=0),
         dict(top_k_default=0), dict(full_floor_ms=-1.0),
         dict(stale_capacity=0),
     ])

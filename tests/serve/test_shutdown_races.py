@@ -1,11 +1,12 @@
-"""Shutdown vs submit: the race that must end in typed rejections.
+"""Drain vs submit: the race that must end in typed rejections.
 
-A reader thread pumping requests into a service that is concurrently
-shutting down must never crash and never hang — every submit returns
-either ``None`` (enqueued, will be answered) or a structured
-``unavailable`` response.  These tests drive the race deliberately
-(barrier-started submitter threads against a shutdown) and the trivial
-ordering (submit strictly after shutdown).
+A reader thread pumping requests into a batcher that is concurrently
+draining must never crash and never hang — every submit is answered
+exactly once through its ``deliver``, with a real response if it was
+admitted or a structured ``unavailable`` if it was not.  These tests
+drive the race deliberately (barrier-started submitter threads against
+a drain) and the trivial ordering (submit strictly after the drain),
+over a real service, so the refusal is the traced one every door emits.
 """
 
 from __future__ import annotations
@@ -14,19 +15,23 @@ import json
 import threading
 
 from repro.obs import registry
-from repro.serve import BoundedQueue, Unavailable
+from repro.serve import MicroBatcher
+
+
+def drained_batcher(service) -> MicroBatcher:
+    batcher = MicroBatcher(service)
+    assert batcher.drain()
+    return batcher
 
 
 class TestSubmitAfterShutdown:
     def test_submit_after_shutdown_is_typed_rejection(self, make_service,
                                                       fitted_soft):
-        service = make_service()
+        batcher = drained_batcher(make_service())
         responses = []
-        service.start(responses.append)
-        service.shutdown()
-        rejection = service.submit({"id": "late",
-                                    "vertex": fitted_soft.vertex_ids[0]})
-        assert rejection is not None
+        batcher.submit({"id": "late", "vertex": fitted_soft.vertex_ids[0]},
+                       responses.append)
+        [rejection] = responses
         assert rejection["ok"] is False
         assert rejection["error"]["type"] == "unavailable"
         assert rejection["id"] == "late"
@@ -34,83 +39,66 @@ class TestSubmitAfterShutdown:
         json.dumps(rejection)
 
     def test_rejection_carries_trace(self, make_service, fitted_soft):
-        service = make_service()
-        service.start(lambda response: None)
-        service.shutdown()
-        rejection = service.submit({"id": 1,
-                                    "vertex": fitted_soft.vertex_ids[0]})
-        assert rejection.get("trace_id")
-
-    def test_queue_put_after_close_raises_unavailable(self):
-        queue = BoundedQueue(2, name="race.queue")
-        queue.close()
-        try:
-            queue.put("item")
-            raised = None
-        except Unavailable as exc:
-            raised = exc
-        assert raised is not None
-        assert raised.code == "unavailable"
-        assert "race.queue" in str(raised)
+        batcher = drained_batcher(make_service())
+        responses = []
+        batcher.submit({"id": 1, "vertex": fitted_soft.vertex_ids[0]},
+                       responses.append)
+        assert responses[0].get("trace_id")
 
 
 class TestConcurrentShutdown:
     def test_submitters_racing_shutdown_never_crash(self, make_service,
                                                     fitted_soft):
-        """N submitter threads vs one shutdown: every submit returns a
-        value (None or a typed rejection); nothing raises, nothing
-        hangs, and everything enqueued is eventually answered."""
-        service = make_service(capacity=64, workers=2)
-        emitted = []
-        emitted_lock = threading.Lock()
+        """N submitter threads vs one drain: every submit is delivered
+        exactly one answer (a real one or a typed rejection); nothing
+        raises, nothing hangs, and everything admitted is answered."""
+        batcher = MicroBatcher(make_service(), max_pending=64)
+        answered = []
+        answered_lock = threading.Lock()
 
-        def emit(response):
-            with emitted_lock:
-                emitted.append(response)
+        def deliver(response):
+            with answered_lock:
+                answered.append(response)
 
-        service.start(emit)
         vertex = fitted_soft.vertex_ids[0]
         n_threads, per_thread = 4, 25
         barrier = threading.Barrier(n_threads + 1)
         failures = []
-        rejections = []
 
         def submitter(worker: int) -> None:
             barrier.wait()
             for i in range(per_thread):
                 try:
-                    result = service.submit(
-                        {"id": f"w{worker}-{i}", "vertex": vertex})
+                    batcher.submit({"id": f"w{worker}-{i}", "vertex": vertex},
+                                   deliver)
                 except BaseException as exc:  # the bug this test exists for
                     failures.append(exc)
                     return
-                if result is not None:
-                    with emitted_lock:
-                        rejections.append(result)
 
         threads = [threading.Thread(target=submitter, args=(worker,))
                    for worker in range(n_threads)]
         for thread in threads:
             thread.start()
         barrier.wait()  # all submitters in flight...
-        service.shutdown()  # ...and the rug comes out
+        assert batcher.drain()  # ...and the rug comes out
         for thread in threads:
             thread.join(timeout=30)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         # conservation: every submit is accounted exactly once
-        with emitted_lock:
-            answered = len(emitted) + len(rejections)
-        assert answered == n_threads * per_thread
-        for rejection in rejections:
-            assert rejection["error"]["type"] in ("unavailable",
-                                                  "overloaded")
+        ids = [response["id"] for response in answered]
+        assert len(ids) == len(set(ids)) == n_threads * per_thread
+        for response in answered:
+            assert response["ok"] or response["error"]["type"] in (
+                "unavailable", "overloaded")
 
     def test_unavailable_counted_as_requests(self, make_service,
                                              fitted_soft):
-        service = make_service()
-        service.start(lambda response: None)
-        service.shutdown()
-        before = registry().counter("serve.requests_total").value
-        service.submit({"id": 1, "vertex": fitted_soft.vertex_ids[0]})
-        assert registry().counter("serve.requests_total").value == before + 1
+        batcher = drained_batcher(make_service())
+        reg = registry()
+        before = reg.counter("serve.requests_total").value
+        batcher.submit({"id": 1, "vertex": fitted_soft.vertex_ids[0]},
+                       lambda response: None)
+        assert reg.counter("serve.requests_total").value == before + 1
+        assert reg.counter("serve.error.unavailable").value == 1
+        assert reg.counter("netserve.shed_total").value == 1

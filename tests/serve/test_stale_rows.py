@@ -31,7 +31,7 @@ def service(request, make_service, fitted_soft):
         fitted_soft.build_index(IVFPQConfig(nlist=4, nprobe=4, pq_m=4,
                                             refine=8, seed=0))
     try:
-        yield make_service(capacity=64, batch_tile=4)
+        yield make_service(batch_tile=4)
     finally:
         fitted_soft.detach_index()
 

@@ -7,12 +7,13 @@ tracing disabled nothing is minted or recorded.
 """
 
 import itertools
+import threading
 
 import pytest
 
 from repro.obs.trace import (SamplePolicy, TraceRecorder, Tracer,
                              set_tracing_enabled)
-from repro.serve import MatchService, ServeConfig
+from repro.serve import MatchService, MicroBatcher, ServeConfig
 
 from .test_deadline import FakeClock
 
@@ -38,13 +39,35 @@ def make_traced_service(fitted_soft, *, rate=1.0, clock=None,
     recorder = TraceRecorder(capacity=trace_capacity)
     tracer = Tracer(policy=SamplePolicy(rate=rate), recorder=recorder,
                     clock=clock, id_factory=lambda: next(ids))
-    settings = dict(capacity=4, workers=1, breaker_window=4,
-                    breaker_min_calls=2, breaker_failure_threshold=0.5,
+    settings = dict(breaker_window=4, breaker_min_calls=2,
+                    breaker_failure_threshold=0.5,
                     breaker_cooldown_ms=60_000.0)
     settings.update(overrides)
     service = MatchService(fitted_soft, config=ServeConfig(**settings),
                            clock=clock, tracer=tracer).warmup()
     return service, recorder
+
+
+def shed_by_full_batcher(service, request):
+    """``request``'s answer from a batcher whose one slot is taken by a
+    call the scorer is still holding."""
+    gate = threading.Event()
+    handle_batch = service.handle_batch
+
+    def held(requests):
+        assert gate.wait(timeout=30)
+        return handle_batch(requests)
+
+    service.handle_batch = held
+    batcher = MicroBatcher(service, max_pending=1)
+    answers = []
+    batcher.submit({"vertex": request["vertex"]}, answers.append)
+    batcher.submit(request, answers.append)  # refused by the submitter
+    [shed] = answers  # ... while the admitted one is still held
+    gate.set()
+    assert batcher.drain()
+    assert len(answers) == 2 and answers[1]["ok"] is True
+    return shed
 
 
 def span_names(span, acc=None):
@@ -168,18 +191,16 @@ class TestForcedRetention:
                                  "to_state": "open"}
 
     def test_shed_requests_get_their_own_forced_trace(self, fitted_soft):
-        service, recorder = make_traced_service(fitted_soft, rate=0.0,
-                                                capacity=1)
-        vertex = fitted_soft.vertex_ids[0]
-        assert service.submit({"vertex": vertex}) is None  # enqueued
-        shed = service.submit({"vertex": vertex})          # over capacity
+        service, recorder = make_traced_service(fitted_soft, rate=0.0)
+        shed = shed_by_full_batcher(
+            service, {"vertex": fitted_soft.vertex_ids[0]})
         assert shed["ok"] is False
         assert shed["error"]["type"] == "overloaded"
         assert shed["trace_id"] == "trace0000"
         [row] = recorder.snapshot()
         assert row["flags"] == ["error", "shed"]
         [event] = events_of(row["spans"], "shed")
-        assert event["attrs"]["capacity"] == 1
+        assert "(1/1)" in event["attrs"]["reason"]
 
 
 class TestTraceJoin:
@@ -252,12 +273,10 @@ class TestTraceJoin:
 
     def test_shed_rejection_joins_and_ships_forced_trace(self,
                                                          fitted_soft):
-        service, recorder = make_traced_service(fitted_soft, rate=0.0,
-                                                capacity=1)
-        vertex = fitted_soft.vertex_ids[0]
-        assert service.submit({"vertex": vertex}) is None  # fills the slot
-        shed = service.submit(
-            {"vertex": vertex,
+        service, recorder = make_traced_service(fitted_soft, rate=0.0)
+        shed = shed_by_full_batcher(
+            service,
+            {"vertex": fitted_soft.vertex_ids[0],
              "trace": {"trace_id": "router-shed", "parent_span": "s2",
                        "return_spans": True}})
         assert shed["ok"] is False

@@ -70,17 +70,14 @@ class StaticEndpoints:
 def run_worker(fitted_hard):
     """Start NetServers over (optionally masked) services; teardown
     drains each one and asserts the drain was clean."""
-    services: List[MatchService] = []
     started = []
 
     def start(slot: Optional[int] = None, count: Optional[int] = None,
               **server_overrides) -> Tuple[NetServer, Tuple[str, int]]:
         service = MatchService(
             fitted_hard,
-            config=ServeConfig(capacity=32, workers=1,
-                               shard_slot=slot,
+            config=ServeConfig(shard_slot=slot,
                                shard_count=count)).warmup()
-        services.append(service)
         settings = dict(host="127.0.0.1", port=0, batch_window_ms=2.0,
                         max_batch=8, drain_timeout_s=10.0)
         settings.update(server_overrides)
@@ -110,8 +107,6 @@ def run_worker(fitted_hard):
         server.trigger_drain()
         thread.join(timeout=30)
         assert not thread.is_alive(), "worker failed to drain"
-    for service in services:
-        service.shutdown(timeout=5.0)
 
 
 @pytest.fixture()

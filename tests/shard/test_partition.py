@@ -1,11 +1,14 @@
 """The partition contract and the exact cross-shard merge.
 
-The marquee property: for any scores (ties included), masking each
-shard to its owned positions, taking per-shard top-k with the shared
-``(-score, position)`` order, and merging with ``(-score, image id)``
-reconstructs the single-process top-k exactly.  The test plants
-deliberate score ties straddling shard boundaries — the case a naive
-merge gets wrong.
+The marquee property: for any scores (ties included), restricting each
+shard to its owned positions, taking per-shard top-k in the served
+``(-score, image id)`` order, and merging in that same order
+reconstructs the single-process top-k exactly.  The tests plant
+deliberate score ties straddling shard boundaries on a *shuffled-id*
+repository (ids are assigned before ``render_repository`` shuffles, so
+position order and id order disagree) — the case a position-ordered
+selection gets wrong — and select through the real
+``MatchService._top_matches``, not a copy of it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.index.topk import deterministic_topk
+from repro.serve import MatchService, ServeConfig
 from repro.shard import merge_matches, owned_mask, owned_positions, worst_tier
 
 
@@ -40,44 +43,68 @@ class TestPartition:
             owned_mask(10, 3, -1)
 
 
-def shard_matches(scores, image_ids, count, slot, top_k):
-    """Exactly what a masked MatchService does at selection time."""
-    finite = np.flatnonzero(owned_mask(len(scores), count, slot))
-    order = finite[deterministic_topk(scores[finite],
-                                      min(top_k, len(finite)))]
-    return [{"image": int(image_ids[i]), "score": float(scores[i])}
-            for i in order]
+class Selection:
+    """What a ``MatchService`` does at selection time — the real
+    ``_top_matches``, unsharded or as each slot of a ``count``-way
+    fleet — applied to score rows a test plants."""
+
+    def __init__(self, matcher) -> None:
+        self.matcher = matcher
+        self.images = len(matcher.images)
+        self._services = {}
+
+    def _select(self, scores, top_k, slot=None, count=None):
+        if (slot, count) not in self._services:
+            self._services[slot, count] = MatchService(
+                self.matcher, config=ServeConfig(shard_slot=slot,
+                                                 shard_count=count))
+        return self._services[slot, count]._top_matches(
+            np.asarray(scores, dtype=np.float32), top_k)
+
+    def single(self, scores, top_k):
+        return self._select(scores, top_k)
+
+    def shards(self, scores, top_k, count):
+        return [self._select(scores, top_k, slot, count)
+                for slot in range(count)]
+
+
+@pytest.fixture(scope="module")
+def selection(fitted_hard):
+    ids = [image.image_id for image in fitted_hard.images]
+    assert ids != sorted(ids), "the repository must not be id-ordered"
+    return Selection(fitted_hard)
 
 
 class TestMerge:
-    def test_planted_ties_across_shards_match_the_oracle(self):
-        # ids ascend with position (the repository invariant the
-        # contract leans on) but are not equal to positions
-        image_ids = 100 + 3 * np.arange(12)
-        # two three-way ties, each straddling all three shards
+    def test_planted_ties_across_shards_match_the_oracle(self, selection):
+        # duplicate images: three-way ties straddling all three shards,
+        # a pair inside one shard, a tie class cut by the top-k boundary
         scores = np.array([9.0, 9.0, 9.0, 5.0, 7.5, 7.5,
-                           7.5, 1.0, 2.0, 5.0, 0.5, 5.0])
-        for top_k in (1, 3, 5, 8, 12):
-            oracle_order = deterministic_topk(scores, top_k)
-            oracle = [{"image": int(image_ids[i]),
-                       "score": float(scores[i])} for i in oracle_order]
-            merged = merge_matches(
-                [shard_matches(scores, image_ids, 3, slot, top_k)
-                 for slot in range(3)], top_k)
-            assert merged == oracle, f"top_k={top_k}"
+                           7.5, 1.0, 2.0, 5.0, 0.5, 5.0,
+                           9.0, 3.0, 3.0, 3.0, 3.0, 7.5, 0.25, 0.25])
+        assert len(scores) == selection.images
+        for count in (2, 3):
+            for top_k in (1, 3, 5, 8, 12, 20):
+                oracle = selection.single(scores, top_k)
+                assert len(oracle) == top_k
+                merged = merge_matches(
+                    selection.shards(scores, top_k, count), top_k)
+                assert merged == oracle, f"count={count} top_k={top_k}"
 
-    def test_random_scores_match_the_oracle(self):
+    def test_ties_are_ordered_by_image_id_not_position(self, selection):
+        flat = np.zeros(selection.images)
+        everything = selection.single(flat, selection.images)
+        assert [m["image"] for m in everything] == \
+            list(range(selection.images))
+
+    def test_random_scores_match_the_oracle(self, selection):
         rng = np.random.default_rng(42)
-        image_ids = np.arange(50)
         for count in (2, 3, 7):
             # quantized draws manufacture plenty of accidental ties
-            scores = rng.integers(0, 10, size=50).astype(np.float64) / 2.0
-            oracle_order = deterministic_topk(scores, 10)
-            oracle = [{"image": int(image_ids[i]),
-                       "score": float(scores[i])} for i in oracle_order]
-            merged = merge_matches(
-                [shard_matches(scores, image_ids, count, slot, 10)
-                 for slot in range(count)], 10)
+            scores = rng.integers(0, 10, size=selection.images) / 2.0
+            oracle = selection.single(scores, 10)
+            merged = merge_matches(selection.shards(scores, 10, count), 10)
             assert merged == oracle, f"count={count}"
 
     def test_merge_preserves_match_dicts_untouched(self):
