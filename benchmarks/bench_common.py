@@ -25,6 +25,7 @@ from repro.clip.zoo import PretrainedBundle
 from repro.obs import format_profile
 from repro.core import (CrossEM, CrossEMConfig, CrossEMPlus,
                         CrossEMPlusConfig, RankingResult)
+from repro.core.metrics import EfficiencyReport
 from repro.datasets import CrossModalDataset, VertexSplit, train_test_split
 
 #: training epochs for the tuned methods across all benches
@@ -34,12 +35,12 @@ TUNE_LR = 1e-3
 
 @dataclasses.dataclass
 class MethodResult:
-    """One table row: accuracy plus (optional) efficiency numbers."""
+    """One table row: accuracy plus the efficiency record of a method
+    that trains (``None`` for one that does not — the paper's "-")."""
 
     method: str
     ranking: RankingResult
-    seconds_per_epoch: Optional[float] = None
-    peak_memory_mb: Optional[float] = None
+    efficiency: Optional[EfficiencyReport] = None
 
 
 def crossem_config(prompt: str, dataset: CrossModalDataset,
@@ -63,9 +64,9 @@ def run_crossem(bundle: PretrainedBundle, dataset: CrossModalDataset,
     matcher.fit(dataset.graph, dataset.images, dataset.entity_vertices)
     label = {"baseline": "CLIP (naive prompt)", "hard": "CrossEM w/ f_h",
              "soft": "CrossEM w/ f_s"}[prompt]
+    trained = matcher.efficiency.seconds_per_epoch > 0  # hard: epochs = 0
     return MethodResult(label, matcher.evaluate(dataset, list(split.test)),
-                        matcher.efficiency.seconds_per_epoch or None,
-                        matcher.efficiency.peak_memory_mb or None)
+                        matcher.efficiency if trained else None)
 
 
 def run_crossem_plus(bundle: PretrainedBundle, dataset: CrossModalDataset,
@@ -75,8 +76,7 @@ def run_crossem_plus(bundle: PretrainedBundle, dataset: CrossModalDataset,
                           crossem_plus_config(dataset, seed, **overrides))
     matcher.fit(dataset.graph, dataset.images, dataset.entity_vertices)
     return MethodResult(label, matcher.evaluate(dataset, list(split.test)),
-                        matcher.efficiency.seconds_per_epoch,
-                        matcher.efficiency.peak_memory_mb)
+                        matcher.efficiency)
 
 
 def run_baseline(matcher, dataset: CrossModalDataset,
@@ -112,7 +112,8 @@ def print_table(title: str, results: Sequence[MethodResult],
     print(f"\n=== {title} ===")
     header = f"{'method':24s} {'H@1':>6s} {'H@3':>6s} {'H@5':>6s} {'MRR':>6s}"
     if efficiency:
-        header += f" {'T(s/ep)':>8s} {'Mem(MB)':>8s}"
+        header += (f" {'T(s/ep)':>8s} {'Mem(MB)':>8s} {'pairs/ep':>9s} "
+                   f"{'label/ep':>9s} {'steps/ep':>8s}")
     if paper is not None:
         header += "   paper(H@1/MRR)"
     print(header)
@@ -121,9 +122,13 @@ def print_table(title: str, results: Sequence[MethodResult],
         line = (f"{row.method:24s} {r.hits1:6.2f} {r.hits3:6.2f} "
                 f"{r.hits5:6.2f} {r.mrr:6.3f}")
         if efficiency:
-            t = f"{row.seconds_per_epoch:.2f}" if row.seconds_per_epoch else "-"
-            m = f"{row.peak_memory_mb:.1f}" if row.peak_memory_mb else "-"
-            line += f" {t:>8s} {m:>8s}"
+            e = row.efficiency
+            cells = ("-",) * 5 if e is None else (
+                f"{e.seconds_per_epoch:.2f}", f"{e.peak_memory_mb:.1f}",
+                f"{e.pairs_per_epoch:.0f}", f"{e.label_pairs_per_epoch:.0f}",
+                f"{e.steps_per_epoch:.1f}")
+            line += (f" {cells[0]:>8s} {cells[1]:>8s} {cells[2]:>9s} "
+                     f"{cells[3]:>9s} {cells[4]:>8s}")
         if paper is not None:
             line += f"   {paper.get(row.method, '-')}"
         print(line)

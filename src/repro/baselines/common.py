@@ -51,7 +51,7 @@ class BaselineMatcher:
         vertex_ids = list(vertex_ids if vertex_ids is not None
                           else dataset.entity_vertices)
         scores = self.score(vertex_ids)
-        gold = [dataset.images_of_vertex(v) for v in vertex_ids]
+        gold = dataset.images_of_vertices(vertex_ids)
         return evaluate_ranking(scores, gold)
 
     # -- shared helpers ---------------------------------------------------------

@@ -145,9 +145,9 @@ class CrossEMPlus(CrossEM):
         _log.info("mini-batch plan built", partitions=len(plan.partitions),
                   pairs=plan.total_pairs, full_pairs=full_pairs)
 
-    def _refresh_pseudo_labels(self) -> None:
+    def _refresh_pseudo_labels(self) -> int:
         self._ensure_plan()  # labeling mixes in the plan's proximity
-        super()._refresh_pseudo_labels()
+        return super()._refresh_pseudo_labels()
 
     def _iter_epoch(self, rng: np.random.Generator):
         """Batches come from the (cached) partition plan: each partition

@@ -108,6 +108,8 @@ class CrossEM:
         self._text_embeds: Optional[np.ndarray] = None
         self._image_embeds: Optional[np.ndarray] = None
         self._pseudo_labels: Dict[int, int] = {}
+        #: |X_p| of each productive batch of the running epoch
+        self._kept_rows: List[int] = []
         self._search_index = None
         self.efficiency: Optional[EfficiencyReport] = None
         self.epoch_losses: List[float] = []
@@ -153,10 +155,10 @@ class CrossEM:
 
         Hard and baseline prompts are static strings, so re-running
         ``encode_batch`` per training batch only repeats work — the
-        padded id matrix and mask are cached here, and (because the
-        prompts also have no trainable parameters) the full vertex
-        embedding matrix is cached lazily by :meth:`encode_vertices`.
-        Both caches are invalidated on every :meth:`fit`.
+        padded id matrix and mask are cached here.  The full vertex
+        embedding matrix (:meth:`_cached_text_matrix`) is built lazily
+        on first use for every prompt kind.  Both caches are
+        invalidated on every :meth:`fit`.
         """
         config = self.config
         self._text_embeds = None
@@ -183,33 +185,45 @@ class CrossEM:
                 self._prompt_token_ids)
 
     def _cached_text_matrix(self) -> np.ndarray:
-        """The full ``(|V|, embed_dim)`` discrete-prompt embedding matrix.
+        """The full ``(|V|, embed_dim)`` prompted text embedding matrix
+        — the one text operand of every post-``fit`` query.
 
-        Valid because hard/baseline prompts carry no trainable
-        parameters: the text tower never changes between fit and
-        inference, so one frozen forward pass per fit is exact (see
-        DESIGN.md).  Built on first use from the cached token matrix,
-        then sliced by every caller.
+        Hard/baseline prompts carry no trainable parameters and a soft
+        prompt stops changing when :meth:`fit` returns, so between the
+        end of a fit and the next load of tuned state one frozen
+        forward pass is exact (DESIGN.md §6).  Built on first use in
+        64-row chunks — from the cached token matrix, or through the
+        soft prompt module — then sliced by every caller.  Training
+        never reads it: :meth:`encode_vertices` stays the grad-capable
+        path.
         """
         reg = registry()
         if self._text_embeds is None:
             reg.counter("matcher.prompt_cache.build").inc()
             add_trace_event("cache", cache="prompt", hit=False)
-            with span("encode/text_cache"), nn.no_grad():
-                self._text_embeds = chunked_encode(
-                    lambda s, e: self.clip.encode_text(
+            if self.config.prompt == "soft":
+                def encode(s: int, e: int) -> np.ndarray:
+                    return self.soft_prompts(self.vertex_ids[s:e]).numpy()
+            else:
+                def encode(s: int, e: int) -> np.ndarray:
+                    return self.clip.encode_text(
                         self._prompt_token_ids[s:e],
-                        self._prompt_mask[s:e]).numpy(),
-                    len(self.vertex_ids), chunk=64, name="encode_text")
-            self._text_embeds.setflags(write=False)
+                        self._prompt_mask[s:e]).numpy()
+            with span("encode/text_cache"), nn.no_grad():
+                text_embeds = chunked_encode(
+                    encode, len(self.vertex_ids), chunk=64,
+                    name="encode_text")
+            text_embeds.setflags(write=False)
+            self._text_embeds = text_embeds
         else:
             reg.counter("matcher.prompt_cache.hit").inc()
             add_trace_event("cache", cache="prompt", hit=True)
         return self._text_embeds
 
     def encode_vertices(self, vertex_ids: Sequence[int]) -> nn.Tensor:
-        """Prompted text embeddings for ``vertex_ids`` (grad-enabled for
-        the soft prompt; served from the frozen-prompt cache otherwise)."""
+        """Prompted text embeddings for ``vertex_ids``: always computed
+        and grad-enabled for the soft prompt (what training calls);
+        sliced from the frozen matrix for the discrete kinds."""
         self._stage("encode_text")
         if self.config.prompt == "soft":
             return self.soft_prompts(vertex_ids)
@@ -286,15 +300,14 @@ class CrossEM:
 
     def _train_batch(self, optimizer: nn.AdamW, vertex_chunk: List[int],
                      image_chunk: List[int]) -> float:
-        # Algorithm 1 lines 5-9: every batch runs prompt generation and
-        # both encoders.  The positive set X_p keeps only vertices whose
-        # current pseudo-positive image sits in this batch; the rest of
-        # the batch acts as negatives.  A batch with empty X_p still
-        # pays its forward cost (this is exactly the inefficiency on
-        # large data that motivates CrossEM+'s mini-batch generation).
-        optimizer.zero_grad()
-        text_embeds = self.encode_vertices(vertex_chunk)
-        image_embeds = self._encode_images(image_chunk)
+        # Algorithm 1 lines 5-9.  The positive set X_p keeps only
+        # vertices whose current pseudo-positive image sits in this
+        # batch; the rest of the batch acts as negatives.  X_p depends
+        # on the labels and the image chunk alone, so it is tested
+        # before prompt generation and the encoders run: a batch with
+        # empty X_p takes no optimizer step and costs no forward (it is
+        # still enumerated — the cost CrossEM+'s mini-batch generation
+        # cuts is the number of batches, see ``train.pairs``).
         keep_rows: List[int] = []
         positives: List[int] = []
         column_of = {image: column for column, image in enumerate(image_chunk)}
@@ -305,6 +318,9 @@ class CrossEM:
                 positives.append(column_of[pseudo])
         if not keep_rows:
             return float("nan")
+        optimizer.zero_grad()
+        text_embeds = self.encode_vertices(vertex_chunk)
+        image_embeds = self._encode_images(image_chunk)
         loss = self._batch_loss(text_embeds[np.asarray(keep_rows)],
                                 image_embeds,
                                 [vertex_chunk[r] for r in keep_rows],
@@ -314,6 +330,7 @@ class CrossEM:
         loss.backward()
         nn.clip_grad_norm(optimizer.params, 5.0)
         optimizer.step()
+        self._kept_rows.append(len(keep_rows))
         return loss.item()
 
     def _batch_loss(self, text_embeds: nn.Tensor, image_embeds: nn.Tensor,
@@ -339,11 +356,12 @@ class CrossEM:
             scores = nn.Tensor(text) @ self._encode_images().transpose()
         return scores.numpy()
 
-    def _refresh_pseudo_labels(self) -> None:
+    def _refresh_pseudo_labels(self) -> int:
         """Self-label X_p as the *globally mutual* top-similarity pairs:
         vertex v's best image I such that v is also I's best vertex.
         Mutuality keeps precision high, which unsupervised contrastive
-        tuning needs to avoid reinforcing one-directional errors."""
+        tuning needs to avoid reinforcing one-directional errors.
+        Returns how many candidate pairs were scored to find them."""
         scores = self._label_scores()
         best_image = scores.argmax(axis=1)
         best_vertex = scores.argmax(axis=0)
@@ -351,6 +369,7 @@ class CrossEM:
             vertex: int(best_image[row])
             for row, vertex in enumerate(self.vertex_ids)
             if best_vertex[best_image[row]] == row}
+        return int(np.isfinite(scores).sum())
 
     def _encode_all_vertices(self, batch: int = 32) -> np.ndarray:
         if self.config.prompt != "soft" and self._prompt_token_ids is not None:
@@ -401,6 +420,7 @@ class CrossEM:
         manager = CheckpointManager(checkpoint_dir, every=checkpoint_every) \
             if checkpoint_dir is not None else None
         epoch_seconds: List[float] = []
+        pairs_total = label_pairs_total = steps_total = 0
         tracker = nn.MemoryTracker()
         reg = registry()
         self.epoch_losses = []
@@ -411,7 +431,8 @@ class CrossEM:
             for epoch in range(start_epoch, epochs):
                 with span("epoch") as ep:
                     with span("labels"):
-                        self._refresh_pseudo_labels()
+                        label_pairs = self._refresh_pseudo_labels()
+                    self._kept_rows = []
                     batches = list(self._iter_epoch(rng))
                     losses = [self._train_batch(optimizer, vc, ic)
                               for vc, ic in batches]
@@ -421,16 +442,26 @@ class CrossEM:
                 self.epoch_losses.append(mean_loss)
                 pairs = sum(len(vc) * len(ic) for vc, ic in batches)
                 pairs_per_sec = pairs / ep.elapsed if ep.elapsed > 0 else 0.0
-                # A batch with empty X_p pays its forward and no backward
-                # (see _train_batch); how many do is what the next
-                # efficiency decision needs to read off the registry.
+                # A batch with empty X_p is enumerated and skipped before
+                # any encoder runs (see _train_batch).  How many are, how
+                # many labels there were to find and how many rows a
+                # productive batch keeps say whether the epoch trained
+                # on anything.
                 empty = len(batches) - len(losses)
                 productive_share = len(losses) / len(batches) \
                     if batches else 0.0
+                kept_rows_mean = float(np.mean(self._kept_rows)) \
+                    if self._kept_rows else 0.0
                 reg.counter("train.batches").inc(len(batches))
                 reg.counter("train.batches_empty").inc(empty)
                 reg.gauge("train.productive_batch_share").set(productive_share)
+                reg.gauge("train.kept_rows_mean").set(kept_rows_mean)
+                reg.gauge("labels.count").set(len(self._pseudo_labels))
                 reg.counter("train.pairs").inc(pairs)
+                reg.counter("labels.pairs_scored").inc(label_pairs)
+                pairs_total += pairs
+                label_pairs_total += label_pairs
+                steps_total += len(losses)
                 reg.histogram("train.epoch_loss").observe(mean_loss)
                 reg.histogram("train.epoch_seconds").observe(ep.elapsed)
                 reg.gauge("train.pairs_per_sec").set(pairs_per_sec)
@@ -438,13 +469,19 @@ class CrossEM:
                           loss=mean_loss, pairs=pairs,
                           pairs_per_sec=pairs_per_sec, seconds=ep.elapsed,
                           batches=len(batches), batches_empty=empty,
-                          productive_share=productive_share)
+                          productive_share=productive_share,
+                          labels=len(self._pseudo_labels),
+                          kept_rows_mean=kept_rows_mean)
                 if manager is not None and \
                         (manager.should_save(epoch) or epoch == epochs - 1):
                     self._save_checkpoint(manager, optimizer, rng, epoch)
+        ran = max(len(epoch_seconds), 1)
         self.efficiency = EfficiencyReport(
             seconds_per_epoch=float(np.mean(epoch_seconds)) if epoch_seconds else 0.0,
-            peak_memory_bytes=tracker.peak_bytes)
+            peak_memory_bytes=tracker.peak_bytes,
+            pairs_per_epoch=pairs_total / ran,
+            label_pairs_per_epoch=label_pairs_total / ran,
+            steps_per_epoch=steps_total / ran)
         return self
 
     # -- checkpoint / resume -----------------------------------------------
@@ -556,6 +593,9 @@ class CrossEM:
             raise CheckpointMismatchError(
                 f"checkpoint {path} carries an incompatible RNG state: "
                 f"{exc}") from exc
+        # tuned state changed: any text matrix built from the old
+        # prompts is no longer the matcher's
+        self._text_embeds = None
         if "labels.vertices" in arrays:
             self._pseudo_labels = {
                 int(v): int(i) for v, i in zip(arrays["labels.vertices"],
@@ -581,39 +621,25 @@ class CrossEM:
         if self.graph is None:
             raise RuntimeError("CrossEM.fit must be called before inference")
 
-    def score(self, vertex_ids: Optional[Sequence[int]] = None,
-              vertex_batch: int = 64) -> np.ndarray:
-        """Similarity matrix (vertices x all images), evaluated frozen.
-
-        ``vertex_batch`` chunks the *vertex* encoding.  Discrete prompts
-        skip the chunking entirely: their cached embedding matrix is
-        sliced instead of re-encoded.
-        """
+    def score(self,
+              vertex_ids: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Similarity matrix (vertices x all images), evaluated frozen:
+        rows of the frozen text matrix against the frozen image matrix."""
         self._require_fitted()
         with trace_span("matcher/score"):
             self._stage("score")
             vertex_ids = list(vertex_ids if vertex_ids is not None
                               else self.vertex_ids)
-            text = self._text_queries(vertex_ids, vertex_batch)
+            text = self._text_queries(vertex_ids)
             return text @ self._encode_images().numpy().T
 
-    def _text_queries(self, vertex_ids: Sequence[int],
-                      vertex_batch: int = 64) -> np.ndarray:
+    def _text_queries(self, vertex_ids: Sequence[int]) -> np.ndarray:
         """The prompted text embedding rows for ``vertex_ids`` — the
         query operand both the brute-force GEMM and the ANN index
-        search against."""
-        if self.config.prompt != "soft" and \
-                self._prompt_token_ids is not None:
-            rows = np.asarray([self._vertex_pos[v] for v in vertex_ids])
-            return self._cached_text_matrix()[rows]
-        # encode_vertices fires the per-thread stage hook before
-        # every chunk, so a deadline is re-checked per chunk here.
-        with nn.no_grad():
-            return np.concatenate(
-                [self.encode_vertices(
-                    vertex_ids[s:s + vertex_batch]).numpy()
-                 for s in range(0, len(vertex_ids), vertex_batch)],
-                axis=0)
+        search against, sliced from the frozen matrix for every prompt
+        kind."""
+        rows = np.asarray([self._vertex_pos[v] for v in vertex_ids])
+        return self._cached_text_matrix()[rows]
 
     # -- ANN index ---------------------------------------------------------------
     @property
@@ -678,7 +704,7 @@ class CrossEM:
         vertex_ids = list(vertex_ids if vertex_ids is not None else self.vertex_ids)
         with span("evaluate"):
             scores = self.score(vertex_ids)
-            gold = [dataset.images_of_vertex(v) for v in vertex_ids]
+            gold = dataset.images_of_vertices(vertex_ids)
             result = evaluate_ranking(scores, gold)
         reg = registry()
         reg.gauge("eval.hits1").set(result.hits1)

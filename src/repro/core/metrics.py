@@ -22,16 +22,27 @@ __all__ = ["RankingResult", "evaluate_ranking", "hits_at_k",
 
 def _first_relevant_ranks(scores: np.ndarray,
                           gold: Sequence[Sequence[int]]) -> np.ndarray:
-    """Rank (1-based) of the best-ranked gold column per row."""
+    """Rank (1-based) of the best-ranked gold column per row, in the
+    order a stable descending sort gives: ``(-score, column)``.
+
+    The best gold column is the highest-scoring one, the lowest column
+    among equals; what ranks ahead of it is every column that beats its
+    score plus every earlier column that ties it.  Two O(|I|) counts
+    per row give exactly the position a full ``argsort`` would
+    (``-inf`` columns included; scores are assumed free of NaN).
+    """
     if len(scores) != len(gold):
         raise ValueError("scores and gold must align row-wise")
     ranks = np.zeros(len(scores), dtype=np.int64)
     for i, (row, positives) in enumerate(zip(scores, gold)):
         if not len(positives):
             raise ValueError(f"row {i} has no gold matches")
-        order = np.argsort(-row, kind="stable")
-        position = np.isin(order, np.asarray(positives)).argmax()
-        ranks[i] = int(position) + 1
+        positives = np.asarray(positives)
+        gold_scores = row[positives]
+        best = gold_scores.max()
+        first = positives[gold_scores == best].min()
+        ranks[i] = 1 + np.count_nonzero(row > best) \
+            + np.count_nonzero(row[:first] == best)
     return ranks
 
 
@@ -118,10 +129,24 @@ def matching_set_metrics(predicted, gold) -> MatchingSetResult:
 
 @dataclasses.dataclass
 class EfficiencyReport:
-    """Training efficiency record (Table III / Fig. 8 quantities)."""
+    """Training efficiency record (Table III / Fig. 8 quantities).
+
+    Beside wall seconds, an epoch's cost in counts, which do not depend
+    on what the trainer skips: candidate pairs enumerated in batches,
+    candidate pairs scored while pseudo-labelling, and productive
+    batches (those with non-empty X_p — one optimizer step each).
+    """
 
     seconds_per_epoch: float
     peak_memory_bytes: int
+    pairs_per_epoch: float = 0.0
+    label_pairs_per_epoch: float = 0.0
+    steps_per_epoch: float = 0.0
+
+    @property
+    def scored_pairs_per_epoch(self) -> float:
+        """Candidate pairs an epoch visits, enumerating plus labelling."""
+        return self.pairs_per_epoch + self.label_pairs_per_epoch
 
     @property
     def peak_memory_gb(self) -> float:

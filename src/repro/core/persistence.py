@@ -135,4 +135,7 @@ def load_matcher(path: Union[str, Path], bundle: PretrainedBundle,
             if archived in arrays:
                 soft_state[key] = arrays[archived]
         matcher.soft_prompts.load_state_dict(soft_state)
+    # the frozen text matrix is valid from the end of a fit to the next
+    # load of tuned state — this one
+    matcher._text_embeds = None
     return matcher

@@ -70,6 +70,17 @@ class CrossModalDataset:
         return [i for i, img in enumerate(self.images)
                 if img.concept_index == concept]
 
+    def images_of_vertices(self,
+                           vertex_ids: Sequence[int]) -> List[List[int]]:
+        """:meth:`images_of_vertex` for many vertices in one pass over
+        the repository: positions grouped by concept, then looked up
+        per vertex (vertices of one concept share their list)."""
+        by_concept: Dict[int, List[int]] = {}
+        for position, image in enumerate(self.images):
+            by_concept.setdefault(image.concept_index, []).append(position)
+        return [by_concept.get(self.vertex_concept[v], [])
+                for v in vertex_ids]
+
     @property
     def num_candidate_pairs(self) -> int:
         """|V| x |I| — the quantity Fig. 8's x-axis scales."""

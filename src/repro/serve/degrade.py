@@ -2,20 +2,21 @@
 
 Three tiers, from best answer to best-effort answer:
 
-* ``full`` — the fitted matcher's own scoring path (for CrossEM+ this
-  is the tuned soft-prompt text encode).  Costly and, under an
-  unhealthy encoder, slow or failing.
-* ``cached`` — scoring against the *discrete-prompt* embedding matrix
-  (PR 2's prompt cache): a pure matrix slice + GEMM with no encoder
-  call, bit-identical to what a standalone hard-prompt matcher would
-  return.  Cheaper and immune to encoder failure, at the accuracy of
-  untuned hard prompts.
+* ``full`` — the fitted matcher's own scoring path (for CrossEM+:
+  rows of the tuned soft-prompt text matrix, or an attached ANN
+  index), run through the text breaker.  Under an unhealthy backend,
+  slow or failing.
+* ``cached`` — scoring against the fallback matcher's *discrete-prompt*
+  embedding matrix (PR 2's prompt cache): a pure matrix slice + GEMM
+  outside any breaker, bit-identical to what a standalone hard-prompt
+  matcher would return.  Immune to a failure of the primary's backend,
+  at the accuracy of untuned hard prompts.
 * ``stale`` — the last successful response this service produced for
   the same vertex, served from an in-memory LRU.  Possibly out of
   date, but instant and always deadline-safe.
 
 :class:`DegradationPolicy` decides *where to start*: breaker open or
-not enough budget left for a full encode means starting at ``cached``.
+not enough budget left for the full tier means starting at ``cached``.
 The service additionally falls *down* the ladder when a tier fails at
 runtime, with one asymmetry: a :class:`DeadlineExceeded` skips straight
 to ``stale``, because once the budget is blown only a free tier is

@@ -6,10 +6,14 @@ vertex match queries with production failure semantics:
 * every request carries a :class:`~repro.serve.deadline.Deadline`
   (from its ``budget_ms``) that encode/score stages check instead of
   running long;
-* the per-request encode path runs through a text-backend
+* full-tier scoring runs through a text-backend
   :class:`~repro.serve.breaker.CircuitBreaker` (a second breaker guards
-  the image-tower warmup), so a hung or flaky encoder stops being
-  called instead of stalling every request behind it;
+  the image-tower warmup).  The text tower itself runs once, at
+  :meth:`MatchService.warmup`, which builds the matcher's frozen text
+  matrix through that breaker; a request's scoring call slices it, so
+  what the breaker guards per request is whatever backs the rows and
+  the score (the matrix, the GEMM, an ANN index) — a hung or flaky one
+  stops being called instead of stalling every request behind it;
 * a request a door refuses to admit (the micro-batcher's
   ``max_pending`` under burst, a connection's cap, a drain) gets one
   typed, traced ``overloaded`` / ``unavailable`` shape, :meth:`reject`;
@@ -41,6 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.matcher import CrossEM, CrossEMConfig
+from ..index.topk import deterministic_topk
 from ..obs import get_logger, registry, span, span_snapshot
 from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS
 from ..obs.trace import (FLAG_DEADLINE, FLAG_DEGRADED, FLAG_ERROR,
@@ -242,9 +247,11 @@ class MatchService:
         return fallback
 
     def warmup(self) -> "MatchService":
-        """Populate every embedding cache so the per-request path never
-        triggers a bulk encode.  Encoder work runs through the breakers:
-        a backend that cannot even warm up fails the service *here*,
+        """Populate every embedding cache — image matrix, frozen text
+        matrix (tuned soft prompts included) — and run every import the
+        request path makes lazily, so no request triggers a bulk encode
+        or a module load.  Encoder work runs through the breakers: a
+        backend that cannot even warm up fails the service *here*,
         loudly, not one request at a time."""
         if self._warm:
             return self
@@ -253,9 +260,7 @@ class MatchService:
             probe = matcher.vertex_ids[0]
             self.vision_breaker.call(matcher._encode_images)
             self.text_breaker.call(lambda: matcher.score([probe]))
-            if matcher.search_index is not None:
-                self.text_breaker.call(
-                    lambda: matcher.score_topk([probe], 1))
+            self.text_breaker.call(lambda: matcher.score_topk([probe], 1))
             if fallback is not matcher:
                 # The fallback's bulk encode is encoder work like any
                 # other: run it through the breakers too, so a hung
@@ -322,10 +327,10 @@ class MatchService:
 
         ``deadline`` is the tightest budget among the callers.  The
         pre-flight check sits *outside* the breaker: an already-dead
-        budget is not evidence against the encoder.  Inside, the
-        matcher's stage hooks re-check it between encode stages and
-        tiles, so a hung encoder surfaces as DeadlineExceeded — which
-        the breaker does count.
+        budget is not evidence against the backend.  Inside, the
+        matcher's stage hooks re-check it between the text rows, the
+        image operand and the tiles, so a hung backend surfaces as
+        DeadlineExceeded — which the breaker does count.
         """
         deadline.check("score_full")
         tile = self.config.batch_tile
@@ -380,8 +385,6 @@ class MatchService:
         return len(self._owned_ids)
 
     def _top_matches(self, scores: np.ndarray, top_k: int) -> List[dict]:
-        from ..index.topk import deterministic_topk
-
         # One total order on every served path: (-score, image id) —
         # not position: repositories are shuffled after ids are
         # assigned, and ids are all a router can re-sort by.  A shard

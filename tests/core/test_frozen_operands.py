@@ -1,18 +1,26 @@
 """The frozen operands of scoring are handed out, not copied — safely.
 
 ``CrossEM.score`` used to rebuild its image operand per call (an index
-array over the whole repository, then a gather copy).  It now reads
-the cached matrix itself, so three things need pinning: the served
-bits are the ones the gather copy produced, nobody can write through
-what is handed out, and the memory meter charges what it charged.
+array over the whole repository, then a gather copy) and, for a soft
+prompt, to re-run the text tower per call.  It now reads two cached
+matrices, so four things need pinning: the served bits are the ones
+the gather copy and the per-call encode produced, nobody can write
+through what is handed out, the text matrix lives exactly from the end
+of a ``fit`` to the next load of tuned state, and the memory meter
+charges what it charged.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core.matcher import CrossEM, CrossEMConfig
+from repro.core.persistence import load_matcher, save_matcher
 from repro.serve import ServeConfig
 
 
@@ -74,12 +82,13 @@ class TestFrozenOperandsAreReadOnly:
         assert np.array_equal(fitted._image_embeds[0], before)
 
     def test_text_cache_is_read_only(self, fitted):
-        if fitted.config.prompt == "soft":
-            pytest.skip("soft prompts have no text cache")
         text = fitted._cached_text_matrix()
+        assert text is fitted._text_embeds
         assert not text.flags.writeable
         with pytest.raises(ValueError):
             text[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            text *= 2.0
 
     def test_score_returns_a_fresh_writable_array(self, fitted):
         vertices = list(fitted.vertex_ids[:3])
@@ -98,6 +107,135 @@ class TestFrozenOperandsAreReadOnly:
         finally:
             fitted.detach_index()
         assert np.array_equal(fitted._image_embeds, before)
+
+
+def soft_matcher(tiny_bundle, tiny_dataset, epochs=1) -> CrossEM:
+    matcher = CrossEM(tiny_bundle, CrossEMConfig(prompt="soft", epochs=epochs,
+                                                 lr=1e-3, seed=3))
+    return matcher.fit(tiny_dataset.graph, tiny_dataset.images,
+                       tiny_dataset.entity_vertices)
+
+
+def chunked_reencode(matcher: CrossEM, chunk: int = 64) -> np.ndarray:
+    """The tuned text rows as ``score()`` used to make them: a fresh
+    tower run per 64-vertex chunk through ``encode_vertices``."""
+    vertices = list(matcher.vertex_ids)
+    with nn.no_grad():
+        return np.concatenate(
+            [matcher.encode_vertices(vertices[s:s + chunk]).numpy()
+             for s in range(0, len(vertices), chunk)], axis=0)
+
+
+class TestTunedTextMatrix:
+    """``prompt="soft"``: after ``fit`` the tuned query side is as
+    resident as the gallery."""
+
+    @pytest.fixture(scope="class")
+    def soft(self, tiny_bundle, tiny_dataset):
+        return soft_matcher(tiny_bundle, tiny_dataset)
+
+    def test_score_equals_a_fresh_chunked_reencode(self, soft):
+        text = chunked_reencode(soft)
+        assert np.array_equal(soft._cached_text_matrix(), text)
+        assert np.array_equal(soft.score(),
+                              text @ soft._encode_images().numpy().T)
+
+    def test_every_serving_tile_equals_its_slice(self, soft):
+        """What the service's fixed ``batch_tile``-row operand used to
+        encode per request is what it now slices: a padded tile of any
+        vertex, re-encoded, is bit for bit its rows of the matrix.  (A
+        1-row encode is *not*: BLAS rounds by operand shape, which is
+        why the matrix — not a per-call encode — is the one source.)"""
+        tile = ServeConfig().batch_tile
+        matrix = soft._cached_text_matrix()
+        vertices = list(soft.vertex_ids)
+        with nn.no_grad():
+            for start in range(0, len(vertices), tile):
+                chunk = vertices[start:start + tile]
+                operand = chunk + [chunk[-1]] * (tile - len(chunk))
+                rows = soft.encode_vertices(operand).numpy()
+                assert np.array_equal(rows[:len(chunk)],
+                                      matrix[start:start + len(chunk)])
+            for row, vertex in enumerate(vertices):
+                rows = soft.encode_vertices([vertex] * tile).numpy()
+                assert np.array_equal(rows, np.tile(matrix[row], (tile, 1)))
+
+    def test_load_matcher_drops_it(self, soft, tiny_bundle, tiny_dataset,
+                                   tmp_path):
+        """A loaded matcher answers from the *saver's* tuned prompts,
+        not from a matrix built over its own fresh ones."""
+        path = save_matcher(soft, tmp_path / "soft.npz")
+        fresh = soft_matcher(tiny_bundle, tiny_dataset, epochs=0)
+        untuned = fresh.score()  # builds a matrix over untuned prompts
+        assert not np.array_equal(untuned, soft.score())
+        load_matcher(path, tiny_bundle, tiny_dataset.graph,
+                     tiny_dataset.images, fresh)
+        assert fresh._text_embeds is None
+        assert np.array_equal(fresh.score(), soft.score())
+
+    def test_resume_drops_it(self, tiny_bundle, tiny_dataset, tmp_path):
+        """``_resume_training`` swaps tuned state in mid-``fit``: a
+        matrix present at that moment must not survive it."""
+        whole = soft_matcher(tiny_bundle, tiny_dataset, epochs=2)
+        first = CrossEM(tiny_bundle, CrossEMConfig(prompt="soft", epochs=1,
+                                                   lr=1e-3, seed=3))
+        first.fit(tiny_dataset.graph, tiny_dataset.images,
+                  tiny_dataset.entity_vertices, checkpoint_dir=tmp_path)
+        resumed = CrossEM(tiny_bundle, CrossEMConfig(prompt="soft", epochs=2,
+                                                     lr=1e-3, seed=3))
+        resume = resumed._resume_training
+
+        def resume_over_a_stale_matrix(*args):
+            resumed._cached_text_matrix()  # untuned prompts
+            epoch = resume(*args)
+            assert resumed._text_embeds is None
+            return epoch
+
+        resumed._resume_training = resume_over_a_stale_matrix
+        resumed.fit(tiny_dataset.graph, tiny_dataset.images,
+                    tiny_dataset.entity_vertices, resume_from=tmp_path)
+        assert np.array_equal(resumed.score(), whole.score())
+
+    def test_gradients_still_reach_the_prompt_table(self, soft):
+        """``encode_vertices`` stays the always-compute, grad-capable
+        path whether or not the matrix exists."""
+        soft._cached_text_matrix()
+        table = soft.soft_prompts.prompt_table
+        table.zero_grad()
+        rows = soft.encode_vertices(list(soft.vertex_ids[:4]))
+        assert rows.requires_grad
+        rows.sum().backward()
+        assert table.grad is not None and np.abs(table.grad[:4]).sum() > 0
+        assert not np.shares_memory(rows.numpy(), soft._text_embeds)
+        table.zero_grad()
+
+    def test_two_threads_racing_the_first_build_read_equal_bytes(
+            self, tiny_bundle, tiny_dataset):
+        matcher = soft_matcher(tiny_bundle, tiny_dataset)
+        reference = chunked_reencode(matcher)
+        barrier = threading.Barrier(2)
+        seen = [None, None]
+
+        def build(slot: int) -> None:
+            barrier.wait(timeout=10)
+            seen[slot] = matcher._cached_text_matrix()
+
+        threads = [threading.Thread(target=build, args=(slot,))
+                   for slot in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two builds finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for matrix in seen:
+            assert not matrix.flags.writeable
+            assert matrix.tobytes() == reference.tobytes()
+        assert matcher._text_embeds.tobytes() == reference.tobytes()
 
 
 class TestMemoryMeterUnchanged:

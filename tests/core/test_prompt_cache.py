@@ -1,7 +1,8 @@
-"""Discrete-prompt embedding cache behaviour (the fused encoder
-pipeline's matcher-side half): cache hits are observable through the
-metrics registry, invalidation happens on fit, and the cached scores
-agree with the uncached reference encode path."""
+"""Text-matrix cache behaviour (the fused encoder pipeline's
+matcher-side half): cache hits are observable through the metrics
+registry, invalidation happens on fit — for tuned soft prompts as for
+discrete ones — and the cached scores agree with the uncached reference
+encode path."""
 
 
 import numpy as np
@@ -48,20 +49,36 @@ class TestPromptCache:
         assert matcher._text_embeds is None
         assert matcher._image_embeds is None
 
-    def test_soft_prompt_never_uses_text_cache(self, tiny_bundle,
-                                               tiny_dataset):
+    def test_soft_prompt_text_cache_lives_from_fit_to_fit(self, tiny_bundle,
+                                                          tiny_dataset):
+        """The tuned prompt is frozen once ``fit`` returns: the first
+        query builds the matrix, later ones hit it, the next ``fit``
+        (which re-tunes the prompt) drops it."""
         matcher = CrossEM(tiny_bundle, CrossEMConfig(prompt="soft", epochs=1,
                                                      seed=0))
         matcher.fit(tiny_dataset.graph, tiny_dataset.images,
                     tiny_dataset.entity_vertices)
+        assert matcher._text_embeds is None  # training never builds it
+        builds = registry().counter("matcher.prompt_cache.build").value
+        hits = registry().counter("matcher.prompt_cache.hit").value
         matcher.score()
+        assert matcher._text_embeds is not None
+        matcher.score(matcher.vertex_ids[:3])
+        assert registry().counter("matcher.prompt_cache.build").value \
+            == builds + 1
+        assert registry().counter("matcher.prompt_cache.hit").value \
+            == hits + 1
+        matcher.fit(tiny_dataset.graph, tiny_dataset.images,
+                    tiny_dataset.entity_vertices)
         assert matcher._text_embeds is None
 
 
-class TestScoreRename:
-    def test_vertex_batch_is_the_parameter(self, fitted):
-        scores = fitted.score(vertex_batch=8)
-        assert scores.shape[0] == len(fitted.vertex_ids)
+class TestScoreSignature:
+    def test_vertex_batch_is_gone(self, fitted):
+        """Nothing is chunked at query time any more — rows are sliced
+        from the frozen matrix — so the chunk-size parameter went."""
+        with pytest.raises(TypeError):
+            fitted.score(vertex_batch=8)
 
 
 class TestMatchPairsTopK:

@@ -54,6 +54,20 @@ class TestAttributeDataset:
         for p in positions:
             assert attribute_ds.images[p].concept_index == concept
 
+    def test_images_of_vertices_is_the_per_vertex_scan(self, attribute_ds):
+        vertices = list(reversed(attribute_ds.entity_vertices)) \
+            + attribute_ds.entity_vertices[:2]
+        assert attribute_ds.images_of_vertices(vertices) \
+            == [attribute_ds.images_of_vertex(v) for v in vertices]
+        # no state kept on the (mutable) dataset: a repository edit shows
+        attribute_ds.images.append(attribute_ds.images[0])
+        try:
+            v = vertices[0]
+            assert attribute_ds.images_of_vertices([v]) \
+                == [attribute_ds.images_of_vertex(v)]
+        finally:
+            attribute_ds.images.pop()
+
     def test_entity_labels_are_names(self, attribute_ds, universe):
         labels = {attribute_ds.graph.label(v)
                   for v in attribute_ds.entity_vertices}

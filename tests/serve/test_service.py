@@ -1,8 +1,11 @@
 """MatchService fault-injection suite: the ISSUE acceptance scenarios.
 
-Faults are injected by shadowing ``encode_vertices`` on the shared
-fitted matcher instance (restored via context manager), which exercises
-exactly the path a hung or flaky text encoder would take in production.
+Faults are injected by shadowing ``_text_queries`` on the shared
+fitted matcher instance (restored via context manager): the text rows
+of a score are the first thing the breaker-guarded scoring call reads,
+so a hung or flaky text backend takes exactly this path in production.
+(The text *tower* runs once, at ``warmup()``, which builds the frozen
+matrix ``_text_queries`` slices — a served query never re-encodes.)
 """
 
 from __future__ import annotations
@@ -20,19 +23,20 @@ from repro.serve import MatchService, ServeConfig
 
 @contextlib.contextmanager
 def encoder_fault(matcher, make_wrapper):
-    """Temporarily replace ``matcher.encode_vertices`` with
+    """Temporarily replace ``matcher._text_queries`` with
     ``make_wrapper(original)`` via an instance attribute."""
-    original = matcher.encode_vertices
-    matcher.encode_vertices = make_wrapper(original)
+    original = matcher._text_queries
+    matcher._text_queries = make_wrapper(original)
     try:
         yield
     finally:
-        del matcher.encode_vertices
+        del matcher._text_queries
 
 
 def hang(delay):
-    """An encoder that stalls ``delay`` seconds before doing the work —
-    the stage hook notices the blown budget right after the stall."""
+    """A text backend that stalls ``delay`` seconds before handing out
+    the rows — the next stage hook (the image operand's) notices the
+    blown budget right after the stall."""
     def make(original):
         def wrapper(vertex_ids):
             time.sleep(delay)

@@ -116,10 +116,17 @@ class TestTraceIds:
         tier_span = next(c for c in row["spans"]["children"]
                          if c["name"] == "tier/full")
         assert degrade["at_ms"] <= tier_span["start_ms"]
-        # the matcher's stage hooks leave typed events inside the score
+        # the matcher's stage hooks leave typed events inside the score;
+        # a served query never re-runs the text tower: its text rows are
+        # a hit on the frozen matrix warmup built
         stages = [e["attrs"]["stage"]
                   for e in events_of(row["spans"], "stage")]
-        assert "encode_text" in stages
+        assert "score" in stages
+        assert "encode_text" not in stages
+        prompt_hits = [e["attrs"]["hit"]
+                       for e in events_of(row["spans"], "cache")
+                       if e["attrs"]["cache"] == "prompt"]
+        assert prompt_hits == [True]
 
 
     def test_lone_batched_query_is_scored_inside_its_trace(self,
