@@ -50,6 +50,7 @@ from repro.core.minibatch import (kmeans, kmeans_reference,  # noqa: E402
 from repro.datasets import fb_bundle, load_fbimg  # noqa: E402
 from repro.datasets.generator import build_attribute_dataset  # noqa: E402
 from repro.obs import format_profile, registry, span  # noqa: E402
+from repro.serve import MatchService  # noqa: E402
 from repro.text.corpus import build_text_corpus  # noqa: E402
 
 #: pre-training recipe for the quick-mode bundle (mirrors the test suite
@@ -131,14 +132,8 @@ def bench_engine(bundle, dataset, repeats: int, paths: dict) -> None:
 TILE_WORLD_IMAGES_PER_CONCEPT = 400
 
 
-def bench_score_tile(bundle, dataset, quick: bool, repeats: int,
-                     paths: dict) -> None:
-    """``score_tile_hard``: the served scoring call — ``CrossEM.score``
-    on one 8-row tile of hard prompts — against the per-call operand
-    rebuild it used to do (index array over the whole repository, then
-    a gather copy of the image matrix).  Both sides return equal bits
-    (``tests/core/test_frozen_operands.py``); the speedup is what the
-    zero-copy operand buys and falls to 1 if the copy comes back."""
+def tile_world_matcher(bundle, dataset, quick: bool) -> CrossEM:
+    """The hard-prompt matcher behind the serving rows, caches warm."""
     if quick:
         dataset = build_attribute_dataset(
             bundle.universe, name="bench-tile", concept_indices=range(10),
@@ -146,6 +141,17 @@ def bench_score_tile(bundle, dataset, quick: bool, repeats: int,
     matcher = CrossEM(bundle, CrossEMConfig(prompt="hard", epochs=0))
     matcher.fit(dataset.graph, dataset.images, dataset.entity_vertices)
     matcher.score()  # populate both caches
+    return matcher
+
+
+def bench_score_tile(matcher: CrossEM, repeats: int, paths: dict) -> None:
+    """``score_tile_hard``: the scoring call a request past the answer
+    table makes — ``CrossEM.score`` on one 8-row tile of hard prompts —
+    against the per-call operand rebuild it used to do (index array
+    over the whole repository, then a gather copy of the image matrix).
+    Both sides return equal bits (``tests/core/test_frozen_operands.py``);
+    the speedup is what the zero-copy operand buys and falls to 1 if the
+    copy comes back."""
     tile = list(matcher.vertex_ids[:8])
     calls = 600
 
@@ -162,6 +168,48 @@ def bench_score_tile(bundle, dataset, quick: bool, repeats: int,
     entry.update(calls=calls, images=len(matcher.images),
                  per_call_ms=1e3 * entry["optimized_s"] / calls)
     paths["score_tile_hard"] = entry
+
+
+#: served hits behind the ``serve_table_hit`` row
+TABLE_HITS = 1000
+
+
+def bench_table_hit(matcher: CrossEM, repeats: int, paths: dict) -> None:
+    """``serve_table_hit``: an in-process ``MatchService.handle_batch``
+    of one request with ``top_k <= table_k`` on the ``score_tile_hard``
+    world, in absolute seconds, beside ``gemm_calls``: the matcher's
+    ``score`` / ``score_topk`` calls per 100 hits.  A hit is a slice of
+    the answer table ``warmup()`` built, so the count is 0; if a served
+    hit ever pays a GEMM again it becomes 100, which is what CI's
+    ``obs diff`` step watches (the count repeats exactly; the seconds
+    are for the reader)."""
+    service = MatchService(matcher).warmup()
+    vertices = matcher.vertex_ids
+    top_k = service.config.table_k
+    requests = [{"id": i, "vertex": vertices[i % len(vertices)],
+                 "top_k": 1 + i % top_k} for i in range(TABLE_HITS)]
+    calls = [0]
+    for name in ("score", "score_topk"):
+        real = getattr(matcher, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls[0] += 1
+            return _real(*args, **kwargs)
+
+        setattr(matcher, name, counted)
+    try:
+        total = _best_of(
+            lambda: [service.handle_batch([r]) for r in requests],
+            repeats, "serve_table_hit")
+        hits = repeats * len(requests)
+    finally:
+        del matcher.score, matcher.score_topk
+    entry = {"optimized_s": total, "calls": len(requests),
+             "per_call_ms": 1e3 * total / len(requests),
+             "gemm_calls": 100.0 * calls[0] / hits}
+    print(f"  {'serve_table_hit':28s} {entry['per_call_ms']:9.3f} ms/call "
+          f"({entry['gemm_calls']:.0f} GEMM calls per 100 hits)")
+    paths["serve_table_hit"] = entry
 
 
 #: images per concept behind the ``train_epoch_plus`` row in quick mode:
@@ -403,7 +451,9 @@ def run(quick: bool, repeats: int, index_only: bool = False) -> dict:
         _reference_images,
         repeats)
 
-    bench_score_tile(bundle, dataset, quick, repeats, paths)
+    tile_matcher = tile_world_matcher(bundle, dataset, quick)
+    bench_score_tile(tile_matcher, repeats, paths)
+    bench_table_hit(tile_matcher, repeats, paths)
     bench_engine(bundle, dataset, repeats, paths)
     bench_train_epoch(bundle, dataset, quick, repeats, paths)
     bench_index(quick, repeats, paths)

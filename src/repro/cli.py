@@ -259,7 +259,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         default_budget_ms=args.default_budget_ms,
         top_k_default=args.top_k, full_floor_ms=args.full_floor_ms,
-        stale_capacity=args.stale_capacity,
         breaker_window=args.breaker_window,
         breaker_failure_threshold=args.breaker_threshold,
         breaker_min_calls=args.breaker_min_calls,
@@ -926,8 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--full-floor-ms", type=_non_negative_float,
                        default=0.0, metavar="MS",
                        help="skip the full tier when less budget remains")
-    serve.add_argument("--stale-capacity", type=_positive_int, default=1024,
-                       help="per-vertex stale results kept for fallback")
     serve.add_argument("--breaker-window", type=_positive_int, default=8,
                        help="circuit-breaker sliding window (calls)")
     serve.add_argument("--breaker-threshold", type=_rate, default=0.5,

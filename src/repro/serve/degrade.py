@@ -11,9 +11,11 @@ Three tiers, from best answer to best-effort answer:
   outside any breaker, bit-identical to what a standalone hard-prompt
   matcher would return.  Immune to a failure of the primary's backend,
   at the accuracy of untuned hard prompts.
-* ``stale`` — the last successful response this service produced for
-  the same vertex, served from an in-memory LRU.  Possibly out of
-  date, but instant and always deadline-safe.
+* ``stale`` — the vertex's answer from the table ``warmup()`` cut
+  from the full tier's own tile kernel (``MatchService`` answer table):
+  bit-equal to the full answer, instant and always deadline-safe, but
+  only ``table_k`` matches wide — a larger request misses and surfaces
+  its failure instead.
 
 :class:`DegradationPolicy` decides *where to start*: breaker open or
 not enough budget left for the full tier means starting at ``cached``.

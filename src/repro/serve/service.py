@@ -10,16 +10,20 @@ vertex match queries with production failure semantics:
   :class:`~repro.serve.breaker.CircuitBreaker` (a second breaker guards
   the image-tower warmup).  The text tower itself runs once, at
   :meth:`MatchService.warmup`, which builds the matcher's frozen text
-  matrix through that breaker; a request's scoring call slices it, so
-  what the breaker guards per request is whatever backs the rows and
-  the score (the matrix, the GEMM, an ANN index) — a hung or flaky one
-  stops being called instead of stalling every request behind it;
+  matrix through that breaker; a scoring call slices it, so what the
+  breaker guards per request past the answer table (below) is whatever
+  backs the rows and the score (the matrix, the GEMM, an ANN index) — a
+  hung or flaky one stops being called instead of stalling requests;
 * a request a door refuses to admit (the micro-batcher's
   ``max_pending`` under burst, a connection's cap, a drain) gets one
   typed, traced ``overloaded`` / ``unavailable`` shape, :meth:`reject`;
 * on breaker-open or deadline pressure the
   :class:`~repro.serve.degrade.DegradationPolicy` ladder falls back
   full → cached → stale, tagging each degraded response;
+* :meth:`MatchService.warmup` cuts every vertex's first ``table_k``
+  matches from the tile kernel once; a request with ``top_k <=
+  table_k`` is a slice of that *answer table*, which is also the stale
+  tier, and only a larger request is scored;
 * any per-request failure — malformed request, corrupt input, encoder
   bug — becomes a structured error *response*; the process never dies
   for one query.
@@ -39,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,11 +104,10 @@ class ServeConfig:
     top_k_default: int = 1
     #: skip the full tier when less than this much budget remains
     full_floor_ms: float = 0.0
-    #: per-vertex LRU entries kept for the stale tier
-    stale_capacity: int = 1024
-    #: minimum k fetched from an attached ANN index on the full tier,
-    #: so stale-cached top-k rows can also serve later, larger requests
-    index_k_floor: int = 16
+    #: matches per vertex in the answer table ``warmup()`` builds; a
+    #: request with ``top_k <= table_k`` is a slice of it.  An ANN
+    #: index is searched at least this wide.
+    table_k: int = 16
     #: fixed row-tile width of full-tier scoring: every request, lone or
     #: fused, is scored through an operand of exactly this many rows
     #: (padded with duplicates), which pins the BLAS kernel and makes an
@@ -140,10 +142,8 @@ class ServeConfig:
             raise ValueError("top_k_default must be at least 1")
         if self.full_floor_ms < 0:
             raise ValueError("full_floor_ms must be non-negative")
-        if self.stale_capacity < 1:
-            raise ValueError("stale_capacity must be at least 1")
-        if self.index_k_floor < 1:
-            raise ValueError("index_k_floor must be at least 1")
+        if self.table_k < 1:
+            raise ValueError("table_k must be at least 1")
         if self.batch_tile < 1:
             raise ValueError("batch_tile must be at least 1")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
@@ -221,9 +221,11 @@ class MatchService:
                                           self.config.shard_count,
                                           self.config.shard_slot)
             self._owned_ids = self._owned_ids[self._owned]
-        self._stale: "OrderedDict[int, Tuple[np.ndarray, str]]" = OrderedDict()
-        self._stale_lock = threading.Lock()
-        self._warm = False
+        #: the answer table: vertex -> read-only (image ids, scores) of
+        #: its first ``table_k`` owned matches; None until warmup()
+        self._table: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] \
+            = None
+        self._warm_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------
     def _build_fallback(self) -> CrossEM:
@@ -248,29 +250,54 @@ class MatchService:
 
     def warmup(self) -> "MatchService":
         """Populate every embedding cache — image matrix, frozen text
-        matrix (tuned soft prompts included) — and run every import the
-        request path makes lazily, so no request triggers a bulk encode
-        or a module load.  Encoder work runs through the breakers: a
-        backend that cannot even warm up fails the service *here*,
-        loudly, not one request at a time."""
-        if self._warm:
+        matrix (tuned soft prompts included) — build the answer table,
+        and run every import the request path makes lazily, so no
+        request triggers a bulk encode or a module load.  Encoder work
+        runs through the breakers: a backend that cannot even warm up
+        fails the service *here*, loudly, not one request at a time.
+
+        Runs once, under a lock: concurrent first requests (the
+        batcher's pool) wait for one build.  The table is published only
+        when whole; after a failure the next request tries again."""
+        if self._table is not None:
             return self
-        with span("serve/warmup"):
-            matcher, fallback = self.matcher, self.fallback
-            probe = matcher.vertex_ids[0]
-            self.vision_breaker.call(matcher._encode_images)
-            self.text_breaker.call(lambda: matcher.score([probe]))
-            self.text_breaker.call(lambda: matcher.score_topk([probe], 1))
-            if fallback is not matcher:
-                # The fallback's bulk encode is encoder work like any
-                # other: run it through the breakers too, so a hung
-                # fallback backend trips a breaker here instead of
-                # stalling warmup with no circuit ever opening.
-                self.vision_breaker.call(fallback._encode_images)
-                self.text_breaker.call(
-                    lambda: fallback.score([fallback.vertex_ids[0]]))
-        self._warm = True
+        with self._warm_lock:
+            if self._table is not None:
+                return self
+            with span("serve/warmup"):
+                matcher, fallback = self.matcher, self.fallback
+                self.vision_breaker.call(matcher._encode_images)
+                table = self._build_table()
+                if fallback is not matcher:
+                    # The fallback's bulk encode is encoder work like
+                    # any other: run it through the breakers too, so a
+                    # hung fallback backend trips a breaker here instead
+                    # of stalling warmup with no circuit ever opening.
+                    self.vision_breaker.call(fallback._encode_images)
+                    self.text_breaker.call(
+                        lambda: fallback.score([fallback.vertex_ids[0]]))
+            self._table = table
         return self
+
+    def _build_table(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """Every vertex's first ``table_k`` matches, cut by :meth:`_top`
+        from its :meth:`_score_tile` row — the bits a request gets.  The
+        order is strict, so any ``top_k <= table_k`` answer is a prefix
+        of the entry (DESIGN.md §13)."""
+        k = self.config.table_k
+        tile = self.config.batch_tile
+        vertices = list(self.matcher.vertex_ids)
+        deadline = Deadline.unbounded(clock=self._clock)
+        table: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for start in range(0, len(vertices), tile):
+            chunk = vertices[start:start + tile]
+            for vertex, row in zip(chunk,
+                                   self._score_tile(chunk, k, deadline)):
+                ids, scores = self._top(row, k)
+                ids.setflags(write=False)
+                scores.setflags(write=False)
+                table[vertex] = (ids, scores)
+        return table
 
     # -- request validation ------------------------------------------------
     def _parse(self, request: Any) -> _Query:
@@ -286,7 +313,7 @@ class MatchService:
             raise BadRequest("field 'top_k' must be a positive integer")
         # Clamp to the repository size: there are only so many images
         # to return, and an unclamped top_k=10**9 would otherwise size
-        # allocations in _top_matches and the index_k_floor over-fetch.
+        # allocations in _top and the ANN over-fetch.
         # The response simply carries the clamped (achievable) count.
         top_k = min(top_k, self._images)
         budget_ms = request.get("budget_ms", self.config.default_budget_ms)
@@ -301,11 +328,11 @@ class MatchService:
     # -- scoring tiers -----------------------------------------------------
     def _index_k(self, top_k: int) -> int:
         """The ANN fetch width serving ``top_k`` (0 = brute force, where
-        k does not shape the score row).  Floored so a stale-cached row
-        can also serve later requests asking for a few more matches."""
+        k does not shape the score row).  Floored at ``table_k``, the
+        search the answer table's rows come from."""
         if self.matcher.search_index is None:
             return 0
-        return max(top_k, self.config.index_k_floor)
+        return max(top_k, self.config.table_k)
 
     def _score_tile(self, vertices: List[int], top_k: int,
                     deadline: Deadline) -> List[np.ndarray]:
@@ -320,10 +347,8 @@ class MatchService:
         duplicate vertices) makes a row bit-identical whether its
         vertex came alone or fused with any companions.  With an ANN
         index attached a row is dense but ``-inf`` off the shortlist,
-        so the stale cache and ``_top_matches`` need no second shape.
-
-        Every returned row owns its memory: the stale LRU keeps rows
-        long after their batch, and a view would pin the whole tile.
+        so :meth:`_top` needs no second shape.  Brute-force rows are
+        views of their tile; nothing keeps them past the batch.
 
         ``deadline`` is the tightest budget among the callers.  The
         pre-flight check sits *outside* the breaker: an already-dead
@@ -352,39 +377,21 @@ class MatchService:
                             row[ids[r][valid]] = scores[r][valid]
                             rows.append(row)
                     else:
-                        block = matcher.score(padded)
-                        rows.extend(np.array(block[r], dtype=np.float32)
-                                    for r in range(len(chunk)))
+                        rows.extend(matcher.score(padded)[:len(chunk)])
                     deadline.check("score_full")
             return rows
 
         return self.text_breaker.call(run)
-
-    def _stale_put(self, vertex: int, scores: np.ndarray, tier: str) -> None:
-        with self._stale_lock:
-            self._stale[vertex] = (scores, tier)
-            self._stale.move_to_end(vertex)
-            while len(self._stale) > self.config.stale_capacity:
-                self._stale.popitem(last=False)
-
-    @staticmethod
-    def _stale_covers(row: np.ndarray, top_k: int) -> bool:
-        finite = int(np.isfinite(row).sum())
-        return finite >= min(top_k, row.shape[0])
-
-    def _stale_get(self, vertex: int) -> Optional[Tuple[np.ndarray, str]]:
-        with self._stale_lock:
-            entry = self._stale.get(vertex)
-            if entry is not None:
-                self._stale.move_to_end(vertex)
-            return entry
 
     @property
     def owned_images(self) -> int:
         """Images this worker answers for (all of them unsharded)."""
         return len(self._owned_ids)
 
-    def _top_matches(self, scores: np.ndarray, top_k: int) -> List[dict]:
+    def _top(self, scores: np.ndarray,
+             top_k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(image ids, scores)`` of the ``top_k`` best owned matches
+        in a score row, best first."""
         # One total order on every served path: (-score, image id) —
         # not position: repositories are shuffled after ids are
         # assigned, and ids are all a router can re-sort by.  A shard
@@ -401,8 +408,15 @@ class MatchService:
             np.where(keep, scores, -np.inf),
             min(top_k, int(np.count_nonzero(keep))),
             tie_break=self._owned_ids)
-        return [{"image": int(self._owned_ids[i]),
-                 "score": float(scores[i])} for i in order]
+        return self._owned_ids[order], scores[order]
+
+    @staticmethod
+    def _matches(ids: np.ndarray, scores: np.ndarray,
+                 top_k: int) -> List[dict]:
+        """The wire form of the first ``top_k`` of a ranked answer —
+        fresh dicts every call, so no caller can reach the table."""
+        return [{"image": image, "score": score} for image, score in
+                zip(ids[:top_k].tolist(), scores[:top_k].tolist())]
 
     # -- the ladder --------------------------------------------------------
     def _execute(self, query: _Query, deadline: Deadline,
@@ -416,9 +430,9 @@ class MatchService:
         blown, only a free tier is honest to run.
 
         ``full_row`` is this request's row of a tile already scored for
-        its fused group (:meth:`handle_batch`); without one the full
-        tier scores the lone vertex through the same tile kernel, right
-        here inside the request's trace.
+        its fused group (:meth:`handle_batch`); see :meth:`_full_tier`
+        for the rest.  The stale tier is the answer table: it misses a
+        request with ``top_k > table_k``, which surfaces its failure.
         """
         reg = registry()
         decision = self.policy.plan(deadline)
@@ -430,32 +444,21 @@ class MatchService:
             try:
                 with trace_span(f"tier/{tier}"):
                     if tier == TIER_FULL:
-                        if full_row is not None:
-                            deadline.check("score_full")
-                            scores = full_row
-                        else:
-                            scores = self._score_tile(
-                                [query.vertex], query.top_k, deadline)[0]
+                        ranked = self._full_tier(query, deadline, full_row)
                     elif tier == TIER_CACHED:
                         # pure cache: slices the discrete-prompt
                         # embedding matrix and one GEMM — no encoder
                         # call, nothing for a breaker to trip
                         deadline.check("score_cached")
-                        scores = self.fallback.score([query.vertex])[0]
+                        ranked = self._top(
+                            self.fallback.score([query.vertex])[0],
+                            query.top_k)
                     else:
-                        entry = self._stale_get(query.vertex)
-                        # An index-backed stale row knows only its
-                        # shortlist; if this request wants more matches
-                        # than the row holds, it is a miss, not a lie.
-                        if entry is not None and \
-                                not self._stale_covers(entry[0],
-                                                       query.top_k):
-                            entry = None
-                        add_trace_event("cache", cache="stale",
-                                        hit=entry is not None)
-                        if entry is None:
+                        hit = query.top_k <= self.config.table_k
+                        add_trace_event("cache", cache="stale", hit=hit)
+                        if not hit:
                             break  # nothing stale: surface the real failure
-                        scores = entry[0]
+                        ranked = self._table[query.vertex]
             except DeadlineExceeded as exc:
                 last_error = exc
                 reason = reason or exc.code
@@ -474,13 +477,30 @@ class MatchService:
                 _log.warning("tier failed", tier=tier, vertex=query.vertex,
                              error=f"{type(exc).__name__}: {exc}")
                 continue
-            if tier != TIER_STALE:
-                self._stale_put(query.vertex, scores, tier)
-            return (self._top_matches(scores, query.top_k), tier,
+            return (self._matches(*ranked, query.top_k), tier,
                     reason if tier != TIER_FULL else None)
-        if last_error is None:  # stale-only plan with an empty cache
+        if last_error is None:  # stale-only plan, request past the table
             last_error = ServeError("no serving tier could answer")
         raise last_error
+
+    def _full_tier(self, query: _Query, deadline: Deadline,
+                   full_row: Optional[np.ndarray],
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """The full tier's ranked answer: a slice of the answer table
+        for ``top_k <= table_k`` — behind the same deadline check and
+        breaker as the tile call it stands for — else the lone vertex
+        scored through the tile kernel inside the request's trace."""
+        if full_row is not None:
+            deadline.check("score_full")
+        elif query.top_k <= self.config.table_k:
+            deadline.check("score_full")
+            ranked = self.text_breaker.call(lambda: self._table[query.vertex])
+            add_trace_event("cache", cache="table", hit=True)
+            return ranked
+        else:
+            full_row = self._score_tile([query.vertex], query.top_k,
+                                        deadline)[0]
+        return self._top(full_row, query.top_k)
 
     # -- request lifecycle -------------------------------------------------
     def _traced(self, request: Any,
@@ -524,9 +544,9 @@ class MatchService:
 
         Each request is parsed once, then walks its own degradation
         ladder inside its own trace with its own deadline, metrics and
-        isolation.  What a batch shares is full-tier scoring: requests
-        entering the ladder at the full tier are grouped by ANN fetch
-        width, and each group of two or more is scored up front in one
+        isolation.  What a batch shares is full-tier scoring of requests
+        past the answer table: they are grouped by ANN fetch width, and
+        each group of two or more is scored up front in one
         :meth:`_score_tile` call.  A group of one is *not* pre-scored —
         its ladder makes the same call itself, so a lone query is
         scored inside its trace and a failure is accounted once.
@@ -584,11 +604,14 @@ class MatchService:
                 for position, request in enumerate(requests)]
 
     def _fusible(self, query: _Query) -> bool:
-        """Would this request enter the ladder at the full tier right
-        now?  Mirrors :meth:`DegradationPolicy.plan` (breaker admits
-        encoder calls, budget clears the full floor) without emitting
-        its trace event — evaluated once at fuse time; the per-request
-        ladder re-plans with full accounting afterwards."""
+        """Would this request be scored on the full tier right now?  It
+        must be past the answer table; the rest mirrors
+        :meth:`DegradationPolicy.plan` (breaker admits encoder calls,
+        budget clears the full floor) without emitting its trace event
+        — evaluated once at fuse time; the per-request ladder re-plans
+        with full accounting afterwards."""
+        if query.top_k <= self.config.table_k:
+            return False
         if not self.text_breaker.allows_call():
             return False
         if query.budget is None:

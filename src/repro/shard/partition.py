@@ -14,7 +14,7 @@ shards are the same float32 bits the unsharded service would produce.
 
 **Merge** — the router concatenates per-shard match lists and re-sorts
 by ``(-score, image id)``: the one total order every served path uses
-(``MatchService._top_matches`` hands the ids to
+(``MatchService._top`` hands the ids to
 :func:`repro.index.topk.deterministic_topk` as its tie-break), and the
 only one a router can apply, since ids are what is on the wire.
 Position would not do: ``vision/image.py`` assigns ids and *then*
@@ -37,34 +37,22 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["owned_positions", "owned_mask", "merge_matches", "worst_tier"]
+__all__ = ["owned_positions", "merge_matches", "worst_tier"]
 
 #: tier badness order, mirroring repro.serve.degrade.LADDER — a merged
 #: response is only as good as its worst contributing shard
 _TIER_RANK: Dict[str, int] = {"full": 0, "cached": 1, "stale": 2}
 
 
-def _validate(total: int, count: int, slot: int) -> None:
+def owned_positions(total: int, count: int, slot: int) -> np.ndarray:
+    """Repository positions shard ``slot`` of ``count`` answers for."""
     if total < 0:
         raise ValueError("total must be non-negative")
     if count < 1:
         raise ValueError("count must be at least 1")
     if not 0 <= slot < count:
         raise ValueError(f"slot must be in [0, {count}), got {slot}")
-
-
-def owned_positions(total: int, count: int, slot: int) -> np.ndarray:
-    """Repository positions shard ``slot`` of ``count`` answers for."""
-    _validate(total, count, slot)
     return np.arange(slot, total, count, dtype=np.int64)
-
-
-def owned_mask(total: int, count: int, slot: int) -> np.ndarray:
-    """Boolean mask over repository positions, True where owned."""
-    _validate(total, count, slot)
-    mask = np.zeros(total, dtype=bool)
-    mask[slot::count] = True
-    return mask
 
 
 def merge_matches(per_shard: Sequence[Sequence[dict]],

@@ -9,6 +9,10 @@ on batch composition (DESIGN.md §13) — and these tests hold it to
 that, brute-force and index-backed, plus the isolation properties: a
 malformed request in a batch hurts nobody, and a fused-call failure
 degrades to per-request handling rather than failing N requests.
+
+Only a request past the answer table is scored, so the fusion tests
+ask for ``PAST_TABLE`` or more matches; a request the table covers is
+a slice and never joins a fused group.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import pytest
 from repro.core.matcher import CrossEM, CrossEMConfig
 from repro.obs import registry
 from repro.serve import MatchService, MicroBatcher, ServeConfig
+
+from .test_service import PAST_TABLE
 
 
 def canonical(response: dict) -> str:
@@ -35,9 +41,13 @@ class TestBatchedBitIdentity:
     def test_batched_equals_one_at_a_time(self, make_service, fitted_soft):
         service = make_service()
         vertices = list(fitted_soft.vertex_ids)
-        requests = [{"id": f"b{i}", "vertex": v, "top_k": (i % 3) + 1}
+        # table hits and fused members side by side in one batch
+        requests = [{"id": f"b{i}", "vertex": v,
+                     "top_k": (i % 3) + (PAST_TABLE if i % 2 else 1)}
                     for i, v in enumerate(vertices)]
         batched = service.handle_batch(requests)
+        assert registry().counter("serve.batch.fused_total").value \
+            == len(vertices) // 2
         singles = [service.handle_batch([request])[0]
                    for request in requests]
         assert [canonical(r) for r in batched] == \
@@ -50,10 +60,11 @@ class TestBatchedBitIdentity:
         same bits — the batch is invisible to each member."""
         service = make_service()
         vertices = list(fitted_soft.vertex_ids)
-        probe = {"id": "probe", "vertex": vertices[0], "top_k": 3}
+        probe = {"id": "probe", "vertex": vertices[0], "top_k": PAST_TABLE}
         alone = service.handle_batch([probe])[0]
         for companions in (vertices[1:3], vertices[3:9], vertices[1:]):
-            batch = [probe] + [{"id": f"c{i}", "vertex": v}
+            batch = [probe] + [{"id": f"c{i}", "vertex": v,
+                                "top_k": PAST_TABLE}
                                for i, v in enumerate(companions)]
             fused = service.handle_batch(batch)[0]
             assert canonical(fused) == canonical(alone)
@@ -94,7 +105,7 @@ class TestBatchedBitIdentity:
             return real_score(self, vertices, **kwargs)
 
         monkeypatch.setattr(type(service.matcher), "score", fussy_score)
-        requests = [{"id": i, "vertex": v}
+        requests = [{"id": i, "vertex": v, "top_k": PAST_TABLE}
                     for i, v in enumerate(fitted_soft.vertex_ids[:4])]
         responses = service.handle_batch(requests)
         assert all(r["ok"] and r["tier"] == "full" for r in responses)
@@ -161,7 +172,7 @@ class TestOnePipeline:
 
         monkeypatch.setattr(service, "_score_tile", first_call_fails)
         responses = service.handle_batch(
-            [{"id": i, "vertex": v}
+            [{"id": i, "vertex": v, "top_k": PAST_TABLE}
              for i, v in enumerate(fitted_soft.vertex_ids[:3])])
         assert all(r["ok"] and r["tier"] == "full" for r in responses)
         assert calls == [3, 1, 1, 1]
@@ -176,7 +187,8 @@ class TestOnePipeline:
             service.matcher, "score",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("down")))
         response = service.handle_batch(
-            [{"id": 1, "vertex": fitted_soft.vertex_ids[0]}])[0]
+            [{"id": 1, "vertex": fitted_soft.vertex_ids[0],
+              "top_k": PAST_TABLE}])[0]
         assert response["ok"] and response["tier"] == "cached"
         failures = registry().counter("serve.breaker.text.failures_total").value
         assert failures == 1
@@ -200,7 +212,7 @@ class TestIndexedBatchedBitIdentity:
     def test_batched_equals_one_at_a_time_with_index(self,
                                                      indexed_service):
         vertices = list(indexed_service.matcher.vertex_ids)
-        requests = [{"id": i, "vertex": v, "top_k": (i % 2) + 1}
+        requests = [{"id": i, "vertex": v, "top_k": PAST_TABLE + (i % 2)}
                     for i, v in enumerate(vertices)]
         batched = indexed_service.handle_batch(requests)
         singles = [indexed_service.handle_batch([request])[0]
@@ -224,7 +236,7 @@ class TestBatchTileConfig:
         for tile in (2, 8):
             service = MatchService(
                 fitted_soft, config=ServeConfig(batch_tile=tile)).warmup()
-            requests = [{"id": i, "vertex": v}
+            requests = [{"id": i, "vertex": v, "top_k": PAST_TABLE}
                         for i, v in enumerate(fitted_soft.vertex_ids[:5])]
             batched = service.handle_batch(requests)
             singles = [service.handle_batch([request])[0]

@@ -3,10 +3,10 @@
 Contract: attaching an ANN index changes *how* the full tier computes
 top-k (index shortlist instead of the brute GEMM) but not *what* a
 response contains — same image ids in the same order, scores equal to
-the exact inner products up to BLAS kernel rounding.  The dense-row
-surrogate also has to keep the stale-cache fallback honest: a cached
-index row only answers a later request if it actually holds enough
-finite entries for that request's ``top_k``."""
+the exact inner products up to BLAS kernel rounding.  The answer
+table of an indexed service is the ``table_k``-wide search, and it
+keeps the stale tier honest: a request wanting more matches than a
+table row holds is a miss, not a short answer."""
 
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ from repro.core.matcher import CrossEM, CrossEMConfig
 from repro.obs import registry
 from repro.serve import MatchService, ServeConfig
 from repro.serve.deadline import Deadline
+
+from .test_service import SteppingClock
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +65,10 @@ class TestIndexBackedResponses:
     def test_index_telemetry_lands_in_registry(self, indexed_service,
                                                indexed_matcher):
         before = registry().counter("index.queries").value
+        # past the answer table, so the request searches the index
         indexed_service.handle(
-            {"id": 2, "vertex": indexed_matcher.vertex_ids[1], "top_k": 2})
+            {"id": 2, "vertex": indexed_matcher.vertex_ids[1],
+             "top_k": indexed_service.config.table_k + 1})
         assert registry().counter("index.queries").value > before
 
     def test_scores_descend_and_ids_are_real(self, indexed_service,
@@ -81,32 +85,25 @@ class TestIndexBackedResponses:
 class TestDenseRowSurrogate:
     def test_index_row_covers_k_floor_not_whole_repo(self, indexed_matcher,
                                                      indexed_service):
-        """The surrogate row holds max(top_k, index_k_floor) finite
-        entries — enough for cache reuse, far from a full GEMM row."""
-        floor = indexed_service.config.index_k_floor
+        """The surrogate row holds max(top_k, table_k) finite entries —
+        the answer table's width, far from a full GEMM row."""
+        floor = indexed_service.config.table_k
         [row] = indexed_service._score_tile(
             [indexed_matcher.vertex_ids[0]], 1, Deadline.unbounded())
         finite = int(np.isfinite(row).sum())
         assert finite == min(floor, len(indexed_matcher.images))
 
-    def test_stale_covers_counts_finite_entries(self):
-        row = np.full(10, -np.inf, dtype=np.float32)
-        row[[1, 4, 6]] = 1.0
-        assert MatchService._stale_covers(row, 3)
-        assert not MatchService._stale_covers(row, 4)
-
-    def test_stale_covers_clamps_to_row_width(self):
-        row = np.ones(4, dtype=np.float32)
-        assert MatchService._stale_covers(row, 100)
-
     def test_insufficient_stale_row_is_not_served(self, indexed_matcher):
-        """A stale index row cached at small k must not answer a later
-        degraded request wanting more matches than it holds."""
-        config = ServeConfig(index_k_floor=2)
-        service = MatchService(indexed_matcher, config=config).warmup()
+        """The stale tier is the answer table: a blown budget is served
+        from it up to ``table_k`` matches, and a request wanting more
+        than a table row holds is a miss, not a short answer."""
+        service = MatchService(indexed_matcher, config=ServeConfig(table_k=2),
+                               clock=SteppingClock()).warmup()
         vertex = indexed_matcher.vertex_ids[0]
-        service.handle({"id": 1, "vertex": vertex, "top_k": 1})
-        big = max(4, config.index_k_floor + 1)
-        entry = service._stale_get(vertex)
-        assert entry is not None
-        assert not service._stale_covers(entry[0], big)
+        covered = service.handle({"vertex": vertex, "top_k": 2,
+                                  "budget_ms": 1})
+        assert covered["tier"] == "stale" and len(covered["matches"]) == 2
+        wider = service.handle({"vertex": vertex, "top_k": 3,
+                                "budget_ms": 1})
+        assert wider["ok"] is False
+        assert wider["error"]["type"] == "deadline_exceeded"

@@ -3,7 +3,8 @@
 A scoring thread is pinned on an Event inside the encoder, the batcher
 is filled behind it, and the burst's metrics snapshot is exported as
 the JSONL artifact CI uploads (``REPRO_SERVE_METRICS_OUT`` overrides
-the path).  ``max_pending`` counts queued *and* in-flight requests, so
+the path).  Requests ask for ``PAST_TABLE`` matches: a request the
+answer table covers is a slice and never reaches the encoder.  ``max_pending`` counts queued *and* in-flight requests, so
 a bound of N admits N in all — the pinned one included.
 """
 
@@ -16,7 +17,7 @@ import time
 from repro.obs import export_jsonl, read_jsonl, registry
 from repro.serve import MicroBatcher
 
-from .test_service import encoder_fault
+from .test_service import PAST_TABLE, encoder_fault
 
 
 def wait_until(predicate, timeout=10.0):
@@ -49,21 +50,20 @@ class TestOverloadBurst:
         batcher = MicroBatcher(make_service(), max_pending=3)
         responses = []
         pin = PinnedEncoder()
-        vertex = fitted_soft.vertex_ids[0]
+        request = {"vertex": fitted_soft.vertex_ids[0], "top_k": PAST_TABLE}
         with encoder_fault(fitted_soft, pin):
             try:
-                batcher.submit({"id": "a", "vertex": vertex},
-                               responses.append)
+                batcher.submit(dict(request, id="a"), responses.append)
                 assert pin.entered.wait(timeout=10)  # pinned inside encode
                 for request_id in ("b", "c"):
-                    batcher.submit({"id": request_id, "vertex": vertex},
+                    batcher.submit(dict(request, id=request_id),
                                    responses.append)
                 assert responses == []  # three admitted, none answerable
                 # batcher full behind the pinned scorer: the burst
                 # overflow is shed immediately with a typed error, by
                 # the submitting thread, not queued
                 for request_id in ("d", "e"):
-                    batcher.submit({"id": request_id, "vertex": vertex},
+                    batcher.submit(dict(request, id=request_id),
                                    responses.append)
                     rejection = responses[-1]
                     assert rejection["ok"] is False
@@ -100,13 +100,13 @@ class TestOverloadBurst:
         batcher = MicroBatcher(make_service(), max_pending=2)
         responses = []
         pin = PinnedEncoder()
-        vertex = fitted_soft.vertex_ids[0]
+        request = {"vertex": fitted_soft.vertex_ids[0], "top_k": PAST_TABLE}
         with encoder_fault(fitted_soft, pin):
             try:
-                batcher.submit({"id": 1, "vertex": vertex}, responses.append)
+                batcher.submit(dict(request, id=1), responses.append)
                 assert pin.entered.wait(timeout=10)
-                batcher.submit({"id": 2, "vertex": vertex}, responses.append)
-                batcher.submit({"id": 3, "vertex": vertex}, responses.append)
+                batcher.submit(dict(request, id=2), responses.append)
+                batcher.submit(dict(request, id=3), responses.append)
                 [rejection] = responses
                 assert rejection["error"]["type"] == "overloaded"
                 assert "(2/2)" in rejection["error"]["message"]

@@ -1,4 +1,4 @@
-"""MatchService fault-injection suite: the ISSUE acceptance scenarios.
+"""MatchService fault-injection suite: hung, flaky and pinned backends.
 
 Faults are injected by shadowing ``_text_queries`` on the shared
 fitted matcher instance (restored via context manager): the text rows
@@ -6,6 +6,11 @@ of a score are the first thing the breaker-guarded scoring call reads,
 so a hung or flaky text backend takes exactly this path in production.
 (The text *tower* runs once, at ``warmup()``, which builds the frozen
 matrix ``_text_queries`` slices — a served query never re-encodes.)
+
+A request with ``top_k <= table_k`` never reaches that call: it is a
+slice of the answer table ``warmup()`` built.  The fault scenarios
+therefore ask for ``PAST_TABLE`` matches — the fall-through path, the
+one that can still hang, explode or pin.
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ import pytest
 from repro.core.matcher import CrossEM, CrossEMConfig
 from repro.obs import registry
 from repro.serve import MatchService, ServeConfig
+
+#: the smallest ``top_k`` the answer table does not cover, so it is
+#: scored through the tile kernel (the suite's world has 20 images)
+PAST_TABLE = ServeConfig().table_k + 1
 
 
 @contextlib.contextmanager
@@ -131,11 +140,11 @@ class TestBadRequestIsolation:
 class TestHungEncoder:
     def test_deadline_failures_trip_breaker_then_requests_degrade(
             self, make_service, fitted_soft):
-        # warmup's successful probe already sits in the breaker window,
+        # warmup's successful calls already sit in the breaker window,
         # so min_calls=3 means two deadline failures trip it
         service = make_service(breaker_min_calls=3, breaker_window=4)
         vertex = fitted_soft.vertex_ids[0]
-        request = {"vertex": vertex, "budget_ms": 20}
+        request = {"vertex": vertex, "budget_ms": 20, "top_k": PAST_TABLE}
         with encoder_fault(fitted_soft, hang(0.08)):
             first = service.handle(dict(request, id="a"))
             second = service.handle(dict(request, id="b"))
@@ -162,48 +171,77 @@ class TestHungEncoder:
         stall = 0.08
         with encoder_fault(fitted_soft, hang(stall)):
             started = time.monotonic()
-            response = service.handle({"vertex": vertex, "budget_ms": 20})
+            response = service.handle({"vertex": vertex, "budget_ms": 20,
+                                       "top_k": PAST_TABLE})
             wall = time.monotonic() - started
-        # no stale entry yet, so the blown budget surfaces as an error —
-        # within budget plus roughly one stage (the stalled encode), far
-        # below what letting the full pipeline finish would take
+        # past the table there is no stale answer, so the blown budget
+        # surfaces as an error — within budget plus roughly one stage
+        # (the stalled encode), far below what letting the full
+        # pipeline finish would take
         assert response["ok"] is False
         assert response["error"]["type"] == "deadline_exceeded"
         assert wall >= 0.02
         assert wall < stall + 1.0
 
 
+class SteppingClock:
+    """A clock that moves 10 ms on every read: any budget under that is
+    blown by the time the ladder first looks at it."""
+
+    def __init__(self) -> None:
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        self.now += 0.01
+        return self.now
+
+
 class TestStaleTier:
-    def test_stale_answers_after_mid_request_deadline(self, make_service,
-                                                      fitted_soft):
-        service = make_service()
+    """The stale tier is the answer table: it holds every vertex from
+    boot, so it needs no earlier request, and it is as wide as the
+    table, so a larger request misses and surfaces its own failure."""
+
+    def make_blown(self, fitted_soft):
+        return MatchService(fitted_soft, clock=SteppingClock()).warmup()
+
+    def test_blown_budget_on_unserved_vertex_gets_stale_answer(
+            self, make_service, fitted_soft):
         vertex = fitted_soft.vertex_ids[2]
-        fresh = service.handle({"id": "warm", "vertex": vertex, "top_k": 2})
-        assert fresh["tier"] == "full"
-        with encoder_fault(fitted_soft, hang(0.08)):
-            response = service.handle({"id": "late", "vertex": vertex,
-                                       "top_k": 2, "budget_ms": 20})
+        response = self.make_blown(fitted_soft).handle(
+            {"id": "late", "vertex": vertex, "top_k": 2, "budget_ms": 1})
         assert response["ok"] is True
         assert response["tier"] == "stale"
         assert response["degraded"] is True
-        assert response["reason"] == "deadline_exceeded"
-        # the stale answer is the previously served result, bit for bit
-        assert response["matches"] == fresh["matches"]
+        assert response["reason"] == "deadline_pressure"
         assert registry().counter("serve.tier.stale").value == 1
+        # the stale answer is the full answer, bit for bit
+        full = make_service().handle({"vertex": vertex, "top_k": 2})
+        assert full["tier"] == "full"
+        assert response["matches"] == full["matches"]
+
+    def test_fall_through_stale_miss_surfaces_deadline_exceeded(
+            self, fitted_soft):
+        response = self.make_blown(fitted_soft).handle(
+            {"vertex": fitted_soft.vertex_ids[2], "top_k": PAST_TABLE,
+             "budget_ms": 1})
+        assert response["ok"] is False
+        assert response["error"]["type"] == "deadline_exceeded"
+        assert registry().counter("serve.tier.stale").value == 0
 
 
 class TestFlakyEncoder:
     def test_backend_error_falls_to_cached(self, make_service, fitted_soft):
         service = make_service(breaker_min_calls=3)
         vertex = fitted_soft.vertex_ids[0]
+        request = {"vertex": vertex, "top_k": PAST_TABLE}
         with encoder_fault(fitted_soft, explode(RuntimeError("flaky"))):
-            response = service.handle({"vertex": vertex})
+            response = service.handle(request)
         assert response["ok"] is True
         assert response["tier"] == "cached"
         assert response["degraded"] is True
         assert response["reason"] == "backend_error"
         # and once the backend recovers, full service resumes
-        recovered = service.handle({"vertex": vertex})
+        recovered = service.handle(request)
         assert recovered["tier"] == "full"
 
 
@@ -248,9 +286,9 @@ class TestConstruction:
         assert service.fallback is matcher
 
     @pytest.mark.parametrize("kwargs", [
-        dict(index_k_floor=0), dict(shard_slot=0), dict(default_budget_ms=0),
+        dict(table_k=0), dict(shard_slot=0), dict(default_budget_ms=0),
         dict(top_k_default=0), dict(full_floor_ms=-1.0),
-        dict(stale_capacity=0),
+        dict(shard_slot=2, shard_count=2),
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

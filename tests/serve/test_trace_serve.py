@@ -3,7 +3,9 @@
 Every response must carry a ``trace_id``; error, degraded, deadline and
 shed requests must be retained even at sample rate 0; breaker flips and
 degradation decisions must land inside the owning request's trace; with
-tracing disabled nothing is minted or recorded.
+tracing disabled nothing is minted or recorded.  Scenarios about the
+scoring call ask for ``PAST_TABLE`` matches: a smaller request is a
+slice of the answer table and makes no scoring call to trace or fail.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from repro.obs.trace import (SamplePolicy, TraceRecorder, Tracer,
 from repro.serve import MatchService, MicroBatcher, ServeConfig
 
 from .test_deadline import FakeClock
+from .test_service import PAST_TABLE
 
 
 class AutoClock(FakeClock):
@@ -103,7 +106,8 @@ class TestTraceIds:
 
     def test_request_spans_and_events_in_causal_order(self, fitted_soft):
         service, recorder = make_traced_service(fitted_soft)
-        response = service.handle({"vertex": fitted_soft.vertex_ids[0]})
+        response = service.handle({"vertex": fitted_soft.vertex_ids[0],
+                                   "top_k": PAST_TABLE})
         assert response["ok"] is True and response["tier"] == "full"
         [row] = recorder.snapshot()
         names = span_names(row["spans"])
@@ -128,6 +132,19 @@ class TestTraceIds:
                        if e["attrs"]["cache"] == "prompt"]
         assert prompt_hits == [True]
 
+    def test_table_hit_records_its_cache_event(self, fitted_soft):
+        """A request the answer table covers is a slice under
+        ``tier/full``: no scoring span, one ``table`` cache hit."""
+        service, recorder = make_traced_service(fitted_soft)
+        response = service.handle({"vertex": fitted_soft.vertex_ids[0],
+                                   "top_k": 3})
+        assert response["ok"] is True and response["tier"] == "full"
+        [row] = recorder.snapshot()
+        names = span_names(row["spans"])
+        assert "tier/full" in names
+        assert "matcher/score" not in names
+        caches = [e["attrs"] for e in events_of(row["spans"], "cache")]
+        assert caches == [{"cache": "table", "hit": True}]
 
     def test_lone_batched_query_is_scored_inside_its_trace(self,
                                                            fitted_soft):
@@ -137,8 +154,9 @@ class TestTraceIds:
         shows only the ``batch`` event — its scoring was shared)."""
         service, recorder = make_traced_service(fitted_soft)
         v = fitted_soft.vertex_ids
-        service.handle_batch([{"vertex": v[0]}])
-        service.handle_batch([{"vertex": v[1]}, {"vertex": v[2]}])
+        service.handle_batch([{"vertex": v[0], "top_k": PAST_TABLE}])
+        service.handle_batch([{"vertex": v[1], "top_k": PAST_TABLE},
+                              {"vertex": v[2], "top_k": PAST_TABLE}])
         lone, fused, _ = recorder.snapshot()
         tier_span = next(c for c in lone["spans"]["children"]
                          if c["name"] == "tier/full")
@@ -165,7 +183,8 @@ class TestForcedRetention:
         monkeypatch.setattr(service, "_score_tile",
                             lambda *a, **k: (_ for _ in ()).throw(
                                 RuntimeError("encoder down")))
-        response = service.handle({"vertex": fitted_soft.vertex_ids[0]})
+        response = service.handle({"vertex": fitted_soft.vertex_ids[0],
+                                   "top_k": PAST_TABLE})
         assert response["ok"] is True and response["degraded"] is True
         [row] = recorder.snapshot()
         assert row["flags"] == ["degraded"]
@@ -176,7 +195,7 @@ class TestForcedRetention:
         service, recorder = make_traced_service(fitted_soft, rate=0.0,
                                                 clock=clock)
         response = service.handle({"vertex": fitted_soft.vertex_ids[0],
-                                   "budget_ms": 1})
+                                   "top_k": PAST_TABLE, "budget_ms": 1})
         assert response["ok"] is False
         assert response["error"]["type"] == "deadline_exceeded"
         [row] = recorder.snapshot()
@@ -190,7 +209,8 @@ class TestForcedRetention:
         monkeypatch.setattr(
             service.matcher, "score",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
-        response = service.handle({"vertex": fitted_soft.vertex_ids[0]})
+        response = service.handle({"vertex": fitted_soft.vertex_ids[0],
+                                   "top_k": PAST_TABLE})
         assert response["ok"] is True and response["tier"] == "cached"
         [row] = recorder.snapshot()
         [flip] = events_of(row["spans"], "breaker")

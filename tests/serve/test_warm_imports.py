@@ -1,8 +1,9 @@
 """After ``warmup()`` a request loads no module.
 
 The first served request used to pay a lazy ``repro.index`` import
-inside ``_top_matches`` (~15 ms, once — on the request that can least
-afford it).  The check runs in a fresh interpreter: in this process the
+inside its top-k selection (~15 ms, once — on the request that can
+least afford it).  Both kinds of request are checked: one the answer
+table covers and one past it, which is scored.  The check runs in a fresh interpreter: in this process the
 rest of the suite has long since imported everything.
 """
 
@@ -36,8 +37,11 @@ matcher = CrossEM(bundle, CrossEMConfig(prompt=sys.argv[1], epochs=0))
 matcher.fit(dataset.graph, dataset.images, dataset.entity_vertices)
 service = MatchService(matcher).warmup()
 loaded = set(sys.modules)
-response = service.handle({"vertex": matcher.vertex_ids[0], "top_k": 3})
-assert response["ok"] and response["tier"] == "full", response
+# a slice of the answer table, then a request past it (scored)
+for top_k in (3, service.config.table_k + 1):
+    response = service.handle({"vertex": matcher.vertex_ids[0],
+                               "top_k": top_k})
+    assert response["ok"] and response["tier"] == "full", response
 late = sorted(name for name in set(sys.modules) - loaded
               if name.split(".")[0] == "repro")
 print("late imports:", late)

@@ -8,7 +8,7 @@ deliberate score ties straddling shard boundaries on a *shuffled-id*
 repository (ids are assigned before ``render_repository`` shuffles, so
 position order and id order disagree) — the case a position-ordered
 selection gets wrong — and select through the real
-``MatchService._top_matches``, not a copy of it.
+``MatchService._top``, not a copy of it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.serve import MatchService, ServeConfig
-from repro.shard import merge_matches, owned_mask, owned_positions, worst_tier
+from repro.shard import merge_matches, owned_positions, worst_tier
 
 
 class TestPartition:
@@ -30,22 +30,26 @@ class TestPartition:
 
     @pytest.mark.parametrize("total,count", [(10, 3), (16, 4), (3, 5)])
     def test_mask_agrees_with_positions(self, total, count):
+        """The owned positions are exactly where the contract's mask
+        ``p % count == slot`` is true, ascending and int64 (they index
+        score rows and id arrays directly)."""
+        positions = np.arange(total)
         for slot in range(count):
-            mask = owned_mask(total, count, slot)
-            assert mask.dtype == np.bool_ and mask.shape == (total,)
-            assert np.flatnonzero(mask).tolist() == \
-                owned_positions(total, count, slot).tolist()
+            owned = owned_positions(total, count, slot)
+            assert owned.dtype == np.int64
+            assert owned.tolist() == \
+                np.flatnonzero(positions % count == slot).tolist()
 
     def test_slot_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            owned_positions(10, 3, 3)
-        with pytest.raises(ValueError):
-            owned_mask(10, 3, -1)
+        for total, count, slot in ((10, 3, 3), (10, 3, -1), (10, 0, 0),
+                                   (-1, 3, 0)):
+            with pytest.raises(ValueError):
+                owned_positions(total, count, slot)
 
 
 class Selection:
     """What a ``MatchService`` does at selection time — the real
-    ``_top_matches``, unsharded or as each slot of a ``count``-way
+    ``_top``, unsharded or as each slot of a ``count``-way
     fleet — applied to score rows a test plants."""
 
     def __init__(self, matcher) -> None:
@@ -58,8 +62,9 @@ class Selection:
             self._services[slot, count] = MatchService(
                 self.matcher, config=ServeConfig(shard_slot=slot,
                                                  shard_count=count))
-        return self._services[slot, count]._top_matches(
-            np.asarray(scores, dtype=np.float32), top_k)
+        service = self._services[slot, count]
+        ranked = service._top(np.asarray(scores, dtype=np.float32), top_k)
+        return service._matches(*ranked, top_k)
 
     def single(self, scores, top_k):
         return self._select(scores, top_k)
