@@ -6,7 +6,7 @@ Five commands cover the common workflows without writing code:
 * ``match`` — fit a matcher on a benchmark and report H@k / MRR.
 * ``serve`` — fit a matcher, then answer match queries as a resilient
   JSON-lines service on stdin/stdout (deadlines, circuit breakers,
-  load shedding, graceful degradation — README "Serving").  Every
+  load shedding, typed failures — README "Serving").  Every
   response carries a ``trace_id``; sampled request traces export with
   the metrics.
 * ``clean`` — run the data-cleaning detectors over a benchmark's
@@ -258,7 +258,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _attach_index_from_args(matcher, args)
     config = ServeConfig(
         default_budget_ms=args.default_budget_ms,
-        top_k_default=args.top_k, full_floor_ms=args.full_floor_ms,
+        top_k_default=args.top_k,
         breaker_window=args.breaker_window,
         breaker_failure_threshold=args.breaker_threshold,
         breaker_min_calls=args.breaker_min_calls,
@@ -922,9 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--default-budget-ms", type=_positive_float,
                        default=None, metavar="MS",
                        help="deadline applied to requests without one")
-    serve.add_argument("--full-floor-ms", type=_non_negative_float,
-                       default=0.0, metavar="MS",
-                       help="skip the full tier when less budget remains")
     serve.add_argument("--breaker-window", type=_positive_int, default=8,
                        help="circuit-breaker sliding window (calls)")
     serve.add_argument("--breaker-threshold", type=_rate, default=0.5,

@@ -227,14 +227,13 @@ class CrossEM:
         self._stage("encode_text")
         if self.config.prompt == "soft":
             return self.soft_prompts(vertex_ids)
-        if self._prompt_token_ids is not None:
-            rows = np.asarray([self._vertex_pos[v] for v in vertex_ids])
-            return nn.Tensor(self._cached_text_matrix()[rows])
-        return self.encode_vertices_reference(vertex_ids)
+        rows = np.asarray([self._vertex_pos[v] for v in vertex_ids])
+        return nn.Tensor(self._cached_text_matrix()[rows])
 
     def encode_vertices_reference(self, vertex_ids: Sequence[int]) -> nn.Tensor:
         """The uncached discrete-prompt path: re-tokenize and re-encode
-        every call (retained as the golden reference for the cache)."""
+        every call.  No serving or training path calls it; it is the
+        golden reference the cache is tested against."""
         texts = [self._hard_prompts[v] for v in vertex_ids]
         token_ids = self.tokenizer.encode_batch(texts)
         mask = self.tokenizer.attention_mask(token_ids)
@@ -372,7 +371,7 @@ class CrossEM:
         return int(np.isfinite(scores).sum())
 
     def _encode_all_vertices(self, batch: int = 32) -> np.ndarray:
-        if self.config.prompt != "soft" and self._prompt_token_ids is not None:
+        if self.config.prompt != "soft":
             return self._cached_text_matrix()
         chunks = [self.encode_vertices(self.vertex_ids[s:s + batch]).numpy()
                   for s in range(0, len(self.vertex_ids), batch)]

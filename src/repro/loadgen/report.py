@@ -4,7 +4,8 @@ The harness classifies every response into exactly one outcome off the
 fields the serve layer already emits — no side channel:
 
 * ``ok`` — ``ok: true`` and not degraded;
-* ``degraded`` — answered below the full tier (``degraded: true``);
+* ``degraded`` — answered, but tagged ``degraded: true`` (a router's
+  ``partial`` answer when a shard is down);
 * ``shed`` — a typed ``overloaded`` rejection from admission control;
 * ``deadline`` — a typed ``deadline_exceeded`` error;
 * ``error`` — any other structured error (bad request, internal);

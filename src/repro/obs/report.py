@@ -6,9 +6,9 @@
   (per-path count / total / p50 / p95, children under parents, heaviest
   siblings first) — the process-wide "where does time go";
 * the top-N slowest sampled traces, each as its span tree with typed
-  events (breaker transitions, degradation decisions, deadline checks,
-  cache hits, sheds) interleaved in causal (timestamp) order — the
-  per-request "where did *this* request's time go";
+  events (breaker transitions, deadline checks, cache hits, sheds)
+  interleaved in causal (timestamp) order — the per-request "where did
+  *this* request's time go";
 * any bucket-backed histograms (schema v3 rows carrying a ``buckets``
   payload, e.g. ``load.latency_ms``) as ASCII bar charts with exact
   per-bucket counts.

@@ -8,8 +8,8 @@ raises.  A :class:`Trace` carries that per-request story:
 * a stable ``trace_id`` returned to the client in every response, so a
   slow answer can be looked up in the exported telemetry;
 * a tree of timed spans (:class:`TraceSpan`) with typed, timestamped
-  events — breaker transitions, degradation-tier decisions, deadline
-  checks, cache hits/misses, load shedding — in causal order;
+  events — breaker transitions, deadline checks, cache hits/misses,
+  load shedding — in causal order;
 * head sampling (:class:`SamplePolicy`): a configurable keep rate drawn
   at trace start, with flagged traces (``error``, ``degraded``,
   ``deadline``, ``shed``) *always* retained regardless of the draw, so

@@ -6,15 +6,15 @@ its own module and each independently testable:
 * :mod:`repro.serve.errors` — the typed failure taxonomy.
 * :mod:`repro.serve.deadline` — per-request time budgets checked at
   stage boundaries (bounded overshoot, not unbounded stalls).
-* :mod:`repro.serve.breaker` — circuit breakers around the encoder
-  backends (closed → open → half-open, metrics-visible).
+* :mod:`repro.serve.breaker` — the circuit breaker around the scoring
+  backend (closed → open → half-open, metrics-visible).
 * :mod:`repro.serve.batcher` — the micro-batcher: the one admission
   point, queue and scoring pool behind every door; sheds load with
   typed ``overloaded`` answers at ``max_pending``.
-* :mod:`repro.serve.degrade` — the full → cached → stale degradation
-  ladder and the policy picking the entry tier.
 * :mod:`repro.serve.service` — :class:`MatchService`, tying the above
-  into a per-request-isolated pipeline.
+  into a per-request-isolated pipeline: every answer is a slice of the
+  answer table or a breaker-guarded, deadline-bounded tile-kernel call,
+  or it is a typed error.
 * :mod:`repro.serve.loop` — the stdin/stdout JSON-lines front end.
 
 See README "Serving" for the request/response schema and DESIGN.md §9
@@ -25,8 +25,6 @@ from .batcher import BatchWindow, MicroBatcher, bypasses_window
 from .breaker import (STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN,
                       CircuitBreaker)
 from .deadline import Deadline, is_budget_ms
-from .degrade import (LADDER, TIER_CACHED, TIER_FULL, TIER_STALE,
-                      DegradationPolicy, DegradeDecision)
 from .errors import (BadRequest, BreakerOpen, DeadlineExceeded, ServeError,
                      error_response)
 from .loop import serve_loop
@@ -38,8 +36,6 @@ __all__ = [
     "Deadline", "is_budget_ms",
     "CircuitBreaker", "STATE_CLOSED", "STATE_HALF_OPEN", "STATE_OPEN",
     "BatchWindow", "MicroBatcher", "bypasses_window",
-    "DegradationPolicy", "DegradeDecision",
-    "TIER_FULL", "TIER_CACHED", "TIER_STALE", "LADDER",
     "MatchService", "ServeConfig",
     "serve_loop",
 ]

@@ -117,8 +117,8 @@ class CircuitBreaker:
 
     def allows_call(self) -> bool:
         """Would a call be admitted right now?  (Non-binding — used by
-        the degradation policy to skip a tier without burning the
-        half-open probe slot.)"""
+        ``MatchService.handle_batch`` to skip a fused call without
+        burning the half-open probe slot.)"""
         with self._lock:
             self._maybe_half_open()
             if self._state == STATE_CLOSED:

@@ -10,9 +10,11 @@ serving API:
   vertex, wrong field type).  Retrying it verbatim will never help.
 * :class:`DeadlineExceeded` — the per-request budget ran out mid-stage.
   The request was well-formed; a retry with a larger budget may work.
-* :class:`BreakerOpen` — a circuit breaker is refusing calls to a
-  failing backend; the degradation ladder normally absorbs this before
-  it reaches a client.
+* :class:`BreakerOpen` — the circuit breaker is refusing calls to a
+  failing scoring backend.  It reaches the client: only a request past
+  the answer table calls the backend, and there is no lower tier to
+  fall back to.  Retry after ``retry_after`` seconds, or ask for at
+  most ``table_k`` matches.
 
 All inherit :class:`ServeError`, so "any expected serving failure" is
 one ``except`` clause while genuinely unexpected bugs stay loud.

@@ -3,36 +3,29 @@
 :class:`MatchService` wraps one *fitted* matcher and answers single-
 vertex match queries with production failure semantics:
 
-* every request carries a :class:`~repro.serve.deadline.Deadline`
-  (from its ``budget_ms``) that encode/score stages check instead of
-  running long;
-* full-tier scoring runs through a text-backend
-  :class:`~repro.serve.breaker.CircuitBreaker` (a second breaker guards
-  the image-tower warmup).  The text tower itself runs once, at
-  :meth:`MatchService.warmup`, which builds the matcher's frozen text
-  matrix through that breaker; a scoring call slices it, so what the
-  breaker guards per request past the answer table (below) is whatever
-  backs the rows and the score (the matrix, the GEMM, an ANN index) — a
-  hung or flaky one stops being called instead of stalling requests;
+* :meth:`MatchService.warmup` cuts every vertex's first ``table_k``
+  matches from the tile kernel once.  A request with ``top_k <=
+  table_k`` is a slice of that *answer table*: computed, it cannot
+  hang, so it is answered with no breaker call and no deadline check;
+* a larger request is scored by the tile kernel through a text-backend
+  :class:`~repro.serve.breaker.CircuitBreaker`, under the request's
+  :class:`~repro.serve.deadline.Deadline` (from its ``budget_ms``),
+  which the matcher's stage hooks check instead of running long.  The
+  text tower itself runs once, at warm-up, which builds the matcher's
+  frozen text matrix (and image matrix) inside the table build's
+  breaker-guarded tile calls; a scoring call slices it, so what the
+  breaker guards per request is whatever backs the rows and the score
+  (the matrix, the GEMM, an ANN index) — a hung or flaky one stops
+  being called instead of stalling requests;
+* so every answer is ``tier: "full"``, from the table or the tile
+  kernel, or it is a typed error: ``deadline_exceeded``,
+  ``breaker_open``, or ``internal`` for a raising backend;
 * a request a door refuses to admit (the micro-batcher's
   ``max_pending`` under burst, a connection's cap, a drain) gets one
   typed, traced ``overloaded`` / ``unavailable`` shape, :meth:`reject`;
-* on breaker-open or deadline pressure the
-  :class:`~repro.serve.degrade.DegradationPolicy` ladder falls back
-  full → cached → stale, tagging each degraded response;
-* :meth:`MatchService.warmup` cuts every vertex's first ``table_k``
-  matches from the tile kernel once; a request with ``top_k <=
-  table_k`` is a slice of that *answer table*, which is also the stale
-  tier, and only a larger request is scored;
 * any per-request failure — malformed request, corrupt input, encoder
   bug — becomes a structured error *response*; the process never dies
   for one query.
-
-The cached tier scores against a dedicated hard-prompt
-:class:`~repro.core.matcher.CrossEM` built over the same bundle, graph
-and image repository, so a degraded response is bit-identical to what
-that fallback matcher would return standalone (the PR 2 prompt-cache
-exactness argument, see DESIGN.md §6).
 
 The service owns no thread and no queue: admission and the scoring pool
 are :class:`~repro.serve.batcher.MicroBatcher`'s, for every door alike.
@@ -47,16 +40,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.matcher import CrossEM, CrossEMConfig
+from ..core.matcher import CrossEM
 from ..index.topk import deterministic_topk
 from ..obs import get_logger, registry, span, span_snapshot
 from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS
-from ..obs.trace import (FLAG_DEADLINE, FLAG_DEGRADED, FLAG_ERROR,
-                         FLAG_SHED, SamplePolicy, Tracer, add_trace_event,
-                         flag_trace, trace_recorder, trace_span)
+from ..obs.trace import (FLAG_DEADLINE, FLAG_ERROR, FLAG_SHED,
+                         SamplePolicy, Tracer, add_trace_event, flag_trace,
+                         trace_recorder, trace_span)
 from .breaker import CircuitBreaker
 from .deadline import Deadline, is_budget_ms
-from .degrade import (TIER_CACHED, TIER_FULL, TIER_STALE, DegradationPolicy)
 from .errors import (BadRequest, DeadlineExceeded, ServeError,
                      error_response)
 
@@ -102,13 +94,11 @@ class ServeConfig:
     default_budget_ms: Optional[float] = None
     #: matches returned when a request does not ask for a count
     top_k_default: int = 1
-    #: skip the full tier when less than this much budget remains
-    full_floor_ms: float = 0.0
     #: matches per vertex in the answer table ``warmup()`` builds; a
     #: request with ``top_k <= table_k`` is a slice of it.  An ANN
     #: index is searched at least this wide.
     table_k: int = 16
-    #: fixed row-tile width of full-tier scoring: every request, lone or
+    #: fixed row-tile width of the tile kernel: every request, lone or
     #: fused, is scored through an operand of exactly this many rows
     #: (padded with duplicates), which pins the BLAS kernel and makes an
     #: answer independent of batch composition (DESIGN.md §13)
@@ -121,8 +111,8 @@ class ServeConfig:
     breaker_min_calls: int = 3
     #: circuit breaker: how long it stays open before probing
     breaker_cooldown_ms: float = 2000.0
-    #: head-sampling rate for request traces (errors, degraded answers,
-    #: deadline blows and sheds are always kept regardless)
+    #: head-sampling rate for request traces (errors, deadline blows
+    #: and sheds are always kept regardless)
     trace_sample_rate: float = 1.0
     #: sampled traces retained in the bounded recorder (newest win)
     trace_capacity: int = 256
@@ -140,8 +130,6 @@ class ServeConfig:
             raise ValueError("default_budget_ms must be positive")
         if self.top_k_default < 1:
             raise ValueError("top_k_default must be at least 1")
-        if self.full_floor_ms < 0:
-            raise ValueError("full_floor_ms must be non-negative")
         if self.table_k < 1:
             raise ValueError("table_k must be at least 1")
         if self.batch_tile < 1:
@@ -176,7 +164,6 @@ class MatchService:
 
     def __init__(self, matcher: CrossEM, *,
                  config: Optional[ServeConfig] = None,
-                 fallback: Optional[CrossEM] = None,
                  clock: Callable[[], float] = time.monotonic,
                  tracer: Optional[Tracer] = None) -> None:
         if matcher.graph is None:
@@ -191,21 +178,11 @@ class MatchService:
                 policy=SamplePolicy(rate=self.config.trace_sample_rate),
                 clock=clock)
         self.tracer = tracer
-        cooldown = self.config.breaker_cooldown_ms / 1000.0
         self.text_breaker = CircuitBreaker(
             "text", window=self.config.breaker_window,
             failure_threshold=self.config.breaker_failure_threshold,
             min_calls=self.config.breaker_min_calls,
-            cooldown=cooldown, clock=clock)
-        self.vision_breaker = CircuitBreaker(
-            "vision", window=self.config.breaker_window,
-            failure_threshold=self.config.breaker_failure_threshold,
-            min_calls=self.config.breaker_min_calls,
-            cooldown=cooldown, clock=clock)
-        self.policy = DegradationPolicy(
-            self.text_breaker, full_floor=self.config.full_floor_ms / 1000.0)
-        self.fallback = fallback if fallback is not None \
-            else self._build_fallback()
+            cooldown=self.config.breaker_cooldown_ms / 1000.0, clock=clock)
         self._vertex_set = set(matcher.vertex_ids)
         self._images = len(matcher.images)
         #: repository positions this worker answers for (None = all)
@@ -228,33 +205,14 @@ class MatchService:
         self._warm_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------
-    def _build_fallback(self) -> CrossEM:
-        """A hard-prompt matcher over the same data: the cached tier.
-
-        Discrete prompts have no trainable parameters, so the fit below
-        never trains — it only builds the prompt-cache structures whose
-        embedding matrix the cached tier slices (DESIGN.md §6 is the
-        exactness argument).  A matcher that is itself discrete serves
-        as its own fallback: its full tier already is the cache.
-        """
-        if self.matcher.config.prompt != "soft":
-            return self.matcher
-        config = CrossEMConfig(
-            prompt="hard", d=self.matcher.config.d, epochs=0,
-            seed=self.matcher.config.seed,
-            aggregator=self.matcher.config.aggregator)
-        fallback = CrossEM(self.matcher.bundle, config)
-        fallback.fit(self.matcher.graph, self.matcher.images,
-                     self.matcher.vertex_ids)
-        return fallback
-
     def warmup(self) -> "MatchService":
         """Populate every embedding cache — image matrix, frozen text
         matrix (tuned soft prompts included) — build the answer table,
         and run every import the request path makes lazily, so no
-        request triggers a bulk encode or a module load.  Encoder work
-        runs through the breakers: a backend that cannot even warm up
-        fails the service *here*, loudly, not one request at a time.
+        request triggers a bulk encode or a module load.  The encodes
+        run inside the table build's tile calls, through the text
+        breaker: a backend that cannot even warm up fails the service
+        *here*, loudly, not one request at a time.
 
         Runs once, under a lock: concurrent first requests (the
         batcher's pool) wait for one build.  The table is published only
@@ -265,17 +223,7 @@ class MatchService:
             if self._table is not None:
                 return self
             with span("serve/warmup"):
-                matcher, fallback = self.matcher, self.fallback
-                self.vision_breaker.call(matcher._encode_images)
                 table = self._build_table()
-                if fallback is not matcher:
-                    # The fallback's bulk encode is encoder work like
-                    # any other: run it through the breakers too, so a
-                    # hung fallback backend trips a breaker here instead
-                    # of stalling warmup with no circuit ever opening.
-                    self.vision_breaker.call(fallback._encode_images)
-                    self.text_breaker.call(
-                        lambda: fallback.score([fallback.vertex_ids[0]]))
             self._table = table
         return self
 
@@ -325,7 +273,7 @@ class MatchService:
             budget = float(budget_ms) / 1000.0
         return _Query(vertex=vertex, top_k=top_k, budget=budget)
 
-    # -- scoring tiers -----------------------------------------------------
+    # -- scoring -----------------------------------------------------------
     def _index_k(self, top_k: int) -> int:
         """The ANN fetch width serving ``top_k`` (0 = brute force, where
         k does not shape the score row).  Floored at ``table_k``, the
@@ -336,9 +284,9 @@ class MatchService:
 
     def _score_tile(self, vertices: List[int], top_k: int,
                     deadline: Deadline) -> List[np.ndarray]:
-        """Full-tier score rows for ``vertices`` in one breaker-guarded
-        call, in fixed ``batch_tile``-row tiles — the one function that
-        defines a served score.
+        """Score rows for ``vertices`` in one breaker-guarded call, in
+        fixed ``batch_tile``-row tiles — the one function that defines a
+        served score.
 
         The fixed operand shape is the exactness argument (DESIGN.md
         §13): BLAS kernels round differently per operand *shape*, but
@@ -418,89 +366,37 @@ class MatchService:
         return [{"image": image, "score": score} for image, score in
                 zip(ids[:top_k].tolist(), scores[:top_k].tolist())]
 
-    # -- the ladder --------------------------------------------------------
-    def _execute(self, query: _Query, deadline: Deadline,
-                 full_row: Optional[np.ndarray] = None,
-                 ) -> Tuple[List[dict], str, Optional[str]]:
-        """Walk the degradation ladder; returns (matches, tier, reason).
+    # -- answering ---------------------------------------------------------
+    def _answer(self, query: _Query, deadline: Deadline,
+                full_row: Optional[np.ndarray] = None,
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """The request's ranked answer, from one of two places.
 
-        ``reason`` is ``None`` for an undegraded full-tier answer,
-        otherwise why the service fell below full.  A DeadlineExceeded
-        mid-ladder skips straight to the stale tier — once the budget is
-        blown, only a free tier is honest to run.
-
-        ``full_row`` is this request's row of a tile already scored for
-        its fused group (:meth:`handle_batch`); see :meth:`_full_tier`
-        for the rest.  The stale tier is the answer table: it misses a
-        request with ``top_k > table_k``, which surfaces its failure.
+        ``top_k <= table_k``: its slice of the answer table — no breaker
+        call and no deadline check, because the answer is already
+        computed and cannot hang.  Otherwise the vertex's tile-kernel
+        row: ``full_row`` when :meth:`handle_batch` scored it for a
+        fused group, else one :meth:`_score_tile` call inside this
+        request's trace, under the text breaker and the deadline.  A
+        failure there is the request's typed error; there is nothing
+        to fall back to.
         """
-        reg = registry()
-        decision = self.policy.plan(deadline)
-        reason = decision.reason
-        pending = list(decision.tiers)
-        last_error: Optional[BaseException] = None
-        while pending:
-            tier = pending.pop(0)
-            try:
-                with trace_span(f"tier/{tier}"):
-                    if tier == TIER_FULL:
-                        ranked = self._full_tier(query, deadline, full_row)
-                    elif tier == TIER_CACHED:
-                        # pure cache: slices the discrete-prompt
-                        # embedding matrix and one GEMM — no encoder
-                        # call, nothing for a breaker to trip
-                        deadline.check("score_cached")
-                        ranked = self._top(
-                            self.fallback.score([query.vertex])[0],
-                            query.top_k)
-                    else:
-                        hit = query.top_k <= self.config.table_k
-                        add_trace_event("cache", cache="stale", hit=hit)
-                        if not hit:
-                            break  # nothing stale: surface the real failure
-                        ranked = self._table[query.vertex]
-            except DeadlineExceeded as exc:
-                last_error = exc
-                reason = reason or exc.code
-                reg.counter("serve.deadline_exceeded_total").inc()
-                add_trace_event("deadline", stage=exc.stage, tier=tier)
-                flag_trace(FLAG_DEADLINE)
-                pending = [t for t in pending if t == TIER_STALE]
-                continue
-            except ServeError as exc:
-                last_error = exc
-                reason = reason or exc.code
-                continue
-            except Exception as exc:  # flaky backend: fall down a tier
-                last_error = exc
-                reason = reason or "backend_error"
-                _log.warning("tier failed", tier=tier, vertex=query.vertex,
-                             error=f"{type(exc).__name__}: {exc}")
-                continue
-            return (self._matches(*ranked, query.top_k), tier,
-                    reason if tier != TIER_FULL else None)
-        if last_error is None:  # stale-only plan, request past the table
-            last_error = ServeError("no serving tier could answer")
-        raise last_error
-
-    def _full_tier(self, query: _Query, deadline: Deadline,
-                   full_row: Optional[np.ndarray],
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """The full tier's ranked answer: a slice of the answer table
-        for ``top_k <= table_k`` — behind the same deadline check and
-        breaker as the tile call it stands for — else the lone vertex
-        scored through the tile kernel inside the request's trace."""
-        if full_row is not None:
-            deadline.check("score_full")
-        elif query.top_k <= self.config.table_k:
-            deadline.check("score_full")
-            ranked = self.text_breaker.call(lambda: self._table[query.vertex])
-            add_trace_event("cache", cache="table", hit=True)
-            return ranked
-        else:
-            full_row = self._score_tile([query.vertex], query.top_k,
-                                        deadline)[0]
-        return self._top(full_row, query.top_k)
+        try:
+            with trace_span("tier/full"):
+                if query.top_k <= self.config.table_k:
+                    add_trace_event("cache", cache="table", hit=True)
+                    return self._table[query.vertex]
+                if full_row is None:
+                    full_row = self._score_tile([query.vertex], query.top_k,
+                                                deadline)[0]
+                else:
+                    deadline.check("score_full")
+                return self._top(full_row, query.top_k)
+        except DeadlineExceeded as exc:
+            registry().counter("serve.deadline_exceeded_total").inc()
+            add_trace_event("deadline", stage=exc.stage)
+            flag_trace(FLAG_DEADLINE)
+            raise
 
     # -- request lifecycle -------------------------------------------------
     def _traced(self, request: Any,
@@ -510,9 +406,9 @@ class MatchService:
         the response leaves carrying its ``trace_id``.
 
         Whether a trace is *retained* is the sampling policy's call at
-        finish; errors, degraded answers, deadline blows and sheds flag
-        themselves on the way through and are always kept.  A request
-        carrying a ``trace`` context *joins* the caller's trace, and —
+        finish; errors, deadline blows and sheds flag themselves on the
+        way through and are always kept.  A request carrying a
+        ``trace`` context *joins* the caller's trace, and —
         if it asks for ``return_spans`` and the trace was retained —
         ships its span tree back in the response's ``trace`` field for
         cross-process stitching (DESIGN.md §15).
@@ -542,19 +438,18 @@ class MatchService:
         front door (in-process, stdio, TCP micro-batches, shard
         workers).  Responses align positionally with ``requests``.
 
-        Each request is parsed once, then walks its own degradation
-        ladder inside its own trace with its own deadline, metrics and
-        isolation.  What a batch shares is full-tier scoring of requests
-        past the answer table: they are grouped by ANN fetch width, and
-        each group of two or more is scored up front in one
-        :meth:`_score_tile` call.  A group of one is *not* pre-scored —
-        its ladder makes the same call itself, so a lone query is
-        scored inside its trace and a failure is accounted once.
-        Either way the operand is the ``batch_tile`` tile, so answers
-        do not depend on batch composition (DESIGN.md §13).  If a fused
-        call fails — deadline, breaker, encoder bug — its members fall
-        back to their own ladders; a batch never turns one failure into
-        N undiagnosed ones.
+        Each request is parsed once, then answered inside its own trace
+        with its own deadline, metrics and isolation.  What a batch
+        shares is the scoring of requests past the answer table: they
+        are grouped by ANN fetch width, and each group of two or more
+        is scored up front in one :meth:`_score_tile` call.  A group of
+        one is *not* pre-scored — :meth:`_answer` makes the same call
+        itself, so a lone query is scored inside its trace and a
+        failure is accounted once.  Either way the operand is the
+        ``batch_tile`` tile, so answers do not depend on batch
+        composition (DESIGN.md §13).  If a fused call fails — deadline,
+        breaker, encoder bug — each member makes its own call; a batch
+        never turns one failure into N undiagnosed ones.
         """
         started = self._clock()
         try:
@@ -573,7 +468,8 @@ class MatchService:
             except BadRequest as exc:
                 query = exc
             else:
-                if self._fusible(query):
+                if query.top_k > self.config.table_k and \
+                        self.text_breaker.allows_call():
                     # with an ANN index attached, k shapes the shortlist
                     # and therefore the answer, so only like-k requests
                     # may share a call; brute force ignores k (one group)
@@ -593,7 +489,7 @@ class MatchService:
                 block = self._score_tile(
                     [parsed[p].vertex for p in positions], k, deadline)
             except Exception:
-                continue  # per-request ladders take over below
+                continue  # each member makes its own call below
             reg.counter("serve.batch.fused_total").inc(len(positions))
             reg.histogram("serve.batch.group_size").observe(
                 float(len(positions)))
@@ -602,21 +498,6 @@ class MatchService:
                              self._respond(request_id, parsed[p],
                                            rows.get(p), started))
                 for position, request in enumerate(requests)]
-
-    def _fusible(self, query: _Query) -> bool:
-        """Would this request be scored on the full tier right now?  It
-        must be past the answer table; the rest mirrors
-        :meth:`DegradationPolicy.plan` (breaker admits encoder calls,
-        budget clears the full floor) without emitting its trace event
-        — evaluated once at fuse time; the per-request ladder re-plans
-        with full accounting afterwards."""
-        if query.top_k <= self.config.table_k:
-            return False
-        if not self.text_breaker.allows_call():
-            return False
-        if query.budget is None:
-            return True
-        return query.budget >= self.policy.full_floor
 
     def _respond(self, request_id: Any, query: Any,
                  full_row: Optional[np.ndarray], started: float) -> dict:
@@ -635,7 +516,7 @@ class MatchService:
             add_trace_event("batch", fused=True)
         deadline = Deadline(query.budget, clock=self._clock)
         try:
-            matches, tier, reason = self._execute(query, deadline, full_row)
+            ranked = self._answer(query, deadline, full_row)
         except ServeError as exc:
             return self._error_response(request_id, exc.code, str(exc),
                                         started)
@@ -644,23 +525,17 @@ class MatchService:
             return self._internal_error(
                 request_id, f"{type(exc).__name__}: {exc}", started)
         elapsed_ms = (self._clock() - started) * 1e3
-        degraded = tier != TIER_FULL
         reg = registry()
         reg.counter("serve.ok_total").inc()
-        reg.counter(f"serve.tier.{tier}").inc()
-        if degraded:
-            reg.counter("serve.degraded_total").inc()
-            flag_trace(FLAG_DEGRADED)
+        reg.counter("serve.tier.full").inc()
         # bucket-backed so a live scrape can delta two snapshots into
         # the window's exact latency quantiles (obs.scrape)
         reg.histogram("serve.request_ms",
                       buckets=DEFAULT_LATENCY_BOUNDS_MS).observe(elapsed_ms)
-        response = {"id": request_id, "ok": True, "vertex": query.vertex,
-                    "tier": tier, "degraded": degraded, "matches": matches,
-                    "elapsed_ms": round(elapsed_ms, 3)}
-        if degraded and reason is not None:
-            response["reason"] = reason
-        return response
+        return {"id": request_id, "ok": True, "vertex": query.vertex,
+                "tier": "full", "degraded": False,
+                "matches": self._matches(*ranked, query.top_k),
+                "elapsed_ms": round(elapsed_ms, 3)}
 
     def _internal_error(self, request_id: Any, message: str,
                         started: float) -> dict:

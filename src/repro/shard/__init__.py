@@ -24,13 +24,13 @@ the merge exactness argument, and the failure model.
 """
 
 from .client import ShardClient, ShardUnavailable
-from .partition import merge_matches, owned_positions, worst_tier
+from .partition import merge_matches, owned_positions
 from .router import RouterConfig, ShardRouter
 from .supervisor import SupervisorConfig, WorkerSupervisor
 
 __all__ = [
     "ShardClient", "ShardUnavailable",
-    "merge_matches", "owned_positions", "worst_tier",
+    "merge_matches", "owned_positions",
     "RouterConfig", "ShardRouter",
     "SupervisorConfig", "WorkerSupervisor",
 ]

@@ -33,15 +33,11 @@ deadlock package init).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["owned_positions", "merge_matches", "worst_tier"]
-
-#: tier badness order, mirroring repro.serve.degrade.LADDER — a merged
-#: response is only as good as its worst contributing shard
-_TIER_RANK: Dict[str, int] = {"full": 0, "cached": 1, "stale": 2}
+__all__ = ["owned_positions", "merge_matches"]
 
 
 def owned_positions(total: int, count: int, slot: int) -> np.ndarray:
@@ -72,16 +68,3 @@ def merge_matches(per_shard: Sequence[Sequence[dict]],
     pool.sort(key=lambda match: (-float(match["score"]),
                                  int(match["image"])))
     return pool[:top_k]
-
-
-def worst_tier(tiers: Iterable[str]) -> Optional[str]:
-    """The lowest serving tier among contributing shards (``None`` for
-    an empty iterable).  Unknown tier strings rank worst: a router must
-    never report a merged answer as healthier than its parts."""
-    worst: Optional[str] = None
-    worst_rank = -1
-    for tier in tiers:
-        rank = _TIER_RANK.get(tier, len(_TIER_RANK))
-        if rank > worst_rank:
-            worst, worst_rank = tier, rank
-    return worst

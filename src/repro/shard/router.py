@@ -23,8 +23,8 @@ The headline is what happens when shards misbehave:
 * **partial-result degradation** — open-breaker/late/dead shards cost
   coverage, not availability: the router answers from the shards that
   did respond, typed ``degraded: true, reason: "partial"`` with
-  ``shards_answered``/``shards_total``, extending the serve ladder's
-  honesty contract across processes.  Only when *no* shard answers
+  ``shards_answered``/``shards_total``, so a merged answer never
+  claims more coverage than it has.  Only when *no* shard answers
   does a request fail (typed ``unavailable``);
 * **deadline budgets** — a request's ``budget_ms`` is forwarded to the
   shards verbatim (their serve-side deadline machinery applies
@@ -67,7 +67,7 @@ from ..serve.deadline import is_budget_ms
 from ..serve.errors import error_response
 from ..serve.service import parse_trace_context
 from .client import ShardClient, ShardUnavailable
-from .partition import merge_matches, worst_tier
+from .partition import merge_matches
 
 __all__ = ["RouterConfig", "ShardRouter"]
 
@@ -284,12 +284,13 @@ class ShardRouter(LineServer):
             top_k = await self._top_k_default(
                 max(len(r.get("matches", [])) for r in oks))
         matches = merge_matches([r.get("matches", []) for r in oks], top_k)
-        tier = worst_tier(r.get("tier", "full") for r in oks) or "full"
         partial = len(oks) < count
+        # shard bodies come from other processes: one that says it is
+        # degraded makes the merged answer degraded too
         shard_degraded = [r for r in oks if r.get("degraded")]
-        degraded = partial or bool(shard_degraded) or tier != "full"
+        degraded = partial or bool(shard_degraded)
         response = {"id": request_id, "ok": True,
-                    "vertex": oks[0].get("vertex"), "tier": tier,
+                    "vertex": oks[0].get("vertex"), "tier": "full",
                     "degraded": degraded, "matches": matches,
                     "elapsed_ms": round(elapsed_ms, 3)}
         reg.counter("shard.router.ok_total").inc()

@@ -125,7 +125,7 @@ class TestCLIValidation:
         ["serve", "cub", "--batch-workers", "0"],
         ["serve", "cub", "--top-k", "0"],
         ["serve", "cub", "--default-budget-ms", "0"],
-        ["serve", "cub", "--full-floor-ms", "-1"],
+        ["serve", "cub", "--batch-window-ms", "-1"],
         ["serve", "cub", "--breaker-threshold", "0"],
         ["serve", "cub", "--breaker-threshold", "1.5"],
         ["serve", "cub", "--breaker-min-calls", "0"],

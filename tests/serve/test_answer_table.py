@@ -90,8 +90,8 @@ def served(service, vertex, top_k):
     return response["matches"]
 
 
-def service_for(matcher, slot=None, count=None, fallback=None, **config):
-    return MatchService(matcher, fallback=fallback, config=ServeConfig(
+def service_for(matcher, slot=None, count=None, **config):
+    return MatchService(matcher, config=ServeConfig(
         shard_slot=slot, shard_count=count, **config)).warmup()
 
 
@@ -102,18 +102,17 @@ def hard_matcher(tiny_bundle, tiny_dataset):
 
 @pytest.fixture(scope="module", params=["soft", "hard"])
 def world(request, fitted_soft, hard_matcher):
-    """``(matcher, fallback)``: the suite's tuned soft world (with the
-    hard matcher as its cached tier, built once) or the hard world."""
+    """The suite's tuned soft world or the hard world."""
     if request.param == "soft":
-        return fitted_soft, hard_matcher
-    return hard_matcher, None
+        return fitted_soft
+    return hard_matcher
 
 
 class TestExactness:
     @pytest.mark.parametrize("slot,count", LAYOUTS)
     def test_every_answer_is_the_tile_kernel(self, world, slot, count):
-        matcher, fallback = world
-        service = service_for(matcher, slot, count, fallback=fallback)
+        matcher = world
+        service = service_for(matcher, slot, count)
         for vertex in matcher.vertex_ids:
             row = brute_row(matcher, vertex)
             for top_k in top_ks(matcher):

@@ -93,16 +93,17 @@ class TestDenseRowSurrogate:
         finite = int(np.isfinite(row).sum())
         assert finite == min(floor, len(indexed_matcher.images))
 
-    def test_insufficient_stale_row_is_not_served(self, indexed_matcher):
-        """The stale tier is the answer table: a blown budget is served
-        from it up to ``table_k`` matches, and a request wanting more
-        than a table row holds is a miss, not a short answer."""
+    def test_blown_budget_answers_within_the_table(self, indexed_matcher):
+        """A blown budget is answered from the answer table up to
+        ``table_k`` matches; a request wanting more than a table row
+        holds is scored, so it gets its ``deadline_exceeded``, not a
+        short answer."""
         service = MatchService(indexed_matcher, config=ServeConfig(table_k=2),
                                clock=SteppingClock()).warmup()
         vertex = indexed_matcher.vertex_ids[0]
         covered = service.handle({"vertex": vertex, "top_k": 2,
                                   "budget_ms": 1})
-        assert covered["tier"] == "stale" and len(covered["matches"]) == 2
+        assert covered["tier"] == "full" and len(covered["matches"]) == 2
         wider = service.handle({"vertex": vertex, "top_k": 3,
                                 "budget_ms": 1})
         assert wider["ok"] is False

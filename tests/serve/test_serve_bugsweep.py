@@ -2,10 +2,10 @@
 
 Three previously-latent bugs, each pinned by a regression test:
 
-* ``warmup()`` used to run the fallback matcher's encode/score outside
-  the circuit breakers, so a wedged encoder could stall startup forever
-  with no breaker ever noticing — now every warmup encode/score is a
-  breaker-guarded call.
+* ``warmup()`` used to run encodes outside the circuit breakers, so a
+  wedged encoder could stall startup forever with no breaker ever
+  noticing — now every warmup encode runs inside the answer table's
+  breaker-guarded tile calls.
 * ``_parse`` accepted any positive ``top_k`` (``10**9`` included) and
   downstream code dutifully tried to honour it; now it clamps to the
   image repository size and answers with that many matches.
@@ -30,38 +30,34 @@ from repro.serve import MatchService, serve_loop
 
 
 class TestWarmupThroughBreakers:
-    def test_fallback_warmup_counts_breaker_calls(self, fitted_soft):
-        """Every fallback encode/score in warmup shows up in breaker
-        telemetry — proof the calls run *inside* the breakers."""
+    def test_warmup_counts_in_the_text_breaker(self, fitted_soft):
+        """Every tile call of the table build shows up in breaker
+        telemetry — proof the calls run *inside* the breaker."""
         service = MatchService(fitted_soft)
-        vision_before = registry().counter(
-            "serve.breaker.vision.successes_total").value
-        text_before = registry().counter(
+        tiles = -(-len(fitted_soft.vertex_ids) // service.config.batch_tile)
+        before = registry().counter(
             "serve.breaker.text.successes_total").value
         service.warmup()
         assert registry().counter(
-            "serve.breaker.vision.successes_total").value > vision_before
-        assert registry().counter(
-            "serve.breaker.text.successes_total").value > text_before
+            "serve.breaker.text.successes_total").value == before + tiles
 
-    def test_wedged_fallback_encoder_fails_loud_not_silent(self,
-                                                           fitted_soft,
-                                                           monkeypatch):
-        """A fallback whose image tower raises must surface through the
-        vision breaker (counted as a breaker failure), not bypass it."""
+    def test_wedged_image_encoder_fails_loud(self, fitted_soft,
+                                             monkeypatch):
+        """An image tower that raises during warm-up must surface
+        through the text breaker the table build calls it under
+        (counted as a breaker failure), not bypass it."""
         service = MatchService(fitted_soft)
-        fallback = service.fallback
 
         def broken_encode(indices=None):
             raise RuntimeError("image tower wedged")
 
-        monkeypatch.setattr(fallback, "_encode_images", broken_encode)
+        monkeypatch.setattr(fitted_soft, "_encode_images", broken_encode)
         failures_before = registry().counter(
-            "serve.breaker.vision.failures_total").value
-        with pytest.raises(RuntimeError):
+            "serve.breaker.text.failures_total").value
+        with pytest.raises(RuntimeError, match="image tower wedged"):
             service.warmup()
         assert registry().counter(
-            "serve.breaker.vision.failures_total").value > failures_before
+            "serve.breaker.text.failures_total").value > failures_before
 
 
 class TestTopKClamp:

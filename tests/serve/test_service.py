@@ -8,14 +8,16 @@ so a hung or flaky text backend takes exactly this path in production.
 matrix ``_text_queries`` slices — a served query never re-encodes.)
 
 A request with ``top_k <= table_k`` never reaches that call: it is a
-slice of the answer table ``warmup()`` built.  The fault scenarios
-therefore ask for ``PAST_TABLE`` matches — the fall-through path, the
-one that can still hang, explode or pin.
+slice of the answer table ``warmup()`` built, answered with no breaker
+call and no deadline check.  The fault scenarios therefore ask for
+``PAST_TABLE`` matches — the scored path, the one that can still hang,
+explode or pin, and whose failure is the request's typed error.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import time
 
 import numpy as np
@@ -140,6 +142,9 @@ class TestBadRequestIsolation:
 class TestHungEncoder:
     def test_deadline_failures_trip_breaker_then_requests_degrade(
             self, make_service, fitted_soft):
+        """With the breaker open the service degrades to what the answer
+        table holds: a past-table request fails fast with
+        ``breaker_open``, a table hit is still answered in full."""
         # warmup's successful calls already sit in the breaker window,
         # so min_calls=3 means two deadline failures trip it
         service = make_service(breaker_min_calls=3, breaker_window=4)
@@ -155,15 +160,18 @@ class TestHungEncoder:
             assert reg.gauge("serve.breaker.text.state").value == 2  # open
             assert reg.counter("serve.deadline_exceeded_total").value >= 2
             # breaker open: the sick encoder is no longer even called,
-            # and the same request now succeeds from the cached tier
+            # and the same request now fails fast with the typed error
+            started = time.monotonic()
             third = service.handle(dict(request, id="c"))
-        assert third["ok"] is True
-        assert third["tier"] == "cached"
-        assert third["degraded"] is True
-        assert third["reason"] == "breaker_open"
-        reg = registry()
-        assert reg.counter("serve.tier.cached").value == 1
-        assert reg.counter("serve.degraded_total").value == 1
+            assert time.monotonic() - started < 0.08
+            # a request the answer table covers never asks the breaker
+            hit = service.handle({"id": "d", "vertex": vertex, "top_k": 3,
+                                  "budget_ms": 20})
+        assert third["ok"] is False
+        assert third["error"]["type"] == "breaker_open"
+        assert hit["ok"] is True and hit["tier"] == "full"
+        assert hit["degraded"] is False
+        assert registry().counter("serve.error.breaker_open").value == 1
 
     def test_deadline_bounded_return(self, make_service, fitted_soft):
         service = make_service()
@@ -174,8 +182,8 @@ class TestHungEncoder:
             response = service.handle({"vertex": vertex, "budget_ms": 20,
                                        "top_k": PAST_TABLE})
             wall = time.monotonic() - started
-        # past the table there is no stale answer, so the blown budget
-        # surfaces as an error — within budget plus roughly one stage
+        # past the table the blown budget is the request's error —
+        # within budget plus roughly one stage
         # (the stalled encode), far below what letting the full
         # pipeline finish would take
         assert response["ok"] is False
@@ -196,79 +204,120 @@ class SteppingClock:
         return self.now
 
 
-class TestStaleTier:
-    """The stale tier is the answer table: it holds every vertex from
-    boot, so it needs no earlier request, and it is as wide as the
-    table, so a larger request misses and surfaces its own failure."""
+class TestBlownBudget:
+    """A blown budget is a typed error only where it can matter: a
+    table hit is already computed, so it is answered in full; a request
+    past the table surfaces ``deadline_exceeded``."""
 
     def make_blown(self, fitted_soft):
         return MatchService(fitted_soft, clock=SteppingClock()).warmup()
 
-    def test_blown_budget_on_unserved_vertex_gets_stale_answer(
+    def test_blown_budget_table_hit_is_the_full_answer(
             self, make_service, fitted_soft):
         vertex = fitted_soft.vertex_ids[2]
         response = self.make_blown(fitted_soft).handle(
             {"id": "late", "vertex": vertex, "top_k": 2, "budget_ms": 1})
         assert response["ok"] is True
-        assert response["tier"] == "stale"
-        assert response["degraded"] is True
-        assert response["reason"] == "deadline_pressure"
-        assert registry().counter("serve.tier.stale").value == 1
-        # the stale answer is the full answer, bit for bit
+        assert response["tier"] == "full"
+        assert response["degraded"] is False
+        assert "reason" not in response
         full = make_service().handle({"vertex": vertex, "top_k": 2})
-        assert full["tier"] == "full"
         assert response["matches"] == full["matches"]
 
-    def test_fall_through_stale_miss_surfaces_deadline_exceeded(
+    def test_blown_budget_past_the_table_is_deadline_exceeded(
             self, fitted_soft):
         response = self.make_blown(fitted_soft).handle(
             {"vertex": fitted_soft.vertex_ids[2], "top_k": PAST_TABLE,
              "budget_ms": 1})
         assert response["ok"] is False
         assert response["error"]["type"] == "deadline_exceeded"
-        assert registry().counter("serve.tier.stale").value == 0
+        assert registry().counter("serve.deadline_exceeded_total").value == 1
 
 
 class TestFlakyEncoder:
-    def test_backend_error_falls_to_cached(self, make_service, fitted_soft):
+    def test_backend_error_is_internal_then_full_resumes(self, make_service,
+                                                         fitted_soft):
         service = make_service(breaker_min_calls=3)
         vertex = fitted_soft.vertex_ids[0]
         request = {"vertex": vertex, "top_k": PAST_TABLE}
         with encoder_fault(fitted_soft, explode(RuntimeError("flaky"))):
             response = service.handle(request)
-        assert response["ok"] is True
-        assert response["tier"] == "cached"
-        assert response["degraded"] is True
-        assert response["reason"] == "backend_error"
+        assert response["ok"] is False
+        assert response["error"]["type"] == "internal"
+        assert "flaky" in response["error"]["message"]
         # and once the backend recovers, full service resumes
         recovered = service.handle(request)
         assert recovered["tier"] == "full"
 
 
-class TestCachedBitIdentity:
-    def test_cached_tier_equals_standalone_hard_matcher(
-            self, make_service, fitted_soft, tiny_bundle, tiny_dataset):
-        service = make_service()
-        service.text_breaker.force_open()
-        vertex = fitted_soft.vertex_ids[1]
-        response = service.handle({"vertex": vertex, "top_k": 5})
-        assert response["tier"] == "cached"
-        assert response["reason"] == "breaker_open"
+@pytest.fixture(scope="module")
+def fitted_hard(tiny_bundle, tiny_dataset):
+    matcher = CrossEM(tiny_bundle, CrossEMConfig(prompt="hard", epochs=0,
+                                                 seed=3))
+    matcher.fit(tiny_dataset.graph, tiny_dataset.images,
+                tiny_dataset.entity_vertices)
+    return matcher
 
-        config = fitted_soft.config
-        standalone = CrossEM(tiny_bundle, CrossEMConfig(
-            prompt="hard", d=config.d, epochs=0, seed=config.seed,
-            aggregator=config.aggregator))
-        standalone.fit(tiny_dataset.graph, tiny_dataset.images,
-                       tiny_dataset.entity_vertices)
-        expected = standalone.score([vertex])[0]
-        image_ids = [img.image_id for img in standalone.images]
-        order = sorted(range(len(image_ids)),
-                       key=lambda i: (-float(expected[i]), i))[:5]
-        assert [m["image"] for m in response["matches"]] == \
-            [image_ids[i] for i in order]
-        for match, row in zip(response["matches"], order):
-            assert match["score"] == float(expected[row])  # exact equality
+
+@pytest.fixture(params=["soft", "hard"])
+def world(request, fitted_soft, fitted_hard):
+    return fitted_soft if request.param == "soft" else fitted_hard
+
+
+class TestBreakerOpenTableHit:
+    def test_table_hit_ignores_an_open_breaker(self, world):
+        """An open breaker guards the backend, and a table hit does not
+        call it: the answer is the closed-breaker answer, byte for
+        byte, undegraded."""
+        service = MatchService(world).warmup()
+        requests = [{"id": i, "vertex": v, "top_k": 5}
+                    for i, v in enumerate(world.vertex_ids)]
+        closed = [service.handle(r) for r in requests]
+        service.text_breaker.force_open()
+        opened = [service.handle(r) for r in requests]
+        for before, after in zip(closed, opened):
+            assert after["ok"] is True
+            assert after["tier"] == "full" and after["degraded"] is False
+            assert "reason" not in after
+            assert json.dumps(after["matches"]) == \
+                json.dumps(before["matches"])
+        past = service.handle({"vertex": world.vertex_ids[0],
+                               "top_k": PAST_TABLE})
+        assert past["error"]["type"] == "breaker_open"
+
+
+class TestBreakerCountsBackendCalls:
+    def test_table_hits_do_not_dilute_the_window(self, make_service,
+                                                 fitted_soft):
+        """Two table hits per past-table request, the backend hung: only
+        the past-table calls reach the backend, so only they land in the
+        window, and their failures alone open the breaker."""
+        service = make_service(breaker_window=8, breaker_min_calls=3)
+        reg = registry()
+        warm_successes = reg.counter(
+            "serve.breaker.text.successes_total").value
+        vertex = fitted_soft.vertex_ids[0]
+        failures = 0
+        with encoder_fault(fitted_soft, hang(0.05)):
+            for _ in range(4):
+                for top_k in (1, 3):
+                    hit = service.handle({"vertex": vertex, "top_k": top_k,
+                                          "budget_ms": 20})
+                    assert hit["ok"] is True and hit["tier"] == "full"
+                past = service.handle({"vertex": vertex,
+                                       "top_k": PAST_TABLE,
+                                       "budget_ms": 20})
+                assert past["ok"] is False
+                if past["error"]["type"] == "breaker_open":
+                    break
+                assert past["error"]["type"] == "deadline_exceeded"
+                failures += 1
+        assert reg.gauge("serve.breaker.text.state").value == 2  # open
+        assert past["error"]["type"] == "breaker_open"
+        assert reg.counter("serve.breaker.text.failures_total").value \
+            == failures
+        assert reg.counter("serve.breaker.text.successes_total").value \
+            == warm_successes
 
 
 class TestConstruction:
@@ -276,18 +325,9 @@ class TestConstruction:
         with pytest.raises(ValueError, match="fitted"):
             MatchService(CrossEM(tiny_bundle))
 
-    def test_discrete_matcher_is_its_own_fallback(self, tiny_bundle,
-                                                  tiny_dataset):
-        matcher = CrossEM(tiny_bundle, CrossEMConfig(prompt="hard", epochs=0,
-                                                     seed=3))
-        matcher.fit(tiny_dataset.graph, tiny_dataset.images,
-                    tiny_dataset.entity_vertices)
-        service = MatchService(matcher)
-        assert service.fallback is matcher
-
     @pytest.mark.parametrize("kwargs", [
         dict(table_k=0), dict(shard_slot=0), dict(default_budget_ms=0),
-        dict(top_k_default=0), dict(full_floor_ms=-1.0),
+        dict(top_k_default=0), dict(batch_tile=0),
         dict(shard_slot=2, shard_count=2),
     ])
     def test_bad_config_rejected(self, kwargs):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.serve import MatchService, ServeConfig
-from repro.shard import merge_matches, owned_positions, worst_tier
+from repro.shard import merge_matches, owned_positions
 
 
 class TestPartition:
@@ -126,15 +126,3 @@ class TestMerge:
              [{"image": 3, "score": 1.0}, {"image": 9, "score": 0.5}]], 3)
         assert [m["image"] for m in merged] == [3, 5, 2]
 
-
-class TestWorstTier:
-    def test_orders_the_ladder(self):
-        assert worst_tier(["full", "full"]) == "full"
-        assert worst_tier(["full", "cached"]) == "cached"
-        assert worst_tier(["cached", "stale", "full"]) == "stale"
-
-    def test_unknown_tier_ranks_worst(self):
-        assert worst_tier(["full", "mystery"]) == "mystery"
-
-    def test_empty_is_none(self):
-        assert worst_tier([]) is None

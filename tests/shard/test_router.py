@@ -16,6 +16,7 @@ lines are answered, not fatal.
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import json
 import socket
@@ -28,6 +29,7 @@ from repro.loadgen import LoadConfig, SocketDriver, build_schedule, \
     fetch_info, run_schedule
 from repro.netserve.protocol import MAX_LINE_BYTES
 from repro.obs import registry
+from repro.shard import ShardRouter
 
 from .conftest import StaticEndpoints
 
@@ -193,6 +195,29 @@ class TestPartialDegradation:
         owned_by_2 = registry().counter("shard.2.failed_total").value
         assert owned_by_2 >= 1
         assert registry().counter("shard.router.partial_total").value >= 1
+
+    def test_a_shard_saying_degraded_degrades_the_merge(self):
+        """Every merged answer is ``tier: "full"``; it is degraded when
+        it is partial or when any shard body says ``degraded: true``."""
+        router = ShardRouter(StaticEndpoints([None, None]))
+
+        def body(image, degraded, **extra):
+            return dict({"ok": True, "vertex": 3, "tier": "full",
+                         "degraded": degraded,
+                         "matches": [{"image": image, "score": 1.0}]},
+                        **extra)
+
+        def merged(*oks):
+            return asyncio.run(router._merged_response(
+                {"top_k": 2}, "m", list(oks), 2, 0.0))
+
+        healthy = merged(body(1, False), body(2, False))
+        assert healthy["tier"] == "full" and healthy["degraded"] is False
+        assert "reason" not in healthy
+        flagged = merged(body(1, False), body(2, True, reason="odd"))
+        assert flagged["tier"] == "full" and flagged["degraded"] is True
+        assert flagged["reason"] == "odd"
+        assert registry().counter("shard.router.degraded_total").value == 1
 
     def test_all_shards_down_is_typed_unavailable(self, shard_cluster,
                                                   run_router):
