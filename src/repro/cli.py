@@ -732,7 +732,8 @@ def _live_slo(spec, args: argparse.Namespace) -> int:
             print(f"scrape failed mid-run: {exc}", file=sys.stderr)
             return 1
         window.append(delta_summary(previous.get("metrics") or [],
-                                    current.get("metrics") or []))
+                                    current.get("metrics") or [],
+                                    router="shards" in current))
         per_shard_current = current.get("per_shard") or {}
         for slot in sorted(per_shard_current):
             before = per_shard_previous.get(slot)

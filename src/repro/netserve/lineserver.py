@@ -75,10 +75,13 @@ class LineServer:
     def info(self, request_id: Any) -> Any:
         """Answer a control op (:func:`~repro.netserve.protocol.
         control_op`): a response dict, or an awaitable of one.
-        Likewise :meth:`stats`."""
+        Likewise :meth:`stats` and :meth:`table`."""
         raise NotImplementedError
 
     def stats(self, request_id: Any) -> Any:
+        raise NotImplementedError
+
+    def table(self, request_id: Any) -> Any:
         raise NotImplementedError
 
     def bad_line(self, error: Exception) -> dict:
@@ -143,7 +146,7 @@ class LineServer:
         self._conns_gauge = reg.gauge(self._metric("conns"))
         self._conns_gauge.set(0)
         server = await asyncio.start_server(
-            self._on_connection, cfg.host, cfg.port, limit=MAX_LINE_BYTES)
+            self._accept, cfg.host, cfg.port, limit=MAX_LINE_BYTES)
         self.bound = tuple(server.sockets[0].getsockname()[:2])
         _log.info("listening", door=self.metric_prefix, host=self.bound[0],
                   port=self.bound[1])
@@ -175,22 +178,37 @@ class LineServer:
         return 0 if clean else 1
 
     # -- per-connection handling -------------------------------------------
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Register a new connection the moment it exists.
+
+        Called synchronously from the transport's ``connection_made``,
+        not as a task of its own: a connection accepted as a drain
+        starts is already in ``_conn_tasks`` when the drain looks, even
+        if its task has not run a step yet.  However that task ends —
+        served, timed out, cancelled before its first step by the loop
+        shutting down — its transport is closed, so no client is left
+        holding a socket only the garbage collector would close."""
+        task = asyncio.ensure_future(self._on_connection(reader, writer))
         self._conn_tasks.add(task)
         registry().counter(self._metric("conns_total")).inc()
         self._conns_gauge.set(float(len(self._conn_tasks)))
+
+        def closed(_: asyncio.Task) -> None:
+            self._conn_tasks.discard(task)
+            self._conns_gauge.set(float(len(self._conn_tasks)))
+            with contextlib.suppress(Exception):
+                writer.close()
+
+        task.add_done_callback(closed)
+
+    async def _on_connection(self, reader: asyncio.StreamReader,
+                             writer: asyncio.StreamWriter) -> None:
         try:
             await self._connection_loop(reader, writer)
         except Exception as exc:  # a broken conn must never kill serving
             _log.warning("connection failed",
                          error=f"{type(exc).__name__}: {exc}")
-        finally:
-            self._conn_tasks.discard(task)
-            self._conns_gauge.set(float(len(self._conn_tasks)))
-            with contextlib.suppress(Exception):
-                writer.close()
 
     async def _connection_loop(self, reader: asyncio.StreamReader,
                                writer: asyncio.StreamWriter) -> None:

@@ -8,7 +8,7 @@ on, so none grows a private copy: the framing, the control-op table
 (:func:`control_op`) and the one-shot control-op client
 (:func:`request_op`).
 
-Beyond match requests, every door answers two control operations:
+Beyond match requests, every door answers three control operations:
 
 ``{"op": "info", "id": ...}`` →
 ``{"id": ..., "ok": true, "info": {...}}``
@@ -27,6 +27,17 @@ behind ``repro obs scrape`` and the router's fleet aggregation
 (DESIGN.md §15).  Answered inline off the event loop: a snapshot is a
 locked copy of in-memory instruments, never a scoring call, so a scrape
 cannot queue behind (or be shed by) match traffic.
+
+``{"op": "table", "id": ...}`` →
+``{"id": ..., "ok": true, "table": {"k", "vertices", "ids", "scores",
+"sha256"}}``
+
+carrying the door's whole answer table: every vertex's first ``k``
+matches, best first, as per-vertex ``ids``/``scores`` rows in
+``vertices`` order, with the sha256 ``info`` also reports as
+``table_sha256`` (:func:`repro.serve.service.table_digest`).  A shard
+router fetches each worker's table once and answers hits from their
+merge; its own ``table`` op returns that merged table (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -139,7 +150,7 @@ def encode_response(response: dict) -> bytes:
 
 #: control operations: answered inline by the backend method of the same
 #: name instead of being submitted as a match query
-CONTROL_OPS = ("info", "stats")
+CONTROL_OPS = ("info", "stats", "table")
 
 
 def control_op(backend: Any, request: Any) -> Any:

@@ -98,6 +98,9 @@ class NetServer(LineServer):
     def stats(self, request_id: Any) -> dict:
         return self.service.stats(request_id)
 
+    def table(self, request_id: Any) -> dict:
+        return self.service.table(request_id)
+
     def bad_line(self, error: Exception) -> dict:
         return self.service.bad_line(error)
 

@@ -19,7 +19,9 @@ is the aggregation math behind both (the one-shot scrape client is
   :meth:`BucketHistogram.delta_from` for latency quantiles) in the
   exact summary schema :func:`repro.obs.slo.evaluate_slo` judges, so
   ``repro obs slo --connect`` computes burn rate over a sliding window
-  of live scrapes.
+  of live scrapes.  A router's scrape is judged at its front door —
+  the router's own counters, since a hit never reaches a worker and a
+  scattered request reaches all N of them.
 
 Each shard's snapshot is internally consistent per instrument (rows are
 read under the instrument lock) but the fleet scrape is not a
@@ -36,12 +38,21 @@ from .hist import BucketHistogram
 
 __all__ = ["aggregate_fleet", "delta_summary", "combine_summaries"]
 
-#: counter names the delta summary reads (see ``serve.service``)
-_OFFERED = "serve.requests_total"
-_OK = "serve.ok_total"
-_DEGRADED = "serve.degraded_total"
-_SHED = "serve.error.overloaded"
-_ERRORS = "serve.error_total"
+#: what a delta summary reads, per door: a service (``serve.service``;
+#: it never degrades, so every ``ok`` is full) and a shard router, whose
+#: ``ok_total`` counts its degraded (partial) answers too
+_SERVICE_DOOR = {"offered": "serve.requests_total",
+                 "answered": "serve.ok_total",
+                 "degraded": None,
+                 "shed": "serve.error.overloaded",
+                 "errors": "serve.error_total",
+                 "latency": "serve.request_ms"}
+_ROUTER_DOOR = {"offered": "shard.router.requests_total",
+                "answered": "shard.router.ok_total",
+                "degraded": "shard.router.degraded_total",
+                "shed": "shard.router.error.overloaded",
+                "errors": "shard.router.error_total",
+                "latency": "shard.router.request_ms"}
 
 
 def _labeled(row: dict, slot: str) -> dict:
@@ -154,7 +165,9 @@ def _row_map(rows: Iterable[dict]) -> Dict[str, dict]:
 
 
 def _counter_delta(before: Dict[str, dict], after: Dict[str, dict],
-                   name: str) -> int:
+                   name: Optional[str]) -> int:
+    if name is None:
+        return 0
     older = before.get(name, {}).get("value", 0)
     newer = after.get(name, {}).get("value", 0)
     return max(0, int(newer) - int(older))
@@ -162,29 +175,35 @@ def _counter_delta(before: Dict[str, dict], after: Dict[str, dict],
 
 def delta_summary(before_rows: Iterable[dict],
                   after_rows: Iterable[dict], *,
-                  latency_metric: str = "serve.request_ms") -> dict:
+                  router: bool = False) -> dict:
     """The window between two cumulative scrapes, as an SLO summary.
 
     ``before_rows``/``after_rows`` are the ``metrics`` lists of two
-    scrapes of the same fleet (older first).  Counter deltas give
+    scrapes of the same process or fleet (older first).  ``router``
+    judges a router's scrape (its payload carries ``shards``) by the
+    router's own ``shard.router.*`` counters — the front door — not by
+    the workers' ``serve.*`` sums, which miss hits and count a
+    scattered request once per shard.  Counter deltas give
     offered/answered/degraded/shed; :meth:`BucketHistogram.delta_from`
-    on ``latency_metric`` gives the window's latency quantiles (``None``
-    when the metric is missing or reservoir-backed — evaluate_slo then
-    fails latency objectives loudly rather than judging stale numbers).
+    on the door's latency histogram gives the window's quantiles
+    (``None`` when the metric is missing or reservoir-backed —
+    evaluate_slo then fails latency objectives loudly rather than
+    judging stale numbers).
     """
+    door = _ROUTER_DOOR if router else _SERVICE_DOOR
     before = _row_map(before_rows)
     after = _row_map(after_rows)
-    offered = _counter_delta(before, after, _OFFERED)
-    ok = _counter_delta(before, after, _OK)
-    degraded = _counter_delta(before, after, _DEGRADED)
-    shed = _counter_delta(before, after, _SHED)
-    errors = _counter_delta(before, after, _ERRORS)
-    answered = ok + degraded
+    offered = _counter_delta(before, after, door["offered"])
+    answered = _counter_delta(before, after, door["answered"])
+    degraded = _counter_delta(before, after, door["degraded"])
+    ok = answered - degraded
+    shed = _counter_delta(before, after, door["shed"])
+    errors = _counter_delta(before, after, door["errors"])
 
     p50 = p95 = p99 = None
     latency_buckets = None
-    older_row = before.get(latency_metric)
-    newer_row = after.get(latency_metric)
+    older_row = before.get(door["latency"])
+    newer_row = after.get(door["latency"])
     if newer_row is not None and newer_row.get("buckets"):
         if older_row is not None and older_row.get("buckets"):
             older = _bucket_hist(older_row)

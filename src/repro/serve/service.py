@@ -6,7 +6,10 @@ vertex match queries with production failure semantics:
 * :meth:`MatchService.warmup` cuts every vertex's first ``table_k``
   matches from the tile kernel once.  A request with ``top_k <=
   table_k`` is a slice of that *answer table*: computed, it cannot
-  hang, so it is answered with no breaker call and no deadline check;
+  hang, so it is answered with no breaker call and no deadline check.
+  The ``table`` control op hands the whole table over (with its sha256)
+  so a shard router can merge the workers' tables and answer hits
+  itself;
 * a larger request is scored by the tile kernel through a text-backend
   :class:`~repro.serve.breaker.CircuitBreaker`, under the request's
   :class:`~repro.serve.deadline.Deadline` (from its ``budget_ms``),
@@ -34,9 +37,12 @@ are :class:`~repro.serve.batcher.MicroBatcher`'s, for every door alike.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Collection, Dict, Iterable, List,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -52,7 +58,8 @@ from .deadline import Deadline, is_budget_ms
 from .errors import (BadRequest, DeadlineExceeded, ServeError,
                      error_response)
 
-__all__ = ["ServeConfig", "MatchService", "parse_trace_context"]
+__all__ = ["ServeConfig", "MatchService", "parse_query",
+           "parse_trace_context", "table_digest"]
 
 _log = get_logger("repro.serve.service")
 
@@ -158,6 +165,59 @@ class _Query:
     budget: Optional[float]  # seconds
 
 
+def parse_query(request: Any, *, vertices: Collection[int], images: int,
+                top_k_default: int,
+                default_budget_ms: Optional[float] = None) -> _Query:
+    """Validate one match request — the field checks every door applies:
+    the service before answering, the shard router before answering a
+    hit from its merged table (a request this rejects is scattered, so
+    the workers word the error).  Raises :class:`BadRequest`."""
+    if not isinstance(request, dict):
+        raise BadRequest("request must be a JSON object")
+    vertex = request.get("vertex")
+    if isinstance(vertex, bool) or not isinstance(vertex, int):
+        raise BadRequest("field 'vertex' must be an integer vertex id")
+    if vertex not in vertices:
+        raise BadRequest(f"unknown vertex {vertex}")
+    top_k = request.get("top_k", top_k_default)
+    if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
+        raise BadRequest("field 'top_k' must be a positive integer")
+    # Clamp to the repository size: there are only so many images
+    # to return, and an unclamped top_k=10**9 would otherwise size
+    # allocations in _top and the ANN over-fetch.
+    # The response simply carries the clamped (achievable) count.
+    top_k = min(top_k, images)
+    budget_ms = request.get("budget_ms", default_budget_ms)
+    budget = None
+    if budget_ms is not None:
+        if not is_budget_ms(budget_ms):
+            raise BadRequest("field 'budget_ms' must be a positive, "
+                             "finite number of milliseconds")
+        budget = float(budget_ms) / 1000.0
+    return _Query(vertex=vertex, top_k=top_k, budget=budget)
+
+
+def table_digest(vertices: Iterable[int],
+                 rows: Iterable[Tuple[Sequence[int], Sequence[float]]]
+                 ) -> str:
+    """sha256 of an answer table, in table order: the ``(vertex, row
+    length)`` pairs as int64, then every row's image ids as int64, then
+    every row's scores as float32 (all little-endian).  A float decoded
+    from the wire is the float64 of a float32, so a router recomputes a
+    worker's digest exactly."""
+    rows = list(rows)
+    lengths = [len(ids) for ids, _ in rows]
+    total = sum(lengths)
+    digest = hashlib.sha256()
+    digest.update(np.array([list(vertices), lengths],
+                           dtype="<i8").T.tobytes())
+    digest.update(np.fromiter(itertools.chain.from_iterable(
+        ids for ids, _ in rows), dtype="<i8", count=total).tobytes())
+    digest.update(np.fromiter(itertools.chain.from_iterable(
+        scores for _, scores in rows), dtype="<f4", count=total).tobytes())
+    return digest.hexdigest()
+
+
 class MatchService:
     """Answers match queries over a fitted matcher, with failure
     isolation.  See the module docstring for the failure model."""
@@ -202,6 +262,8 @@ class MatchService:
         #: its first ``table_k`` owned matches; None until warmup()
         self._table: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] \
             = None
+        #: :func:`table_digest` of the table, computed once with it
+        self._table_sha256: Optional[str] = None
         self._warm_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------
@@ -224,6 +286,7 @@ class MatchService:
                 return self
             with span("serve/warmup"):
                 table = self._build_table()
+                self._table_sha256 = table_digest(table, table.values())
             self._table = table
         return self
 
@@ -249,29 +312,10 @@ class MatchService:
 
     # -- request validation ------------------------------------------------
     def _parse(self, request: Any) -> _Query:
-        if not isinstance(request, dict):
-            raise BadRequest("request must be a JSON object")
-        vertex = request.get("vertex")
-        if isinstance(vertex, bool) or not isinstance(vertex, int):
-            raise BadRequest("field 'vertex' must be an integer vertex id")
-        if vertex not in self._vertex_set:
-            raise BadRequest(f"unknown vertex {vertex}")
-        top_k = request.get("top_k", self.config.top_k_default)
-        if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
-            raise BadRequest("field 'top_k' must be a positive integer")
-        # Clamp to the repository size: there are only so many images
-        # to return, and an unclamped top_k=10**9 would otherwise size
-        # allocations in _top and the ANN over-fetch.
-        # The response simply carries the clamped (achievable) count.
-        top_k = min(top_k, self._images)
-        budget_ms = request.get("budget_ms", self.config.default_budget_ms)
-        budget = None
-        if budget_ms is not None:
-            if not is_budget_ms(budget_ms):
-                raise BadRequest("field 'budget_ms' must be a positive, "
-                                 "finite number of milliseconds")
-            budget = float(budget_ms) / 1000.0
-        return _Query(vertex=vertex, top_k=top_k, budget=budget)
+        return parse_query(request, vertices=self._vertex_set,
+                           images=self._images,
+                           top_k_default=self.config.top_k_default,
+                           default_budget_ms=self.config.default_budget_ms)
 
     # -- scoring -----------------------------------------------------------
     def _index_k(self, top_k: int) -> int:
@@ -593,6 +637,8 @@ class MatchService:
             "images": self._images,
             "top_k_default": self.config.top_k_default,
             "indexed": self.matcher.search_index is not None,
+            "table_k": self.config.table_k,
+            "table_sha256": self._table_sha256,
         }
         if self.config.shard_count is not None:
             # a shard worker advertises its partition so a router (or a
@@ -602,6 +648,26 @@ class MatchService:
                              "count": self.config.shard_count,
                              "owned_images": self.owned_images}
         return {"id": request_id, "ok": True, "info": info}
+
+    def table(self, request_id: Any = None) -> dict:
+        """Answer the ``table`` op: this worker's answer table, whole —
+        what a shard router merges once so it can answer hits itself
+        (DESIGN.md §14).  ``ids``/``scores`` are per-vertex rows in
+        ``vertices`` order; ``sha256`` is the :func:`table_digest`
+        computed at warm-up, which ``info`` also carries."""
+        try:
+            self.warmup()
+        except Exception as exc:  # a backend too sick to even warm up
+            return error_response(request_id, "internal",
+                                  f"warmup failed: {type(exc).__name__}: "
+                                  f"{exc}")
+        table = self._table
+        return {"id": request_id, "ok": True, "table": {
+            "k": self.config.table_k,
+            "vertices": [int(v) for v in table],
+            "ids": [ids.tolist() for ids, _ in table.values()],
+            "scores": [scores.tolist() for _, scores in table.values()],
+            "sha256": self._table_sha256}}
 
     def stats(self, request_id: Any = None) -> dict:
         """Answer the ``stats`` op: the process's instruments, live.

@@ -223,18 +223,19 @@ class ShardClient:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def scrape(self, *, timeout: float) -> dict:
-        """The worker's live ``stats`` snapshot, on a throwaway
-        connection — a scrape must not queue behind whatever match
-        traffic occupies the pooled socket.  Raises
-        :class:`ShardUnavailable` on any failure (including a worker
-        too old to know the op), so the router's fleet aggregation can
-        report a partial scrape instead of crashing."""
-        response = await self.request_once({"op": "stats"},
-                                           timeout=timeout)
-        stats = response.get("stats")
-        if not response.get("ok") or not isinstance(stats, dict):
+    async def control(self, op: str, *, timeout: float) -> dict:
+        """The worker's ``op`` payload (its live ``stats`` snapshot, its
+        whole answer ``table``), on a throwaway connection — a control
+        exchange must not queue behind whatever match traffic occupies
+        the pooled socket.  Raises :class:`ShardUnavailable` on any
+        failure (including a worker too old to know the op, or a line
+        past ``RESPONSE_LINE_BYTES``), so the router can report a
+        partial scrape or scatter without a table instead of
+        crashing."""
+        response = await self.request_once({"op": op}, timeout=timeout)
+        payload = response.get(op)
+        if not response.get("ok") or not isinstance(payload, dict):
             raise ShardUnavailable(
-                self.slot, "stats",
+                self.slot, op,
                 f"worker answered {response.get('error') or response!r}")
-        return stats
+        return payload

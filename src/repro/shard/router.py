@@ -2,14 +2,29 @@
 
 :class:`ShardRouter` speaks the exact JSONL protocol of
 ``repro serve --listen`` (:mod:`repro.netserve.protocol`) on its client
-side, and fans each match query out to every shard worker on its back
-side, merging the per-shard top-k lists with the shared ``(-score,
-image id)`` total order (:mod:`repro.shard.partition`).  A client that
-worked against a single server works against the router unchanged —
-same requests, same response schema, and, when every shard answers,
+side.  A client that worked against a single server works against the
+router unchanged — same requests, same response schema, and
 *bit-identical* response payloads (DESIGN.md §14).
 
-The headline is what happens when shards misbehave:
+A **hit** (``top_k <= table_k``) is answered by the router alone.  At
+boot it fetches each worker's answer table once (the ``table`` control
+op, checked against its sha256) and merges the slices with
+:func:`~repro.shard.partition.merge_matches` into the unsharded table.
+A hit is a slice of it: no fan-out, no task, no shard span — and it
+stays exact while a shard is dead, because that shard's slice is
+already merged.  A slot that comes back at a new address has its slice
+refetched in the background; a changed digest re-merges.  A fetch that
+fails leaves no table, and then every request scatters.
+
+Everything else — past-table requests, requests the shared field
+checks (:func:`~repro.serve.service.parse_query`) reject, and every
+request while there is no table — fans out to every shard worker on
+the back side, and the router merges the per-shard top-k lists with
+the shared ``(-score, image id)`` total order
+(:mod:`repro.shard.partition`).  So the fleet buys fault isolation and
+past-table capacity, not hit capacity.
+
+The headline of the fan-out is what happens when shards misbehave:
 
 * **per-shard circuit breakers** — each shard's calls run through its
   own :class:`~repro.serve.breaker.CircuitBreaker`; a shard that keeps
@@ -36,7 +51,7 @@ every in-flight fan-out and flush → close shard connections → SIGTERM
 the workers through the supervisor and reap them → exit 0.
 
 Everything observable exports through the ordinary registry:
-``shard.router.*`` (requests, partials, sheds, drain) and
+``shard.router.*`` (requests, table hits, partials, sheds, drain) and
 ``shard.<slot>.*`` (latency, hedges, lates, breaker state, restarts
 from the supervisor) — one OpenMetrics snapshot shows the whole fleet.
 
@@ -59,19 +74,78 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..netserve.lineserver import LineServer
 from ..obs import get_logger, registry, span_snapshot
+from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS
 from ..obs.scrape import aggregate_fleet
 from ..obs.trace import (FLAG_DEGRADED, FLAG_ERROR, SamplePolicy, Tracer,
                          shift_span_row, trace_recorder)
 from ..serve.breaker import STATE_CODES, CircuitBreaker
 from ..serve.deadline import is_budget_ms
-from ..serve.errors import error_response
-from ..serve.service import parse_trace_context
+from ..serve.errors import BadRequest, error_response
+from ..serve.service import parse_query, parse_trace_context, table_digest
 from .client import ShardClient, ShardUnavailable
 from .partition import merge_matches
 
 __all__ = ["RouterConfig", "ShardRouter"]
 
 _log = get_logger("repro.shard.router")
+
+#: how often the router looks for a slot that came back at a new address
+#: (whose table slice it then refetches)
+_HEAL_POLL_S = 0.1
+
+
+@dataclasses.dataclass(frozen=True)
+class _Slice:
+    """One ``table`` op payload, decoded and checked against its digest:
+    per vertex (table order), the shard's owned matches, best first."""
+
+    k: int
+    vertices: Tuple[int, ...]
+    rows: Tuple[List[dict], ...]
+    sha256: str
+
+    @classmethod
+    def decode(cls, payload: dict) -> "_Slice":
+        """Raises ``ValueError`` on a malformed payload or a digest that
+        does not match what was decoded."""
+        k, vertices = payload.get("k"), payload.get("vertices")
+        ids, scores = payload.get("ids"), payload.get("scores")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1 \
+                or not all(isinstance(field, list)
+                           for field in (vertices, ids, scores)) \
+                or not len(vertices) == len(ids) == len(scores) \
+                or any(not isinstance(a, list) or not isinstance(b, list)
+                       or len(a) != len(b) for a, b in zip(ids, scores)):
+            raise ValueError("malformed table payload")
+        sha256 = table_digest(vertices, zip(ids, scores))
+        if sha256 != payload.get("sha256"):
+            raise ValueError("table digest mismatch")
+        return cls(k, tuple(vertices),
+                   tuple([{"image": image, "score": score}
+                          for image, score in zip(row_ids, row_scores)]
+                         for row_ids, row_scores in zip(ids, scores)),
+                   sha256)
+
+
+@dataclasses.dataclass(frozen=True)
+class _AnswerTable:
+    """The unsharded answer table, merged from every shard's slice, plus
+    the ``info`` fields :func:`parse_query` needs to tell a hit."""
+
+    k: int
+    rows: Dict[int, List[dict]]
+    sha256: str
+    images: int
+    top_k_default: int
+
+    def payload(self) -> dict:
+        """The ``table`` op body — the same shape a worker answers."""
+        return {"k": self.k, "vertices": list(self.rows),
+                "ids": [[m["image"] for m in row]
+                        for row in self.rows.values()],
+                "scores": [[m["score"] for m in row]
+                           for row in self.rows.values()],
+                "sha256": self.sha256}
 
 
 @dataclasses.dataclass
@@ -172,6 +246,14 @@ class ShardRouter(LineServer):
         self._clients: List[ShardClient] = []
         self._fanouts: Set[asyncio.Task] = set()
         self._info_cache: Optional[dict] = None
+        #: per slot: its checked table slice, and the address it was
+        #: (last) fetched from
+        self._slices: List[Optional[_Slice]] = [None] * endpoints.count
+        self._sliced_from: List[Optional[Tuple[str, int]]] = \
+            [None] * endpoints.count
+        #: the merged table hits are answered from; None = scatter all
+        self._table: Optional[_AnswerTable] = None
+        self._table_tasks: Set[asyncio.Task] = set()
 
     # -- the line server's backend ------------------------------------------
     async def _open(self) -> None:
@@ -179,8 +261,13 @@ class ShardRouter(LineServer):
             ShardClient(slot, lambda slot=slot:
                         self.endpoints.address_of(slot))
             for slot in range(self.endpoints.count)]
+        await self._load_table()
+        self._spawn(self._watch_slots())
 
     async def _close(self) -> bool:
+        for task in list(self._table_tasks):  # no more slice refetches
+            task.cancel()
+        await asyncio.gather(*self._table_tasks, return_exceptions=True)
         # in-flight fan-outs finished with their connections; what is
         # left of the ordered drain is the back side
         for client in self._clients:  # close shard connections
@@ -191,6 +278,11 @@ class ShardRouter(LineServer):
         return True
 
     def submit(self, request: Any, deliver: Callable[[dict], None]) -> None:
+        registry().counter("shard.router.requests_total").inc()
+        response = self._table_answer(request)
+        if response is not None:
+            deliver(response)
+            return
         task = asyncio.ensure_future(self._answer_and_deliver(request,
                                                               deliver))
         self._fanouts.add(task)
@@ -204,20 +296,140 @@ class ShardRouter(LineServer):
             registry().counter("shard.router.internal_errors_total").inc()
             _log.error("internal error routing request",
                        error=f"{type(exc).__name__}: {exc}")
-            response = self.reject(
+            response = self._error(
                 request, "internal", f"{type(exc).__name__}: {exc}")
         deliver(response)
+
+    # -- the answer table -----------------------------------------------------
+    def _table_answer(self, request: Any) -> Optional[dict]:
+        """A hit's whole answer, from the merged table: no task, no
+        fan-out, no shard span.  ``None`` when the request is not a hit
+        — no table, a request :func:`parse_query` rejects (the workers
+        word that error), or ``top_k`` past the table."""
+        table = self._table
+        if table is None:
+            return None
+        try:
+            query = parse_query(request, vertices=table.rows,
+                                images=table.images,
+                                top_k_default=table.top_k_default)
+        except BadRequest:
+            return None
+        if query.top_k > table.k:
+            return None
+        started = time.monotonic()
+        trace_id, parent_span, return_spans = parse_trace_context(request)
+        trace = self.tracer.start("route.request", trace_id=trace_id,
+                                  parent_span_id=parent_span)
+        trace.add_event("table", top_k=query.top_k)
+        matches = [dict(match)
+                   for match in table.rows[query.vertex][:query.top_k]]
+        elapsed_ms = (time.monotonic() - started) * 1e3
+        reg = registry()
+        reg.counter("shard.router.ok_total").inc()
+        reg.counter("shard.router.table_hits_total").inc()
+        reg.histogram("shard.router.request_ms",
+                      buckets=DEFAULT_LATENCY_BOUNDS_MS).observe(elapsed_ms)
+        response = {"id": request.get("id"), "ok": True,
+                    "vertex": query.vertex, "tier": "full",
+                    "degraded": False, "matches": matches,
+                    "elapsed_ms": round(elapsed_ms, 3)}
+        return self._traced(trace, response, return_spans)
+
+    def _spawn(self, coroutine: Any) -> None:
+        task = asyncio.ensure_future(coroutine)
+        self._table_tasks.add(task)
+        task.add_done_callback(self._table_tasks.discard)
+
+    async def _fetch_slice(self, slot: int) -> Optional[_Slice]:
+        """Slot's checked table slice, or ``None`` after a warning: a
+        fetch that fails, times out, overflows the response line cap or
+        fails its digest check is no slice at all."""
+        timeout = self.config.info_timeout_ms / 1000.0
+        try:
+            return _Slice.decode(await asyncio.wait_for(
+                self._clients[slot].control("table", timeout=timeout),
+                timeout))
+        except (ShardUnavailable, asyncio.TimeoutError, ValueError,
+                TypeError, OverflowError) as exc:
+            _log.warning("table slice fetch failed; scattering hits",
+                         slot=slot, error=f"{type(exc).__name__}: {exc}")
+            return None
+
+    async def _load_table(self) -> None:
+        """At boot: one ``table`` op per shard, merged once."""
+        self._sliced_from = [self.endpoints.address_of(slot)
+                             for slot in range(self.endpoints.count)]
+        _, *self._slices = await asyncio.gather(
+            self._shard_info(), *(self._fetch_slice(slot)
+                                  for slot in range(self.endpoints.count)))
+        await self._merge()
+
+    async def _merge(self) -> None:
+        """Publish the merge of every slice, or no table at all when a
+        slice is missing or the slices disagree.  Each shard lists its
+        owned matches in the one total order ``(-score, image id)``, so
+        the best ``k`` of the union lie inside the slices: a merged row
+        cut at ``top_k <= k`` is the unsharded answer (DESIGN.md §14)."""
+        slices = self._slices
+        if any(piece is None for piece in slices):
+            self._table = None  # the failed fetch has warned
+            return
+        info = await self._shard_info()
+        if info is None or not isinstance(info.get("images"), int) \
+                or not isinstance(info.get("top_k_default"), int) \
+                or len({(piece.k, piece.vertices) for piece in slices}) != 1:
+            _log.warning("shard tables disagree or no shard info; "
+                         "scattering hits")
+            self._table = None
+            return
+        k, vertices = slices[0].k, slices[0].vertices
+        rows = {vertex: merge_matches([piece.rows[i] for piece in slices], k)
+                for i, vertex in enumerate(vertices)}
+        sha256 = table_digest(rows, (([m["image"] for m in row],
+                                      [m["score"] for m in row])
+                                     for row in rows.values()))
+        self._table = _AnswerTable(k, rows, sha256, info["images"],
+                                   max(1, info["top_k_default"]))
+        _log.info("answering hits from the merged table", k=k,
+                  vertices=len(rows), sha256=sha256[:12])
+
+    async def _watch_slots(self) -> None:
+        """Refetch, once and in the background, the slice of a slot that
+        came back at a new address; hits read the current table
+        meanwhile.  A dead slot (address ``None``) keeps its slice."""
+        while True:
+            await asyncio.sleep(_HEAL_POLL_S)
+            for slot in range(self.endpoints.count):
+                address = self.endpoints.address_of(slot)
+                if address is not None \
+                        and address != self._sliced_from[slot]:
+                    self._sliced_from[slot] = address
+                    self._spawn(self._refetch(slot))
+
+    async def _refetch(self, slot: int) -> None:
+        fresh = await self._fetch_slice(slot)
+        stale = self._slices[slot]
+        self._slices[slot] = fresh
+        changed = fresh is not None and stale is not None \
+            and fresh.sha256 != stale.sha256
+        if fresh is not None and not changed and self._table is not None:
+            return  # the respawned worker cut the same slice
+        await self._merge()
+        if changed:
+            registry().counter("shard.router.table_changed_total").inc()
+            _log.warning("table slice changed on heal; re-merged",
+                         slot=slot, sha256=fresh.sha256[:12])
 
     # -- scatter/gather -----------------------------------------------------
     async def _answer(self, request: Any) -> dict:
         cfg = self.config
         reg = registry()
-        reg.counter("shard.router.requests_total").inc()
         loop = asyncio.get_running_loop()
         started = loop.time()
         if not isinstance(request, dict):
             # same wording the serve layer's validation uses
-            return self.reject(None, "bad_request",
+            return self._error(None, "bad_request",
                                "request must be a JSON object")
         request_id = request.get("id")
         # join the client's trace when it sent a context, else mint —
@@ -241,7 +453,8 @@ class ShardRouter(LineServer):
                                trace)
               for slot in range(count)))
         elapsed_ms = (loop.time() - started) * 1e3
-        reg.histogram("shard.router.request_ms").observe(elapsed_ms)
+        reg.histogram("shard.router.request_ms",
+                      buckets=DEFAULT_LATENCY_BOUNDS_MS).observe(elapsed_ms)
         oks = [r for r in results if r is not None and r.get("ok")]
         errors = [r for r in results if r is not None and not r.get("ok")]
         if oks:
@@ -250,13 +463,15 @@ class ShardRouter(LineServer):
         elif errors:
             # every answering shard refused identically (bad request,
             # shed): forward the lowest slot's error under our id
+            error = errors[0].get("error")
             reg.counter("shard.router.error_total").inc()
-            response = {"id": request_id, "ok": False,
-                        "error": errors[0].get("error"),
+            if isinstance(error, dict) and isinstance(error.get("type"), str):
+                reg.counter(f"shard.router.error.{error['type']}").inc()
+            response = {"id": request_id, "ok": False, "error": error,
                         "elapsed_ms": round(elapsed_ms, 3)}
         else:
             reg.counter("shard.router.unavailable_total").inc()
-            response = self.reject(
+            response = self._error(
                 request, "unavailable",
                 f"no shard answered (0/{count})")
         # flags drive forced retention: a partial/degraded or failed
@@ -265,6 +480,12 @@ class ShardRouter(LineServer):
             trace.flag(FLAG_ERROR)
         elif response.get("degraded"):
             trace.flag(FLAG_DEGRADED)
+        return self._traced(trace, response, return_spans)
+
+    @staticmethod
+    def _traced(trace: Any, response: dict, return_spans: bool) -> dict:
+        """Finish ``trace`` and stamp ``response`` with its id (and, when
+        asked and kept, its spans)."""
         kept = trace.finish()
         if trace.trace_id is not None:
             response["trace_id"] = trace.trace_id
@@ -491,14 +712,24 @@ class ShardRouter(LineServer):
     async def info(self, request_id: Any) -> dict:
         info = await self._shard_info()
         if info is None:
-            return self.reject({"id": request_id}, "unavailable",
-                               "no shard reachable for info")
+            return error_response(request_id, "unavailable",
+                                  "no shard reachable for info")
         live = self.endpoints.live_count() \
             if hasattr(self.endpoints, "live_count") \
             else sum(1 for b in self._breakers if b.state() != "open")
         payload = dict(info)
+        payload["table_sha256"] = self._table.sha256 \
+            if self._table is not None else None
         payload["shards"] = {"total": self.endpoints.count, "live": live}
         return {"id": request_id, "ok": True, "info": payload}
+
+    def table(self, request_id: Any) -> dict:
+        """The merged answer table hits are answered from."""
+        if self._table is None:
+            return error_response(request_id, "unavailable",
+                                  "no answer table: every request is "
+                                  "scattered")
+        return {"id": request_id, "ok": True, "table": self._table.payload()}
 
     async def stats(self, request_id: Any) -> dict:
         """Answer ``stats`` with the *fleet's* live snapshot: scrape
@@ -514,7 +745,8 @@ class ShardRouter(LineServer):
 
         async def scrape(slot: int) -> Optional[dict]:
             try:
-                return await self._clients[slot].scrape(timeout=timeout)
+                return await self._clients[slot].control("stats",
+                                                         timeout=timeout)
             except (ShardUnavailable, asyncio.TimeoutError) as exc:
                 reg.counter(f"shard.{slot}.scrape_failed_total").inc()
                 _log.warning("shard scrape failed", slot=slot,
@@ -535,9 +767,19 @@ class ShardRouter(LineServer):
         reg = registry()
         reg.counter("shard.router.requests_total").inc()
         reg.counter("shard.router.requests.bad_line").inc()
-        return self.reject(None, "bad_request", f"invalid JSON: {error}")
+        return self._error(None, "bad_request", f"invalid JSON: {error}")
 
     def reject(self, request: Any, code: str, message: str) -> dict:
-        registry().counter(f"shard.router.error.{code}").inc()
+        """A refusal at the door (a connection's outstanding cap): the
+        request never reached :meth:`submit`, so it is offered here."""
+        registry().counter("shard.router.requests_total").inc()
+        return self._error(request, code, message)
+
+    def _error(self, request: Any, code: str, message: str) -> dict:
+        """A typed error answer, counted once under ``error_total`` and
+        ``error.<code>`` — the front-door counters ``obs slo`` judges."""
+        reg = registry()
+        reg.counter("shard.router.error_total").inc()
+        reg.counter(f"shard.router.error.{code}").inc()
         request_id = request.get("id") if isinstance(request, dict) else None
         return error_response(request_id, code, message)

@@ -10,12 +10,17 @@ its batch), and the match payloads must agree byte for byte.
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import json
 import socket
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.netserve.lineserver import LineServer
 from repro.obs import registry, set_tracing_enabled, trace_recorder
 from repro.obs.trace import SamplePolicy
 
@@ -333,3 +338,51 @@ class TestDrain:
             except OSError:
                 refused = True
         assert refused
+
+    def test_connection_accepted_as_the_drain_starts_is_closed(self):
+        """The drain race, forced: the drain starts the
+        moment a connection is accepted, and the connection's handler
+        first runs only after the drain has decided what to wait for.
+        The drain must still close that connection — not leave its
+        socket open until the garbage collector happens by, which is
+        why the collector is off while the client waits for EOF."""
+
+        class LateHandler(LineServer):
+            """A backend with nothing to flush, so the drain completes
+            within one loop step once it starts."""
+
+            async def _on_connection(self, reader, writer):
+                self._drain_event.set()
+                for _ in range(8):
+                    await asyncio.sleep(0)
+                await super()._on_connection(reader, writer)
+
+        server = LateHandler(SimpleNamespace(
+            host="127.0.0.1", port=0, conn_inflight=4,
+            drain_timeout_s=5.0), metric_prefix="race")
+        ready = threading.Event()
+        outcome = {}
+
+        def main():
+            outcome["exit"] = server.run(
+                install_signals=False,
+                ready=lambda bound: (outcome.setdefault("bound", bound),
+                                     ready.set()))
+
+        gc.disable()
+        try:
+            thread = threading.Thread(target=main, daemon=True)
+            thread.start()
+            assert ready.wait(timeout=10)
+            client = socket.create_connection(outcome["bound"], timeout=3.0)
+            thread.join(timeout=10)
+            assert not thread.is_alive() and outcome["exit"] == 0
+            try:
+                eof = client.recv(1) == b""
+            except socket.timeout:
+                eof = False
+            client.close()
+        finally:
+            gc.enable()
+        assert eof, "the drain left an accepted connection open"
+

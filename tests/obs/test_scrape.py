@@ -109,13 +109,12 @@ class TestAggregateFleet:
         assert by_name["serve.requests_total"][0]["value"] == 10
 
 
-def summary_rows(offered, ok, degraded, shed, errors, latencies) -> list:
+def summary_rows(offered, ok, shed, errors, latencies) -> list:
+    """A service's counters (it never degrades: every ``ok`` is full)."""
     return [
         {"type": "counter", "name": "serve.requests_total",
          "value": offered},
         {"type": "counter", "name": "serve.ok_total", "value": ok},
-        {"type": "counter", "name": "serve.degraded_total",
-         "value": degraded},
         {"type": "counter", "name": "serve.error.overloaded",
          "value": shed},
         {"type": "counter", "name": "serve.error_total", "value": errors},
@@ -123,33 +122,84 @@ def summary_rows(offered, ok, degraded, shed, errors, latencies) -> list:
     ]
 
 
+def router_rows(offered, ok, degraded, shed, errors, latencies) -> list:
+    """A router's front-door counters; its ``ok_total`` includes the
+    degraded (partial) answers."""
+    return [
+        {"type": "counter", "name": "shard.router.requests_total",
+         "value": offered},
+        {"type": "counter", "name": "shard.router.ok_total", "value": ok},
+        {"type": "counter", "name": "shard.router.degraded_total",
+         "value": degraded},
+        {"type": "counter", "name": "shard.router.error.overloaded",
+         "value": shed},
+        {"type": "counter", "name": "shard.router.error_total",
+         "value": errors},
+        bucket_row("shard.router.request_ms", latencies),
+    ]
+
+
 class TestDeltaSummary:
     def test_window_between_two_scrapes(self):
-        before = summary_rows(100, 90, 5, 3, 2, [5.0] * 10)
-        after = summary_rows(150, 130, 10, 6, 4, [5.0] * 10 + [50.0] * 10)
+        before = summary_rows(100, 90, 3, 2, [5.0] * 10)
+        after = summary_rows(150, 135, 6, 4, [5.0] * 10 + [50.0] * 10)
         summary = delta_summary(before, after)
         assert summary["offered"] == 50
-        assert summary["ok"] == 40 and summary["degraded"] == 5
+        assert summary["ok"] == 45 and summary["degraded"] == 0
         assert summary["answered"] == 45
         assert summary["shed"] == 3 and summary["errors"] == 2
         assert summary["availability"] == pytest.approx(0.9)
-        assert summary["degraded_fraction"] == pytest.approx(0.1)
+        assert summary["degraded_fraction"] == 0.0
         assert summary["shed_fraction"] == pytest.approx(0.06)
         # the window's latencies are the 10 new 50ms observations: the
         # cumulative 5ms ones subtract away
         assert summary["p50_ms"] > 10.0
         assert summary["latency_buckets"]["count"] == 10
 
+    def test_router_scrape_is_judged_at_the_front_door(self):
+        """A router's ``ok_total`` already counts its partial answers:
+        answered is its delta, degraded a part of it."""
+        before = router_rows(100, 90, 5, 3, 7, [5.0] * 10)
+        after = router_rows(150, 135, 10, 6, 12, [5.0] * 10 + [50.0] * 10)
+        summary = delta_summary(before, after, router=True)
+        assert summary["offered"] == 50
+        assert summary["answered"] == 45
+        assert summary["ok"] == 40 and summary["degraded"] == 5
+        assert summary["shed"] == 3 and summary["errors"] == 5
+        assert summary["availability"] == pytest.approx(0.9)
+        assert summary["degraded_fraction"] == pytest.approx(0.1)
+        assert summary["latency_buckets"]["count"] == 10
+        assert summary["p50_ms"] > 10.0
+
+    def test_a_routed_request_is_offered_once_not_once_per_shard(self):
+        """Two workers each count every scattered request, and neither
+        sees a hit: the fleet's summed ``serve.requests_total`` says 2x
+        the scattered traffic.  The router's own counter says what was
+        offered at the door."""
+        def fleet(routed, scattered):
+            return aggregate_fleet(
+                {slot: {"metrics": summary_rows(scattered, scattered, 0,
+                                                0, [5.0] * scattered)}
+                 for slot in ("0", "1")},
+                own_rows=router_rows(routed, routed, 0, 0, 0,
+                                     [1.0] * routed))["metrics"]
+
+        before, after = fleet(10, 4), fleet(40, 10)  # 30 routed, 6 past
+        assert delta_summary(before, after)["offered"] == 12
+        summary = delta_summary(before, after, router=True)
+        assert summary["offered"] == 30 and summary["answered"] == 30
+        assert summary["latency_buckets"]["count"] == 30
+
     def test_empty_window_judges_nothing(self):
-        rows = summary_rows(100, 90, 5, 3, 2, [5.0])
+        rows = summary_rows(100, 90, 3, 2, [5.0])
         summary = delta_summary(rows, rows)
         assert summary["offered"] == 0
         assert summary["availability"] is None
         assert summary["p95_ms"] is None
 
     def test_missing_latency_metric_yields_none_not_stale(self):
-        before = summary_rows(10, 10, 0, 0, 0, [5.0])
-        after = summary_rows(20, 20, 0, 0, 0, [5.0, 5.0])
+        before = summary_rows(10, 10, 0, 0, [5.0])
+        after = summary_rows(20, 20, 0, 0, [5.0, 5.0])
         stripped = [row for row in after
                     if row["name"] != "serve.request_ms"]
         summary = delta_summary(before, stripped)
@@ -158,8 +208,8 @@ class TestDeltaSummary:
 
     def test_labeled_rows_are_ignored(self):
         """Per-shard facets must not shadow the aggregated families."""
-        before = summary_rows(10, 10, 0, 0, 0, [5.0])
-        after = summary_rows(30, 30, 0, 0, 0, [5.0, 5.0]) + [
+        before = summary_rows(10, 10, 0, 0, [5.0])
+        after = summary_rows(30, 30, 0, 0, [5.0, 5.0]) + [
             {"type": "counter", "name": "serve.requests_total",
              "value": 9999, "labels": {"shard": "0"}}]
         assert delta_summary(before, after)["offered"] == 20
@@ -167,9 +217,9 @@ class TestDeltaSummary:
 
 class TestCombineSummaries:
     def test_sliding_window_fold(self):
-        before = summary_rows(0, 0, 0, 0, 0, [])
-        mid = summary_rows(50, 45, 0, 5, 0, [5.0] * 45)
-        after = summary_rows(100, 90, 5, 5, 0,
+        before = summary_rows(0, 0, 0, 0, [])
+        mid = summary_rows(50, 45, 5, 0, [5.0] * 45)
+        after = summary_rows(100, 95, 5, 0,
                              [5.0] * 45 + [50.0] * 50)
         combined = combine_summaries([delta_summary(before, mid),
                                       delta_summary(mid, after)])

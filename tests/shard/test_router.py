@@ -29,6 +29,7 @@ from repro.loadgen import LoadConfig, SocketDriver, build_schedule, \
     fetch_info, run_schedule
 from repro.netserve.protocol import MAX_LINE_BYTES
 from repro.obs import registry
+from repro.serve import ServeConfig
 from repro.shard import ShardRouter
 
 from .conftest import StaticEndpoints
@@ -70,6 +71,13 @@ class Client:
             self.sock.close()
         except OSError:
             pass
+
+
+#: a request this wide is past every worker's answer table, so the router
+#: scatters it: the fan-out tests below use it to keep exercising the
+#: fan-out (a ``top_k <= table_k`` hit is answered from the router's
+#: merged table and never reaches a shard)
+PAST_TABLE = ServeConfig().table_k + 1
 
 
 def match_payload(raw: bytes) -> str:
@@ -183,7 +191,7 @@ class TestPartialDegradation:
         _, address = run_router(endpoints, shard_timeout_ms=2000.0)
         endpoints.addresses[2] = None  # the worker "died"
         client = Client(address)
-        response = client.ask({"id": "p1", "top_k": 4,
+        response = client.ask({"id": "p1", "top_k": PAST_TABLE,
                                "vertex": int(fitted_hard.vertex_ids[0])})
         client.close()
         assert response["ok"] is True
@@ -191,7 +199,8 @@ class TestPartialDegradation:
         assert response["reason"] == "partial"
         assert response["shards_answered"] == 2
         assert response["shards_total"] == 3
-        assert len(response["matches"]) == 4
+        # every image the two live shards own: 7 + 7 of the 20
+        assert len(response["matches"]) == 14
         owned_by_2 = registry().counter("shard.2.failed_total").value
         assert owned_by_2 >= 1
         assert registry().counter("shard.router.partial_total").value >= 1
@@ -225,7 +234,8 @@ class TestPartialDegradation:
         _, address = run_router(endpoints)
         endpoints.addresses[:] = [None, None, None]
         client = Client(address)
-        response = client.ask({"id": "u1", "vertex": 1, "top_k": 1})
+        response = client.ask({"id": "u1", "vertex": 1,
+                               "top_k": PAST_TABLE})
         client.close()
         assert response["ok"] is False and response["id"] == "u1"
         assert response["error"]["type"] == "unavailable"
@@ -246,7 +256,8 @@ class TestBreakerRecovery:
         stashed = endpoints.addresses[1]
         endpoints.addresses[1] = None  # kill: the worker is unreachable
         for i in range(4):  # feed the breaker failures until it opens
-            response = client.ask({"id": i, "vertex": vertex, "top_k": 3})
+            response = client.ask({"id": i, "vertex": vertex,
+                                   "top_k": PAST_TABLE})
             assert response["ok"] is True and response["reason"] == "partial"
         assert registry().counter("shard.1.skipped_total").value >= 1, \
             "breaker never opened — shard 1 kept being dialed"
@@ -257,7 +268,7 @@ class TestBreakerRecovery:
         deadline = time.monotonic() + 10.0
         healed = False
         while time.monotonic() < deadline and not healed:
-            request = {"id": "heal", "vertex": vertex, "top_k": 3,
+            request = {"id": "heal", "vertex": vertex, "top_k": PAST_TABLE,
                        "trace": trace_ctx("heal-trace")}
             routed_raw = client.ask_raw(request)
             healed = json.loads(routed_raw).get("reason") != "partial"
@@ -279,6 +290,9 @@ class TestHedging:
         server.settimeout(0.2)
         stop = threading.Event()
         connections = itertools.count()
+        # the router's pooled connection is the first to carry a match
+        # request; its boot-time info and table exchanges come before
+        pooled = {}
 
         def serve(conn, index):
             stream = conn.makefile("rwb")
@@ -287,7 +301,8 @@ class TestHedging:
                     request = json.loads(line)
                 except ValueError:
                     continue
-                if index == 0 and request.get("op") != "info":
+                if "op" not in request and \
+                        pooled.setdefault("index", index) == index:
                     stop.wait(20.0)  # the stall the hedge routes around
                     return
                 body = {"id": request.get("id"), "ok": True,
@@ -318,7 +333,8 @@ class TestHedging:
                                     hedge_fraction=0.05)
             client = Client(address)
             started = time.monotonic()
-            response = client.ask({"id": "h1", "vertex": 3, "top_k": 1})
+            response = client.ask({"id": "h1", "vertex": 3,
+                                   "top_k": PAST_TABLE})
             elapsed = time.monotonic() - started
             client.close()
             assert response["ok"] is True

@@ -22,7 +22,7 @@ import time
 from repro.obs import registry, trace_recorder
 
 from .conftest import StaticEndpoints
-from .test_router import Client, trace_ctx
+from .test_router import PAST_TABLE, Client, trace_ctx
 
 
 def stitch_ctx(trace_id: str) -> dict:
@@ -54,7 +54,7 @@ class TestStitching:
         endpoints, _ = shard_cluster
         _, address = run_router(endpoints)
         client = Client(address)
-        request = {"id": "st1", "top_k": 3,
+        request = {"id": "st1", "top_k": PAST_TABLE,
                    "vertex": int(fitted_hard.vertex_ids[0]),
                    "trace": stitch_ctx("stitch-1")}
         response = client.ask(request)
@@ -87,7 +87,7 @@ class TestStitching:
         endpoints, _ = shard_cluster
         _, address = run_router(endpoints)
         client = Client(address)
-        client.ask({"id": "st2", "top_k": 2,
+        client.ask({"id": "st2", "top_k": PAST_TABLE,
                     "vertex": int(fitted_hard.vertex_ids[1]),
                     "trace": stitch_ctx("stitch-2")})
         client.close()
@@ -109,6 +109,9 @@ class TestHedgedTraces:
         server.settimeout(0.2)
         stop = threading.Event()
         connections = itertools.count()
+        # the router's pooled connection is the first to carry a match
+        # request; its boot-time info and table exchanges come before
+        pooled = {}
 
         def serve(conn, index):
             stream = conn.makefile("rwb")
@@ -117,7 +120,8 @@ class TestHedgedTraces:
                     request = json.loads(line)
                 except ValueError:
                     continue
-                if index == 0 and request.get("op") != "info":
+                if "op" not in request and \
+                        pooled.setdefault("index", index) == index:
                     stop.wait(20.0)
                     return
                 body = {"id": request.get("id"), "ok": True,
@@ -147,7 +151,8 @@ class TestHedgedTraces:
             _, address = run_router(endpoints, shard_timeout_ms=8000.0,
                                     hedge_fraction=0.05)
             client = Client(address)
-            response = client.ask({"id": "h1", "vertex": 3, "top_k": 1,
+            response = client.ask({"id": "h1", "vertex": 3,
+                                   "top_k": PAST_TABLE,
                                    "trace": stitch_ctx("hedge-1")})
             client.close()
             assert response["ok"] is True
@@ -174,7 +179,7 @@ class TestFaultTraces:
         _, address = run_router(endpoints, shard_timeout_ms=2000.0)
         endpoints.addresses[2] = None  # SIGKILL, as the router sees it
         client = Client(address)
-        response = client.ask({"id": "g1", "top_k": 3,
+        response = client.ask({"id": "g1", "top_k": PAST_TABLE,
                                "vertex": int(fitted_hard.vertex_ids[0]),
                                "trace": stitch_ctx("gap-1")})
         client.close()
@@ -198,14 +203,16 @@ class TestFaultTraces:
                                 trace_sample_rate=0.0)
         client = Client(address)
         vertex = int(fitted_hard.vertex_ids[0])
-        healthy = client.ask({"id": "f0", "top_k": 2, "vertex": vertex,
+        healthy = client.ask({"id": "f0", "top_k": PAST_TABLE,
+                              "vertex": vertex,
                               "trace": stitch_ctx("forced-healthy")})
         assert healthy["ok"] is True
         assert healthy["trace_id"] == "forced-healthy"
         assert "trace" not in healthy, \
             "unflagged trace returned spans despite rate 0"
         endpoints.addresses[2] = None
-        partial = client.ask({"id": "f1", "top_k": 2, "vertex": vertex,
+        partial = client.ask({"id": "f1", "top_k": PAST_TABLE,
+                              "vertex": vertex,
                               "trace": stitch_ctx("forced-partial")})
         client.close()
         assert partial["degraded"] is True
@@ -231,7 +238,7 @@ class TestFleetScrape:
         client = Client(address)
         # traffic first, so the scrape has rows to show
         for i in range(4):
-            client.ask({"id": f"w{i}", "top_k": 2,
+            client.ask({"id": f"w{i}", "top_k": PAST_TABLE,
                         "vertex": int(fitted_hard.vertex_ids[i])})
         response = client.ask({"op": "stats", "id": "s1"})
         assert response["ok"] is True and response["id"] == "s1"
