@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import socket
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -49,6 +51,8 @@ from repro.core.minibatch import (kmeans, kmeans_reference,  # noqa: E402
                                   property_closeness)
 from repro.datasets import fb_bundle, load_fbimg  # noqa: E402
 from repro.datasets.generator import build_attribute_dataset  # noqa: E402
+from repro.netserve import (NetServeConfig, NetServer,  # noqa: E402
+                            encode_response)
 from repro.obs import format_profile, registry, span  # noqa: E402
 from repro.serve import MatchService  # noqa: E402
 from repro.text.corpus import build_text_corpus  # noqa: E402
@@ -210,6 +214,57 @@ def bench_table_hit(matcher: CrossEM, repeats: int, paths: dict) -> None:
     print(f"  {'serve_table_hit':28s} {entry['per_call_ms']:9.3f} ms/call "
           f"({entry['gemm_calls']:.0f} GEMM calls per 100 hits)")
     paths["serve_table_hit"] = entry
+
+
+#: lone hits behind the ``serve_socket_hit`` row (per repeat)
+SOCKET_HITS = 200
+
+
+def bench_socket_hit(matcher: CrossEM, repeats: int, paths: dict) -> None:
+    """``serve_socket_hit``: lone hits — one request outstanding at a
+    time, ``top_k <= table_k`` — over a real :class:`NetServer` socket on
+    the ``score_tile_hard`` world, beside ``batch_dispatches``: the
+    micro-batcher's fused calls (``netserve.batch.flush_total``) per 100
+    hits.  A hit is answered where its line is read, so the count is 0;
+    if hits ever go through the window and the pool again it becomes
+    100, which is what CI's ``obs diff`` step watches (the seconds are
+    for the reader, and deliberately not named ``optimized_s``: a
+    socket round trip is too noisy on a shared runner to gate)."""
+    server = NetServer(MatchService(matcher).warmup(), NetServeConfig())
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=server.run, daemon=True,
+        kwargs={"install_signals": False, "ready": lambda _: ready.set()})
+    thread.start()
+    assert ready.wait(timeout=60), "bench server never became ready"
+    vertices = matcher.vertex_ids
+    top_k = server.service.config.table_k
+    lines = [encode_response({"id": i, "vertex": vertices[i % len(vertices)],
+                              "top_k": 1 + i % top_k})
+             for i in range(SOCKET_HITS)]
+    flushes = registry().counter("netserve.batch.flush_total")
+    before = flushes.value
+    with socket.create_connection(server.bound, timeout=30) as sock:
+        answers = sock.makefile("rb")
+
+        def lone_hits():
+            for line in lines:
+                sock.sendall(line)
+                assert json.loads(answers.readline())["ok"]
+
+        lone_hits()  # warm
+        total = _best_of(lone_hits, repeats, "serve_socket_hit")
+    hits = (repeats + 1) * len(lines)
+    dispatches = flushes.value - before
+    server.trigger_drain()
+    thread.join(timeout=30)
+    entry = {"seconds": total, "calls": len(lines),
+             "per_call_ms": 1e3 * total / len(lines),
+             "batch_dispatches": 100.0 * dispatches / hits}
+    print(f"  {'serve_socket_hit':28s} {entry['per_call_ms']:9.3f} ms/call "
+          f"({entry['batch_dispatches']:.0f} batch dispatches per 100 "
+          f"hits)")
+    paths["serve_socket_hit"] = entry
 
 
 #: images per concept behind the ``train_epoch_plus`` row in quick mode:
@@ -454,6 +509,7 @@ def run(quick: bool, repeats: int, index_only: bool = False) -> dict:
     tile_matcher = tile_world_matcher(bundle, dataset, quick)
     bench_score_tile(tile_matcher, repeats, paths)
     bench_table_hit(tile_matcher, repeats, paths)
+    bench_socket_hit(tile_matcher, repeats, paths)
     bench_engine(bundle, dataset, repeats, paths)
     bench_train_epoch(bundle, dataset, quick, repeats, paths)
     bench_index(quick, repeats, paths)

@@ -7,17 +7,20 @@ pipes works unchanged against ``repro serve --listen``.  The pieces:
 
 * :mod:`repro.serve.batcher` (re-exported here; the pipe door and the
   load driver submit to it too) — the dynamic micro-batcher: concurrent
-  single-vertex queries arriving within a latency-bounded window are
-  coalesced into one :meth:`MatchService.handle_batch` call without
-  changing any answer bit (DESIGN.md §13).
+  single-vertex queries past the answer table arriving within a
+  latency-bounded window are coalesced into one
+  :meth:`MatchService.handle_batch` call without changing any answer
+  bit (DESIGN.md §13); a table hit is answered by the submitting thread.
 * :mod:`repro.netserve.lineserver` — the asyncio JSONL line server every
-  networked door shares (``NetServer`` here, the shard router): framing,
-  typed ``overloaded`` rejections for slow readers, control-op
-  dispatch, graceful drain on SIGTERM/SIGINT.
+  networked door shares (``NetServer`` here, the shard router): one
+  ``asyncio.Protocol`` per connection, framing, typed ``overloaded``
+  rejections past the outstanding cap, flow control for clients that
+  stop reading, control-op dispatch, graceful drain on SIGTERM/SIGINT.
 * :mod:`repro.netserve.server` — ``NetServer``: that line server over
   the micro-batcher.
-* :mod:`repro.netserve.protocol` — framing helpers, the control-op
-  table (``info`` / ``stats``) and the one-shot control-op client.
+* :mod:`repro.netserve.protocol` — the line framer, the control-op
+  table (``info`` / ``stats`` / ``table``) and the one-shot control-op
+  client.
 
 See README "Networked serving" and DESIGN.md §13 for the window-vs-
 deadline semantics and the batched-exactness argument.

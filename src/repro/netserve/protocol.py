@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
-__all__ = ["MAX_LINE_BYTES", "LineReader", "OversizedLine", "decode_line",
-           "encode_response", "CONTROL_OPS", "control_op", "request_op"]
+__all__ = ["MAX_LINE_BYTES", "LineFramer", "LineReader", "OversizedLine",
+           "decode_line", "encode_response", "CONTROL_OPS", "control_op",
+           "request_op"]
 
 #: hard per-line cap; a longer line is answered ``bad_request`` with the
 #: offending bytes discarded, so one hostile client cannot balloon
@@ -59,8 +60,8 @@ MAX_LINE_BYTES = 1 << 20
 class OversizedLine(ValueError):
     """A request line exceeded the per-line cap.
 
-    The line's bytes were discarded and the stream is positioned at the
-    start of the next line: the caller can answer a typed
+    The line's bytes are discarded through its newline, so the stream
+    stays framed at the start of the next line: the caller can answer a typed
     ``bad_request`` (id ``null`` — the request was never parsed) and
     keep reading, instead of hanging up on the whole connection.
     """
@@ -71,69 +72,95 @@ class OversizedLine(ValueError):
         self.limit = limit
 
 
+class LineFramer:
+    """Synchronous newline framing that survives oversized lines — the
+    one framer behind every JSONL reader (the line server's protocol
+    feeds it socket chunks; :class:`LineReader` wraps it for stream
+    clients).
+
+    :meth:`feed` takes whatever bytes arrived; :meth:`next_line` returns
+    the next complete line (with its newline), ``None`` when no whole
+    line is buffered, or raises :class:`OversizedLine` for a line past
+    ``max_line_bytes``.  An oversized line is dropped at once and the
+    rest of it is discarded as it arrives, through its newline, so the
+    framer never holds more than the cap plus one fed chunk and the
+    stream stays framed: the line after it is served normally.
+    """
+
+    def __init__(self, max_line_bytes: int = MAX_LINE_BYTES) -> None:
+        self._max = max_line_bytes
+        self._buffer = bytearray()
+        #: inside an oversized line: drop bytes through its newline
+        self._discarding = False
+
+    def feed(self, data: bytes) -> None:
+        if self._discarding:
+            newline = data.find(b"\n")
+            if newline < 0:
+                return
+            self._discarding = False
+            data = data[newline + 1:]
+        self._buffer.extend(data)
+
+    def next_line(self) -> Optional[bytes]:
+        newline = self._buffer.find(b"\n")
+        if newline > self._max:
+            del self._buffer[:newline + 1]
+            raise OversizedLine(self._max)
+        if newline >= 0:
+            line = bytes(self._buffer[:newline + 1])
+            del self._buffer[:newline + 1]
+            return line
+        if len(self._buffer) > self._max:
+            self._buffer.clear()
+            self._discarding = True
+            raise OversizedLine(self._max)
+        return None
+
+    def tail(self) -> bytes:
+        """At EOF: the unterminated last line, if any (``b""`` when the
+        stream ended on a newline or inside a discarded line)."""
+        line = bytes(self._buffer)
+        self._buffer.clear()
+        return line
+
+    def clear(self) -> None:
+        """Forget every buffered byte (lines a drain will not answer)."""
+        self._buffer.clear()
+
+
 class LineReader:
-    """Newline framing over an ``asyncio.StreamReader`` that survives
-    oversized lines.
+    """:class:`LineFramer` over an ``asyncio.StreamReader``, for stream
+    clients (the shard router's worker connections).
 
     ``StreamReader.readline`` raises on a too-long line *after*
     clearing its buffer mid-line, which leaves the stream unframed —
-    the only safe continuation is to close the connection (the pre-PR-9
-    behaviour).  This reader buffers for itself on top of ``read()``:
-    when a line exceeds ``max_line_bytes`` it discards through the next
-    newline (never holding more than one chunk of the oversized body in
-    memory) and raises :class:`OversizedLine` with the stream
-    resynchronised, so the connection keeps serving.
-
-    Returned lines include their trailing newline, and EOF yields
-    ``b""`` — the same contract as ``StreamReader.readline`` minus the
-    connection-killing failure mode.
+    the only safe continuation is to close the connection.  This reader
+    raises :class:`OversizedLine` with the stream still framed, so the
+    connection keeps serving.  Returned lines include their trailing
+    newline, and EOF yields ``b""`` — the same contract as
+    ``StreamReader.readline`` minus the connection-killing failure mode.
     """
 
     def __init__(self, reader: Any, *, max_line_bytes: int = MAX_LINE_BYTES,
                  chunk_bytes: int = 1 << 16) -> None:
         self._reader = reader
-        self._max = max_line_bytes
+        self._framer = LineFramer(max_line_bytes)
         self._chunk = chunk_bytes
-        self._buffer = bytearray()
         self._eof = False
 
     async def readline(self) -> bytes:
         while True:
-            newline = self._buffer.find(b"\n")
-            if newline >= 0:
-                if newline > self._max:
-                    del self._buffer[:newline + 1]
-                    raise OversizedLine(self._max)
-                line = bytes(self._buffer[:newline + 1])
-                del self._buffer[:newline + 1]
+            line = self._framer.next_line()
+            if line is not None:
                 return line
-            if len(self._buffer) > self._max:
-                await self._discard_to_newline()
-                raise OversizedLine(self._max)
             if self._eof:
-                # trailing unterminated line (or empty buffer = clean EOF)
-                line = bytes(self._buffer)
-                self._buffer.clear()
-                return line
+                return self._framer.tail()
             data = await self._reader.read(self._chunk)
             if not data:
                 self._eof = True
             else:
-                self._buffer.extend(data)
-
-    async def _discard_to_newline(self) -> None:
-        """Drop the oversized partial line, keep whatever follows the
-        next newline (the start of the next, innocent request)."""
-        self._buffer.clear()
-        while not self._eof:
-            data = await self._reader.read(self._chunk)
-            if not data:
-                self._eof = True
-                return
-            newline = data.find(b"\n")
-            if newline >= 0:
-                self._buffer.extend(data[newline + 1:])
-                return
+                self._framer.feed(data)
 
 
 def decode_line(raw: bytes) -> Any:

@@ -1,16 +1,19 @@
 """The asyncio TCP front end (``repro serve --listen``).
 
 One process, many connections, one shared :class:`MicroBatcher`:
-concurrent queries from *different* clients coalesce into the same
-fused scoring calls, which is where networked micro-batching earns its
-keep — a single pipe can only batch against itself, a socket batches
-across the whole client population.
+concurrent past-table queries from *different* clients coalesce into
+the same fused scoring calls, which is where networked micro-batching
+earns its keep — a single pipe can only batch against itself, a socket
+batches across the whole client population.  A hit (``top_k <=
+table_k``) has nothing to fuse: ``MicroBatcher.submit`` answers it on
+the event loop, inside the read that framed its line, and the
+connection writes it before reading on.
 
-Sockets, framing, the per-connection outstanding cap and the graceful
-drain are :class:`~repro.netserve.lineserver.LineServer`'s; this module
-is the backend it serves: the batcher's worker pool owns all scoring,
-and a drain hurries the batcher (no more windowing), lets every
-connection flush, then drains the pool.
+Sockets, framing, the per-connection outstanding cap, flow control and
+the graceful drain are :class:`~repro.netserve.lineserver.LineServer`'s;
+this module is the backend it serves: the batcher's worker pool owns
+all scoring past the table, and a drain hurries the batcher (no more
+windowing), lets every connection flush, then drains the pool.
 """
 
 from __future__ import annotations
@@ -91,8 +94,11 @@ class NetServer(LineServer):
 
     def info(self, request_id: Any) -> dict:
         response = self.service.info(request_id)
+        # conn_inflight: what one connection may have outstanding — a
+        # shard router caps its pooled connection here
         response["info"].update(max_batch=self.config.max_batch,
-                                batch_window_ms=self.config.batch_window_ms)
+                                batch_window_ms=self.config.batch_window_ms,
+                                conn_inflight=self.config.conn_inflight)
         return response
 
     def stats(self, request_id: Any) -> dict:

@@ -1,16 +1,16 @@
 """The dynamic micro-batcher: windowed coalescing of match queries.
 
-Many clients each send single-vertex queries; served one at a time,
-every query pays for a whole scoring tile.  The batcher holds each
-arriving request for at most one *window* (``batch_window_ms``), fusing
-everything that arrives meanwhile into one
-:meth:`MatchService.handle_batch` call — N one-vertex tiles become full
-tiles — and demultiplexes the positional responses back to their
+Many clients each send single-vertex queries; a query past the answer
+table (``top_k > table_k``), served alone, pays for a whole scoring
+tile.  The batcher holds each such request for at most one *window*
+(``batch_window_ms``), fusing everything that arrives meanwhile into
+one :meth:`MatchService.handle_batch` call — N one-vertex tiles become
+full tiles — and demultiplexes the positional responses back to their
 callers.  Answers are bit-identical to unbatched serving because the
 service scores through fixed-shape row tiles (DESIGN.md §13); the
 batcher only changes *when* scoring runs, never *what* it computes.
 
-Four latency rules, in priority order:
+Four latency rules govern the window, in priority order:
 
 1. **Idle and sparse dispatches now** — a request that finds no scoring
    call in flight and nothing pending, while the batcher's own measure
@@ -28,6 +28,15 @@ Four latency rules, in priority order:
    an urgent request.
 4. **The window bounds everyone else** — no request waits longer than
    one window for its batch to form.
+
+A fifth rule comes before all four:
+
+5. **Hits never wait** — a request the answer table covers
+   (:meth:`MatchService.answer_hit`) is a slice with nothing to fuse,
+   so :meth:`MicroBatcher.submit` answers it in the submitting thread:
+   it takes no pending slot and never reaches the window or the pool.
+   Every door submits here, so every door answers a hit where it read
+   the line.
 
 Rule 1 is deliberately not "dispatch whenever idle": under a closed
 loop of callers that variant sends the first request of every round
@@ -210,10 +219,11 @@ class MicroBatcher:
     """Thread-safe batching front door over a ``MatchService``.
 
     ``submit(request, deliver)`` is the one place a match request is
-    admitted, queued and handed to a scoring thread, for every door
-    (stdio, TCP, shard workers, the in-process load driver).
-    ``deliver`` is later called exactly once — from a worker thread —
-    with the JSON response dict.  Past ``max_pending`` requests queued
+    admitted, for every door (stdio, TCP, shard workers, the in-process
+    load driver): a table hit is answered there and then, anything else
+    is queued and handed to a scoring thread.  ``deliver`` is called
+    exactly once with the JSON response dict — inline for a hit, from a
+    worker thread otherwise.  Past ``max_pending`` requests queued
     or in flight, further ones are shed with a fast, typed
     ``overloaded`` answer (``service.reject``) a client can back off
     on: a stuck scorer cannot grow a backlog of requests that would all
@@ -265,14 +275,24 @@ class MicroBatcher:
     # -- intake ------------------------------------------------------------
     def submit(self, request: Any,
                deliver: Callable[[dict], None]) -> None:
-        """Enqueue one request; ``deliver`` receives its response later.
+        """Answer a table hit now, or enqueue the request; ``deliver``
+        receives its response exactly once.
 
-        Never raises for per-request conditions: shed, shutdown and
-        malformed requests all flow back through ``deliver`` as typed
-        error responses.  A refusal is decided under the lock but
-        minted and delivered after it is released: ``deliver`` may be
-        a blocking pipe write, and must not stall other submitters.
+        A hit (:meth:`MatchService.answer_hit`) is answered and
+        delivered in the caller's thread (rule 5): no lock, no pending
+        slot, no window, no pool thread.  Everything else is enqueued
+        and delivered later from a worker thread.  Never raises for
+        per-request conditions: shed, shutdown and malformed requests
+        all flow back through ``deliver`` as typed error responses.  A
+        refusal is decided under the lock but minted and delivered
+        after it is released: ``deliver`` may be a blocking pipe write,
+        and must not stall other submitters.
         """
+        if not self._stopping:  # once draining, a hit is refused below
+            response = self.service.answer_hit(request)
+            if response is not None:
+                deliver(response)
+                return
         refusal: Optional[Tuple[str, str]] = None
         with self._lock:
             if self._stopping:

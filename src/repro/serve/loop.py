@@ -4,8 +4,9 @@ One request per input line, one response per output line — stdin/stdout
 framing with no network dependency, so the whole resilient path stays
 exercisable in CI with nothing but pipes.  Match requests go through
 the same :class:`~repro.serve.batcher.MicroBatcher` as the TCP door: a
-lone interactive query is scored at once, a piped burst coalesces, and
-past ``max_pending`` lines are shed.  Responses carry the request's
+table hit is answered by the reader itself, and past the table a lone
+interactive query is scored at once, a piped burst coalesces, and past
+``max_pending`` lines are shed.  Responses carry the request's
 ``id`` and may arrive out of submission order (workers and shed
 rejections interleave); clients correlate by ``id``, exactly as they
 would against a real RPC service.  The control operations (``info``,

@@ -543,6 +543,29 @@ class MatchService:
                                            rows.get(p), started))
                 for position, request in enumerate(requests)]
 
+    def answer_hit(self, request: Any) -> Optional[dict]:
+        """The whole answer to ``request`` if it is a hit — the answer
+        table is built and the request parses to ``top_k <= table_k`` —
+        else ``None``: a past-table or malformed request, or any request
+        before warm-up, is :meth:`handle_batch`'s.  Parsed once and
+        answered through the same traced path, so the response carries
+        the bytes :meth:`handle_batch` would give it (bar ``elapsed_ms``
+        and ``trace_id``); counted in ``serve.table_hits_total``.  The
+        micro-batcher calls this in the submitting thread, so a hit
+        never waits for a window or a pool thread."""
+        if self._table is None:
+            return None
+        started = self._clock()
+        try:
+            query = self._parse(request)
+        except BadRequest:
+            return None
+        if query.top_k > self.config.table_k:
+            return None
+        registry().counter("serve.table_hits_total").inc()
+        return self._traced(request, lambda request_id: self._respond(
+            request_id, query, None, started))
+
     def _respond(self, request_id: Any, query: Any,
                  full_row: Optional[np.ndarray], started: float) -> dict:
         """One request's answer, given its parse outcome (a

@@ -11,6 +11,10 @@ Two request paths:
 * :meth:`request` — the pooled path: write on the shared connection,
   await the pump.  Reconnects lazily, including to a *new* address
   when the supervisor restarted the worker on a fresh ephemeral port.
+  At most :meth:`cap_inflight` requests are outstanding on it — the
+  worker's own per-connection cap, which it advertises in ``info`` —
+  so the router's excess waits here, inside the caller's timeout,
+  instead of being shed ``overloaded`` by the worker.
 * :meth:`request_once` — the hedge path: a brand-new throwaway
   connection for exactly one exchange.  A hedged retry must not queue
   behind whatever is stalling the pooled socket, which is the whole
@@ -71,6 +75,13 @@ class ShardClient:
         self._ids = itertools.count()
         self._connected_to: Optional[Tuple[str, int]] = None
         self._conn_lock = asyncio.Lock()
+        #: admission to the pooled connection; None = uncapped
+        self._slots: Optional[asyncio.Semaphore] = None
+
+    def cap_inflight(self, cap: int) -> None:
+        """Allow at most ``cap`` outstanding requests on the pooled
+        connection (the worker's ``conn_inflight``)."""
+        self._slots = asyncio.Semaphore(cap)
 
     # -- connection management ---------------------------------------------
     async def _ensure_connected(self) -> None:
@@ -163,7 +174,20 @@ class ShardClient:
         with a client-private ``id``; the caller's own id never crosses
         this hop.  Raises :class:`ShardUnavailable` on connection
         failure and ``asyncio.TimeoutError`` when the worker holds the
-        answer past ``timeout``."""
+        answer past ``timeout`` — time spent waiting for a slot under
+        the cap included."""
+        slots = self._slots
+        if slots is None:
+            return await self._exchange(payload, timeout)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        await asyncio.wait_for(slots.acquire(), timeout)
+        try:
+            return await self._exchange(payload, deadline - loop.time())
+        finally:
+            slots.release()
+
+    async def _exchange(self, payload: dict, timeout: float) -> dict:
         await self._ensure_connected()
         internal_id = f"s{self.slot}-{next(self._ids)}"
         body = dict(payload)

@@ -699,6 +699,12 @@ class ShardRouter(LineServer):
             if isinstance(answer, dict) and answer.get("ok"):
                 info = dict(answer.get("info", {}))
                 info.pop("shard", None)  # per-worker detail, not fleet
+                cap = info.get("conn_inflight")
+                if isinstance(cap, int) and not isinstance(cap, bool) \
+                        and cap > 0:
+                    # queue at the router what a worker would shed
+                    for client in self._clients:
+                        client.cap_inflight(cap)
                 self._info_cache = info
                 return info
         return None
@@ -721,6 +727,7 @@ class ShardRouter(LineServer):
         payload["table_sha256"] = self._table.sha256 \
             if self._table is not None else None
         payload["shards"] = {"total": self.endpoints.count, "live": live}
+        payload["conn_inflight"] = self.config.conn_inflight  # this door's
         return {"id": request_id, "ok": True, "info": payload}
 
     def table(self, request_id: Any) -> dict:

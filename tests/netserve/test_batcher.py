@@ -330,6 +330,9 @@ class StubService:
     def reject(self, request, code, message):
         return error_response(request["id"], code, message)
 
+    def answer_hit(self, request):
+        return None  # no answer table: every request takes the window
+
 
 def collect():
     responses = []
@@ -498,7 +501,7 @@ class TestMicroBatcher:
         assert late["error"]["type"] == "unavailable"
 
     def test_fused_call_failure_still_answers_everyone(self):
-        class ExplodingService:
+        class ExplodingService(StubService):
             def handle_batch(self, requests):
                 raise RuntimeError("boom")
 
@@ -555,7 +558,7 @@ class TestDispatchWhenIdle:
         assert batcher.drain()
 
     def test_inflight_restored_when_the_fused_call_raises(self):
-        class ExplodingService:
+        class ExplodingService(StubService):
             def handle_batch(self, requests):
                 raise RuntimeError("boom")
 

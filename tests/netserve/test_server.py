@@ -10,7 +10,6 @@ its batch), and the match payloads must agree byte for byte.
 
 from __future__ import annotations
 
-import asyncio
 import gc
 import json
 import socket
@@ -23,6 +22,11 @@ import pytest
 from repro.netserve.lineserver import LineServer
 from repro.obs import registry, set_tracing_enabled, trace_recorder
 from repro.obs.trace import SamplePolicy
+from repro.serve import ServeConfig
+
+#: a ``top_k`` past the answer table: scored, so it reaches the batcher's
+#: window and pool (a hit is answered where its line is read)
+PAST_TABLE = ServeConfig().table_k + 1
 
 
 class Client:
@@ -126,6 +130,18 @@ class TestProtocol:
             assert response["error"]["type"] == "bad_request"
         client.close()
 
+    def test_answers_are_never_held_for_an_ack(self, run_server):
+        """Nagle's algorithm would hold an answer back until the one
+        before it is ACKed, and the client's delayed ACK makes that up
+        to 40 ms: every connection must have it off."""
+        server, address = run_server()
+        client = Client(address)
+        client.ask({"op": "info", "id": 1})  # the connection is made
+        [conn] = list(server._conns)
+        sock = conn.transport.get_extra_info("socket")
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        client.close()
+
     def test_eof_flushes_in_flight_responses(self, run_server,
                                              fitted_hard):
         """Half-closing after pipelining must still deliver every
@@ -153,7 +169,7 @@ class TestBatchedExactness:
         queries sent one at a time (every batch a singleton)."""
         _, address = run_server(batch_window_ms=25.0, max_batch=32)
         vertices = [int(v) for v in fitted_hard.vertex_ids]
-        requests = [{"id": f"r{i}", "vertex": v, "top_k": (i % 3) + 1}
+        requests = [{"id": f"r{i}", "vertex": v, "top_k": PAST_TABLE + i % 3}
                     for i, v in enumerate(vertices)]
 
         pipelined = Client(address)
@@ -191,9 +207,10 @@ class TestBatchedExactness:
         first, second = Client(address), Client(address)
         # an idle batcher dispatches a lone request at once: keep the
         # scorer busy, so the two clients' requests meet in the window
-        first.send({"id": "busy", "vertex": vertices[2]})
-        first.send({"id": "a", "vertex": vertices[0]})
-        second.send({"id": "b", "vertex": vertices[1]})
+        first.send({"id": "busy", "vertex": vertices[2],
+                    "top_k": PAST_TABLE})
+        first.send({"id": "a", "vertex": vertices[0], "top_k": PAST_TABLE})
+        second.send({"id": "b", "vertex": vertices[1], "top_k": PAST_TABLE})
         pending = registry().gauge("netserve.pending")
         assert wait_until(lambda: pending.value == 3)
         gate.set()
@@ -221,7 +238,7 @@ class TestBackpressure:
         # 2 occupy the cap (one held in the busy scorer, one parked in
         # the huge window behind it), the rest shed
         for i in range(5):
-            client.send({"id": i, "vertex": vertex})
+            client.send({"id": i, "vertex": vertex, "top_k": PAST_TABLE})
         shed_total = registry().counter("netserve.conn.overloaded_total")
         assert wait_until(lambda: shed_total.value == 3)
         gate.set()
@@ -251,9 +268,10 @@ class TestBackpressure:
                                 **{cap: 1})
         client = Client(address)
         vertex = int(fitted_hard.vertex_ids[0])
-        client.send({"id": "held", "vertex": vertex})  # takes the one slot
+        # takes the one slot
+        client.send({"id": "held", "vertex": vertex, "top_k": PAST_TABLE})
         shed = client.ask(
-            {"id": "shed", "vertex": vertex,
+            {"id": "shed", "vertex": vertex, "top_k": PAST_TABLE,
              "trace": {"trace_id": "caller-7", "parent_span": "s4",
                        "return_spans": True}})
         assert shed["ok"] is False
@@ -263,11 +281,13 @@ class TestBackpressure:
         [row] = trace_recorder().snapshot()
         assert row["trace_id"] == "caller-7" and row["parent_span"] == "s4"
         assert row["flags"] == ["error", "shed"]
-        minted = client.ask({"id": "shed-2", "vertex": vertex})
+        minted = client.ask({"id": "shed-2", "vertex": vertex,
+                             "top_k": PAST_TABLE})
         assert minted["error"]["type"] == "overloaded"
         assert minted["trace_id"] and minted["trace_id"] != "caller-7"
         set_tracing_enabled(False)
-        untraced = client.ask({"id": "shed-3", "vertex": vertex})
+        untraced = client.ask({"id": "shed-3", "vertex": vertex,
+                               "top_k": PAST_TABLE})
         assert untraced["error"]["type"] == "overloaded"
         assert "trace_id" not in untraced
         reg = registry()
@@ -303,7 +323,8 @@ class TestDrain:
                                      max_batch=1000)
         client = Client(address)
         for i, vertex in enumerate(fitted_hard.vertex_ids[:3]):
-            client.send({"id": i, "vertex": int(vertex)})
+            client.send({"id": i, "vertex": int(vertex),
+                         "top_k": PAST_TABLE})
         # wait until all three are accepted (one in the busy scorer, two
         # parked behind it): drain guarantees flushing what was
         # *accepted*, and bytes the reader has not yet seen are not
@@ -340,22 +361,20 @@ class TestDrain:
         assert refused
 
     def test_connection_accepted_as_the_drain_starts_is_closed(self):
-        """The drain race, forced: the drain starts the
-        moment a connection is accepted, and the connection's handler
-        first runs only after the drain has decided what to wait for.
-        The drain must still close that connection — not leave its
-        socket open until the garbage collector happens by, which is
+        """The drain race, forced: the drain starts the moment a socket
+        is accepted, before its protocol's ``connection_made`` has
+        registered it, so the drain has decided what to wait for before
+        the connection exists.  The connection must still be closed —
+        not left open until the garbage collector happens by, which is
         why the collector is off while the client waits for EOF."""
 
         class LateHandler(LineServer):
             """A backend with nothing to flush, so the drain completes
             within one loop step once it starts."""
 
-            async def _on_connection(self, reader, writer):
+            def _connection(self):
                 self._drain_event.set()
-                for _ in range(8):
-                    await asyncio.sleep(0)
-                await super()._on_connection(reader, writer)
+                return super()._connection()
 
         server = LateHandler(SimpleNamespace(
             host="127.0.0.1", port=0, conn_inflight=4,

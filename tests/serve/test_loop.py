@@ -10,6 +10,7 @@ from repro.obs import registry
 from repro.serve import serve_loop
 
 from .test_batch_service import canonical
+from .test_service import PAST_TABLE
 
 
 def run_loop(service, lines):
@@ -122,7 +123,7 @@ class TestServeLoop:
         service = make_service()
         vertices = fitted_soft.vertex_ids
         requests = [{"id": f"q{i}", "vertex": vertices[i % len(vertices)],
-                     "top_k": (i % 3) + 1} for i in range(16)]
+                     "top_k": PAST_TABLE + i % 3} for i in range(16)]
         source = io.StringIO("".join(json.dumps(r) + "\n"
                                      for r in requests))
         sink = io.StringIO()

@@ -52,8 +52,9 @@ def make_traced_service(fitted_soft, *, rate=1.0, clock=None,
 
 
 def shed_by_full_batcher(service, request):
-    """``request``'s answer from a batcher whose one slot is taken by a
-    call the scorer is still holding."""
+    """``request``'s answer, asked past the answer table, from a batcher
+    whose one slot is taken by a call the scorer is still holding (a
+    hit never takes a slot, so it could not be shed)."""
     gate = threading.Event()
     handle_batch = service.handle_batch
 
@@ -64,8 +65,10 @@ def shed_by_full_batcher(service, request):
     service.handle_batch = held
     batcher = MicroBatcher(service, max_pending=1)
     answers = []
-    batcher.submit({"vertex": request["vertex"]}, answers.append)
-    batcher.submit(request, answers.append)  # refused by the submitter
+    batcher.submit({"vertex": request["vertex"], "top_k": PAST_TABLE},
+                   answers.append)
+    # refused by the submitter
+    batcher.submit(dict(request, top_k=PAST_TABLE), answers.append)
     [shed] = answers  # ... while the admitted one is still held
     gate.set()
     assert batcher.drain()

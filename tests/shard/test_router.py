@@ -391,6 +391,58 @@ class TestProtocolEdges:
         assert "JSON object" in response["error"]["message"]
 
 
+    def test_a_hit_behind_stats_is_answered_after_it(self, shard_cluster,
+                                                    run_router, fitted_hard):
+        """The router's ``stats`` is a coroutine (it scrapes the fleet)
+        while a hit is answered inline: pipelined on one connection, the
+        connection holds the hit until the scrape is written, so the
+        answers come back in the order the lines were sent."""
+        endpoints, _ = shard_cluster
+        _, address = run_router(endpoints)
+        client = Client(address)
+        client.stream.write(
+            json.dumps({"op": "stats", "id": "stats"}).encode() + b"\n" +
+            json.dumps({"id": "hit", "top_k": 1,
+                        "vertex": int(fitted_hard.vertex_ids[0])}).encode()
+            + b"\n")
+        client.stream.flush()
+        first, second = client.recv(), client.recv()
+        client.close()
+        assert (first["id"], second["id"]) == ("stats", "hit")
+        assert first["ok"] is True and second["ok"] is True
+        assert registry().counter(
+            "shard.router.table_hits_total").value == 1
+
+
+class TestPooledConnectionCap:
+    def test_a_burst_waits_at_the_router_not_shed_by_a_worker(
+            self, run_worker, run_router, fitted_hard):
+        """Three clients pipeline 50 past-table requests each through a
+        2-worker router: 150 outstanding on each worker's pooled
+        connection, past the worker's ``conn_inflight`` (32).  The
+        router caps that connection at what the worker's ``info``
+        advertises, so the excess waits at the router: no worker sheds,
+        and every answer is whole."""
+        endpoints = StaticEndpoints([run_worker(slot=slot, count=2)[1]
+                                     for slot in range(2)])
+        assert fetch_info(endpoints.address_of(0))["conn_inflight"] == 32
+        _, address = run_router(endpoints)
+        vertices = [int(v) for v in fitted_hard.vertex_ids]
+        clients = [Client(address) for _ in range(3)]
+        for c, client in enumerate(clients):
+            for i in range(50):
+                client.send({"id": f"{c}-{i}", "top_k": PAST_TABLE,
+                             "vertex": vertices[i % len(vertices)]})
+        answers = [client.recv() for client in clients for _ in range(50)]
+        for client in clients:
+            client.close()
+        assert registry().counter("netserve.conn.overloaded_total").value \
+            == 0
+        assert len({answer["id"] for answer in answers}) == 150
+        assert all(answer["ok"] and not answer["degraded"]
+                   for answer in answers)
+
+
 class TestLoadHarness:
     def test_open_loop_schedule_through_the_router(self, shard_cluster,
                                                    run_router,

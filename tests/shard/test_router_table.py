@@ -108,10 +108,11 @@ def router(endpoints, cls=ShardRouter):
                                        drain_timeout_s=10.0))
 
 
-def ask_all(address, requests, window=16):
+def ask_all(address, requests, window=RouterConfig().conn_inflight):
     """Every request on one connection, pipelined ``window`` at a time —
-    under the router's and the workers' per-connection caps, so a
-    scattered request is never shed; raw lines by id."""
+    up to the router's own per-connection cap, so a scattered request is
+    never shed (the workers' smaller cap is the router's to respect);
+    raw lines by id."""
     client = Client(address)
     lines = []
     for start in range(0, len(requests), window):
