@@ -19,7 +19,7 @@ Five commands cover the common workflows without writing code:
   ``load replay`` re-offers the arrival spacing and query shapes
   recorded in an exported trace JSONL.
 * ``obs`` — telemetry analysis, offline and live: ``obs report``
-  renders the span profile, bucket latency histograms and slowest
+  renders the span profile, bucket histograms and slowest
   traces, ``obs diff`` compares two exports (or frontier artifacts)
   with regression thresholds (non-zero exit on breach, the CI gate),
   ``obs slo`` evaluates an SLO spec against a load report or frontier

@@ -15,14 +15,15 @@ fields the serve layer already emits — no side channel:
 Latency is **always measured from the request's intended arrival
 time** on the schedule, never from when the harness managed to send
 it.  Every sample lands in a fixed-bucket log-scale
-:class:`~repro.obs.hist.BucketHistogram` (exact counts, mergeable, no
-reservoir distortion in the tail) — one overall, plus one per outcome
-so "how slow were the degraded answers" is answerable after the fact.
+:class:`~repro.obs.hist.BucketHistogram` over the one layout (exact
+counts, mergeable, nothing sampled away in the tail) — one overall,
+plus one per outcome so "how slow were the degraded answers" is
+answerable after the fact.
 
 A report serialises to a JSON artifact (``repro load run --output``)
-and publishes into the metrics registry (``load.*`` instruments, with
-the latency histogram bucket-backed so the ``.prom`` export carries a
-classic ``le`` family).
+and publishes into the metrics registry (``load.*`` instruments; the
+``.prom`` export carries the latency histogram as a classic ``le``
+family).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import threading
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional
 
-from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS, BucketHistogram
+from ..obs.hist import BucketHistogram
 
 __all__ = ["OUTCOMES", "classify_response", "Sample", "LoadReport"]
 
@@ -67,11 +68,9 @@ class Sample(NamedTuple):
 class LoadReport:
     """Thread-safe accumulator for one load run's measurements."""
 
-    def __init__(self, *, meta: Optional[dict] = None,
-                 bounds=DEFAULT_LATENCY_BOUNDS_MS) -> None:
+    def __init__(self, *, meta: Optional[dict] = None) -> None:
         self.meta = dict(meta or {})
-        self._bounds = list(bounds)
-        self.latency = BucketHistogram(self._bounds)
+        self.latency = BucketHistogram()
         self.by_outcome: Dict[str, BucketHistogram] = {}
         self.outcomes: Dict[str, int] = {outcome: 0 for outcome in OUTCOMES}
         self.samples: List[Sample] = []
@@ -103,7 +102,7 @@ class LoadReport:
             hist = self.by_outcome.get(outcome)
             if hist is None:
                 hist = self.by_outcome[outcome] = \
-                    BucketHistogram(self._bounds)
+                    BucketHistogram()
             hist.observe(latency_ms)
             self.samples.append(Sample(intended_offset, outcome,
                                        latency_ms))
@@ -117,7 +116,7 @@ class LoadReport:
     def answered_latency(self) -> BucketHistogram:
         """The latency distribution of answered (ok + degraded)
         requests — what the SLO latency objectives are judged on."""
-        merged = BucketHistogram(self._bounds)
+        merged = BucketHistogram()
         for outcome in ANSWERED:
             hist = self.by_outcome.get(outcome)
             if hist is not None:
@@ -187,5 +186,4 @@ class LoadReport:
         reg.gauge("load.achieved_rate").set(summary["achieved_rate"])
         reg.gauge("load.availability").set(summary["availability"])
         reg.gauge("load.max_lag_ms").set(summary["max_lag_ms"])
-        reg.histogram("load.latency_ms", buckets=self._bounds) \
-            .merge_bucket(self.latency)
+        reg.histogram("load.latency_ms").merge_bucket(self.latency)

@@ -8,8 +8,8 @@ vocabulary:
 * :mod:`repro.obs.spans` — nestable wall-time spans aggregated into a
   hierarchical profile (``with span("fit/epoch"): ...``).
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges and histograms (reservoir- or fixed-bucket-backed, see
-  :mod:`repro.obs.hist`).
+  gauges and histograms; every histogram and every span path counts
+  into one fixed log-bucket layout (:mod:`repro.obs.hist`).
 * :mod:`repro.obs.slo` / :mod:`repro.obs.frontier` — declarative SLO
   specs evaluated against load-run summaries, and latency/throughput
   frontier sweeps with a CI-gateable knee artifact.

@@ -113,7 +113,8 @@ def flatten_rows(rows: Iterable[dict]) -> Dict[str, float]:
         elif kind == "histogram":
             for field in ("count", "sum", "p50", "p95"):
                 flat[f"{name}.{field}"] = float(row[field])
-            # bucket-backed histograms carry an exact tail facet too
+            # rows written before every histogram carried buckets
+            # have no p99 facet
             if "p99" in row:
                 flat[f"{name}.p99"] = float(row["p99"])
         elif kind == "span":

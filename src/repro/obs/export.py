@@ -8,7 +8,8 @@ request trace::
     {"type": "counter", "name": "cache.hit", "value": 3}
     {"type": "gauge", "name": "train.pairs_per_sec", "value": 812.4}
     {"type": "histogram", "name": "train.epoch_loss", "count": 10,
-     "sum": ..., "min": ..., "max": ..., "p50": ..., "p95": ...}
+     "sum": ..., "min": ..., "max": ..., "p50": ..., "p95": ...,
+     "p99": ..., "buckets": {"bounds": [...], "counts": [...]}}
     {"type": "span", "name": "fit/epoch", "count": 10,
      "total_seconds": ..., "p50_seconds": ..., "p95_seconds": ...}
     {"type": "trace", "trace_id": "...", "name": "serve.request",

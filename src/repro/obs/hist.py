@@ -1,29 +1,31 @@
 """Fixed-bucket log-scale histograms: exact, mergeable, tail-honest.
 
-The reservoir histograms in :mod:`repro.obs.spans` /
-:mod:`repro.obs.metrics` estimate percentiles from a bounded uniform
-sample.  That is the right trade for unbounded-cardinality span paths,
-but it is *tail-blind*: on a long run p99+ is interpolated from however
-few of the 4096 retained samples happen to sit in the top percentile,
-so a load test's most important number becomes a noisy estimate.
+Every distribution the process records — each registry histogram
+(:class:`repro.obs.metrics.Histogram`) and each span path's durations
+(:mod:`repro.obs.spans`) — is a :class:`BucketHistogram` over one
+layout, :data:`DEFAULT_BOUNDS`.  The bucket boundaries are fixed up
+front (log-scale, so relative error is uniform across decades) and
+every observation lands in exactly one bucket counter:
 
-A :class:`BucketHistogram` takes the opposite trade.  The bucket
-boundaries are fixed up front (log-scale, so relative error is uniform
-across decades of latency) and every observation lands in exactly one
-bucket counter:
-
-* **exact counts** — no sampling, no reservoir distortion in the tail:
-  a quantile is wrong by at most one bucket's relative width
-  (~21 % at the default 12 buckets/decade), never by sampling luck;
+* **exact counts** — no sampling, so nothing is lost in the tail: a
+  quantile is wrong by at most one bucket's relative width (~21 % at
+  12 buckets/decade), never by sampling luck;
 * **mergeable** — two histograms over the same boundaries add
-  bucket-wise, so per-worker or per-sweep-point results combine into
+  bucket-wise, so per-shard or per-sweep-point results combine into
   one distribution without re-observing anything;
-* **bounded memory** — ~70 integers for the default latency layout,
-  regardless of how many observations arrive.
+* **bounded memory** — 158 integers per distribution, regardless of
+  how many observations arrive.
+
+The one layout spans 1e-6 .. 1e7, which covers latencies in
+milliseconds, span durations in seconds, losses and partition sizes
+alike.  A value at or below 1e-6 (zero and negatives included) lands
+in the first bucket and a value above 1e7 in the ``+Inf`` overflow
+slot; count, sum, min and max stay exact either way, and quantiles are
+clamped to the observed [min, max].
 
 Instances are *not* internally locked; callers that share one across
-threads synchronise around it (``repro.obs.metrics.Histogram`` does,
-and the load harness records under its own lock).
+threads synchronise around it (``repro.obs.metrics.Histogram`` and the
+span aggregator do, and the load harness records under its own lock).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import bisect
 import math
 from typing import List, Optional, Sequence
 
-__all__ = ["BucketHistogram", "log_bounds", "DEFAULT_LATENCY_BOUNDS_MS"]
+__all__ = ["BucketHistogram", "log_bounds", "DEFAULT_BOUNDS"]
 
 
 def log_bounds(lo: float, hi: float, per_decade: int = 12) -> List[float]:
@@ -50,9 +52,9 @@ def log_bounds(lo: float, hi: float, per_decade: int = 12) -> List[float]:
     return [lo * 10.0 ** (i / per_decade) for i in range(count)]
 
 
-#: default layout for request latencies in milliseconds: 0.1 ms .. 60 s
-DEFAULT_LATENCY_BOUNDS_MS: Sequence[float] = tuple(
-    log_bounds(0.1, 60_000.0, per_decade=12))
+#: the one layout every process records into: 1e-6 .. 1e7 at 12
+#: buckets/decade (157 bounds)
+DEFAULT_BOUNDS: Sequence[float] = tuple(log_bounds(1e-6, 1e7, per_decade=12))
 
 
 class BucketHistogram:
@@ -60,14 +62,15 @@ class BucketHistogram:
 
     ``bounds`` are ascending bucket *upper* edges; an implicit overflow
     bucket (``+Inf``) catches everything above the last edge, so no
-    observation is ever dropped.
+    observation is ever dropped.  ``bounds`` defaults to
+    :data:`DEFAULT_BOUNDS`; readers pass the layout a payload carries.
     """
 
     __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
 
     def __init__(self, bounds: Optional[Sequence[float]] = None) -> None:
         if bounds is None:
-            bounds = DEFAULT_LATENCY_BOUNDS_MS
+            bounds = DEFAULT_BOUNDS
         bounds = [float(b) for b in bounds]
         if not bounds:
             raise ValueError("at least one bucket bound is required")
@@ -177,6 +180,18 @@ class BucketHistogram:
             "min": self.min if self.count else 0.0,
             "max": self.max if self.count else 0.0,
         }
+
+    def row(self, name: str) -> dict:
+        """This distribution as a registry ``histogram`` row: the
+        summary facets plus the exact ``buckets`` payload."""
+        doc = self.to_dict()
+        return {"type": "histogram", "name": name,
+                "count": doc["count"], "sum": doc["sum"],
+                "min": doc["min"], "max": doc["max"],
+                "p50": self.quantile(50.0), "p95": self.quantile(95.0),
+                "p99": self.quantile(99.0),
+                "buckets": {"bounds": doc["bounds"],
+                            "counts": doc["counts"]}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BucketHistogram":

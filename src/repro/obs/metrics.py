@@ -14,17 +14,18 @@ keyed by dotted name::
 Every instrument takes a per-instrument lock so concurrent writers
 (e.g. data-parallel workers, serve worker pools) never lose updates;
 ``Gauge.set`` stays last-write-wins while ``Gauge.inc``/``dec`` adjust
-atomically (queue depths).  ``snapshot()`` returns plain dicts in the
-same schema the JSONL exporter writes, so tests can assert on either.
+atomically (queue depths).  Every histogram counts into the one fixed
+log-bucket layout of :mod:`repro.obs.hist`, whatever it measures.
+``snapshot()`` returns plain dicts in the same schema the JSONL
+exporter writes, so tests can assert on either.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from .hist import BucketHistogram
-from .spans import _MAX_SAMPLES, Reservoir, percentile
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "registry"]
 
@@ -96,119 +97,53 @@ class Gauge:
 
 
 class Histogram:
-    """A distribution summary: count/sum/min/max plus p50/p95.
+    """A distribution: a :class:`~repro.obs.hist.BucketHistogram` over
+    the one layout (:data:`~repro.obs.hist.DEFAULT_BOUNDS`) behind the
+    instrument lock.
 
-    Two percentile backends, chosen at creation time:
-
-    * **reservoir** (default, ``buckets=None``) — a seeded uniform
-      reservoir of at most ``_MAX_SAMPLES`` samples
-      (:class:`~repro.obs.spans.Reservoir`).  Percentiles are
-      interpolated from the sample, so they estimate the whole stream
-      with no up-front knowledge of its range — but on long runs the
-      tail (p99+) rests on however few retained samples land in the top
-      percentile, making extreme quantiles noisy estimates.
-    * **fixed buckets** (``buckets=<ascending upper bounds>``) — a
-      :class:`~repro.obs.hist.BucketHistogram`: every observation is
-      counted exactly into a pre-declared log-scale bucket, so any
-      quantile (including p99/p999) is wrong by at most one bucket's
-      relative width, never by sampling luck, and two histograms over
-      the same bounds merge losslessly.  The cost is choosing the
-      bucket layout up front; values outside it land in the overflow
-      bucket (counted, but quantile resolution degrades to "above the
-      last bound").
-
-    Use the reservoir for open-ended value ranges (losses, partition
-    sizes); use buckets for latencies and anything whose tail gates a
-    decision (SLOs, load-test frontiers).  Count, sum and the extrema
-    stay exact under both backends.
+    Count, sum and the extrema are exact; any quantile (p99 included)
+    is wrong by at most one bucket's relative width, never by sampling
+    luck.  Every row carries its ``buckets`` payload, so two processes'
+    rows of the same instrument merge losslessly (DESIGN.md §11).
     """
 
-    __slots__ = ("name", "_count", "_sum", "_min", "_max", "_samples",
-                 "_buckets", "_lock")
+    __slots__ = ("name", "_hist", "_lock")
 
-    def __init__(self, name: str,
-                 buckets: Optional[Sequence[float]] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        if buckets is not None:
-            self._samples = None
-            self._buckets: Optional[BucketHistogram] = \
-                BucketHistogram(buckets)
-        else:
-            self._samples = Reservoir(_MAX_SAMPLES, seed_key=name)
-            self._buckets = None
+        self._hist = BucketHistogram()
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        value = float(value)
         with self._lock:
-            self._count += 1
-            self._sum += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
-            if self._buckets is not None:
-                self._buckets.observe(value)
-            else:
-                self._samples.offer(value)
+            self._hist.observe(value)
 
     def merge_bucket(self, other: BucketHistogram) -> None:
-        """Merge a pre-aggregated :class:`BucketHistogram` into this
-        (bucket-backed) instrument — how the load harness publishes a
-        run's latency distribution without replaying every sample."""
+        """Merge a pre-aggregated :class:`BucketHistogram` (same layout)
+        into this instrument — how the load harness publishes a run's
+        latency distribution without replaying every sample."""
         with self._lock:
-            if self._buckets is None:
-                raise ValueError(f"histogram {self.name!r} is "
-                                 "reservoir-backed; cannot merge buckets")
-            self._buckets.merge(other)
-            self._count += other.count
-            self._sum += other.sum
-            self._min = min(self._min, other.min)
-            self._max = max(self._max, other.max)
+            self._hist.merge(other)
 
     @property
     def count(self) -> int:
-        return self._count
+        return self._hist.count
 
     @property
     def sum(self) -> float:
-        return self._sum
+        return self._hist.sum
 
     @property
     def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
+        return self._hist.mean
 
     def quantile(self, q: float) -> float:
         with self._lock:
-            if self._buckets is not None:
-                return self._buckets.quantile(q)
-            samples = list(self._samples.values)
-        return percentile(samples, q)
+            return self._hist.quantile(q)
 
     def row(self) -> dict:
         with self._lock:
-            count, total = self._count, self._sum
-            low = self._min if count else 0.0
-            high = self._max if count else 0.0
-            if self._buckets is not None:
-                # Bucket-backed rows additionally carry the raw bucket
-                # layout (rendered by promtext as a classic `le` family)
-                # and an exact-by-construction p99.
-                return {"type": "histogram", "name": self.name,
-                        "count": count, "sum": total, "min": low,
-                        "max": high,
-                        "p50": self._buckets.quantile(50.0),
-                        "p95": self._buckets.quantile(95.0),
-                        "p99": self._buckets.quantile(99.0),
-                        "buckets": {"bounds": list(self._buckets.bounds),
-                                    "counts": list(self._buckets.counts)}}
-            samples = list(self._samples.values)
-        return {"type": "histogram", "name": self.name, "count": count,
-                "sum": total, "min": low, "max": high,
-                "p50": percentile(samples, 50.0),
-                "p95": percentile(samples, 95.0)}
+            return self._hist.row(self.name)
 
 
 class MetricsRegistry:
@@ -218,11 +153,11 @@ class MetricsRegistry:
         self._instruments: Dict[str, object] = {}
         self._lock = threading.Lock()
 
-    def _get(self, name: str, cls, **kwargs):
+    def _get(self, name: str, cls):
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
-                instrument = self._instruments[name] = cls(name, **kwargs)
+                instrument = self._instruments[name] = cls(name)
             elif not isinstance(instrument, cls):
                 raise ValueError(
                     f"metric {name!r} already registered as "
@@ -235,12 +170,7 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def histogram(self, name: str,
-                  buckets: Optional[Sequence[float]] = None) -> Histogram:
-        """Get-or-create; ``buckets`` selects the fixed-bucket backend
-        on first creation (ignored if the instrument already exists)."""
-        if buckets is not None:
-            return self._get(name, Histogram, buckets=buckets)
+    def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
     def get(self, name: str):

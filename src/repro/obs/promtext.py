@@ -8,12 +8,13 @@ alongside the JSONL without any client library:
 
 * counter ``cache.hit`` → ``repro_cache_hit_total 3``
 * gauge ``train.pairs_per_sec`` → ``repro_train_pairs_per_sec 812.4``
-* reservoir histogram rows → a *summary* family:
+* histogram rows → a classic *histogram* family: cumulative
+  ``_bucket{le="..."}`` samples from the row's ``buckets`` payload,
+  ending at ``le="+Inf"`` (always equal to ``_count``), plus
+  ``_count``/``_sum``
+* a histogram row without ``buckets`` (files written before every
+  registry histogram carried them) → a *summary* family:
   ``{quantile="0.5"|"0.95"}`` samples plus ``_count`` / ``_sum``
-* bucket-backed histogram rows (those carrying a ``buckets`` payload,
-  e.g. the load harness's ``load.latency_ms``) → a classic *histogram*
-  family: cumulative ``_bucket{le="..."}`` samples ending at
-  ``le="+Inf"`` (always equal to ``_count``), plus ``_count``/``_sum``
 * span rows → one shared ``repro_span_seconds`` summary family with a
   ``span="fit/epoch"`` label per path
 

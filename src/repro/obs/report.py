@@ -1,6 +1,6 @@
 """Human-readable report over an exported metrics/trace JSONL file.
 
-``repro obs report run.jsonl`` renders two views of one export:
+``repro obs report run.jsonl`` renders three views of one export:
 
 * the aggregate span profile as an indented flame-style table
   (per-path count / total / p50 / p95, children under parents, heaviest
@@ -9,9 +9,10 @@
   events (breaker transitions, deadline checks, cache hits, sheds)
   interleaved in causal (timestamp) order — the per-request "where did
   *this* request's time go";
-* any bucket-backed histograms (schema v3 rows carrying a ``buckets``
-  payload, e.g. ``load.latency_ms``) as ASCII bar charts with exact
-  per-bucket counts.
+* every histogram row that carries a ``buckets`` payload (all of them
+  since the registry has one bucket layout; files written earlier may
+  hold bucketless rows, which are skipped) as ASCII bar charts with
+  exact per-bucket counts.
 
 Everything renders from the exported rows alone, so reports work on any
 machine the JSONL lands on, long after the serving process is gone.
@@ -26,9 +27,9 @@ __all__ = ["format_span_table", "format_bucket_histogram", "format_trace",
 
 
 def format_span_table(rows: Iterable[dict]) -> str:
-    """The aggregate span rows as an indented tree, heaviest first
-    (same layout as :func:`repro.obs.spans.format_profile`, but driven
-    from exported rows)."""
+    """The aggregate span rows as an indented tree, heaviest siblings
+    first — from exported rows or the live
+    :func:`repro.obs.spans.span_snapshot`; ``""`` when there are none."""
     by_path = {row["name"]: row for row in rows if row.get("type") == "span"}
     if not by_path:
         return ""
@@ -36,7 +37,7 @@ def format_span_table(rows: Iterable[dict]) -> str:
     for path in by_path:
         parent = path.rsplit("/", 1)[0] if "/" in path else None
         if parent is not None and parent not in by_path:
-            parent = None
+            parent = None  # orphaned path: show at top level
         children.setdefault(parent, []).append(path)
 
     lines = [f"{'span':40s} {'count':>7s} {'total':>9s} "
@@ -60,7 +61,7 @@ def format_span_table(rows: Iterable[dict]) -> str:
 
 
 def format_bucket_histogram(row: dict, *, width: int = 40) -> str:
-    """One bucket-backed histogram row as an ASCII bar chart.
+    """One histogram row's ``buckets`` payload as an ASCII bar chart.
 
     Empty leading/trailing buckets are trimmed; each kept bucket shows
     its upper bound, exact count, and a bar scaled to the modal bucket.
@@ -143,7 +144,7 @@ def format_report(rows: Sequence[dict], top: int = 5) -> str:
     if bucket_rows:
         body = "\n\n".join(format_bucket_histogram(row)
                            for row in bucket_rows)
-        sections.append("== latency histograms ==\n" + body)
+        sections.append("== histograms ==\n" + body)
     traces = [row for row in rows if row.get("type") == "trace"]
     if traces:
         slowest = sorted(traces, key=lambda t: -t["duration_ms"])[:top]

@@ -9,10 +9,11 @@ is the aggregation math behind both (the one-shot scrape client is
 
 * :func:`aggregate_fleet` — fold per-shard snapshots into one fleet
   snapshot: counters **summed** (fleet throughput is the sum of shard
-  throughputs), bucket histograms **merged bucketwise** when bounds
-  agree (exact, via :meth:`BucketHistogram.merge`), and everything
-  whose aggregate would lie — gauges, reservoir percentiles, span
-  families, bucket layouts that disagree — **labeled per shard**
+  throughputs), histograms **merged bucketwise** when bounds agree
+  (exact, via :meth:`BucketHistogram.merge`; every process records
+  into the one layout, so they do), and everything whose aggregate
+  would lie — gauges, span families, bucketless rows from older
+  exports, bucket layouts that disagree — **labeled per shard**
   (``labels: {"shard": "2"}``) so nothing is averaged into fiction.
 * :func:`delta_summary` / :func:`combine_summaries` — turn two
   cumulative scrapes into the *window between them* (counter deltas,
@@ -76,14 +77,7 @@ def _merged_bucket_row(name: str, rows: Sequence[dict]) -> dict:
     merged = _bucket_hist(rows[0])
     for row in rows[1:]:
         merged.merge(_bucket_hist(row))
-    doc = merged.to_dict()
-    return {"type": "histogram", "name": name,
-            "count": doc["count"], "sum": doc["sum"],
-            "min": doc["min"], "max": doc["max"],
-            "p50": merged.quantile(50.0),
-            "p95": merged.quantile(95.0),
-            "p99": merged.quantile(99.0),
-            "buckets": {"bounds": doc["bounds"], "counts": doc["counts"]}}
+    return merged.row(name)
 
 
 def aggregate_fleet(per_shard: Dict[str, Optional[dict]],
@@ -117,7 +111,7 @@ def aggregate_fleet(per_shard: Dict[str, Optional[dict]],
             elif kind == "histogram" and row.get("buckets"):
                 bucket_rows.setdefault(row["name"], []) \
                     .append((slot, row))
-            else:  # gauges and reservoir histograms: label, don't merge
+            else:  # gauges and bucketless histograms: label, don't merge
                 labeled.append(_labeled(row, slot))
         for row in stats.get("spans", ()):
             spans.append(_labeled(row, slot))
@@ -186,7 +180,7 @@ def delta_summary(before_rows: Iterable[dict],
     scattered request once per shard.  Counter deltas give
     offered/answered/degraded/shed; :meth:`BucketHistogram.delta_from`
     on the door's latency histogram gives the window's quantiles
-    (``None`` when the metric is missing or reservoir-backed —
+    (``None`` when the metric is missing or its row carries no buckets —
     evaluate_slo then fails latency objectives loudly rather than
     judging stale numbers).
     """

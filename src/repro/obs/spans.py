@@ -15,21 +15,13 @@ under ``fit/epoch``.  A span opened outside any other span keeps its
 name verbatim, so ``span("fit/epoch")`` at top level lands in the same
 bucket — the path *is* the identity.
 
-Per path the aggregator keeps call count, total wall time and a bounded
-*reservoir* of samples for p50/p95: every observation has an equal
-chance of being retained (Vitter's Algorithm R), so the percentiles
-estimate the whole run, not just its first ``_MAX_SAMPLES`` calls.
-Reservoirs trade tail fidelity for shape-free storage — good enough for
-profiling spans, but not for SLO verdicts at p99 and beyond, where the
-handful of samples past the 99th rank are exactly the ones a uniform
-sample is likeliest to have dropped.  Distributions that feed SLOs use
-the exact fixed-bucket backend instead
-(:class:`repro.obs.hist.BucketHistogram`, available on registry
-histograms via ``registry().histogram(name, buckets=...)``); the
-tradeoff is documented in full on :class:`repro.obs.metrics.Histogram`.
-Aggregation is process-wide and thread-safe; the nesting stack is
-thread-local, so concurrent threads profile independently without
-seeing each other's parents.
+Per path the aggregator keeps one
+:class:`~repro.obs.hist.BucketHistogram` of durations in seconds, over
+the same fixed layout as every registry histogram: call count and total
+wall time are exact, and p50/p95 are exact to one bucket's width over
+the whole run.  Aggregation is process-wide and thread-safe; the
+nesting stack is thread-local, so concurrent threads profile
+independently without seeing each other's parents.
 
 Disabled path: :func:`set_spans_enabled(False) <set_spans_enabled>` (or
 ``REPRO_TELEMETRY=0`` in the environment) skips the stack push and the
@@ -43,18 +35,15 @@ way.
 from __future__ import annotations
 
 import os
-import random
 import threading
 import time
-import zlib
-from typing import Dict, List, Optional
+from typing import Dict, List
+
+from .hist import BucketHistogram
+from .report import format_span_table
 
 __all__ = ["Span", "span", "span_snapshot", "format_profile", "reset_spans",
-           "set_spans_enabled", "spans_enabled", "percentile", "Reservoir"]
-
-#: reservoir capacity per path — count/total stay exact beyond this;
-#: percentiles become uniform-sample estimates over the *whole* run
-_MAX_SAMPLES = 4096
+           "set_spans_enabled", "spans_enabled"]
 
 
 def _telemetry_env_enabled() -> bool:
@@ -67,61 +56,8 @@ def _telemetry_env_enabled() -> bool:
 _lock = threading.Lock()
 _local = threading.local()
 _enabled = _telemetry_env_enabled()
-
-
-class Reservoir:
-    """Fixed-size uniform sample of an unbounded stream.
-
-    Vitter's Algorithm R: observation ``i`` (1-based) replaces a random
-    slot with probability ``capacity / i``, which keeps every
-    observation equally likely to be in the reservoir at any point.
-    Percentiles computed from it are therefore unbiased estimates of
-    the full stream's percentiles, instead of describing only the first
-    ``capacity`` observations the old truncating buffer kept.
-
-    The RNG is seeded from ``seed_key`` (typically the instrument name)
-    so identical runs keep identical samples — percentile assertions in
-    tests and diffs between runs stay deterministic.
-    """
-
-    __slots__ = ("capacity", "seen", "values", "_rng")
-
-    def __init__(self, capacity: int, seed_key: str = "") -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
-        self.seen = 0
-        self.values: List[float] = []
-        self._rng = random.Random(zlib.crc32(seed_key.encode("utf-8")))
-
-    def offer(self, value: float) -> None:
-        self.seen += 1
-        if len(self.values) < self.capacity:
-            self.values.append(value)
-            return
-        slot = self._rng.randrange(self.seen)
-        if slot < self.capacity:
-            self.values[slot] = value
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-class _SpanStats:
-    __slots__ = ("count", "total", "samples")
-
-    def __init__(self, path: str = "") -> None:
-        self.count = 0
-        self.total = 0.0
-        self.samples = Reservoir(_MAX_SAMPLES, seed_key=path)
-
-    def add(self, elapsed: float) -> None:
-        self.count += 1
-        self.total += elapsed
-        self.samples.offer(elapsed)
-
-
-_stats: Dict[str, _SpanStats] = {}
+#: span path -> its durations in seconds
+_stats: Dict[str, BucketHistogram] = {}
 
 
 def set_spans_enabled(flag: bool) -> None:
@@ -170,27 +106,13 @@ class Span:
             with _lock:
                 stats = _stats.get(self.path)
                 if stats is None:
-                    stats = _stats[self.path] = _SpanStats(self.path)
-                stats.add(self.elapsed)
+                    stats = _stats[self.path] = BucketHistogram()
+                stats.observe(self.elapsed)
 
 
 def span(name: str) -> Span:
     """Open a (nestable) timed span named ``name``."""
     return Span(name)
-
-
-def percentile(samples: List[float], q: float) -> float:
-    """Linear-interpolation percentile of ``samples`` (q in [0, 100])."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (len(ordered) - 1) * (q / 100.0)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
 def span_snapshot() -> List[dict]:
@@ -201,19 +123,11 @@ def span_snapshot() -> List[dict]:
     writes.
     """
     with _lock:
-        items = [(path, stats.count, stats.total, list(stats.samples.values))
-                 for path, stats in _stats.items()]
-    rows = []
-    for path, count, total, samples in sorted(items):
-        rows.append({
-            "type": "span",
-            "name": path,
-            "count": count,
-            "total_seconds": total,
-            "p50_seconds": percentile(samples, 50.0),
-            "p95_seconds": percentile(samples, 95.0),
-        })
-    return rows
+        return [{"type": "span", "name": path, "count": stats.count,
+                 "total_seconds": stats.sum,
+                 "p50_seconds": stats.quantile(50.0),
+                 "p95_seconds": stats.quantile(95.0)}
+                for path, stats in sorted(_stats.items())]
 
 
 def reset_spans() -> None:
@@ -223,37 +137,7 @@ def reset_spans() -> None:
 
 
 def format_profile() -> str:
-    """Render the aggregate as an indented tree, heaviest siblings first.
-
-    Returns ``""`` when nothing was recorded, so callers can skip the
-    header for unprofiled runs.
-    """
-    rows = span_snapshot()
-    if not rows:
-        return ""
-    by_path = {row["name"]: row for row in rows}
-    children: Dict[Optional[str], List[str]] = {}
-    for path in by_path:
-        parent = path.rsplit("/", 1)[0] if "/" in path else None
-        if parent is not None and parent not in by_path:
-            parent = None  # orphaned path: show at top level
-        children.setdefault(parent, []).append(path)
-
-    lines = [f"{'span':40s} {'count':>7s} {'total':>9s} "
-             f"{'p50':>9s} {'p95':>9s}"]
-
-    def emit(path: str, depth: int) -> None:
-        row = by_path[path]
-        label = "  " * depth + path.rsplit("/", 1)[-1]
-        lines.append(f"{label:40s} {row['count']:7d} "
-                     f"{row['total_seconds']:8.3f}s "
-                     f"{row['p50_seconds']:8.4f}s "
-                     f"{row['p95_seconds']:8.4f}s")
-        for child in sorted(children.get(path, []),
-                            key=lambda p: -by_path[p]["total_seconds"]):
-            emit(child, depth + 1)
-
-    for top in sorted(children.get(None, []),
-                      key=lambda p: -by_path[p]["total_seconds"]):
-        emit(top, 0)
-    return "\n".join(lines)
+    """The live aggregate as an indented tree, heaviest siblings first
+    (:func:`repro.obs.report.format_span_table`); ``""`` when nothing
+    was recorded, so callers can skip the header for unprofiled runs."""
+    return format_span_table(span_snapshot())

@@ -56,7 +56,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..obs import get_logger, registry
-from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS
 from .deadline import is_budget_ms
 from .errors import error_response
 
@@ -257,10 +256,8 @@ class MicroBatcher:
             max_workers=workers, thread_name_prefix="netserve-batch")
         reg = registry()
         self._batch_size = reg.histogram("netserve.batch.size")
-        # submit -> dispatch per request; bucket-backed so a fleet
-        # scrape merges the shards' park times exactly
-        self._hold_ms = reg.histogram("netserve.batch.hold_ms",
-                                      buckets=DEFAULT_LATENCY_BOUNDS_MS)
+        # submit -> dispatch per request
+        self._hold_ms = reg.histogram("netserve.batch.hold_ms")
         self._flush_total = reg.counter("netserve.batch.flush_total")
         self._bypass_total = reg.counter("netserve.batch.bypass_total")
         self._eager_total = reg.counter("netserve.batch.eager_total")

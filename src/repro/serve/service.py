@@ -49,7 +49,6 @@ import numpy as np
 from ..core.matcher import CrossEM
 from ..index.topk import deterministic_topk
 from ..obs import get_logger, registry, span, span_snapshot
-from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS
 from ..obs.trace import (FLAG_DEADLINE, FLAG_ERROR, FLAG_SHED,
                          SamplePolicy, Tracer, add_trace_event, flag_trace,
                          trace_recorder, trace_span)
@@ -595,10 +594,7 @@ class MatchService:
         reg = registry()
         reg.counter("serve.ok_total").inc()
         reg.counter("serve.tier.full").inc()
-        # bucket-backed so a live scrape can delta two snapshots into
-        # the window's exact latency quantiles (obs.scrape)
-        reg.histogram("serve.request_ms",
-                      buckets=DEFAULT_LATENCY_BOUNDS_MS).observe(elapsed_ms)
+        reg.histogram("serve.request_ms").observe(elapsed_ms)
         return {"id": request_id, "ok": True, "vertex": query.vertex,
                 "tier": "full", "degraded": False,
                 "matches": self._matches(*ranked, query.top_k),
@@ -618,8 +614,7 @@ class MatchService:
         flag_trace(FLAG_ERROR)
         reg.counter("serve.error_total").inc()
         reg.counter(f"serve.error.{code}").inc()
-        reg.histogram("serve.request_ms",
-                      buckets=DEFAULT_LATENCY_BOUNDS_MS).observe(elapsed_ms)
+        reg.histogram("serve.request_ms").observe(elapsed_ms)
         return error_response(request_id, code, message, elapsed_ms)
 
     def reject(self, request: Any, code: str, message: str) -> dict:

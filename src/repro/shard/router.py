@@ -74,7 +74,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..netserve.lineserver import LineServer
 from ..obs import get_logger, registry, span_snapshot
-from ..obs.hist import DEFAULT_LATENCY_BOUNDS_MS
 from ..obs.scrape import aggregate_fleet
 from ..obs.trace import (FLAG_DEGRADED, FLAG_ERROR, SamplePolicy, Tracer,
                          shift_span_row, trace_recorder)
@@ -328,8 +327,7 @@ class ShardRouter(LineServer):
         reg = registry()
         reg.counter("shard.router.ok_total").inc()
         reg.counter("shard.router.table_hits_total").inc()
-        reg.histogram("shard.router.request_ms",
-                      buckets=DEFAULT_LATENCY_BOUNDS_MS).observe(elapsed_ms)
+        reg.histogram("shard.router.request_ms").observe(elapsed_ms)
         response = {"id": request.get("id"), "ok": True,
                     "vertex": query.vertex, "tier": "full",
                     "degraded": False, "matches": matches,
@@ -453,8 +451,7 @@ class ShardRouter(LineServer):
                                trace)
               for slot in range(count)))
         elapsed_ms = (loop.time() - started) * 1e3
-        reg.histogram("shard.router.request_ms",
-                      buckets=DEFAULT_LATENCY_BOUNDS_MS).observe(elapsed_ms)
+        reg.histogram("shard.router.request_ms").observe(elapsed_ms)
         oks = [r for r in results if r is not None and r.get("ok")]
         errors = [r for r in results if r is not None and not r.get("ok")]
         if oks:

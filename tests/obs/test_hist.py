@@ -6,8 +6,7 @@ import math
 
 import pytest
 
-from repro.obs.hist import (DEFAULT_LATENCY_BOUNDS_MS, BucketHistogram,
-                            log_bounds)
+from repro.obs.hist import DEFAULT_BOUNDS, BucketHistogram, log_bounds
 
 
 class TestLogBounds:
@@ -19,8 +18,17 @@ class TestLogBounds:
         assert all(abs(r - 10 ** 0.1) < 1e-9 for r in ratios)
 
     def test_default_latency_layout_spans_100us_to_60s(self):
-        assert DEFAULT_LATENCY_BOUNDS_MS[0] == pytest.approx(0.1)
-        assert DEFAULT_LATENCY_BOUNDS_MS[-1] >= 60_000.0
+        # the one layout spans 1e-6 .. 1e7; from 0.1 (ms) up, its edges
+        # are the former 0.1 ms .. 60 s latency layout's
+        assert len(DEFAULT_BOUNDS) == 157
+        assert DEFAULT_BOUNDS[0] == pytest.approx(1e-6)
+        assert DEFAULT_BOUNDS[-1] == pytest.approx(1e7)
+        old = log_bounds(0.1, 60_000.0, per_decade=12)
+        start = DEFAULT_BOUNDS.index(min(DEFAULT_BOUNDS,
+                                         key=lambda b: abs(b - 0.1)))
+        for mine, theirs in zip(DEFAULT_BOUNDS[start:], old):
+            assert mine == pytest.approx(theirs, rel=1e-14)
+        assert len(DEFAULT_BOUNDS[start:]) > len(old)
 
     @pytest.mark.parametrize("lo,hi,per", [(0.0, 1.0, 12), (1.0, 1.0, 12),
                                            (2.0, 1.0, 12), (1.0, 10.0, 0)])
@@ -77,6 +85,23 @@ class TestBucketHistogram:
         assert hist.quantile(0.0) == pytest.approx(12.0)  # clamped to min
         assert hist.quantile(100.0) == pytest.approx(28.0)  # clamped to max
         assert 10.0 <= hist.quantile(50.0) <= 20.0
+
+    @pytest.mark.parametrize("values", [
+        (0.0, 3.0), (-2.5, 0.0, 4.0), (5e-7, 1e-3), (1.0, 2e7),
+        (0.0, -2.5, 5e-7, 2e7)])
+    def test_default_layout_clamps_out_of_range_values(self, values):
+        hist = BucketHistogram()
+        for value in values:
+            hist.observe(value)
+        assert hist.count == len(values)
+        assert hist.sum == sum(values)
+        assert hist.min == min(values) and hist.max == max(values)
+        for q in (0.0, 1.0, 50.0, 95.0, 99.0, 100.0):
+            assert min(values) <= hist.quantile(q) <= max(values)
+        # at or below the first edge: the first slot; above the last:
+        # the +Inf overflow slot
+        assert hist.counts[0] == sum(1 for v in values if v <= 1e-6)
+        assert hist.counts[-1] == sum(1 for v in values if v > 1e7)
 
     def test_quantile_in_overflow_returns_max(self):
         hist = BucketHistogram([1.0])

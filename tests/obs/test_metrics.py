@@ -44,16 +44,24 @@ class TestGauge:
 
 class TestHistogram:
     def test_summary_statistics(self):
+        from repro.obs.hist import BucketHistogram
+
         histogram = registry().histogram("h")
+        same = BucketHistogram()
         for value in range(1, 101):
             histogram.observe(value)
+            same.observe(value)
         assert histogram.count == 100
         assert histogram.sum == 5050.0
         assert histogram.mean == 50.5
-        assert histogram.quantile(50.0) == 50.5
         row = histogram.row()
         assert row["min"] == 1.0 and row["max"] == 100.0
-        assert abs(row["p95"] - 95.05) < 1e-9
+        width = 10 ** (1 / 12)  # one bucket's relative width
+        for q, true in ((50.0, 50.5), (95.0, 95.05)):
+            assert histogram.quantile(q) == same.quantile(q)
+            assert true / width <= histogram.quantile(q) <= true * width
+        assert row["p50"] == same.quantile(50.0)
+        assert row["p95"] == same.quantile(95.0)
 
     def test_empty_histogram_row(self):
         row = registry().histogram("empty").row()
@@ -63,47 +71,37 @@ class TestHistogram:
 
 class TestBucketBackedHistogram:
     def test_row_carries_buckets_and_p99(self):
-        histogram = registry().histogram("lat", buckets=[1.0, 10.0])
+        from repro.obs.hist import DEFAULT_BOUNDS, BucketHistogram
+
+        histogram = registry().histogram("lat")
+        expected = BucketHistogram()
         for value in (0.5, 5.0, 50.0):
             histogram.observe(value)
+            expected.observe(value)
         row = histogram.row()
-        assert row["buckets"] == {"bounds": [1.0, 10.0],
-                                  "counts": [1, 1, 1]}
+        assert row["buckets"] == {"bounds": list(DEFAULT_BOUNDS),
+                                  "counts": expected.counts}
+        assert sum(row["buckets"]["counts"]) == 3
         assert row["count"] == 3
         assert "p99" in row and "p95" in row and "p50" in row
-
-    def test_reservoir_row_has_no_buckets(self):
-        histogram = registry().histogram("res")
-        histogram.observe(1.0)
-        row = histogram.row()
-        assert "buckets" not in row and "p99" not in row
-
-    def test_buckets_ignored_on_existing_instrument(self):
-        first = registry().histogram("one", buckets=[1.0])
-        again = registry().histogram("one", buckets=[99.0])
-        assert again is first
-        assert registry().histogram("one") is first
 
     def test_merge_bucket_folds_in_a_run(self):
         from repro.obs.hist import BucketHistogram
 
-        run = BucketHistogram([1.0, 10.0])
+        run = BucketHistogram()
         for value in (0.5, 5.0):
             run.observe(value)
-        histogram = registry().histogram("lat", buckets=[1.0, 10.0])
+        histogram = registry().histogram("lat")
         histogram.observe(50.0)
         histogram.merge_bucket(run)
         assert histogram.count == 3
-        assert histogram.row()["buckets"]["counts"] == [1, 1, 1]
-
-    def test_merge_bucket_rejected_on_reservoir_backend(self):
-        from repro.obs.hist import BucketHistogram
-
-        with pytest.raises(ValueError):
-            registry().histogram("res").merge_bucket(BucketHistogram([1.0]))
+        expected = BucketHistogram()
+        for value in (0.5, 5.0, 50.0):
+            expected.observe(value)
+        assert histogram.row()["buckets"]["counts"] == expected.counts
 
     def test_quantile_uses_exact_buckets(self):
-        histogram = registry().histogram("lat", buckets=[10.0, 20.0])
+        histogram = registry().histogram("lat")
         histogram.observe(15.0)
         assert histogram.quantile(100.0) == 15.0
 
@@ -153,8 +151,7 @@ class TestScrapeConsistency:
             while not stop.is_set():
                 reg.counter("hammer.requests_total").inc()
                 reg.gauge("hammer.depth").set(float(count % 7))
-                reg.histogram("hammer.lat_ms",
-                              buckets=[1.0, 10.0, 100.0]) \
+                reg.histogram("hammer.lat_ms") \
                     .observe(float((count * (seed + 1)) % 120))
                 reg.histogram("hammer.res").observe(float(count % 9))
                 with span("hammer/score"):

@@ -36,14 +36,12 @@ class TestRender:
         assert "repro_epoch_loss_sum 2" in text
 
     def _bucket_row(self):
-        from repro.obs import registry
         from repro.obs.hist import BucketHistogram
 
-        hist = registry().histogram("load.latency_ms",
-                                    buckets=[1.0, 10.0, 100.0])
+        hist = BucketHistogram([1.0, 10.0, 100.0])
         for value in (0.5, 5.0, 5.0, 50.0, 500.0):
             hist.observe(value)
-        return hist.row()
+        return hist.row("load.latency_ms")
 
     def test_bucket_histogram_renders_classic_le_family(self):
         text = render_openmetrics([self._bucket_row()])

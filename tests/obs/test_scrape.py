@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from repro.netserve.protocol import request_op
+from repro.obs import MetricsRegistry
 from repro.obs.hist import BucketHistogram
 from repro.obs.scrape import (aggregate_fleet, combine_summaries,
                               delta_summary)
@@ -76,6 +77,28 @@ class TestAggregateFleet:
         assert len(merged) == 1 and "labels" not in merged[0]
         assert merged[0]["count"] == 3
         assert merged[0]["buckets"]["counts"] == [1, 1, 1, 0]
+
+    def test_registry_histograms_merge_across_shards(self):
+        # every registry histogram shares the one layout, so two real
+        # workers' batch-size rows fold into one unlabeled row
+        snapshots = {}
+        for slot, sizes in (("0", (1, 1, 4)), ("1", (2, 16))):
+            reg = MetricsRegistry()
+            for size in sizes:
+                reg.histogram("netserve.batch.size").observe(size)
+            snapshots[slot] = {"metrics": reg.snapshot(), "spans": []}
+        fleet = aggregate_fleet(snapshots)
+        rows = [row for row in fleet["metrics"]
+                if row["name"] == "netserve.batch.size"]
+        assert len(rows) == 1 and "labels" not in rows[0]
+        [merged] = rows
+        shard_rows = [snapshots[slot]["metrics"][0] for slot in "01"]
+        assert merged["count"] == 5
+        assert merged["sum"] == 24.0
+        assert merged["buckets"]["counts"] == [
+            a + b for a, b in zip(shard_rows[0]["buckets"]["counts"],
+                                  shard_rows[1]["buckets"]["counts"])]
+        assert merged["min"] == 1.0 and merged["max"] == 16.0
 
     def test_disagreeing_layouts_fall_back_to_labels(self):
         fleet = aggregate_fleet({

@@ -1,8 +1,8 @@
-"""Span timer tests: nesting, aggregation, percentiles, disabled path."""
+"""Span timer tests: nesting, aggregation, disabled path, profile."""
 
 from repro.obs import (format_profile, registry, reset_spans,
                        set_spans_enabled, span, span_snapshot, spans_enabled)
-from repro.obs.spans import _MAX_SAMPLES, Reservoir, percentile
+from repro.obs.report import format_span_table
 
 
 def _by_name(rows):
@@ -83,19 +83,6 @@ class TestDisabled:
         assert sp.elapsed > 0.0
 
 
-class TestPercentile:
-    def test_interpolates(self):
-        samples = [float(v) for v in range(1, 101)]
-        assert percentile(samples, 50.0) == 50.5
-        assert abs(percentile(samples, 95.0) - 95.05) < 1e-9
-
-    def test_edge_cases(self):
-        assert percentile([], 50.0) == 0.0
-        assert percentile([3.0], 95.0) == 3.0
-        assert percentile([1.0, 2.0], 0.0) == 1.0
-        assert percentile([1.0, 2.0], 100.0) == 2.0
-
-
 class TestProfileReport:
     def test_empty_profile_is_empty_string(self):
         assert format_profile() == ""
@@ -110,46 +97,16 @@ class TestProfileReport:
         assert any(line.startswith("  epoch") for line in lines)
         assert "count" in lines[0]
 
-
-class TestReservoir:
-    def test_exact_below_capacity(self):
-        res = Reservoir(8, seed_key="x")
-        for value in range(5):
-            res.offer(float(value))
-        assert res.seen == 5
-        assert res.values == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_bounded_past_capacity_but_counts_everything(self):
-        res = Reservoir(16, seed_key="x")
-        for value in range(1000):
-            res.offer(float(value))
-        assert res.seen == 1000
-        assert len(res.values) == 16
-        assert set(res.values) <= {float(v) for v in range(1000)}
-
-    def test_same_seed_key_is_deterministic(self):
-        def fill(key):
-            res = Reservoir(8, seed_key=key)
-            for value in range(200):
-                res.offer(float(value))
-            return list(res.values)
-
-        assert fill("fit/epoch") == fill("fit/epoch")
-        assert fill("fit/epoch") != fill("other")
-
-    def test_reservoir_is_representative(self):
-        # Uniform stream 0..9999: the sampled median estimator should
-        # land near the true median, unlike first-N truncation (which
-        # would report ~capacity/2).
-        res = Reservoir(512, seed_key="uniform")
-        for value in range(10_000):
-            res.offer(float(value))
-        assert abs(percentile(list(res.values), 50.0) - 5000.0) < 1000.0
+    def test_live_profile_is_the_report_table(self):
+        with span("fit"):
+            with span("epoch"):
+                pass
+        assert format_profile() == format_span_table(span_snapshot())
 
 
 class TestAggregateBeyondCapacity:
     def test_span_count_and_total_stay_exact(self):
-        stream = 2 * _MAX_SAMPLES
+        stream = 10_000
         for _ in range(stream):
             with span("hot"):
                 pass
@@ -159,7 +116,7 @@ class TestAggregateBeyondCapacity:
 
     def test_histogram_count_and_sum_stay_exact(self):
         hist = registry().histogram("hot.loss")
-        stream = _MAX_SAMPLES + 100
+        stream = 10_000
         for _ in range(stream):
             hist.observe(1.0)
         row = hist.row()
