@@ -2,9 +2,9 @@
 """Hot-path micro-benchmarks for the fused encoder pipeline.
 
 Times every optimized path against the naive reference it replaced
-(both are kept in the tree — the references double as golden oracles in
-the equivalence tests) and writes the speedups to ``BENCH_hotpaths.json``
-at the repository root.
+(the references are kept in the tree, some under ``tests/oracles/``,
+and double as golden oracles in the equivalence tests) and writes the
+speedups to ``BENCH_hotpaths.json`` at the repository root.
 
 Modes
 -----
@@ -35,6 +35,7 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from repro import nn  # noqa: E402
 from repro.index import (IVFPQConfig, build_ivfpq,  # noqa: E402
@@ -45,8 +46,7 @@ from repro.core.crossem_plus import (CrossEMPlus,  # noqa: E402
                                      CrossEMPlusConfig)
 from repro.core.losses import batch_contrastive_loss  # noqa: E402
 from repro.core.matcher import CrossEM, CrossEMConfig  # noqa: E402
-from repro.core.minibatch import (kmeans, kmeans_reference,  # noqa: E402
-                                  pairwise_proximity,
+from repro.core.minibatch import (kmeans, pairwise_proximity,  # noqa: E402
                                   pairwise_proximity_reference,
                                   property_closeness)
 from repro.datasets import fb_bundle, load_fbimg  # noqa: E402
@@ -56,6 +56,7 @@ from repro.netserve import (NetServeConfig, NetServer,  # noqa: E402
 from repro.obs import format_profile, registry, span  # noqa: E402
 from repro.serve import MatchService  # noqa: E402
 from repro.text.corpus import build_text_corpus  # noqa: E402
+from tests.oracles.kmeans import kmeans_loop, kmeans_reference  # noqa: E402
 
 #: pre-training recipe for the quick-mode bundle (mirrors the test suite
 #: so CI reuses the same disk-cached bundle the tier-1 job just built)
@@ -399,6 +400,18 @@ def bench_index(quick: bool, repeats: int, paths: dict) -> None:
     print(f"  index build: {timer.elapsed:.2f} s "
           f"(nlist={config.nlist}, pq_m={config.pq_m})")
     paths["index_build"] = {"build_s": timer.elapsed}
+    # The build's dominant call: k-means over one PQ subspace (a
+    # non-contiguous 4-column slice, 256 codewords), against the
+    # per-cluster loop it replaced.  ``time_ratio`` is the gated field:
+    # it grows when the trainer slows, which ``obs diff`` can catch.
+    subspace = images[:8192, :4]
+    entry = _bench_pair(
+        "kmeans_pq",
+        lambda: kmeans(subspace, 256, rng=0, iterations=10),
+        lambda: kmeans_loop(subspace, 256, rng=0, iterations=10),
+        repeats)
+    entry["time_ratio"] = entry["optimized_s"] / entry["reference_s"]
+    paths["kmeans_pq"] = entry
 
     oracle_sets = [set(row.tolist()) for row in oracle_ids]
     for nprobe in sweep:

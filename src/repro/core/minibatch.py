@@ -33,7 +33,7 @@ from ..vision.image import SyntheticImage
 
 __all__ = ["PCPConfig", "Partition", "MiniBatchPlan", "property_closeness",
            "pairwise_proximity", "pairwise_proximity_reference",
-           "generate_minibatches", "kmeans", "kmeans_reference"]
+           "generate_minibatches", "kmeans"]
 
 _log = get_logger("repro.core.minibatch")
 
@@ -202,19 +202,18 @@ def pairwise_proximity_reference(graph: Graph, vertex_ids: Sequence[int],
     return proximity
 
 
+#: float64 elements per distance block (512 KiB: it stays in cache)
+BLOCK_SIZE = 65536
+
+
 def kmeans(points: np.ndarray, k: int, rng: SeedLike = None,
            iterations: int = 25) -> np.ndarray:
     """Seeded Lloyd's k-means; returns integer labels per point.
 
     Small and deterministic on purpose — scipy's kmeans2 seeds globally.
-    Empty clusters are re-seeded from the farthest points.
-
-    Distances use the ``‖x‖² + ‖c‖² − 2·x·cᵀ`` expansion: one GEMM and
-    two squared-norm vectors instead of the ``(n, k, d)`` broadcast
-    temporary the naive form materializes.  The expansion rounds
-    differently at the ULP level, but assignments only consume distances
-    through argmin/argmax, which golden tests pin to
-    :func:`kmeans_reference` labels.
+    Empty clusters are re-seeded from the farthest point (clusters that
+    empty together share it).  Labels equal the per-cluster loop's, with
+    a blocked distance pass and a one-pass centre update (DESIGN.md §12).
     """
     rng = rng_from(rng)
     n = len(points)
@@ -222,61 +221,51 @@ def kmeans(points: np.ndarray, k: int, rng: SeedLike = None,
     if k <= 1:
         return np.zeros(n, dtype=np.int64)
     points = np.asarray(points)
+    dim = points.shape[1]
     pts = points.astype(np.float64)
-    # Centers follow the reference update exactly (means in the input
-    # dtype, upcast on store) so the two variants only differ in how the
-    # point-center distances round.
     centers = points[rng.choice(n, size=k, replace=False)].astype(np.float64)
     point_norms = (pts ** 2).sum(axis=1)
+    # ufunc.at adds in index order, as ``mean`` does for dim > 1, at dim
+    # adds a point where the loop pays k mask passes
+    summable = 1 < dim < k and points.dtype in (np.float32, np.float64)
     labels = np.zeros(n, dtype=np.int64)
+    step = max(1, BLOCK_SIZE // k)
+    dots, block = np.empty((n, k)), np.empty((min(n, step), k))
     iterations_run = 0
     for _ in range(iterations):
         iterations_run += 1
         center_norms = (centers ** 2).sum(axis=1)
-        distances = (point_norms[:, None] + center_norms[None, :]
-                     - 2.0 * (pts @ centers.T))
-        new_labels = distances.argmin(axis=1)
-        for cluster in range(k):
-            members = points[new_labels == cluster]
-            if len(members):
-                centers[cluster] = members.mean(axis=0)
-            else:
-                farthest = distances.min(axis=1).argmax()
-                centers[cluster] = points[farthest]
-                new_labels[farthest] = cluster
+        np.matmul(pts, centers.T, out=dots)
+        new_labels = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            twice, distances = dots[rows], block[:len(dots[rows])]
+            twice *= 2.0  # (‖x‖² + ‖c‖²) − 2·x·c as before, in place
+            distances[:] = center_norms  # addition commutes exactly
+            distances += point_norms[rows, None]
+            distances -= twice
+            new_labels[rows] = distances.argmin(axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        if summable and counts.all():
+            sums = np.zeros(k * dim, dtype=points.dtype)
+            np.add.at(sums, (new_labels[:, None] * dim
+                             + np.arange(dim)).ravel(), points.ravel())
+            centers[:] = (sums.reshape(k, dim)
+                          / counts[:, None]).astype(points.dtype)
+        else:  # the loop; its reseed rule moves labels mid-loop
+            for cluster in range(k):
+                members = points[new_labels == cluster]
+                if len(members):
+                    centers[cluster] = members.mean(axis=0)
+                else:  # dots holds 2·x·c now
+                    farthest = (point_norms[:, None] + center_norms
+                                - dots).min(axis=1).argmax()
+                    centers[cluster] = points[farthest]
+                    new_labels[farthest] = cluster
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
     registry().counter("pcp.kmeans_iterations").inc(iterations_run)
-    return labels
-
-
-def kmeans_reference(points: np.ndarray, k: int, rng: SeedLike = None,
-                     iterations: int = 25) -> np.ndarray:
-    """The retained naive Lloyd iteration with the ``(n, k, d)``
-    broadcast temporary (golden tests assert :func:`kmeans` assigns the
-    same labels)."""
-    rng = rng_from(rng)
-    n = len(points)
-    k = min(k, n)
-    if k <= 1:
-        return np.zeros(n, dtype=np.int64)
-    centers = points[rng.choice(n, size=k, replace=False)].astype(np.float64)
-    labels = np.zeros(n, dtype=np.int64)
-    for _ in range(iterations):
-        distances = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = distances.argmin(axis=1)
-        for cluster in range(k):
-            members = points[new_labels == cluster]
-            if len(members):
-                centers[cluster] = members.mean(axis=0)
-            else:
-                farthest = distances.min(axis=1).argmax()
-                centers[cluster] = points[farthest]
-                new_labels[farthest] = cluster
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
     return labels
 
 

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.minibatch import kmeans
+from ..core.minibatch import BLOCK_SIZE, kmeans
 from ..nn.init import rng_from
 from ..obs import get_logger, registry, span
 from ..obs.trace import add_trace_event
@@ -109,8 +109,8 @@ class SearchResult:
 
 def _centroids_from_labels(points: np.ndarray,
                            labels: np.ndarray) -> np.ndarray:
-    """Per-cluster means in float32 (every label is populated — the
-    shared kmeans reseeds empty clusters during training)."""
+    """Per-cluster means in float32.  A label kmeans left unused (two
+    clusters emptied together share one reseed) gets a zero centroid."""
     k = int(labels.max()) + 1 if len(labels) else 0
     centroids = np.zeros((k, points.shape[1]), dtype=np.float64)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
@@ -125,8 +125,13 @@ def _assign_nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     dots = points @ centroids.T
     c_norms = (centroids.astype(np.float64) ** 2).sum(axis=1)
     p_norms = (points.astype(np.float64) ** 2).sum(axis=1)
-    return (p_norms[:, None] + c_norms[None, :]
-            - 2.0 * dots).argmin(axis=1).astype(np.int64)
+    labels = np.empty(len(points), dtype=np.int64)
+    step = max(1, BLOCK_SIZE // len(centroids))
+    for lo in range(0, len(points), step):
+        rows = slice(lo, lo + step)
+        labels[rows] = (p_norms[rows, None] + c_norms[None, :]
+                        - 2.0 * dots[rows]).argmin(axis=1)
+    return labels
 
 
 def _pad_subspaces(matrix: np.ndarray, padded_dim: int) -> np.ndarray:
@@ -176,6 +181,8 @@ def build_ivfpq(embeddings: np.ndarray,
             ksub = min(2 ** config.pq_bits, len(sample_residuals))
             codebooks = np.zeros((pq_m, ksub, sub_dim), dtype=np.float32)
             codes = np.zeros((n, pq_m), dtype=np.uint8)
+            dots = np.empty((n, ksub), dtype=np.float32)
+            step = max(1, BLOCK_SIZE // ksub)
             for j in range(pq_m):
                 lo, hi = j * sub_dim, (j + 1) * sub_dim
                 sub_labels = kmeans(sample_residuals[:, lo:hi], ksub,
@@ -185,9 +192,13 @@ def build_ivfpq(embeddings: np.ndarray,
                                               sub_labels)
                 codebooks[j, :len(book)] = book
                 # encode: argmin ‖r−c‖² == argmin (‖c‖² − 2 r·c)
-                dots = residuals[:, lo:hi] @ codebooks[j].T
+                np.matmul(residuals[:, lo:hi], codebooks[j].T, out=dots)
                 c_norms = (codebooks[j].astype(np.float64) ** 2).sum(axis=1)
-                codes[:, j] = (c_norms[None, :] - 2.0 * dots).argmin(axis=1)
+                for row in range(0, n, step):
+                    twice = dots[row:row + step]
+                    twice *= 2.0
+                    codes[row:row + step, j] = (
+                        c_norms[None, :] - twice).argmin(axis=1)
         # -- inverted lists (CSR; ids ascending within each list)
         order = np.argsort(assignment, kind="stable")
         list_sizes = np.bincount(assignment, minlength=len(centroids))
