@@ -47,7 +47,6 @@ from repro.core.crossem_plus import (CrossEMPlus,  # noqa: E402
 from repro.core.losses import batch_contrastive_loss  # noqa: E402
 from repro.core.matcher import CrossEM, CrossEMConfig  # noqa: E402
 from repro.core.minibatch import (kmeans, pairwise_proximity,  # noqa: E402
-                                  pairwise_proximity_reference,
                                   property_closeness)
 from repro.datasets import fb_bundle, load_fbimg  # noqa: E402
 from repro.datasets.generator import build_attribute_dataset  # noqa: E402
@@ -57,6 +56,8 @@ from repro.obs import format_profile, registry, span  # noqa: E402
 from repro.serve import MatchService  # noqa: E402
 from repro.text.corpus import build_text_corpus  # noqa: E402
 from tests.oracles.kmeans import kmeans_loop, kmeans_reference  # noqa: E402
+from tests.oracles.proximity import pairwise_proximity_reference  # noqa: E402
+from tests.oracles import topk as topk_oracle  # noqa: E402
 
 #: pre-training recipe for the quick-mode bundle (mirrors the test suite
 #: so CI reuses the same disk-cached bundle the tier-1 job just built)
@@ -402,16 +403,25 @@ def bench_index(quick: bool, repeats: int, paths: dict) -> None:
     paths["index_build"] = {"build_s": timer.elapsed}
     # The build's dominant call: k-means over one PQ subspace (a
     # non-contiguous 4-column slice, 256 codewords), against the
-    # per-cluster loop it replaced.  ``time_ratio`` is the gated field:
-    # it grows when the trainer slows, which ``obs diff`` can catch.
+    # per-cluster loop it replaced; CI gates its ``speedup`` with
+    # ``obs diff --watch-drop``.
     subspace = images[:8192, :4]
-    entry = _bench_pair(
+    paths["kmeans_pq"] = _bench_pair(
         "kmeans_pq",
         lambda: kmeans(subspace, 256, rng=0, iterations=10),
         lambda: kmeans_loop(subspace, 256, rng=0, iterations=10),
         repeats)
-    entry["time_ratio"] = entry["optimized_s"] / entry["reference_s"]
-    paths["kmeans_pq"] = entry
+
+    # The exhaustive cut alone, on index_bulk's shape (256 x 40,000,
+    # k = 10), against the per-row loop it replaced; CI gates its
+    # ``speedup`` with ``obs diff --watch-drop``.
+    cut_scores = np.random.default_rng(1).standard_normal(
+        (256, 40_000)).astype(np.float32)
+    paths["topk_rows"] = _bench_pair(
+        "topk_rows",
+        lambda: deterministic_topk_rows(cut_scores, k),
+        lambda: topk_oracle.deterministic_topk_rows(cut_scores, k),
+        repeats)
 
     oracle_sets = [set(row.tolist()) for row in oracle_ids]
     for nprobe in sweep:

@@ -423,11 +423,12 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     entries = diff_rows(load_rows(args.old), load_rows(args.new))
     watch = tuple(args.watch) if args.watch else DEFAULT_WATCH
     regressions = find_regressions(entries, threshold_pct=args.threshold_pct,
-                                   min_delta=args.min_delta, watch=watch)
+                                   min_delta=args.min_delta, watch=watch,
+                                   watch_drop=tuple(args.watch_drop or ()))
     print(format_diff(entries, regressions, changed_only=args.changed_only))
     if regressions:
         print(f"\n{len(regressions)} metric(s) regressed past "
-              f"+{args.threshold_pct:g}% (min delta {args.min_delta:g}):",
+              f"{args.threshold_pct:g}% (min delta {args.min_delta:g}):",
               file=sys.stderr)
         for entry in regressions:
             print(f"  {entry.name}: {entry.old:.6g} -> {entry.new:.6g} "
@@ -1191,16 +1192,22 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("new", help="candidate export (JSONL or bench JSON)")
     diff.add_argument("--threshold-pct", type=_positive_float, default=25.0,
                       metavar="PCT",
-                      help="relative increase on a watched metric that "
-                           "counts as a regression")
+                      help="relative move on a watched metric (up on "
+                           "--watch, down on --watch-drop) that counts as a "
+                           "regression")
     diff.add_argument("--min-delta", type=_non_negative_float, default=0.0,
                       metavar="ABS",
-                      help="ignore increases smaller than this (noise "
+                      help="ignore moves smaller than this (noise "
                            "floor for micro-benchmarks)")
     diff.add_argument("--watch", action="append", default=None,
                       metavar="GLOB",
                       help="metric-name glob where bigger is worse "
                            "(repeatable; default: time-shaped names)")
+    diff.add_argument("--watch-drop", action="append", default=None,
+                      metavar="GLOB",
+                      help="metric-name glob where smaller is worse, e.g. "
+                           "a speedup or a recall (repeatable; default: "
+                           "none)")
     diff.add_argument("--changed-only", action="store_true",
                       help="hide metrics whose value did not move")
     diff.set_defaults(func=_cmd_obs_diff)
@@ -1320,6 +1327,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             not getattr(args, "connect", None):
         # --connect runs need no local fit, hence no benchmark
         parser.error("a benchmark is required (positional or --benchmark)")
+    if getattr(args, "watch_drop", None) and args.threshold_pct >= 100:
+        # a fall is at most 100 %, so that gate could never fail
+        parser.error("--watch-drop needs --threshold-pct below 100")
     return args.func(args)
 
 

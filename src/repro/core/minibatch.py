@@ -32,8 +32,7 @@ from ..text.minilm import MiniLM
 from ..vision.image import SyntheticImage
 
 __all__ = ["PCPConfig", "Partition", "MiniBatchPlan", "property_closeness",
-           "pairwise_proximity", "pairwise_proximity_reference",
-           "generate_minibatches", "kmeans"]
+           "pairwise_proximity", "generate_minibatches", "kmeans"]
 
 _log = get_logger("repro.core.minibatch")
 
@@ -154,8 +153,8 @@ def pairwise_proximity(graph: Graph, vertex_ids: Sequence[int],
     the dominant cost of the naive layout.  BLAS GEMM results are
     row-sliceable and column-permutation-stable (each element's
     K-accumulation is independent of column order), and max is exactly
-    commutative, so the matrix is bit-identical to
-    :func:`pairwise_proximity_reference`.
+    commutative, so the matrix is bit-identical to the per-vertex loop
+    kept as ``tests/oracles/proximity.py``.
     """
     num_images = patch_features.shape[0]
     proximity = np.zeros((len(vertex_ids), num_images), dtype=np.float32)
@@ -182,23 +181,6 @@ def pairwise_proximity(graph: Graph, vertex_ids: Sequence[int],
             proximity[row] = single.max(axis=2).mean(axis=0)
         else:
             proximity[row] = best[bounds[row]:bounds[row + 1]].mean(axis=0)
-    return proximity
-
-
-def pairwise_proximity_reference(graph: Graph, vertex_ids: Sequence[int],
-                                 properties: Dict[int, np.ndarray],
-                                 patch_features: np.ndarray,
-                                 d: int = 1) -> np.ndarray:
-    """The retained naive per-vertex loop (golden-equivalence tests
-    assert :func:`pairwise_proximity` matches it exactly)."""
-    num_images = patch_features.shape[0]
-    flat_patches = patch_features.reshape(-1, patch_features.shape[-1])
-    proximity = np.zeros((len(vertex_ids), num_images), dtype=np.float32)
-    for row, vid in enumerate(vertex_ids):
-        prop_matrix = properties[vid]
-        closeness = prop_matrix @ flat_patches.T
-        closeness = closeness.reshape(len(prop_matrix), num_images, -1)
-        proximity[row] = closeness.max(axis=2).mean(axis=0)
     return proximity
 
 

@@ -43,7 +43,7 @@ from ..nn.init import rng_from
 from ..obs import get_logger, registry, span
 from ..obs.trace import add_trace_event
 from .store import EmbeddingStore, ShardReader, write_shard
-from .topk import deterministic_topk
+from .topk import deterministic_topk, deterministic_topk_rows
 
 __all__ = ["IVFPQConfig", "IVFPQIndex", "SearchResult", "build_ivfpq",
            "save_index", "load_index"]
@@ -316,14 +316,10 @@ class IVFPQIndex:
         # the same BLAS rounding) as CrossEM.score's brute force, so
         # the returned ordering is bit-identical to the oracle's.
         scores = queries @ self._full_matrix().T
-        ids = np.empty((len(queries), kk), dtype=np.int64)
-        out = np.empty((len(queries), kk), dtype=np.float32)
-        for q in range(len(queries)):
-            top = deterministic_topk(scores[q], kk)
-            ids[q], out[q] = top, scores[q][top]
+        ids = deterministic_topk_rows(scores, kk)
         n = np.int64(self.count)
         return SearchResult(
-            ids=ids, scores=out,
+            ids=ids, scores=np.take_along_axis(scores, ids, axis=1),
             probes=np.full(len(queries), self.nlist, dtype=np.int64),
             candidates=np.full(len(queries), n, dtype=np.int64),
             shortlists=np.full(len(queries), n, dtype=np.int64),
@@ -420,20 +416,30 @@ class IVFPQIndex:
             shortlists[q] = take
         if escalate:
             esc = np.asarray(escalate, dtype=np.int64)
-            # A >= 2-row operand keeps BLAS on the same GEMM kernel
-            # (hence the same per-row rounding) as the full brute-force
-            # scan — a lone row would dispatch a GEMV variant whose
-            # sums differ in the last ulp.
+            # Exact inner products, but not brute force's bits: a BLAS
+            # picks its kernel by the row count, and OpenBLAS 0.3.31
+            # rounds a few-row product differently from the same rows
+            # of the full batch's.  What holds is that each escalated
+            # row equals the same row of one >= 2-row GEMM over the
+            # escalated sub-batch; a lone row is doubled, so it never
+            # takes the GEMV path, whose sums differ again.
             rows = esc if len(esc) > 1 else np.concatenate([esc, esc])
-            exact = queries[rows] @ self._full_matrix().T
-            for row, q in enumerate(esc):
+            exact = (queries[rows] @ self._full_matrix().T)[:len(esc)]
+            # A row with fewer than k comparable scores (a NaN query's)
+            # has no full answer: it keeps what deterministic_topk
+            # returns and the -1 / -inf padding past it.
+            whole = np.count_nonzero(~np.isnan(exact), axis=1) >= kk
+            top = deterministic_topk_rows(exact[whole], kk)
+            ids[esc[whole]] = top
+            scores[esc[whole]] = np.take_along_axis(exact[whole], top, axis=1)
+            for row in np.flatnonzero(~whole):
                 top = deterministic_topk(exact[row], kk)
-                ids[q, :len(top)] = top
-                scores[q, :len(top)] = exact[row][top]
-                probes[q] = self.nlist
-                candidates[q] = shortlists[q] = self.count
-                agreement += 1.0
-                scored += 1
+                ids[esc[row], :len(top)] = top
+                scores[esc[row], :len(top)] = exact[row][top]
+            probes[esc] = self.nlist
+            candidates[esc] = shortlists[esc] = self.count
+            agreement += float(len(esc))
+            scored += len(esc)
         live = ~done
         if take_max and live.any():
             # Batched exact re-rank.  Rows are sorted ascending by id

@@ -17,15 +17,65 @@ are a pure function of the scores — never of the partition's internal
 pivot walk.  A caller whose answer must not depend on how the items
 are laid out either (a shard worker sees every N-th repository
 position) passes ``tie_break``: a key per index, image ids there.
+
+:func:`deterministic_topk_rows` returns, for every row of a matrix,
+exactly what :func:`deterministic_topk` returns for that row, but cuts
+a batch in one pass instead of an argpartition per row:
+
+1. Each row of ``m`` columns is split into ``nb >= k`` strided blocks
+   (block ``j`` holds columns ``j, j + nb, ...``; the ``m mod nb``
+   tail columns stay outside) and every block's maximum is taken in one
+   ``np.fmax`` reduction over a ``(rows, m // nb, nb)`` view.
+2. ``th``, the k-th largest block maximum, is a lower bound on the
+   row's k-th largest value: the k blocks whose maxima reach it hold k
+   distinct elements ``>= th``.  So every element of the top k, and
+   every element tied with the k-th value, is ``>= th``.
+3. A block whose maximum is below ``th`` holds no element ``>= th``, so
+   gathering the blocks that reach ``th`` plus the tail and keeping the
+   values ``>= th`` yields exactly ``{j : row[j] >= th}``.  One
+   ``np.lexsort`` by ``(row, -score, column)`` orders every row's
+   candidates, and each row's first k are its answer.
+
+The argument needs no assumption on the values, so ties stay exact: the
+whole tie class at ``th`` is gathered, and the sort key is the one
+:func:`deterministic_topk` uses.  NaN never compares ``>= th``;
+``np.fmax`` skips it, so a block's maximum still bounds its non-NaN
+members.  The cut is exact whenever a row has at least k candidates,
+because then its k-th largest value is ``>= th`` and the candidates
+hold everything that precedes it.
+
+Three rules send rows through :func:`deterministic_topk` instead:
+
+* a call with fewer than ``_BATCH_ROWS`` = 4 rows.  The batched cut
+  pays a fixed cost per call, 85-105 us on one 1,920-wide row against
+  35-40 us for :func:`deterministic_topk` (numpy 2.4, one BLAS thread,
+  2-vCPU x86 box).  Measured at 960, 1,920, 19,200 and 40,000 columns
+  and k in {1, 5, 10, 16}, it breaks even at 3 rows and wins from 4 at
+  the narrow widths, and wins from 2 rows at the wide ones;
+* a row with fewer than k candidates, which also gives the row the
+  answer, or the error, it has on its own (a NaN ``th``, when k or more
+  blocks are all NaN, leaves a row none);
+* a row whose bound more than ``_REACH_LIMIT`` x k blocks reach.  That
+  happens only when block maxima tie, and in a constant row every block
+  reaches it: gathering them copies the row, and one lexsort over a
+  whole tied 256 x 40,000 matrix took 1.5-3.0 s and up to 557 MiB
+  where the per-row loop takes 0.1 s.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 __all__ = ["deterministic_topk", "deterministic_topk_rows"]
+
+#: calls with fewer rows cut each row with :func:`deterministic_topk`
+_BATCH_ROWS = 4
+#: a row whose bound more than this many times k blocks reach is cut
+#: with :func:`deterministic_topk`
+_REACH_LIMIT = 4
 
 
 def deterministic_topk(scores: np.ndarray, k: int,
@@ -59,10 +109,55 @@ def deterministic_topk(scores: np.ndarray, k: int,
 
 def deterministic_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
     """Row-wise :func:`deterministic_topk` over a 2-D score matrix;
-    returns an ``(rows, min(k, cols))`` index array."""
+    returns an ``(rows, min(k, cols))`` index array.  Batches of at
+    least ``_BATCH_ROWS`` rows are cut by the block-maximum bound (see
+    the module doc)."""
     scores = np.atleast_2d(np.asarray(scores))
-    kk = max(0, min(k, scores.shape[1]))
-    out = np.empty((scores.shape[0], kk), dtype=np.int64)
-    for row in range(scores.shape[0]):
+    rows, cols = scores.shape
+    kk = max(0, min(k, cols))
+    out = np.empty((rows, kk), dtype=np.int64)
+    if rows < _BATCH_ROWS or kk == 0:
+        short = range(rows)
+    else:
+        short = _cut_by_block_bound(scores, kk, out)
+    for row in short:
         out[row] = deterministic_topk(scores[row], kk)
     return out
+
+
+def _cut_by_block_bound(scores: np.ndarray, kk: int,
+                        out: np.ndarray) -> np.ndarray:
+    """Write the top ``kk`` of every row the bound narrows into ``out``;
+    return the other rows."""
+    rows, cols = scores.shape
+    # nb ~ 2·sqrt(k·m) balances the nb-wide partition of the block
+    # maxima against the ~k gathered blocks of depth m // nb; widening
+    # nb to m // depth keeps the tail shorter than one block.
+    depth = cols // min(cols, max(kk, math.isqrt(4 * kk * cols)))
+    nb = cols // depth
+    body = depth * nb
+    blocks = scores[:, :body].reshape(rows, depth, nb)
+    block_max = np.fmax.reduce(blocks, axis=1)
+    th = np.partition(block_max, nb - kk, axis=1)[:, nb - kk]
+    reach = block_max >= th[:, None]
+    # More than 4k blocks reach a row's bound only when its block maxima
+    # tie (a tie-heavy row); gathering them would approach the whole row.
+    narrow = reach.sum(axis=1) <= _REACH_LIMIT * kk
+    reach &= narrow[:, None]
+    hit_rows, hit_blocks = np.divmod(np.flatnonzero(reach), nb)
+    values = blocks[hit_rows, :, hit_blocks]              # (hits, depth)
+    keep = np.flatnonzero(values >= th[hit_rows, None])
+    hit, level = np.divmod(keep, depth)
+    tail = scores[:, body:]
+    t_rows, t_cols = np.divmod(
+        np.flatnonzero((tail >= th[:, None]) & narrow[:, None]),
+        max(cols - body, 1))
+    cand_rows = np.concatenate([hit_rows[hit], t_rows])
+    cand_cols = np.concatenate([hit_blocks[hit] + level * nb, t_cols + body])
+    cand_vals = np.concatenate([values.ravel()[keep], tail[t_rows, t_cols]])
+    order = np.lexsort((cand_cols, -cand_vals, cand_rows))
+    counts = np.bincount(cand_rows, minlength=rows)
+    starts = np.cumsum(counts) - counts
+    full = counts >= kk
+    out[full] = cand_cols[order[starts[full, None] + np.arange(kk)]]
+    return np.flatnonzero(~full)

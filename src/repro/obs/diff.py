@@ -20,11 +20,20 @@ Two input formats are accepted per side:
   time-shaped so a capacity loss trips the default watch like any
   latency regression.
 
-A regression is: the metric matches a watch pattern (default: the
-time-shaped names ``*seconds*``, ``*_s``, ``*_ms``, ``*.p50``,
-``*.p95``, ``*duration*`` — where bigger is worse), it *increased*, the
-relative increase exceeds ``threshold_pct`` **and** the absolute
-increase exceeds ``min_delta`` (micro-benchmark noise floor).
+A regression is a move in the bad direction on a watched metric:
+
+* an *increase* on a metric that matches a ``watch`` pattern (default:
+  the time-shaped names ``*seconds*``, ``*_s``, ``*_ms``, ``*.p50``,
+  ``*.p95``, ``*duration*`` — where bigger is worse);
+* a *decrease* on a metric that matches a ``watch_drop`` pattern
+  (default: none; ``--watch-drop`` on the CLI) — where bigger is
+  better: a speedup, a recall, a throughput;
+
+and in either case the relative move exceeds ``threshold_pct`` **and**
+the absolute move reaches ``min_delta`` (micro-benchmark noise floor).
+Without ``watch_drop`` a higher-is-better metric cannot fail a gate:
+a speedup that falls from 2.70x to 0.93x is an improvement to
+``watch``.
 """
 
 from __future__ import annotations
@@ -140,18 +149,19 @@ def diff_rows(old_rows: Iterable[dict],
 def find_regressions(entries: Sequence[DiffEntry], *,
                      threshold_pct: float = 25.0,
                      min_delta: float = 0.0,
-                     watch: Sequence[str] = DEFAULT_WATCH) -> List[DiffEntry]:
+                     watch: Sequence[str] = DEFAULT_WATCH,
+                     watch_drop: Sequence[str] = ()) -> List[DiffEntry]:
     """The entries that breach the regression policy (see module doc)."""
     breaches = []
     for entry in entries:
-        if entry.delta is None or entry.delta <= 0:
+        if not entry.delta:
             continue
-        if not any(fnmatch(entry.name, pattern) for pattern in watch):
+        patterns = watch if entry.delta > 0 else watch_drop
+        if not any(fnmatch(entry.name, pattern) for pattern in patterns):
             continue
-        if entry.delta < min_delta:
+        if abs(entry.delta) < min_delta:
             continue
-        pct = entry.pct
-        if pct is not None and pct > threshold_pct:
+        if abs(entry.pct) > threshold_pct:
             breaches.append(entry)
     return breaches
 

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core.minibatch import (kmeans, pairwise_proximity,
-                                  pairwise_proximity_reference,
                                   property_closeness)
 from tests.oracles.kmeans import kmeans_loop, kmeans_reference
+from tests.oracles.proximity import pairwise_proximity_reference
 
 
 @pytest.fixture(scope="module")

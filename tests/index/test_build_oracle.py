@@ -96,3 +96,75 @@ def test_duplicate_world_search_is_exact_through_escalation():
     np.testing.assert_array_equal(result.ids, want)
     np.testing.assert_array_equal(result.scores,
                                   np.take_along_axis(scores, want, axis=1))
+
+
+def away_from_every_list(index, count, rng):
+    """``count`` unit queries with a negative inner product with every
+    used centroid: their best coarse scores are the unused labels' zero
+    centroids, whose lists are empty, so they escalate at any nprobe
+    up to the number of empty lists."""
+    used = index.centroids[index.centroids.any(axis=1)].astype(np.float64)
+    normal = used.mean(axis=0)
+    for _ in range(1000):                # perceptron: used @ normal > 0
+        short = used @ normal <= 0.05
+        if not short.any():
+            break
+        normal += used[short].sum(axis=0)
+    queries = -normal / np.linalg.norm(normal) \
+        + 0.001 * rng.standard_normal((count, len(normal)))
+    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    assert (queries @ used.T < 0).all()
+    return queries.astype(np.float32)
+
+
+def test_escalated_scores_are_the_sub_batch_gemm():
+    """An escalated query is scored by one >= 2-row GEMM over the
+    escalated rows alone (a lone row is doubled), not by the batch's
+    brute-force product: a BLAS may round a few-row product differently
+    from the same rows of a larger one, so the sub-batch GEMM is the
+    guarantee, bit for bit."""
+    points = duplicate_world(dim=32)
+    index = build_ivfpq(points, DUPLICATE_CONFIG)
+    rng = np.random.default_rng(3)
+    near = points[::40] + 0.05 * rng.standard_normal(
+        (10, points.shape[1])).astype(np.float32)
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    away = away_from_every_list(index, 3, rng)
+    k = 10
+    for batch, escalated in (
+            (np.vstack([near[:4], away[:1], near[4:]]), [4]),
+            (np.vstack([away[1:2], near, away[2:]]), [0, 11]),
+            (np.vstack([away, near[:2]]), [0, 1, 2])):
+        result = index.search(batch, k, nprobe=2)
+        esc = np.flatnonzero(result.probes == index.nlist)
+        np.testing.assert_array_equal(esc, escalated)
+        operand = batch[esc] if len(esc) > 1 else batch[[esc[0], esc[0]]]
+        exact = (operand @ points.T)[:len(esc)]
+        want = deterministic_topk_rows(exact, k)
+        np.testing.assert_array_equal(result.ids[esc], want)
+        np.testing.assert_array_equal(
+            result.scores[esc], np.take_along_axis(exact, want, axis=1))
+
+
+def test_escalated_nan_query_answers_short():
+    """A NaN query's exact scores are all NaN, so it has no top k: an
+    escalated one comes back padded (ids -1, scores -inf) while the
+    rest of its batch is answered as usual."""
+    points = duplicate_world()
+    index = build_ivfpq(points, DUPLICATE_CONFIG)
+    rng = np.random.default_rng(3)
+    queries = points[::40][:6] + 0.05 * rng.standard_normal(
+        (6, points.shape[1])).astype(np.float32)
+    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    queries[2, 0] = np.nan
+    k = 25
+    result = index.search(queries, k, nprobe=2)
+    assert (result.probes == index.nlist).all()  # every query escalated
+    assert (result.ids[2] == -1).all()
+    assert (result.scores[2] == -np.inf).all()
+    ok = np.arange(6) != 2
+    scores = (queries @ points.T)[ok]
+    want = deterministic_topk_rows(scores, k)
+    np.testing.assert_array_equal(result.ids[ok], want)
+    np.testing.assert_array_equal(result.scores[ok],
+                                  np.take_along_axis(scores, want, axis=1))

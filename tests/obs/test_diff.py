@@ -136,3 +136,76 @@ class TestFormat:
     def test_infinite_pct_renders(self):
         text = format_diff([entry("fresh", 0.0, 2.0)])
         assert "inf" in text
+
+
+class TestWatchDrop:
+    """Higher-is-better metrics regress by falling."""
+
+    def test_watched_drop_past_threshold_breaches(self):
+        entries = [entry("bench.kmeans_pq.speedup", 2.70, 0.93)]
+        assert find_regressions(entries, watch_drop=("*.speedup",)) \
+            == entries
+
+    def test_drop_is_ignored_without_watch_drop(self):
+        entries = [entry("bench.kmeans_pq.speedup", 2.70, 0.93)]
+        assert find_regressions(entries, watch=("*.speedup",)) == []
+
+    def test_rise_on_a_drop_watch_never_breaches(self):
+        entries = [entry("recall_at10", 0.5, 0.99)]
+        assert find_regressions(entries, watch_drop=("recall*",)) == []
+
+    def test_drop_threshold_and_noise_floor(self):
+        entries = [entry("recall_at10", 0.99, 0.90)]    # -9.1 %
+        assert find_regressions(entries, threshold_pct=10.0,
+                                watch_drop=("recall*",)) == []
+        assert find_regressions(entries, threshold_pct=5.0,
+                                watch_drop=("recall*",)) == entries
+        assert find_regressions(entries, threshold_pct=5.0, min_delta=0.1,
+                                watch_drop=("recall*",)) == []
+
+    def test_both_directions_in_one_pass(self):
+        entries = [entry("a.latency_ms", 10.0, 20.0),
+                   entry("a.speedup", 4.0, 1.0),
+                   entry("b.speedup", 1.0, 4.0)]
+        assert [e.name for e in find_regressions(
+            entries, watch_drop=("*.speedup",))] == ["a.latency_ms",
+                                                      "a.speedup"]
+
+
+def test_cli_watch_drop_fails_a_fallen_speedup(tmp_path, capsys):
+    """The k-means trainer reverted to its per-cluster loop: the bench
+    row's speedup fell from 2.70x to 0.93x.  A ``--watch`` on it passes
+    (a fall is not an increase); ``--watch-drop`` fails the gate."""
+    from repro import cli
+
+    old = tmp_path / "baseline.json"
+    old.write_text(json.dumps({"mode": "quick", "paths": {
+        "kmeans_pq": {"optimized_s": 0.120, "reference_s": 0.324,
+                      "speedup": 2.70}}}))
+    new = tmp_path / "current.json"
+    new.write_text(json.dumps({"mode": "quick", "paths": {
+        "kmeans_pq": {"optimized_s": 0.301, "reference_s": 0.280,
+                      "speedup": 0.93}}}))
+    assert cli.main(["obs", "diff", str(old), str(new),
+                     "--watch", "bench.kmeans_pq.speedup"]) == 0
+    capsys.readouterr()
+    assert cli.main(["obs", "diff", str(old), str(new),
+                     "--watch", "bench.kmeans_pq.speedup",
+                     "--watch-drop", "bench.kmeans_pq.speedup",
+                     "--threshold-pct", "50", "--min-delta", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert "bench.kmeans_pq.speedup: 2.7 -> 0.93 (-65.6%)" in captured.err
+
+
+def test_cli_rejects_a_drop_gate_that_cannot_fail(tmp_path):
+    """A value can fall by at most 100 %, so a drop watch at a 100 %
+    threshold would pass every run."""
+    from repro import cli
+
+    doc = tmp_path / "bench.json"
+    doc.write_text(json.dumps({"paths": {"a": {"speedup": 2.0}}}))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["obs", "diff", str(doc), str(doc),
+                  "--watch-drop", "bench.a.speedup",
+                  "--threshold-pct", "100"])
+    assert exit_info.value.code == 2
