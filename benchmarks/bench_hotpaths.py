@@ -50,8 +50,8 @@ from repro.core.minibatch import (kmeans, pairwise_proximity,  # noqa: E402
                                   property_closeness)
 from repro.datasets import fb_bundle, load_fbimg  # noqa: E402
 from repro.datasets.generator import build_attribute_dataset  # noqa: E402
-from repro.netserve import (NetServeConfig, NetServer,  # noqa: E402
-                            encode_response)
+from repro.netserve import (TABLE_K, NetServeConfig,  # noqa: E402
+                            NetServer, encode_response)
 from repro.obs import format_profile, registry, span  # noqa: E402
 from repro.serve import MatchService  # noqa: E402
 from repro.text.corpus import build_text_corpus  # noqa: E402
@@ -151,8 +151,8 @@ def tile_world_matcher(bundle, dataset, quick: bool) -> CrossEM:
 
 
 def bench_score_tile(matcher: CrossEM, repeats: int, paths: dict) -> None:
-    """``score_tile_hard``: the scoring call a request past the answer
-    table makes — ``CrossEM.score`` on one 8-row tile of hard prompts —
+    """``score_tile_hard``: the scoring call the answer table is built
+    from — ``CrossEM.score`` on one 8-row tile of hard prompts —
     against the per-call operand rebuild it used to do (index array
     over the whole repository, then a gather copy of the image matrix).
     Both sides return equal bits (``tests/core/test_frozen_operands.py``);
@@ -178,22 +178,24 @@ def bench_score_tile(matcher: CrossEM, repeats: int, paths: dict) -> None:
 
 #: served hits behind the ``serve_table_hit`` row
 TABLE_HITS = 1000
+#: requests behind each ``gemm_calls`` count, ``top_k`` drawn uniformly
+#: over ``1..|I|``
+DEEP_DRAWS = 100
 
 
-def bench_table_hit(matcher: CrossEM, repeats: int, paths: dict) -> None:
-    """``serve_table_hit``: an in-process ``MatchService.handle_batch``
-    of one request with ``top_k <= table_k`` on the ``score_tile_hard``
-    world, in absolute seconds, beside ``gemm_calls``: the matcher's
-    ``score`` / ``score_topk`` calls per 100 hits.  A hit is a slice of
-    the answer table ``warmup()`` built, so the count is 0; if a served
-    hit ever pays a GEMM again it becomes 100, which is what CI's
-    ``obs diff`` step watches (the count repeats exactly; the seconds
-    are for the reader)."""
-    service = MatchService(matcher).warmup()
+def _gemm_calls(matcher: CrossEM, answer) -> float:
+    """The matcher's ``score`` / ``score_topk`` calls per 100 requests
+    whose ``top_k`` is drawn over every depth, ``1..|I|``, each answered
+    by ``answer(request)``.  Every request is a slice of the answer
+    table ``warmup()`` built, so the count is 0; if any depth is ever
+    scored at request time again it becomes (nearly) 100, which is what
+    CI's ``obs diff`` step watches (the count repeats exactly: the draws
+    are seeded)."""
     vertices = matcher.vertex_ids
-    top_k = service.config.table_k
+    rng = np.random.default_rng(0)
     requests = [{"id": i, "vertex": vertices[i % len(vertices)],
-                 "top_k": 1 + i % top_k} for i in range(TABLE_HITS)]
+                 "top_k": int(rng.integers(1, len(matcher.images) + 1))}
+                for i in range(DEEP_DRAWS)]
     calls = [0]
     for name in ("score", "score_topk"):
         real = getattr(matcher, name)
@@ -204,17 +206,30 @@ def bench_table_hit(matcher: CrossEM, repeats: int, paths: dict) -> None:
 
         setattr(matcher, name, counted)
     try:
-        total = _best_of(
-            lambda: [service.handle_batch([r]) for r in requests],
-            repeats, "serve_table_hit")
-        hits = repeats * len(requests)
+        for request in requests:
+            assert answer(request)["ok"]
     finally:
         del matcher.score, matcher.score_topk
+    return 100.0 * calls[0] / len(requests)
+
+
+def bench_table_hit(matcher: CrossEM, repeats: int, paths: dict) -> None:
+    """``serve_table_hit``: an in-process ``MatchService.handle_batch``
+    of one request with ``top_k <= 16`` (the ``table`` op's head) on the
+    ``score_tile_hard`` world, in absolute seconds, beside ``gemm_calls``
+    (:func:`_gemm_calls`, over requests of every depth)."""
+    service = MatchService(matcher).warmup()
+    vertices = matcher.vertex_ids
+    requests = [{"id": i, "vertex": vertices[i % len(vertices)],
+                 "top_k": 1 + i % TABLE_K} for i in range(TABLE_HITS)]
+    total = _best_of(lambda: [service.handle_batch([r]) for r in requests],
+                     repeats, "serve_table_hit")
     entry = {"optimized_s": total, "calls": len(requests),
              "per_call_ms": 1e3 * total / len(requests),
-             "gemm_calls": 100.0 * calls[0] / hits}
+             "gemm_calls": _gemm_calls(
+                 matcher, lambda r: service.handle_batch([r])[0])}
     print(f"  {'serve_table_hit':28s} {entry['per_call_ms']:9.3f} ms/call "
-          f"({entry['gemm_calls']:.0f} GEMM calls per 100 hits)")
+          f"({entry['gemm_calls']:.0f} GEMM calls per 100 requests)")
     paths["serve_table_hit"] = entry
 
 
@@ -223,15 +238,14 @@ SOCKET_HITS = 200
 
 
 def bench_socket_hit(matcher: CrossEM, repeats: int, paths: dict) -> None:
-    """``serve_socket_hit``: lone hits — one request outstanding at a
-    time, ``top_k <= table_k`` — over a real :class:`NetServer` socket on
-    the ``score_tile_hard`` world, beside ``batch_dispatches``: the
-    micro-batcher's fused calls (``netserve.batch.flush_total``) per 100
-    hits.  A hit is answered where its line is read, so the count is 0;
-    if hits ever go through the window and the pool again it becomes
-    100, which is what CI's ``obs diff`` step watches (the seconds are
-    for the reader, and deliberately not named ``optimized_s``: a
-    socket round trip is too noisy on a shared runner to gate)."""
+    """``serve_socket_hit``: lone requests — one outstanding at a time,
+    ``top_k <= 16`` — over a real :class:`NetServer` socket on the
+    ``score_tile_hard`` world, beside ``gemm_calls``
+    (:func:`_gemm_calls`, over requests of every depth sent down the
+    same socket).  Every request is answered where its line is read
+    (the seconds are for the reader, and deliberately not named
+    ``optimized_s``: a socket round trip is too noisy on a shared
+    runner to gate)."""
     server = NetServer(MatchService(matcher).warmup(), NetServeConfig())
     ready = threading.Event()
     thread = threading.Thread(
@@ -240,12 +254,9 @@ def bench_socket_hit(matcher: CrossEM, repeats: int, paths: dict) -> None:
     thread.start()
     assert ready.wait(timeout=60), "bench server never became ready"
     vertices = matcher.vertex_ids
-    top_k = server.service.config.table_k
     lines = [encode_response({"id": i, "vertex": vertices[i % len(vertices)],
-                              "top_k": 1 + i % top_k})
+                              "top_k": 1 + i % TABLE_K})
              for i in range(SOCKET_HITS)]
-    flushes = registry().counter("netserve.batch.flush_total")
-    before = flushes.value
     with socket.create_connection(server.bound, timeout=30) as sock:
         answers = sock.makefile("rb")
 
@@ -254,18 +265,20 @@ def bench_socket_hit(matcher: CrossEM, repeats: int, paths: dict) -> None:
                 sock.sendall(line)
                 assert json.loads(answers.readline())["ok"]
 
+        def ask(request):
+            sock.sendall(encode_response(request))
+            return json.loads(answers.readline())
+
         lone_hits()  # warm
         total = _best_of(lone_hits, repeats, "serve_socket_hit")
-    hits = (repeats + 1) * len(lines)
-    dispatches = flushes.value - before
+        gemm_calls = _gemm_calls(matcher, ask)
     server.trigger_drain()
     thread.join(timeout=30)
     entry = {"seconds": total, "calls": len(lines),
              "per_call_ms": 1e3 * total / len(lines),
-             "batch_dispatches": 100.0 * dispatches / hits}
+             "gemm_calls": gemm_calls}
     print(f"  {'serve_socket_hit':28s} {entry['per_call_ms']:9.3f} ms/call "
-          f"({entry['batch_dispatches']:.0f} batch dispatches per 100 "
-          f"hits)")
+          f"({entry['gemm_calls']:.0f} GEMM calls per 100 requests)")
     paths["serve_socket_hit"] = entry
 
 

@@ -5,8 +5,8 @@ Five commands cover the common workflows without writing code:
 * ``stats`` — print the Table-I-style statistics of a benchmark.
 * ``match`` — fit a matcher on a benchmark and report H@k / MRR.
 * ``serve`` — fit a matcher, then answer match queries as a resilient
-  JSON-lines service on stdin/stdout (deadlines, circuit breakers,
-  load shedding, typed failures — README "Serving").  Every
+  JSON-lines service on stdin/stdout (every answer a slice of the
+  answer table, typed failures — README "Serving").  Every
   response carries a ``trace_id``; sampled request traces export with
   the metrics.
 * ``clean`` — run the data-cleaning detectors over a benchmark's
@@ -255,14 +255,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     bundle, dataset = _load(args.benchmark, args.seed)
     matcher = _make_matcher(args, bundle)
     matcher.fit(dataset.graph, dataset.images, dataset.entity_vertices)
-    _attach_index_from_args(matcher, args)
     config = ServeConfig(
-        default_budget_ms=args.default_budget_ms,
         top_k_default=args.top_k,
-        breaker_window=args.breaker_window,
-        breaker_failure_threshold=args.breaker_threshold,
-        breaker_min_calls=args.breaker_min_calls,
-        breaker_cooldown_ms=args.breaker_cooldown_ms,
         trace_sample_rate=args.trace_sample_rate,
         trace_capacity=args.trace_capacity,
         shard_slot=args.shard_slot, shard_count=args.shard_count)
@@ -274,11 +268,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         host, port = parse_address(args.listen)
         server = NetServer(service, NetServeConfig(
-            host=host, port=port,
-            batch_window_ms=args.batch_window_ms,
-            max_batch=args.max_batch, max_pending=args.max_pending,
-            conn_inflight=args.conn_inflight,
-            batch_workers=args.batch_workers,
+            host=host, port=port, conn_inflight=args.conn_inflight,
             drain_timeout_s=args.drain_timeout_s))
 
         def _announce(bound) -> None:
@@ -286,9 +276,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             shard = "" if args.shard_count is None else \
                 f", shard {args.shard_slot}/{args.shard_count}"
             print(f"listening on {bound[0]}:{bound[1]} — "
-                  f"{dataset.name} / {args.method}, "
-                  f"window {args.batch_window_ms:g}ms, "
-                  f"max batch {args.max_batch}{shard}", file=sys.stderr,
+                  f"{dataset.name} / {args.method}{shard}", file=sys.stderr,
                   flush=True)
             if args.port_file:
                 # atomic: a supervisor polling this file never reads a
@@ -307,10 +295,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving {dataset.name} / {args.method}: "
               f"{len(matcher.vertex_ids)} vertices, {len(matcher.images)} "
               f"images — one JSON request per stdin line", file=sys.stderr)
-        served = serve_loop(
-            service, sys.stdin, sys.stdout,
-            window_ms=args.batch_window_ms, max_batch=args.max_batch,
-            max_pending=args.max_pending, workers=args.batch_workers)
+        served = serve_loop(service, sys.stdin, sys.stdout)
         print(f"served {served} responses", file=sys.stderr)
     _export_telemetry(args, benchmark=args.benchmark, method=args.method,
                       command="serve", seed=args.seed)
@@ -355,14 +340,10 @@ def _cmd_route(args: argparse.Namespace) -> int:
                    "--method", args.method,
                    "--epochs", str(args.epochs), "--lr", str(args.lr),
                    "--top-k", str(args.top_k),
-                   "--batch-window-ms", str(args.batch_window_ms),
                    "--listen", "127.0.0.1:0",
                    "--port-file", str(port_file),
                    "--shard-slot", str(slot),
                    "--shard-count", str(args.shards)]
-        if args.default_budget_ms is not None:
-            command += ["--default-budget-ms",
-                        str(args.default_budget_ms)]
         if args.log_level:
             command += ["--log-level", args.log_level]
         return command
@@ -467,17 +448,15 @@ def _fit_for_load(args: argparse.Namespace):
     bundle, dataset = _load(args.benchmark, args.seed)
     matcher = _make_matcher(args, bundle)
     matcher.fit(dataset.graph, dataset.images, dataset.entity_vertices)
-    _attach_index_from_args(matcher, args)
     return matcher, dataset
 
 
 def _service_for_load(matcher, args: argparse.Namespace):
     """The warmed service a load command drives, built once per
-    command: each run or sweep point gets a fresh micro-batcher."""
+    command and answering every run or sweep point inline."""
     from .serve import MatchService, ServeConfig
 
-    config = ServeConfig(default_budget_ms=args.default_budget_ms,
-                         trace_sample_rate=args.trace_sample_rate)
+    config = ServeConfig(trace_sample_rate=args.trace_sample_rate)
     return MatchService(matcher, config=config).warmup()
 
 
@@ -547,9 +526,8 @@ def _remote_vertices(args: argparse.Namespace):
     address = parse_address(args.connect)
     info = fetch_info(address)
     print(f"connected to {address[0]}:{address[1]}: "
-          f"{len(info['vertices'])} vertices, {info['images']} images, "
-          f"window {info.get('batch_window_ms', '?')}ms, "
-          f"max batch {info.get('max_batch', '?')}", file=sys.stderr)
+          f"{len(info['vertices'])} vertices, {info['images']} images",
+          file=sys.stderr)
     return address, info["vertices"]
 
 
@@ -599,8 +577,8 @@ def _cmd_load_sweep(args: argparse.Namespace) -> int:
     def run_point(rate: float) -> dict:
         config = _load_config_from_args(args, rate=rate)
         schedule = build_schedule(config, vertices)
-        # fresh connection (or, in process, fresh batcher) per point:
-        # each measurement starts from a clean outstanding count
+        # fresh connection per point: each measurement starts from a
+        # clean outstanding count
         target = SocketDriver(address) if args.connect else service
         report = run_schedule(target, schedule)
         return report.summary()
@@ -790,19 +768,6 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _attach_index_from_args(matcher, args: argparse.Namespace) -> None:
-    """Load and attach an ANN index shard when ``--index`` was given."""
-    index_path = getattr(args, "index", None)
-    if not index_path:
-        return
-    from .index import load_index
-
-    index = load_index(index_path, nprobe=getattr(args, "nprobe", None))
-    matcher.attach_index(index)
-    print(f"attached ANN index {index_path}: {index.count} vectors, "
-          f"nlist={index.nlist}, nprobe={index.nprobe}", file=sys.stderr)
-
-
 def _cmd_index_build(args: argparse.Namespace) -> int:
     from .index import IVFPQConfig, save_index
     from .obs import configure_logging
@@ -921,23 +886,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--lr", type=float, default=1e-3)
     serve.add_argument("--top-k", type=_positive_int, default=1,
                        help="matches returned when a request names none")
-    serve.add_argument("--default-budget-ms", type=_positive_float,
-                       default=None, metavar="MS",
-                       help="deadline applied to requests without one")
-    serve.add_argument("--breaker-window", type=_positive_int, default=8,
-                       help="circuit-breaker sliding window (calls)")
-    serve.add_argument("--breaker-threshold", type=_rate, default=0.5,
-                       metavar="RATE",
-                       help="failure rate in the window that opens it")
-    serve.add_argument("--breaker-min-calls", type=_positive_int, default=3,
-                       help="calls in the window before it can open")
-    serve.add_argument("--breaker-cooldown-ms", type=_positive_float,
-                       default=2000.0, metavar="MS",
-                       help="open time before a half-open probe")
     serve.add_argument("--trace-sample-rate", type=_unit_interval,
                        default=1.0, metavar="RATE",
                        help="head-sampling rate for request traces "
-                            "(errors/degraded/deadline always kept)")
+                            "(errors and sheds always kept)")
     serve.add_argument("--trace-capacity", type=_positive_int, default=256,
                        help="sampled traces retained in memory")
     serve.add_argument("--log-level", default=None, choices=_LOG_LEVELS,
@@ -945,31 +897,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write metrics + spans + traces as JSONL on "
                             "exit (plus an OpenMetrics .prom snapshot)")
-    serve.add_argument("--index", default=None, metavar="SHARD",
-                       help="route full-tier top-k through this ANN "
-                            "index shard (repro index build)")
-    serve.add_argument("--nprobe", type=_positive_int, default=None,
-                       help="override the shard's probed-cell count")
     serve.add_argument("--listen", type=_address, default=None,
                        metavar="HOST:PORT",
                        help="serve over TCP instead of stdin/stdout "
                             "(port 0 binds an ephemeral port); SIGTERM "
                             "drains gracefully")
-    serve.add_argument("--batch-window-ms", type=_non_negative_float,
-                       default=2.0, metavar="MS",
-                       help="micro-batch coalescing window, both doors "
-                            "(0 disables batching: one at a time)")
-    serve.add_argument("--max-batch", type=_positive_int, default=16,
-                       help="flush a micro-batch at this many requests "
-                            "without waiting out the window")
-    serve.add_argument("--max-pending", type=_positive_int, default=256,
-                       help="requests queued + in flight before the "
-                            "batcher sheds")
     serve.add_argument("--conn-inflight", type=_positive_int, default=32,
                        help="per-connection outstanding-response cap "
                             "(--listen)")
-    serve.add_argument("--batch-workers", type=_positive_int, default=2,
-                       help="threads running fused scoring")
     serve.add_argument("--drain-timeout-s", type=_positive_float,
                        default=30.0, metavar="S",
                        help="seconds the drain waits for in-flight work")
@@ -1004,12 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--lr", type=float, default=1e-3)
     route.add_argument("--top-k", type=_positive_int, default=1,
                        help="worker default when a request names none")
-    route.add_argument("--batch-window-ms", type=_non_negative_float,
-                       default=2.0, metavar="MS",
-                       help="per-worker micro-batch window")
-    route.add_argument("--default-budget-ms", type=_positive_float,
-                       default=None, metavar="MS",
-                       help="worker deadline for requests without one")
     route.add_argument("--work-dir", default=None, metavar="DIR",
                        help="port/pid/log files per worker land here "
                             "(default: a fresh temp dir)")
@@ -1069,9 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
     load_service.add_argument("--epochs", type=_positive_int, default=1,
                               help="training epochs before the run")
     load_service.add_argument("--lr", type=float, default=1e-3)
-    load_service.add_argument("--default-budget-ms", type=_positive_float,
-                              default=None, metavar="MS",
-                              help="deadline applied to requests without one")
     load_service.add_argument("--trace-sample-rate", type=_unit_interval,
                               default=0.0, metavar="RATE",
                               help="head-sampling rate for request traces "
@@ -1084,12 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
     load_service.add_argument("--metrics-out", default=None, metavar="PATH",
                               help="write metrics + spans + traces as "
                                    "JSONL (plus a .prom snapshot)")
-    load_service.add_argument("--index", default=None, metavar="SHARD",
-                              help="route full-tier top-k through this "
-                                   "ANN index shard (repro index build)")
-    load_service.add_argument("--nprobe", type=_positive_int, default=None,
-                              help="override the shard's probed-cell "
-                                   "count")
 
     load_shape = argparse.ArgumentParser(add_help=False)
     load_shape.add_argument("--process", default="poisson",

@@ -11,12 +11,9 @@ cost that motivates CrossEM+ (§IV).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import threading
 from pathlib import Path
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -113,40 +110,6 @@ class CrossEM:
         self._search_index = None
         self.efficiency: Optional[EfficiencyReport] = None
         self.epoch_losses: List[float] = []
-        # Per-thread stage hook (see encode_hook): thread-local so
-        # concurrent serve workers sharing one matcher cannot see each
-        # other's deadlines.
-        self._hook_local = threading.local()
-
-    # -- stage hooks --------------------------------------------------------
-    @contextlib.contextmanager
-    def encode_hook(self, hook: Callable[[str], None]) -> Iterator[None]:
-        """Install a per-thread hook called at encode/score stage
-        boundaries with the stage name.
-
-        The serving layer uses this for deadline propagation: the hook
-        is ``Deadline.check``, so a request's budget is re-examined
-        between stages (and between per-chunk encodes) instead of only
-        when the whole call finishes.  Any exception the hook raises
-        aborts the stage and propagates to the caller.  The hook is
-        thread-local and restored on exit, so nested/concurrent use is
-        safe.
-        """
-        previous = getattr(self._hook_local, "hook", None)
-        self._hook_local.hook = hook
-        try:
-            yield
-        finally:
-            self._hook_local.hook = previous
-
-    def _stage(self, name: str) -> None:
-        # The event lands before the hook runs, so when the hook is a
-        # deadline check that raises, the trace shows the boundary that
-        # caught it in causal order.
-        add_trace_event("stage", stage=name)
-        hook = getattr(self._hook_local, "hook", None)
-        if hook is not None:
-            hook(name)
 
     # -- prompt handling ----------------------------------------------------
     def _prepare_prompts(self) -> None:
@@ -224,7 +187,6 @@ class CrossEM:
         """Prompted text embeddings for ``vertex_ids``: always computed
         and grad-enabled for the soft prompt (what training calls);
         sliced from the frozen matrix for the discrete kinds."""
-        self._stage("encode_text")
         if self.config.prompt == "soft":
             return self.soft_prompts(vertex_ids)
         rows = np.asarray([self._vertex_pos[v] for v in vertex_ids])
@@ -251,7 +213,6 @@ class CrossEM:
         repository is the cached matrix itself — read-only, because a
         write through it would corrupt every later answer.
         """
-        self._stage("encode_image")
         if self._image_embeds is None:
             with span("encode/image_cache"), nn.no_grad():
                 # C-contiguous, as the per-call gather used to hand it
@@ -626,7 +587,6 @@ class CrossEM:
         rows of the frozen text matrix against the frozen image matrix."""
         self._require_fitted()
         with trace_span("matcher/score"):
-            self._stage("score")
             vertex_ids = list(vertex_ids if vertex_ids is not None
                               else self.vertex_ids)
             text = self._text_queries(vertex_ids)
@@ -680,22 +640,20 @@ class CrossEM:
         the attached ANN index when present, else the exact brute GEMM.
 
         Both paths order by ``(-score, image position)``; rows are
-        ``-1`` / ``-inf`` padded if fewer than ``top_k`` images exist.
+        ``-1`` / ``-inf`` padded past their comparable (non-NaN) scores
+        when they have fewer than ``top_k``.
         """
-        from ..index.topk import deterministic_topk_rows
+        from ..index.topk import padded_topk_rows
 
         self._require_fitted()
         vertex_ids = list(vertex_ids if vertex_ids is not None
                           else self.vertex_ids)
         if self._search_index is not None:
             with trace_span("matcher/score_topk"):
-                self._stage("score")
                 text = self._text_queries(vertex_ids)
                 result = self._search_index.search(text, top_k)
             return result.ids, result.scores
-        scores = self.score(vertex_ids)
-        top = deterministic_topk_rows(scores, top_k)
-        return top, np.take_along_axis(scores, top, axis=1)
+        return padded_topk_rows(self.score(vertex_ids), top_k)
 
     def evaluate(self, dataset, vertex_ids: Optional[Sequence[int]] = None) -> RankingResult:
         """Rank all images per vertex and score H@k/MRR against the
@@ -739,7 +697,6 @@ class CrossEM:
         if threshold is None and self._search_index is not None \
                 and top_k > 0:
             with trace_span("matcher/match_index"):
-                self._stage("score")
                 text = self._text_queries(vertex_ids)
                 result = self._search_index.search(text, top_k)
             for row, vertex in enumerate(vertex_ids):

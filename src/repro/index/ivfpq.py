@@ -43,7 +43,7 @@ from ..nn.init import rng_from
 from ..obs import get_logger, registry, span
 from ..obs.trace import add_trace_event
 from .store import EmbeddingStore, ShardReader, write_shard
-from .topk import deterministic_topk, deterministic_topk_rows
+from .topk import deterministic_topk_rows, padded_topk_rows
 
 __all__ = ["IVFPQConfig", "IVFPQIndex", "SearchResult", "build_ivfpq",
            "save_index", "load_index"]
@@ -428,14 +428,7 @@ class IVFPQIndex:
             # A row with fewer than k comparable scores (a NaN query's)
             # has no full answer: it keeps what deterministic_topk
             # returns and the -1 / -inf padding past it.
-            whole = np.count_nonzero(~np.isnan(exact), axis=1) >= kk
-            top = deterministic_topk_rows(exact[whole], kk)
-            ids[esc[whole]] = top
-            scores[esc[whole]] = np.take_along_axis(exact[whole], top, axis=1)
-            for row in np.flatnonzero(~whole):
-                top = deterministic_topk(exact[row], kk)
-                ids[esc[row], :len(top)] = top
-                scores[esc[row], :len(top)] = exact[row][top]
+            ids[esc], scores[esc] = padded_topk_rows(exact, kk)
             probes[esc] = self.nlist
             candidates[esc] = shortlists[esc] = self.count
             agreement += float(len(esc))

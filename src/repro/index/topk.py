@@ -44,6 +44,13 @@ members.  The cut is exact whenever a row has at least k candidates,
 because then its k-th largest value is ``>= th`` and the candidates
 hold everything that precedes it.
 
+NaN is not comparable, so it is never selected: on a row with fewer
+than k comparable values :func:`deterministic_topk` returns all of
+them, in order, and :func:`deterministic_topk_rows`, whose rows are k
+wide, raises a ``ValueError`` naming the row.  :func:`padded_topk_rows`
+answers such a row with its comparable values and ``-1`` / ``-inf``
+padding past them.
+
 Three rules send rows through :func:`deterministic_topk` instead:
 
 * a call with fewer than ``_BATCH_ROWS`` = 4 rows.  The batched cut
@@ -65,11 +72,12 @@ Three rules send rows through :func:`deterministic_topk` instead:
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["deterministic_topk", "deterministic_topk_rows"]
+__all__ = ["deterministic_topk", "deterministic_topk_rows",
+           "padded_topk_rows"]
 
 #: calls with fewer rows cut each row with :func:`deterministic_topk`
 _BATCH_ROWS = 4
@@ -88,23 +96,28 @@ def deterministic_topk(scores: np.ndarray, k: int,
     Ties at the selection boundary are resolved toward the smallest
     index (key), so the result depends only on the score values.  ``k``
     is clamped to ``len(scores)``; ``k <= 0`` returns an empty array.
+    NaN is never selected, so a row with fewer than ``k`` comparable
+    values returns every comparable index, in order.
     """
     scores = np.asarray(scores)
     n = scores.shape[0]
     if k <= 0 or n == 0:
         return np.zeros(0, dtype=np.int64)
-    if k >= n:
-        candidates = np.arange(n, dtype=np.int64)
-    else:
+    kth = np.nan
+    if k < n:
         # O(n) selection first, then widen to the full tie class of the
         # k-th value so the boundary is score-determined, not pivot-
-        # determined.
+        # determined.  The partition sorts NaN last, so a NaN among the
+        # first k means fewer than k comparable values.
         rough = np.argpartition(-scores, k - 1)[:k]
         kth = scores[rough].min()
-        candidates = np.flatnonzero(scores >= kth).astype(np.int64)
+    if np.isnan(kth):
+        candidates = np.flatnonzero(~np.isnan(scores))
+    else:
+        candidates = np.flatnonzero(scores >= kth)
     keys = candidates if tie_break is None else tie_break[candidates]
     order = np.lexsort((keys, -scores[candidates]))
-    return candidates[order[:min(k, n)]]
+    return candidates[order[:k]]
 
 
 def deterministic_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
@@ -121,8 +134,34 @@ def deterministic_topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
     else:
         short = _cut_by_block_bound(scores, kk, out)
     for row in short:
-        out[row] = deterministic_topk(scores[row], kk)
+        top = deterministic_topk(scores[row], kk)
+        if len(top) < kk:
+            raise ValueError(f"row {row} has {len(top)} comparable "
+                             f"values, fewer than k = {kk}")
+        out[row] = top
     return out
+
+
+def padded_topk_rows(scores: np.ndarray,
+                     k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indices, values)``, each ``(rows, min(k, cols))``: every row's
+    :func:`deterministic_topk_rows` cut, except that when a row has fewer
+    than k comparable values every row keeps what
+    :func:`deterministic_topk` returns (the same cut, row by row) and
+    ``-1`` / ``-inf`` padding past it."""
+    scores = np.atleast_2d(np.asarray(scores))
+    try:
+        top = deterministic_topk_rows(scores, k)
+    except ValueError:  # a row too short for a k-wide answer
+        kk = max(0, min(k, scores.shape[1]))
+        ids = np.full((len(scores), kk), -1, dtype=np.int64)
+        values = np.full((len(scores), kk), -np.inf, dtype=scores.dtype)
+        for row, row_scores in enumerate(scores):
+            top = deterministic_topk(row_scores, kk)
+            ids[row, :len(top)] = top
+            values[row, :len(top)] = row_scores[top]
+        return ids, values
+    return top, np.take_along_axis(scores, top, axis=1)
 
 
 def _cut_by_block_bound(scores: np.ndarray, kk: int,

@@ -28,16 +28,15 @@ Two drive modes, chosen by the target's shape:
 
 * a **callable** ``request -> response`` (e.g. ``MatchService.handle``
   or a stub) is driven synchronously — one in flight, but lateness is
-  still accounted open-loop;
+  still accounted open-loop.  A bare
+  :class:`~repro.serve.service.MatchService` is driven this way through
+  its warmed ``handle``: every door answers a request inline, so in
+  process that is ``repro serve --listen`` minus the socket;
 * a *driver* — ``start(emit)`` / ``submit(request)`` / ``shutdown()``:
-  a :class:`~repro.loadgen.socketdrv.SocketDriver`, or the
-  :class:`ServiceDriver` a bare
-  :class:`~repro.serve.service.MatchService` is wrapped in — is driven
+  a :class:`~repro.loadgen.socketdrv.SocketDriver` — is driven
   asynchronously: dispatch never waits for completions, and responses
   (sheds included) are matched back to their intended times by request
-  id as they are emitted.  In process that is the same micro-batcher,
-  with the same defaults, as ``repro serve --listen``: the deployed
-  concurrency model minus the socket.
+  id as they are emitted.
 """
 
 from __future__ import annotations
@@ -47,14 +46,12 @@ import random
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..serve.batcher import MicroBatcher
 from ..serve.service import MatchService
 from .arrivals import bursty_arrivals, poisson_arrivals, uniform_arrivals
 from .mix import QueryMix
 from .report import LoadReport, classify_response
 
-__all__ = ["LoadConfig", "LoadHarness", "ServiceDriver", "build_schedule",
-           "run_schedule"]
+__all__ = ["LoadConfig", "LoadHarness", "build_schedule", "run_schedule"]
 
 PROCESSES = ("poisson", "bursty", "uniform", "replay")
 
@@ -159,32 +156,13 @@ def run_schedule(target, schedule: Sequence[Scheduled], *,
                  meta: Optional[dict] = None) -> LoadReport:
     """Drive ``schedule`` into ``target`` and measure from intent."""
     report = LoadReport(meta=meta)
+    if isinstance(target, MatchService):
+        target = target.warmup().handle
     if callable(target):
         _run_sync(target, schedule, report, clock, sleep)
     else:
-        if isinstance(target, MatchService):
-            target = ServiceDriver(target)
         _run_service(target, schedule, report, clock, sleep)
     return report
-
-
-class ServiceDriver:
-    """A :class:`MatchService` behind the driver duck type: one
-    :class:`MicroBatcher` (the TCP door's defaults) per run, so the
-    service outlives any number of runs."""
-
-    def __init__(self, service: MatchService) -> None:
-        self.service = service
-
-    def start(self, emit: Callable[[dict], None]) -> None:
-        self._emit = emit
-        self._batcher = MicroBatcher(self.service.warmup())
-
-    def submit(self, request: dict) -> None:
-        self._batcher.submit(request, self._emit)
-
-    def shutdown(self) -> None:
-        self._batcher.drain()
 
 
 def _wait_until(intended: float, report: LoadReport,

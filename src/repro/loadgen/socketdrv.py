@@ -6,8 +6,8 @@
 / ``shutdown()`` — so ``repro load run --connect HOST:PORT`` reuses
 every line of the open-loop harness, the coordinated-omission
 accounting, and the report format unchanged.  The only difference is
-where the latency goes: over a socket it includes framing, the server's
-micro-batch window, and the wire.
+where the latency goes: over a socket it includes framing and the
+wire.
 
 The shutdown handshake mirrors the server's drain semantics: the
 driver half-closes the write side (``SHUT_WR``), the server sees EOF,

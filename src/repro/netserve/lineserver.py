@@ -6,7 +6,7 @@ control-op dispatch, the per-connection outstanding cap, write flow
 control, drain bookkeeping — and nothing about what a request *means*.
 A front door subclasses it with a backend (the methods under "the
 backend interface" below): :class:`~repro.netserve.server.NetServer`
-is this server over a :class:`~repro.serve.batcher.MicroBatcher`,
+is this server over one :class:`~repro.serve.service.MatchService`,
 :class:`~repro.shard.router.ShardRouter` is this server over
 scatter/gather — a service whose backend is N services.
 
@@ -15,11 +15,11 @@ a reader task and a writer task.  ``data_received`` frames the bytes
 (:class:`~repro.netserve.protocol.LineFramer`) and dispatches every
 whole line synchronously, in order: a control op or a refusal is
 written at once, a match request goes to the backend's ``submit``.
-The response callback ``deliver`` writes to the transport directly
-when called on the loop thread — so a request the backend answers
-inline (a table hit) is answered inside the ``data_received`` that
-read it — and through one ``call_soon_threadsafe`` from any other
-thread (the batcher's pool).  A worker thread never touches a socket.
+The response callback ``deliver`` writes to the transport directly,
+on the loop thread — so a request the backend answers inline (every
+``NetServer`` request) is answered inside the ``data_received`` that
+read it, and one it answers from a task (a router fan-out) when the
+task finishes.
 
 Order and backpressure, per connection:
 
@@ -52,7 +52,6 @@ import asyncio
 import inspect
 import signal
 import socket
-import threading
 import time
 from typing import Any, Callable, Optional, Set, Tuple
 
@@ -82,7 +81,6 @@ class LineServer:
         #: (host, port) actually bound, available once serving
         self.bound: Optional[Tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[int] = None
         self._drain_event: Optional[asyncio.Event] = None
         self._draining = False
         #: accepted sockets whose connection is being made
@@ -93,7 +91,7 @@ class LineServer:
     def submit(self, request: Any,
                deliver: Callable[[dict], None]) -> None:
         """Take one match query; call ``deliver(response)`` exactly
-        once, from any thread — inline, or later."""
+        once, on the loop thread — inline, or later from a task."""
         raise NotImplementedError
 
     def info(self, request_id: Any) -> Any:
@@ -120,9 +118,6 @@ class LineServer:
 
     async def _open(self) -> None:
         """Bring the backend up, inside the loop, before listening."""
-
-    def _hurry(self) -> None:
-        """The listener just closed: held work is pure delay now."""
 
     async def _close(self) -> bool:
         """Every connection has flushed: release the backend.  Returns
@@ -159,7 +154,6 @@ class LineServer:
         cfg = self.config
         loop = asyncio.get_running_loop()
         self._loop = loop
-        self._loop_thread = threading.get_ident()
         self._drain_event = asyncio.Event()
         if install_signals:
             for sig in (signal.SIGTERM, signal.SIGINT):
@@ -186,7 +180,6 @@ class LineServer:
         self._draining = True
         loop.remove_reader(listener.fileno())
         listener.close()  # 1. no new connections
-        self._hurry()
         # every socket accepted so far is made (and so registered)
         # before the drain decides what to wait for
         await asyncio.gather(*self._handshakes, return_exceptions=True)
@@ -410,18 +403,10 @@ class _Connection(asyncio.Protocol):
 
     # -- writing -----------------------------------------------------------
     def deliver(self, response: dict) -> None:
-        """The backend's answer to a submitted request, from any thread:
-        written at once on the loop thread, else via the loop."""
-        data = encode_response(response)
-        server = self._server
-        if threading.get_ident() == server._loop_thread:
-            self._answered(data)
-        else:
-            server._loop.call_soon_threadsafe(self._answered, data)
-
-    def _answered(self, data: bytes) -> None:
+        """The backend's answer to a submitted request, written at once
+        (on the loop thread)."""
         self._outstanding -= 1
-        self._write(data)
+        self._write(encode_response(response))
         self._settle()
 
     def _send(self, response: dict) -> None:

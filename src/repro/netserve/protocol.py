@@ -13,8 +13,8 @@ Beyond match requests, every door answers three control operations:
 ``{"op": "info", "id": ...}`` →
 ``{"id": ..., "ok": true, "info": {...}}``
 
-carrying repository metadata (entity vertices, image count, batching
-limits).  Remote load generators use it to discover queryable vertices
+carrying repository metadata (entity vertices, image count, the
+outstanding-request cap).  Remote load generators use it to discover queryable vertices
 without fitting a local matcher — the socket equivalent of what
 ``repro load`` reads off the in-process service.
 
@@ -32,12 +32,14 @@ cannot queue behind (or be shed by) match traffic.
 ``{"id": ..., "ok": true, "table": {"k", "vertices", "ids", "scores",
 "sha256"}}``
 
-carrying the door's whole answer table: every vertex's first ``k``
-matches, best first, as per-vertex ``ids``/``scores`` rows in
-``vertices`` order, with the sha256 ``info`` also reports as
-``table_sha256`` (:func:`repro.serve.service.table_digest`).  A shard
-router fetches each worker's table once and answers hits from their
-merge; its own ``table`` op returns that merged table (DESIGN.md §14).
+carrying the head of the door's answer table: every vertex's first
+``k`` = :data:`TABLE_K` matches, best first, as per-vertex
+``ids``/``scores`` rows in ``vertices`` order, with the sha256 of
+exactly those rows, which ``info`` also reports as ``table_sha256``
+(:func:`repro.serve.service.table_digest`).  A shard router fetches
+each worker's head once and answers requests up to ``k`` deep from
+their merge; its own ``table`` op returns that merged head (DESIGN.md
+§14).
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ import socket
 from typing import Any, Optional, Tuple
 
 __all__ = ["MAX_LINE_BYTES", "LineFramer", "LineReader", "OversizedLine",
-           "decode_line", "encode_response", "CONTROL_OPS", "control_op",
-           "request_op"]
+           "decode_line", "encode_response", "CONTROL_OPS", "TABLE_K",
+           "control_op", "request_op"]
 
 #: hard per-line cap; a longer line is answered ``bad_request`` with the
 #: offending bytes discarded, so one hostile client cannot balloon
@@ -178,6 +180,12 @@ def encode_response(response: dict) -> bytes:
 #: control operations: answered inline by the backend method of the same
 #: name instead of being submitted as a match query
 CONTROL_OPS = ("info", "stats", "table")
+
+#: entries per vertex the ``table`` op ships (``table.k``, ``info``'s
+#: ``table_k``): a router answers a request this short from the merged
+#: heads and scatters a longer one to the workers, whose own tables
+#: hold every vertex's whole owned ranking
+TABLE_K = 16
 
 
 def control_op(backend: Any, request: Any) -> Any:

@@ -1,4 +1,4 @@
-"""Circuit breaker around a failure-prone backend (encoder) call.
+"""Circuit breaker around a failure-prone backend (a shard worker).
 
 The classic three-state machine:
 
@@ -27,7 +27,8 @@ breaker suite does exactly this) cannot interfere through timing.  The
 only cross-instance state is the metrics registry, keyed by breaker
 *name*: give concurrently-live breakers distinct names or their
 ``serve.breaker.<name>.*`` instruments are shared.  All methods are
-thread-safe (the serve worker pool shares one breaker per backend).
+thread-safe.  The shard router keeps one breaker per worker and drives
+it through :meth:`allows_call` and the ``record_*`` methods.
 """
 
 from __future__ import annotations
@@ -116,9 +117,8 @@ class CircuitBreaker:
             return self._state
 
     def allows_call(self) -> bool:
-        """Would a call be admitted right now?  (Non-binding — used by
-        ``MatchService.handle_batch`` to skip a fused call without
-        burning the half-open probe slot.)"""
+        """Would a call be admitted right now?  (Non-binding: it does not
+        take the half-open probe slot.)"""
         with self._lock:
             self._maybe_half_open()
             if self._state == STATE_CLOSED:

@@ -8,13 +8,10 @@ serving API:
 
 * :class:`BadRequest` — the request itself is malformed (unknown
   vertex, wrong field type).  Retrying it verbatim will never help.
-* :class:`DeadlineExceeded` — the per-request budget ran out mid-stage.
-  The request was well-formed; a retry with a larger budget may work.
-* :class:`BreakerOpen` — the circuit breaker is refusing calls to a
-  failing scoring backend.  It reaches the client: only a request past
-  the answer table calls the backend, and there is no lower tier to
-  fall back to.  Retry after ``retry_after`` seconds, or ask for at
-  most ``table_k`` matches.
+* :class:`BreakerOpen` — a circuit breaker is refusing calls to a
+  failing backend (:meth:`CircuitBreaker.call`).  No served request
+  reaches one: the service answers from its table, and the router
+  turns a shard's open breaker into a typed ``partial`` answer.
 
 All inherit :class:`ServeError`, so "any expected serving failure" is
 one ``except`` clause while genuinely unexpected bugs stay loud.
@@ -29,8 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-__all__ = ["ServeError", "BadRequest", "DeadlineExceeded", "BreakerOpen",
-           "error_response"]
+__all__ = ["ServeError", "BadRequest", "BreakerOpen", "error_response"]
 
 
 def error_response(request_id: Any, code: str, message: str,
@@ -54,25 +50,6 @@ class BadRequest(ServeError):
     """The request is structurally invalid; it can never succeed."""
 
     code = "bad_request"
-
-
-class DeadlineExceeded(ServeError):
-    """A stage observed that the request's time budget is exhausted.
-
-    ``stage`` names the pipeline stage that noticed (granularity of the
-    deadline guarantee: a request returns within budget plus at most one
-    stage).  ``budget`` and ``elapsed`` are seconds.
-    """
-
-    code = "deadline_exceeded"
-
-    def __init__(self, stage: str, budget: float, elapsed: float) -> None:
-        super().__init__(
-            f"deadline exceeded in stage {stage!r}: "
-            f"elapsed {elapsed * 1e3:.1f}ms of {budget * 1e3:.1f}ms budget")
-        self.stage = stage
-        self.budget = budget
-        self.elapsed = elapsed
 
 
 class BreakerOpen(ServeError):

@@ -1,37 +1,30 @@
-"""The fault-tolerant match query service.
+"""The match query service.
 
 :class:`MatchService` wraps one *fitted* matcher and answers single-
 vertex match queries with production failure semantics:
 
-* :meth:`MatchService.warmup` cuts every vertex's first ``table_k``
-  matches from the tile kernel once.  A request with ``top_k <=
-  table_k`` is a slice of that *answer table*: computed, it cannot
-  hang, so it is answered with no breaker call and no deadline check.
-  The ``table`` control op hands the whole table over (with its sha256)
-  so a shard router can merge the workers' tables and answer hits
-  itself;
-* a larger request is scored by the tile kernel through a text-backend
-  :class:`~repro.serve.breaker.CircuitBreaker`, under the request's
-  :class:`~repro.serve.deadline.Deadline` (from its ``budget_ms``),
-  which the matcher's stage hooks check instead of running long.  The
-  text tower itself runs once, at warm-up, which builds the matcher's
-  frozen text matrix (and image matrix) inside the table build's
-  breaker-guarded tile calls; a scoring call slices it, so what the
-  breaker guards per request is whatever backs the rows and the score
-  (the matrix, the GEMM, an ANN index) — a hung or flaky one stops
-  being called instead of stalling requests;
-* so every answer is ``tier: "full"``, from the table or the tile
-  kernel, or it is a typed error: ``deadline_exceeded``,
-  ``breaker_open``, or ``internal`` for a raising backend;
-* a request a door refuses to admit (the micro-batcher's
-  ``max_pending`` under burst, a connection's cap, a drain) gets one
-  typed, traced ``overloaded`` / ``unavailable`` shape, :meth:`reject`;
-* any per-request failure — malformed request, corrupt input, encoder
-  bug — becomes a structured error *response*; the process never dies
-  for one query.
+* :meth:`MatchService.warmup` cuts every vertex's *whole owned ranking*
+  from the tile kernel once: the *answer table*.  Its depth is the
+  number of images the service answers for (all of them unsharded, a
+  shard worker's owned share otherwise), so every request, whatever its
+  ``top_k``, is a prefix slice of its vertex's row (DESIGN.md §13).  A
+  slice is already computed: it cannot hang, so nothing on the request
+  path waits, retries or spends a budget.  The text tower runs once, in
+  that build, which fills the matcher's frozen text and image matrices;
+* so every answer is ``tier: "full"``, or it is a typed error:
+  ``bad_request`` for a request the field checks refuse
+  (:func:`parse_query`), or ``internal`` for a service too broken to
+  warm up;
+* a request a door refuses to admit (a connection's outstanding cap, a
+  drain) gets one typed, traced ``overloaded`` / ``unavailable`` shape,
+  :meth:`reject`;
+* the ``table`` control op hands over every row's first
+  :data:`~repro.netserve.protocol.TABLE_K` entries (with their sha256),
+  so a shard router can merge the workers' heads and answer short
+  requests itself.
 
-The service owns no thread and no queue: admission and the scoring pool
-are :class:`~repro.serve.batcher.MicroBatcher`'s, for every door alike.
+The service owns no thread and no queue: every door calls
+:meth:`MatchService.handle` inline.
 """
 
 from __future__ import annotations
@@ -39,28 +32,41 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import sys
 import threading
 import time
-from typing import (Any, Callable, Collection, Dict, Iterable, List,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, ClassVar, Collection, Dict, Iterable,
+                    List, Optional, Sequence, Tuple)
 
 import numpy as np
 
 from ..core.matcher import CrossEM
 from ..index.topk import deterministic_topk
 from ..obs import get_logger, registry, span, span_snapshot
-from ..obs.trace import (FLAG_DEADLINE, FLAG_ERROR, FLAG_SHED,
-                         SamplePolicy, Tracer, add_trace_event, flag_trace,
-                         trace_recorder, trace_span)
-from .breaker import CircuitBreaker
-from .deadline import Deadline, is_budget_ms
-from .errors import (BadRequest, DeadlineExceeded, ServeError,
-                     error_response)
+from ..obs.trace import (FLAG_ERROR, FLAG_SHED, SamplePolicy, Tracer,
+                         add_trace_event, flag_trace, trace_recorder,
+                         trace_span)
+from .errors import BadRequest, error_response
 
-__all__ = ["ServeConfig", "MatchService", "parse_query",
-           "parse_trace_context", "table_digest"]
+__all__ = ["BATCH_TILE", "ServeConfig", "MatchService", "is_budget_ms",
+           "parse_query", "parse_trace_context", "table_digest"]
 
 _log = get_logger("repro.serve.service")
+
+#: fixed row-tile width of the tile kernel: the answer table is scored
+#: through operands of exactly this many rows (the last tile padded with
+#: duplicates), which pins the BLAS kernel, so a row's bits do not
+#: depend on which vertices share its tile (DESIGN.md §13)
+BATCH_TILE = 8
+
+
+def is_budget_ms(value: Any) -> bool:
+    """Is ``value`` a usable wire ``budget_ms`` — a positive, *finite*
+    number?  ``json.loads`` admits ``NaN``/``Infinity`` (and integers
+    past float range); a budget that never expires is no budget, and a
+    ``NaN`` would make an exported trace invalid strict JSON."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and 0 < value <= sys.float_info.max
 
 
 def parse_trace_context(request: Any) -> Tuple[Optional[str],
@@ -96,29 +102,12 @@ def parse_trace_context(request: Any) -> Tuple[Optional[str],
 class ServeConfig:
     """Tuning knobs of the serving layer (see README "Serving")."""
 
-    #: budget applied when a request carries none (None = unbounded)
-    default_budget_ms: Optional[float] = None
+    #: the tile width, readable off a config; not a knob
+    batch_tile: ClassVar[int] = BATCH_TILE
     #: matches returned when a request does not ask for a count
     top_k_default: int = 1
-    #: matches per vertex in the answer table ``warmup()`` builds; a
-    #: request with ``top_k <= table_k`` is a slice of it.  An ANN
-    #: index is searched at least this wide.
-    table_k: int = 16
-    #: fixed row-tile width of the tile kernel: every request, lone or
-    #: fused, is scored through an operand of exactly this many rows
-    #: (padded with duplicates), which pins the BLAS kernel and makes an
-    #: answer independent of batch composition (DESIGN.md §13)
-    batch_tile: int = 8
-    #: circuit breaker: sliding window size (calls)
-    breaker_window: int = 8
-    #: circuit breaker: failure rate in the window that opens it
-    breaker_failure_threshold: float = 0.5
-    #: circuit breaker: minimum calls in the window before it can open
-    breaker_min_calls: int = 3
-    #: circuit breaker: how long it stays open before probing
-    breaker_cooldown_ms: float = 2000.0
-    #: head-sampling rate for request traces (errors, deadline blows
-    #: and sheds are always kept regardless)
+    #: head-sampling rate for request traces (errors and sheds are
+    #: always kept regardless)
     trace_sample_rate: float = 1.0
     #: sampled traces retained in the bounded recorder (newest win)
     trace_capacity: int = 256
@@ -132,14 +121,8 @@ class ServeConfig:
     shard_count: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.default_budget_ms is not None and self.default_budget_ms <= 0:
-            raise ValueError("default_budget_ms must be positive")
         if self.top_k_default < 1:
             raise ValueError("top_k_default must be at least 1")
-        if self.table_k < 1:
-            raise ValueError("table_k must be at least 1")
-        if self.batch_tile < 1:
-            raise ValueError("batch_tile must be at least 1")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError("trace_sample_rate must be in [0, 1]")
         if self.trace_capacity < 1:
@@ -165,12 +148,11 @@ class _Query:
 
 
 def parse_query(request: Any, *, vertices: Collection[int], images: int,
-                top_k_default: int,
-                default_budget_ms: Optional[float] = None) -> _Query:
+                top_k_default: int) -> _Query:
     """Validate one match request — the field checks every door applies:
     the service before answering, the shard router before answering a
-    hit from its merged table (a request this rejects is scattered, so
-    the workers word the error).  Raises :class:`BadRequest`."""
+    request from its merged table (a request this rejects is scattered,
+    so the workers word the error).  Raises :class:`BadRequest`."""
     if not isinstance(request, dict):
         raise BadRequest("request must be a JSON object")
     vertex = request.get("vertex")
@@ -181,12 +163,13 @@ def parse_query(request: Any, *, vertices: Collection[int], images: int,
     top_k = request.get("top_k", top_k_default)
     if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
         raise BadRequest("field 'top_k' must be a positive integer")
-    # Clamp to the repository size: there are only so many images
-    # to return, and an unclamped top_k=10**9 would otherwise size
-    # allocations in _top and the ANN over-fetch.
-    # The response simply carries the clamped (achievable) count.
+    # Clamp to the repository size: there are only so many images to
+    # return.  The response simply carries the clamped (achievable)
+    # count.
     top_k = min(top_k, images)
-    budget_ms = request.get("budget_ms", default_budget_ms)
+    # Outside input, so validated like the rest; a slice never spends
+    # it, but the router bounds its own wait with it.
+    budget_ms = request.get("budget_ms")
     budget = None
     if budget_ms is not None:
         if not is_budget_ms(budget_ms):
@@ -217,6 +200,13 @@ def table_digest(vertices: Iterable[int],
     return digest.hexdigest()
 
 
+def _shipped_k() -> int:
+    # Lazy import: repro.netserve's package __init__ pulls the TCP
+    # server, which imports this module.
+    from ..netserve.protocol import TABLE_K
+    return TABLE_K
+
+
 class MatchService:
     """Answers match queries over a fitted matcher, with failure
     isolation.  See the module docstring for the failure model."""
@@ -237,11 +227,6 @@ class MatchService:
                 policy=SamplePolicy(rate=self.config.trace_sample_rate),
                 clock=clock)
         self.tracer = tracer
-        self.text_breaker = CircuitBreaker(
-            "text", window=self.config.breaker_window,
-            failure_threshold=self.config.breaker_failure_threshold,
-            min_calls=self.config.breaker_min_calls,
-            cooldown=self.config.breaker_cooldown_ms / 1000.0, clock=clock)
         self._vertex_set = set(matcher.vertex_ids)
         self._images = len(matcher.images)
         #: repository positions this worker answers for (None = all)
@@ -258,26 +243,25 @@ class MatchService:
                                           self.config.shard_slot)
             self._owned_ids = self._owned_ids[self._owned]
         #: the answer table: vertex -> read-only (image ids, scores) of
-        #: its first ``table_k`` owned matches; None until warmup()
+        #: its whole owned ranking, best first; None until warmup()
         self._table: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] \
             = None
-        #: :func:`table_digest` of the table, computed once with it
+        #: :func:`table_digest` of what the ``table`` op ships, computed
+        #: once with the table
         self._table_sha256: Optional[str] = None
         self._warm_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------
     def warmup(self) -> "MatchService":
         """Populate every embedding cache — image matrix, frozen text
-        matrix (tuned soft prompts included) — build the answer table,
-        and run every import the request path makes lazily, so no
-        request triggers a bulk encode or a module load.  The encodes
-        run inside the table build's tile calls, through the text
-        breaker: a backend that cannot even warm up fails the service
-        *here*, loudly, not one request at a time.
+        matrix (tuned soft prompts included) — and build the answer
+        table, so no request triggers a bulk encode.  A backend that
+        cannot even warm up fails the service *here*, loudly, not one
+        request at a time.
 
-        Runs once, under a lock: concurrent first requests (the
-        batcher's pool) wait for one build.  The table is published only
-        when whole; after a failure the next request tries again."""
+        Runs once, under a lock: concurrent first requests wait for one
+        build.  The table is published only when whole; after a failure
+        the next request tries again."""
         if self._table is not None:
             return self
         with self._warm_lock:
@@ -285,94 +269,32 @@ class MatchService:
                 return self
             with span("serve/warmup"):
                 table = self._build_table()
-                self._table_sha256 = table_digest(table, table.values())
+                k = _shipped_k()
+                self._table_sha256 = table_digest(
+                    table, ((ids[:k], scores[:k])
+                            for ids, scores in table.values()))
             self._table = table
         return self
 
     def _build_table(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Every vertex's first ``table_k`` matches, cut by :meth:`_top`
-        from its :meth:`_score_tile` row — the bits a request gets.  The
-        order is strict, so any ``top_k <= table_k`` answer is a prefix
-        of the entry (DESIGN.md §13)."""
-        k = self.config.table_k
-        tile = self.config.batch_tile
+        """Every vertex's whole owned ranking, cut by :meth:`_top` from
+        its row of a ``BATCH_TILE``-row :meth:`CrossEM.score` operand.
+        The order is total, so the first ``top_k`` entries are exactly
+        what ``_top(row, top_k)`` returns (DESIGN.md §13).  An attached
+        ANN index is not consulted: at full depth it cannot narrow the
+        row."""
+        depth = self.owned_images
         vertices = list(self.matcher.vertex_ids)
-        deadline = Deadline.unbounded(clock=self._clock)
         table: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for start in range(0, len(vertices), tile):
-            chunk = vertices[start:start + tile]
-            for vertex, row in zip(chunk,
-                                   self._score_tile(chunk, k, deadline)):
-                ids, scores = self._top(row, k)
+        for start in range(0, len(vertices), BATCH_TILE):
+            chunk = vertices[start:start + BATCH_TILE]
+            padded = chunk + [chunk[-1]] * (BATCH_TILE - len(chunk))
+            for vertex, row in zip(chunk, self.matcher.score(padded)):
+                ids, scores = self._top(row, depth)
                 ids.setflags(write=False)
                 scores.setflags(write=False)
                 table[vertex] = (ids, scores)
         return table
-
-    # -- request validation ------------------------------------------------
-    def _parse(self, request: Any) -> _Query:
-        return parse_query(request, vertices=self._vertex_set,
-                           images=self._images,
-                           top_k_default=self.config.top_k_default,
-                           default_budget_ms=self.config.default_budget_ms)
-
-    # -- scoring -----------------------------------------------------------
-    def _index_k(self, top_k: int) -> int:
-        """The ANN fetch width serving ``top_k`` (0 = brute force, where
-        k does not shape the score row).  Floored at ``table_k``, the
-        search the answer table's rows come from."""
-        if self.matcher.search_index is None:
-            return 0
-        return max(top_k, self.config.table_k)
-
-    def _score_tile(self, vertices: List[int], top_k: int,
-                    deadline: Deadline) -> List[np.ndarray]:
-        """Score rows for ``vertices`` in one breaker-guarded call, in
-        fixed ``batch_tile``-row tiles — the one function that defines a
-        served score.
-
-        The fixed operand shape is the exactness argument (DESIGN.md
-        §13): BLAS kernels round differently per operand *shape*, but
-        for a pinned shape each output row depends only on its own
-        query row.  Padding every tile to ``batch_tile`` rows (with
-        duplicate vertices) makes a row bit-identical whether its
-        vertex came alone or fused with any companions.  With an ANN
-        index attached a row is dense but ``-inf`` off the shortlist,
-        so :meth:`_top` needs no second shape.  Brute-force rows are
-        views of their tile; nothing keeps them past the batch.
-
-        ``deadline`` is the tightest budget among the callers.  The
-        pre-flight check sits *outside* the breaker: an already-dead
-        budget is not evidence against the backend.  Inside, the
-        matcher's stage hooks re-check it between the text rows, the
-        image operand and the tiles, so a hung backend surfaces as
-        DeadlineExceeded — which the breaker does count.
-        """
-        deadline.check("score_full")
-        tile = self.config.batch_tile
-        matcher = self.matcher
-        k = self._index_k(top_k)
-
-        def run() -> List[np.ndarray]:
-            rows: List[np.ndarray] = []
-            with matcher.encode_hook(deadline.check):
-                for start in range(0, len(vertices), tile):
-                    chunk = vertices[start:start + tile]
-                    padded = chunk + [chunk[-1]] * (tile - len(chunk))
-                    if k:
-                        ids, scores = matcher.score_topk(padded, k)
-                        for r in range(len(chunk)):
-                            row = np.full(self._images, -np.inf,
-                                          dtype=np.float32)
-                            valid = ids[r] >= 0
-                            row[ids[r][valid]] = scores[r][valid]
-                            rows.append(row)
-                    else:
-                        rows.extend(matcher.score(padded)[:len(chunk)])
-                    deadline.check("score_full")
-            return rows
-
-        return self.text_breaker.call(run)
 
     @property
     def owned_images(self) -> int:
@@ -389,9 +311,8 @@ class MatchService:
         # worker selects among its owned positions only: the scores
         # themselves are full-row exact, so the router's merge in the
         # same order reconstructs the unsharded answer bit for bit,
-        # exact ties included (DESIGN.md §14).  -inf marks
-        # off-shortlist entries of an index-backed row, never real
-        # matches; clamping k to the finite count keeps them out.
+        # exact ties included (DESIGN.md §14).  A non-finite score is
+        # never a match; clamping k to the finite count keeps it out.
         if self._owned is not None:
             scores = scores[self._owned]
         keep = np.isfinite(scores)
@@ -409,38 +330,6 @@ class MatchService:
         return [{"image": image, "score": score} for image, score in
                 zip(ids[:top_k].tolist(), scores[:top_k].tolist())]
 
-    # -- answering ---------------------------------------------------------
-    def _answer(self, query: _Query, deadline: Deadline,
-                full_row: Optional[np.ndarray] = None,
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        """The request's ranked answer, from one of two places.
-
-        ``top_k <= table_k``: its slice of the answer table — no breaker
-        call and no deadline check, because the answer is already
-        computed and cannot hang.  Otherwise the vertex's tile-kernel
-        row: ``full_row`` when :meth:`handle_batch` scored it for a
-        fused group, else one :meth:`_score_tile` call inside this
-        request's trace, under the text breaker and the deadline.  A
-        failure there is the request's typed error; there is nothing
-        to fall back to.
-        """
-        try:
-            with trace_span("tier/full"):
-                if query.top_k <= self.config.table_k:
-                    add_trace_event("cache", cache="table", hit=True)
-                    return self._table[query.vertex]
-                if full_row is None:
-                    full_row = self._score_tile([query.vertex], query.top_k,
-                                                deadline)[0]
-                else:
-                    deadline.check("score_full")
-                return self._top(full_row, query.top_k)
-        except DeadlineExceeded as exc:
-            registry().counter("serve.deadline_exceeded_total").inc()
-            add_trace_event("deadline", stage=exc.stage)
-            flag_trace(FLAG_DEADLINE)
-            raise
-
     # -- request lifecycle -------------------------------------------------
     def _traced(self, request: Any,
                 respond: Callable[[Any], dict]) -> dict:
@@ -449,12 +338,12 @@ class MatchService:
         the response leaves carrying its ``trace_id``.
 
         Whether a trace is *retained* is the sampling policy's call at
-        finish; errors, deadline blows and sheds flag themselves on the
-        way through and are always kept.  A request carrying a
-        ``trace`` context *joins* the caller's trace, and —
-        if it asks for ``return_spans`` and the trace was retained —
-        ships its span tree back in the response's ``trace`` field for
-        cross-process stitching (DESIGN.md §15).
+        finish; errors and sheds flag themselves on the way through and
+        are always kept.  A request carrying a ``trace`` context *joins*
+        the caller's trace, and — if it asks for ``return_spans`` and
+        the trace was retained — ships its span tree back in the
+        response's ``trace`` field for cross-process stitching
+        (DESIGN.md §15).
         """
         registry().counter("serve.requests_total").inc()
         request_id = request.get("id") if isinstance(request, dict) else None
@@ -471,121 +360,43 @@ class MatchService:
         return response
 
     def handle(self, request: Any) -> dict:
-        """Process one request synchronously — a batch of one; always
-        returns a response dict (carrying its ``trace_id``), never
-        raises (per-request isolation)."""
-        return self.handle_batch([request])[0]
-
-    def handle_batch(self, requests: Sequence[Any]) -> List[dict]:
-        """Answer independent requests — the one pipeline behind every
-        front door (in-process, stdio, TCP micro-batches, shard
-        workers).  Responses align positionally with ``requests``.
-
-        Each request is parsed once, then answered inside its own trace
-        with its own deadline, metrics and isolation.  What a batch
-        shares is the scoring of requests past the answer table: they
-        are grouped by ANN fetch width, and each group of two or more
-        is scored up front in one :meth:`_score_tile` call.  A group of
-        one is *not* pre-scored — :meth:`_answer` makes the same call
-        itself, so a lone query is scored inside its trace and a
-        failure is accounted once.  Either way the operand is the
-        ``batch_tile`` tile, so answers do not depend on batch
-        composition (DESIGN.md §13).  If a fused call fails — deadline,
-        breaker, encoder bug — each member makes its own call; a batch
-        never turns one failure into N undiagnosed ones.
-        """
+        """Answer one request synchronously; always returns a response
+        dict (carrying its ``trace_id``), never raises (per-request
+        isolation).  The one request path behind every door: parse,
+        then slice the answer table."""
         started = self._clock()
         try:
             self.warmup()
         except Exception as exc:  # a backend too sick to even warm up
             message = f"warmup failed: {type(exc).__name__}: {exc}"
-            return [self._traced(request, lambda request_id:
-                                 self._internal_error(request_id, message,
-                                                      started))
-                    for request in requests]
-        parsed: List[Any] = []
-        groups: Dict[int, List[int]] = {}
-        for position, request in enumerate(requests):
-            try:
-                query = self._parse(request)
-            except BadRequest as exc:
-                query = exc
-            else:
-                if query.top_k > self.config.table_k and \
-                        self.text_breaker.allows_call():
-                    # with an ANN index attached, k shapes the shortlist
-                    # and therefore the answer, so only like-k requests
-                    # may share a call; brute force ignores k (one group)
-                    groups.setdefault(self._index_k(query.top_k),
-                                      []).append(position)
-            parsed.append(query)
-        rows: Dict[int, np.ndarray] = {}
-        reg = registry()
-        for k, positions in groups.items():
-            if len(positions) < 2:
-                continue
-            budgets = [parsed[p].budget for p in positions
-                       if parsed[p].budget is not None]
-            deadline = Deadline(min(budgets) if budgets else None,
-                                clock=self._clock)
-            try:
-                block = self._score_tile(
-                    [parsed[p].vertex for p in positions], k, deadline)
-            except Exception:
-                continue  # each member makes its own call below
-            reg.counter("serve.batch.fused_total").inc(len(positions))
-            reg.histogram("serve.batch.group_size").observe(
-                float(len(positions)))
-            rows.update(zip(positions, block))
-        return [self._traced(request, lambda request_id, p=position:
-                             self._respond(request_id, parsed[p],
-                                           rows.get(p), started))
-                for position, request in enumerate(requests)]
+            return self._traced(request, lambda request_id:
+                                self._internal_error(request_id, message,
+                                                     started))
+        return self._traced(request, lambda request_id: self._respond(
+            request_id, request, started))
 
-    def answer_hit(self, request: Any) -> Optional[dict]:
-        """The whole answer to ``request`` if it is a hit — the answer
-        table is built and the request parses to ``top_k <= table_k`` —
-        else ``None``: a past-table or malformed request, or any request
-        before warm-up, is :meth:`handle_batch`'s.  Parsed once and
-        answered through the same traced path, so the response carries
-        the bytes :meth:`handle_batch` would give it (bar ``elapsed_ms``
-        and ``trace_id``); counted in ``serve.table_hits_total``.  The
-        micro-batcher calls this in the submitting thread, so a hit
-        never waits for a window or a pool thread."""
-        if self._table is None:
-            return None
-        started = self._clock()
+    def handle_batch(self, requests: Sequence[Any]) -> List[dict]:
+        """Answer independent requests; responses align positionally
+        with ``requests``.  Each is :meth:`handle`'s answer: a slice
+        shares nothing with its neighbours."""
+        return [self.handle(request) for request in requests]
+
+    def _respond(self, request_id: Any, request: Any,
+                 started: float) -> dict:
         try:
             query = self._parse(request)
-        except BadRequest:
-            return None
-        if query.top_k > self.config.table_k:
-            return None
-        registry().counter("serve.table_hits_total").inc()
-        return self._traced(request, lambda request_id: self._respond(
-            request_id, query, None, started))
-
-    def _respond(self, request_id: Any, query: Any,
-                 full_row: Optional[np.ndarray], started: float) -> dict:
-        """One request's answer, given its parse outcome (a
-        :class:`_Query` or the :class:`BadRequest` it raised).
-        ``started`` is the batch's admission time, so ``elapsed_ms``
-        charges a fused request its share of the shared scoring call."""
-        if isinstance(query, BadRequest):
-            return self._error_response(request_id, query.code, str(query),
+        except BadRequest as exc:
+            return self._error_response(request_id, exc.code, str(exc),
                                         started)
         # the parsed shape, so exported traces replay as load schedules
         add_trace_event("request", vertex=query.vertex, top_k=query.top_k,
                         budget_ms=None if query.budget is None
                         else round(query.budget * 1e3, 4))
-        if full_row is not None:
-            add_trace_event("batch", fused=True)
-        deadline = Deadline(query.budget, clock=self._clock)
         try:
-            ranked = self._answer(query, deadline, full_row)
-        except ServeError as exc:
-            return self._error_response(request_id, exc.code, str(exc),
-                                        started)
+            with trace_span("tier/full"):
+                add_trace_event("cache", cache="table", hit=True)
+                matches = self._matches(*self._table[query.vertex],
+                                        query.top_k)
         except Exception as exc:
             # Unexpected bug while answering: isolate it to this request.
             return self._internal_error(
@@ -594,11 +405,16 @@ class MatchService:
         reg = registry()
         reg.counter("serve.ok_total").inc()
         reg.counter("serve.tier.full").inc()
+        reg.counter("serve.table_hits_total").inc()
         reg.histogram("serve.request_ms").observe(elapsed_ms)
         return {"id": request_id, "ok": True, "vertex": query.vertex,
-                "tier": "full", "degraded": False,
-                "matches": self._matches(*ranked, query.top_k),
+                "tier": "full", "degraded": False, "matches": matches,
                 "elapsed_ms": round(elapsed_ms, 3)}
+
+    def _parse(self, request: Any) -> _Query:
+        return parse_query(request, vertices=self._vertex_set,
+                           images=self._images,
+                           top_k_default=self.config.top_k_default)
 
     def _internal_error(self, request_id: Any, message: str,
                         started: float) -> dict:
@@ -618,11 +434,11 @@ class MatchService:
         return error_response(request_id, code, message, elapsed_ms)
 
     def reject(self, request: Any, code: str, message: str) -> dict:
-        """The one refusal shape, for any door: ``overloaded`` at the
-        batcher's ``max_pending`` or a connection's outstanding cap,
-        ``unavailable`` mid-drain.  A refused request never reaches
-        :meth:`handle_batch`, so it gets its trace right here; a shed
-        is flagged and therefore always retained."""
+        """The one refusal shape, for any door: ``overloaded`` at a
+        connection's outstanding cap, ``unavailable`` mid-drain.  A
+        refused request never reaches :meth:`handle`, so it gets its
+        trace right here; a shed is flagged and therefore always
+        retained."""
         def respond(request_id: Any) -> dict:
             if code == "overloaded":
                 flag_trace(FLAG_SHED)
@@ -655,7 +471,7 @@ class MatchService:
             "images": self._images,
             "top_k_default": self.config.top_k_default,
             "indexed": self.matcher.search_index is not None,
-            "table_k": self.config.table_k,
+            "table_k": _shipped_k(),
             "table_sha256": self._table_sha256,
         }
         if self.config.shard_count is not None:
@@ -668,23 +484,25 @@ class MatchService:
         return {"id": request_id, "ok": True, "info": info}
 
     def table(self, request_id: Any = None) -> dict:
-        """Answer the ``table`` op: this worker's answer table, whole —
-        what a shard router merges once so it can answer hits itself
-        (DESIGN.md §14).  ``ids``/``scores`` are per-vertex rows in
-        ``vertices`` order; ``sha256`` is the :func:`table_digest`
-        computed at warm-up, which ``info`` also carries."""
+        """Answer the ``table`` op: every row's first ``TABLE_K``
+        entries — what a shard router merges once so it can answer
+        short requests itself (DESIGN.md §14).  ``ids``/``scores`` are
+        per-vertex rows in ``vertices`` order; ``sha256`` is the
+        :func:`table_digest` of exactly these rows, computed at warm-up,
+        which ``info`` also carries."""
         try:
             self.warmup()
         except Exception as exc:  # a backend too sick to even warm up
             return error_response(request_id, "internal",
                                   f"warmup failed: {type(exc).__name__}: "
                                   f"{exc}")
+        k = _shipped_k()
         table = self._table
         return {"id": request_id, "ok": True, "table": {
-            "k": self.config.table_k,
+            "k": k,
             "vertices": [int(v) for v in table],
-            "ids": [ids.tolist() for ids, _ in table.values()],
-            "scores": [scores.tolist() for _, scores in table.values()],
+            "ids": [ids[:k].tolist() for ids, _ in table.values()],
+            "scores": [scores[:k].tolist() for _, scores in table.values()],
             "sha256": self._table_sha256}}
 
     def stats(self, request_id: Any = None) -> dict:
@@ -692,7 +510,7 @@ class MatchService:
 
         One registry snapshot plus the span aggregate — every row read
         under its instrument's lock, so each row is internally
-        consistent even while worker threads are mid-observation (not a
+        consistent even while other threads are mid-observation (not a
         cross-instrument atomic cut; DESIGN.md §15).  ``captured_unix``
         lets a scraper order snapshots and compute rates.  Never a
         scoring call, so doors answer it inline.

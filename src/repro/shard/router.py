@@ -6,23 +6,26 @@ side.  A client that worked against a single server works against the
 router unchanged — same requests, same response schema, and
 *bit-identical* response payloads (DESIGN.md §14).
 
-A **hit** (``top_k <= table_k``) is answered by the router alone.  At
-boot it fetches each worker's answer table once (the ``table`` control
-op, checked against its sha256) and merges the slices with
-:func:`~repro.shard.partition.merge_matches` into the unsharded table.
+A **hit** (``top_k <= table_k``, the ``table`` op's depth
+:data:`~repro.netserve.protocol.TABLE_K`) is answered by the router
+alone.  At boot it fetches the head of each worker's answer table once
+(the ``table`` control op, checked against its sha256) and merges the
+slices with :func:`~repro.shard.partition.merge_matches` into the
+unsharded head.
 A hit is a slice of it: no fan-out, no task, no shard span — and it
 stays exact while a shard is dead, because that shard's slice is
 already merged.  A slot that comes back at a new address has its slice
 refetched in the background; a changed digest re-merges.  A fetch that
 fails leaves no table, and then every request scatters.
 
-Everything else — past-table requests, requests the shared field
-checks (:func:`~repro.serve.service.parse_query`) reject, and every
-request while there is no table — fans out to every shard worker on
-the back side, and the router merges the per-shard top-k lists with
-the shared ``(-score, image id)`` total order
-(:mod:`repro.shard.partition`).  So the fleet buys fault isolation and
-past-table capacity, not hit capacity.
+Everything else — deeper requests, requests the shared field checks
+(:func:`~repro.serve.service.parse_query`) reject, and every request
+while there is no table — fans out to every shard worker on the back
+side, each answers from its own table (every vertex's whole owned
+ranking), and the router merges the per-shard top-k lists with the
+shared ``(-score, image id)`` total order
+(:mod:`repro.shard.partition`).  So the fleet buys fault isolation,
+not capacity.
 
 The headline of the fan-out is what happens when shards misbehave:
 
@@ -42,9 +45,9 @@ The headline of the fan-out is what happens when shards misbehave:
   claims more coverage than it has.  Only when *no* shard answers
   does a request fail (typed ``unavailable``);
 * **deadline budgets** — a request's ``budget_ms`` is forwarded to the
-  shards verbatim (their serve-side deadline machinery applies
-  unchanged) and additionally caps how long the router itself waits,
-  so the router never holds a request past what the client paid for.
+  shards verbatim (they validate it and answer from their tables) and
+  caps how long the router itself waits, so the router never holds a
+  request past what the client paid for.
 
 Graceful drain (SIGTERM/SIGINT) is ordered: stop accepting → finish
 every in-flight fan-out and flush → close shard connections → SIGTERM
@@ -78,9 +81,9 @@ from ..obs.scrape import aggregate_fleet
 from ..obs.trace import (FLAG_DEGRADED, FLAG_ERROR, SamplePolicy, Tracer,
                          shift_span_row, trace_recorder)
 from ..serve.breaker import STATE_CODES, CircuitBreaker
-from ..serve.deadline import is_budget_ms
 from ..serve.errors import BadRequest, error_response
-from ..serve.service import parse_query, parse_trace_context, table_digest
+from ..serve.service import (is_budget_ms, parse_query, parse_trace_context,
+                             table_digest)
 from .client import ShardClient, ShardUnavailable
 from .partition import merge_matches
 

@@ -113,3 +113,30 @@ class TestAttachValidation:
             np.testing.assert_array_equal(tied_matcher.score(), before)
         finally:
             tied_matcher.detach_index()
+
+
+class TestScoreTopkOnIncomparableScores:
+    def test_nan_rows_are_padded_not_fatal(self, tied_matcher,
+                                           monkeypatch):
+        """A score row with fewer than ``top_k`` comparable values keeps
+        them, best first, and pads with ``-1`` / ``-inf``, as the
+        docstring promises; every other row is its usual cut."""
+        vertices = list(tied_matcher.vertex_ids[:5])
+        real = tied_matcher.score(vertices)
+        planted = real.copy()
+        planted[1, :] = np.nan
+        planted[3, 2:] = np.nan
+        monkeypatch.setattr(tied_matcher, "score",
+                            lambda vertex_ids=None: planted.copy())
+        ids, scores = tied_matcher.score_topk(vertices, 4)
+        assert ids.shape == scores.shape == (5, 4)
+        np.testing.assert_array_equal(ids[1], [-1] * 4)
+        assert np.isneginf(scores[1]).all()
+        top = np.argsort(-planted[3, :2], kind="stable")
+        np.testing.assert_array_equal(ids[3], list(top) + [-1, -1])
+        assert np.isneginf(scores[3, 2:]).all()
+        for row in (0, 2, 4):
+            want = sorted(range(real.shape[1]),
+                          key=lambda i: (-real[row, i], i))[:4]
+            np.testing.assert_array_equal(ids[row], want)
+            np.testing.assert_array_equal(scores[row], real[row, want])

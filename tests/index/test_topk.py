@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.index import deterministic_topk, deterministic_topk_rows
+from repro.index.topk import padded_topk_rows
 
 
 def reference_topk(scores, k):
@@ -73,3 +74,41 @@ class TestRows:
     def test_empty_batch(self):
         out = deterministic_topk_rows(np.zeros((0, 5), dtype=np.float32), 3)
         assert out.shape == (0, 3)
+
+
+class TestIncomparableValues:
+    """NaN is never selected: a row with fewer than k comparable values
+    has every comparable index, in order, and no more."""
+
+    @pytest.mark.parametrize("scores,k,want", [
+        ([1.0, np.nan, np.nan], 2, [0]),
+        ([1.0, np.nan, np.nan], 3, [0]),
+        ([np.nan, 2.0, np.nan, 1.0], 3, [1, 3]),
+        ([np.nan, np.nan], 1, []),
+        ([np.nan, 2.0, 5.0, 1.0], 2, [2, 1]),
+    ])
+    def test_comparable_values_in_order(self, scores, k, want):
+        np.testing.assert_array_equal(
+            deterministic_topk(np.asarray(scores), k), want)
+
+    def test_rows_name_the_short_row(self):
+        scores = np.zeros((5, 4))
+        scores[3, 1:] = np.nan
+        with pytest.raises(ValueError, match="row 3 has 1 comparable "
+                                             "values, fewer than k = 2"):
+            deterministic_topk_rows(scores, 2)
+        # a short call (under four rows) names the row the same way
+        with pytest.raises(ValueError, match="row 1 has 1 comparable"):
+            deterministic_topk_rows(scores[2:4], 2)
+
+    def test_padded_rows_keep_what_the_row_has(self):
+        scores = np.array([[0.5, np.nan, 0.7, 0.1],
+                           [np.nan, np.nan, 0.2, np.nan],
+                           [np.nan] * 4], dtype=np.float32)
+        ids, values = padded_topk_rows(scores, 3)
+        np.testing.assert_array_equal(ids, [[2, 0, 3], [2, -1, -1],
+                                            [-1, -1, -1]])
+        np.testing.assert_array_equal(
+            values, np.array([[0.7, 0.5, 0.1], [0.2, -np.inf, -np.inf],
+                              [-np.inf] * 3], dtype=np.float32))
+        assert values.dtype == np.float32

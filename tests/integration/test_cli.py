@@ -121,15 +121,15 @@ class TestCLIValidation:
         ["match", "cub", "--epochs", "two"],
         ["match", "cub", "--checkpoint-every", "0"],
         ["serve", "cub", "--epochs", "0"],
-        ["serve", "cub", "--max-pending", "0"],
-        ["serve", "cub", "--batch-workers", "0"],
+        ["serve", "cub", "--conn-inflight", "0"],
+        ["serve", "cub", "--drain-timeout-s", "0"],
         ["serve", "cub", "--top-k", "0"],
-        ["serve", "cub", "--default-budget-ms", "0"],
-        ["serve", "cub", "--batch-window-ms", "-1"],
-        ["serve", "cub", "--breaker-threshold", "0"],
-        ["serve", "cub", "--breaker-threshold", "1.5"],
-        ["serve", "cub", "--breaker-min-calls", "0"],
-        ["serve", "cub", "--breaker-cooldown-ms", "0"],
+        ["serve", "cub", "--shard-count", "0"],
+        ["serve", "cub", "--shard-slot", "-1"],
+        ["route", "cub", "--listen", ":0", "--breaker-threshold", "0"],
+        ["route", "cub", "--listen", ":0", "--breaker-threshold", "1.5"],
+        ["route", "cub", "--listen", ":0", "--breaker-min-calls", "0"],
+        ["route", "cub", "--listen", ":0", "--breaker-cooldown-ms", "0"],
         ["serve", "cub", "--trace-sample-rate", "1.5"],
         ["serve", "cub", "--trace-sample-rate", "-0.1"],
         ["load", "run", "cub", "--rate", "0"],
@@ -151,6 +151,20 @@ class TestCLIValidation:
         ["serve", "cub", "--capacity", "16"],
         ["route", "cub", "--listen", ":0", "--workers", "1"],
         ["load", "run", "cub", "--workers", "2"],
+        # so are the micro-batcher's, the service breaker's, the
+        # deadline's and the serve-time index's: every request is a
+        # slice of the answer table
+        ["serve", "cub", "--batch-window-ms", "2"],
+        ["serve", "cub", "--max-batch", "16"],
+        ["serve", "cub", "--max-pending", "256"],
+        ["serve", "cub", "--batch-workers", "2"],
+        ["serve", "cub", "--default-budget-ms", "100"],
+        ["serve", "cub", "--breaker-threshold", "0.5"],
+        ["serve", "cub", "--index", "shard.npz"],
+        ["route", "cub", "--listen", ":0", "--batch-window-ms", "2"],
+        ["route", "cub", "--listen", ":0", "--default-budget-ms", "100"],
+        ["load", "run", "cub", "--index", "shard.npz"],
+        ["load", "run", "cub", "--default-budget-ms", "100"],
     ])
     def test_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

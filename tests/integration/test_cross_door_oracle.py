@@ -179,7 +179,7 @@ def through_stdio(matcher, requests):
 
 def through_tcp(matcher, requests):
     server = NetServer(make_service(matcher),
-                       NetServeConfig(batch_window_ms=5.0, max_batch=8))
+                       NetServeConfig())
     with running(server) as address:
         answers = ask_over_socket(address, requests)
     return [answers[request["id"]] for request in requests]
@@ -189,7 +189,7 @@ def through_router(matcher, requests):
     with contextlib.ExitStack() as stack:
         addresses = [stack.enter_context(running(NetServer(
             make_service(matcher, shard_slot=slot, shard_count=2),
-            NetServeConfig(batch_window_ms=2.0, max_batch=8))))
+            NetServeConfig())))
             for slot in range(2)]
         router = ShardRouter(StaticEndpoints(addresses),
                              RouterConfig(shard_timeout_ms=10000.0))

@@ -44,8 +44,7 @@ def live_server(make_service):
     the drain path."""
     service = make_service()
     server = NetServer(service, NetServeConfig(
-        host="127.0.0.1", port=0, batch_window_ms=5.0, max_batch=16,
-        drain_timeout_s=10.0))
+        host="127.0.0.1", port=0, drain_timeout_s=10.0))
     ready = threading.Event()
     bound = {}
 

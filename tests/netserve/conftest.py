@@ -51,23 +51,31 @@ def make_service(fitted_hard):
     return make
 
 
-@pytest.fixture()
-def gated_service(make_service):
-    """``(service, gate)``: a service whose scoring calls block until
-    ``gate`` is set — a busy scorer on demand, so a test can pile
-    requests up behind an in-flight call instead of racing the
-    batcher's dispatch-when-idle rule."""
-    service = make_service()
-    gate = threading.Event()
-    handle_batch = service.handle_batch
+class HeldNetServer(NetServer):
+    """A :class:`NetServer` whose answers wait for :meth:`release`: what
+    a slow backend looks like to the line server, so a test can hold
+    responses outstanding (every real answer is written inline)."""
 
-    def held(requests):
-        assert gate.wait(timeout=30)
-        return handle_batch(requests)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.held = True
+        self.parked = []
 
-    service.handle_batch = held
-    yield service, gate
-    gate.set()
+    def submit(self, request, deliver) -> None:
+        if self.held:
+            self.parked.append((request, deliver))
+        else:
+            super().submit(request, deliver)
+
+    def release(self) -> None:
+        """Answer everything parked, on the loop, and stop holding."""
+        def answer():
+            self.held = False
+            parked, self.parked = self.parked, []
+            for request, deliver in parked:
+                super(HeldNetServer, self).submit(request, deliver)
+
+        self._loop.call_soon_threadsafe(answer)
 
 
 @pytest.fixture()
@@ -77,13 +85,12 @@ def run_server(make_service):
     the drain was clean — a hung drain fails the test that caused it."""
     started = []
 
-    def start(service=None, **config_overrides):
+    def start(service=None, door=NetServer, **config_overrides):
         if service is None:
             service = make_service()
-        settings = dict(host="127.0.0.1", port=0, batch_window_ms=5.0,
-                        max_batch=8, drain_timeout_s=10.0)
+        settings = dict(host="127.0.0.1", port=0, drain_timeout_s=10.0)
         settings.update(config_overrides)
-        server = NetServer(service, NetServeConfig(**settings))
+        server = door(service, NetServeConfig(**settings))
         ready = threading.Event()
         bound = {}
         exit_code = {}

@@ -1,17 +1,17 @@
-"""A table hit is answered where its line is read.
+"""Every request is answered where its line is read.
 
-A request with ``top_k <= table_k`` is a slice of the answer table, so
-:meth:`MicroBatcher.submit` answers it in the submitting thread: on the
-TCP door that is the event loop, inside the ``data_received`` that
-framed the line; on the stdio door it is the reader.  The claims:
+Every request, whatever its ``top_k``, is a slice of the answer table,
+so :meth:`NetServer.submit` answers it on the event loop, inside the
+``data_received`` that framed the line; on the stdio door the reader
+answers it.  The claims:
 
-* a hit is answered while the batcher's pool is gated shut, over TCP
-  and over stdio, and no batch is ever flushed for it;
+* a request deeper than the ``table`` op's head is a table hit too,
+  over TCP and over stdio (``serve.table_hits_total``);
 * its bytes are :meth:`MatchService.handle_batch`'s, for every vertex
-  and every ``top_k`` in ``1..table_k``, on hard, soft and indexed
+  and every ``top_k`` in ``1..|I| + 1``, on hard, soft and indexed
   worlds;
-* a client that pipelines hits without reading its answers is held by
-  the transport's flow control: the server's write buffer stays near
+* a client that pipelines requests without reading its answers is held
+  by the transport's flow control: the server's write buffer stays near
   the high-water mark instead of growing with the backlog.
 """
 
@@ -29,11 +29,10 @@ import pytest
 from repro.core.matcher import CrossEM, CrossEMConfig
 from repro.index import IVFPQConfig
 from repro.obs import registry
-from repro.serve import MatchService, ServeConfig, serve_loop
+from repro.netserve import TABLE_K
+from repro.serve import MatchService, serve_loop
 
 from .test_server import PAST_TABLE, Client, wait_until
-
-TABLE_K = ServeConfig().table_k
 
 
 def counter(name: str) -> float:
@@ -48,41 +47,29 @@ def without_elapsed(raw) -> str:
     return json.dumps(body, separators=(",", ":"))
 
 
-class TestHitsSkipTheBatcher:
-    def test_tcp_hit_answered_with_the_pool_gated_shut(self, run_server,
-                                                       gated_service,
-                                                       fitted_hard):
-        service, gate = gated_service
-        _, address = run_server(service=service)
+class TestDeepRequestsAreTableHits:
+    def test_tcp_deep_request_is_a_table_hit(self, run_server, fitted_hard):
+        _, address = run_server()
         client = Client(address, timeout=10.0)
         vertex = int(fitted_hard.vertex_ids[0])
-        for top_k in (1, TABLE_K):
+        for top_k in (1, TABLE_K, PAST_TABLE):
             response = client.ask({"id": top_k, "vertex": vertex,
                                    "top_k": top_k})
             assert response["ok"] is True and response["id"] == top_k
             assert len(response["matches"]) == top_k
-        # past the table the request still needs the (shut) pool
-        client.send({"id": "past", "vertex": vertex, "top_k": PAST_TABLE})
-        pending = registry().gauge("netserve.pending")
-        assert wait_until(lambda: pending.value == 1)
-        assert counter("netserve.batch.flush_total") == 0
-        assert counter("serve.table_hits_total") == 2
-        gate.set()
-        assert client.recv()["id"] == "past"
+        assert counter("serve.table_hits_total") == 3
         client.close()
 
-    def test_stdio_hit_answered_with_the_pool_gated_shut(self,
-                                                         gated_service,
-                                                         fitted_hard):
-        service, _ = gated_service
+    def test_stdio_deep_request_is_a_table_hit(self, make_service,
+                                               fitted_hard):
         vertex = int(fitted_hard.vertex_ids[0])
-        source = io.StringIO(json.dumps({"id": "hit", "vertex": vertex,
-                                         "top_k": TABLE_K}) + "\n")
+        source = io.StringIO(json.dumps({"id": "deep", "vertex": vertex,
+                                         "top_k": PAST_TABLE}) + "\n")
         sink = io.StringIO()
-        assert serve_loop(service, source, sink) == 1
+        assert serve_loop(make_service(), source, sink) == 1
         [response] = map(json.loads, sink.getvalue().splitlines())
-        assert response["ok"] is True and response["id"] == "hit"
-        assert counter("netserve.batch.flush_total") == 0
+        assert response["ok"] is True and response["id"] == "deep"
+        assert len(response["matches"]) == PAST_TABLE
         assert counter("serve.table_hits_total") == 1
 
 
@@ -106,9 +93,9 @@ def test_every_hit_over_tcp_equals_handle_batch(world, run_server):
                  "top_k": top_k,
                  "trace": {"trace_id": f"t-{vertex}-{top_k}"}}
                 for vertex in world.vertex_ids
-                for top_k in range(1, TABLE_K + 1)]
+                for top_k in range(1, len(world.images) + 2)]
     client = Client(address)
-    for request in requests:  # pipelined: hits hold no slot
+    for request in requests:  # pipelined: an inline answer holds no slot
         client.send(request)
     answers = {}
     for _ in requests:
@@ -116,7 +103,6 @@ def test_every_hit_over_tcp_equals_handle_batch(world, run_server):
         answers[json.loads(raw)["id"]] = raw
     client.close()
     assert counter("serve.table_hits_total") == len(requests)
-    assert counter("netserve.batch.flush_total") == 0
     for request in requests:
         expected = service.handle_batch([request])[0]
         assert without_elapsed(answers[request["id"]]) == \

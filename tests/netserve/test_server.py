@@ -1,11 +1,12 @@
 """The TCP front end, end to end over real sockets.
 
 Every test speaks the actual wire protocol against a real
-:class:`NetServer` on an ephemeral port.  The marquee claim — batched
+:class:`NetServer` on an ephemeral port.  The marquee claim — pipelined
 responses bit-identical to the same queries served one at a time — is
-asserted over the wire: one client pipelines everything into a shared
-window, the other sends strictly sequentially (each request alone in
-its batch), and the match payloads must agree byte for byte.
+asserted over the wire: one client pipelines everything, the other
+sends strictly sequentially, and the match payloads must agree byte
+for byte.  Tests that need answers outstanding hold them in a
+:class:`HeldNetServer`, since a real one writes every answer inline.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ import threading
 import time
 from types import SimpleNamespace
 
-import pytest
-
+from repro.netserve import TABLE_K
 from repro.netserve.lineserver import LineServer
 from repro.obs import registry, set_tracing_enabled, trace_recorder
 from repro.obs.trace import SamplePolicy
-from repro.serve import ServeConfig
 
-#: a ``top_k`` past the answer table: scored, so it reaches the batcher's
-#: window and pool (a hit is answered where its line is read)
-PAST_TABLE = ServeConfig().table_k + 1
+from .conftest import HeldNetServer
+
+#: a ``top_k`` deeper than the head the ``table`` op ships: a router
+#: scatters it, a worker answers it from its own table
+PAST_TABLE = TABLE_K + 1
 
 
 class Client:
@@ -85,7 +86,8 @@ class TestProtocol:
         info = response["info"]
         assert info["vertices"] == [int(v) for v in fitted_hard.vertex_ids]
         assert info["images"] == len(fitted_hard.images)
-        assert info["max_batch"] == 8
+        assert info["conn_inflight"] == 32
+        assert "max_batch" not in info and "batch_window_ms" not in info
 
     def test_pipelined_responses_demux_by_id(self, run_server, fitted_hard):
         _, address = run_server()
@@ -146,7 +148,7 @@ class TestProtocol:
                                              fitted_hard):
         """Half-closing after pipelining must still deliver every
         response — the server flushes before hanging up."""
-        _, address = run_server(batch_window_ms=20.0)
+        _, address = run_server()
         client = Client(address)
         for i, vertex in enumerate(fitted_hard.vertex_ids[:4]):
             client.send({"id": i, "vertex": int(vertex)})
@@ -164,10 +166,10 @@ class TestProtocol:
 class TestBatchedExactness:
     def test_pipelined_equals_sequential_over_the_wire(self, run_server,
                                                        fitted_hard):
-        """The acceptance criterion, measured at the socket: a windowful
-        of concurrent queries answers bit-identically to the same
-        queries sent one at a time (every batch a singleton)."""
-        _, address = run_server(batch_window_ms=25.0, max_batch=32)
+        """The acceptance criterion, measured at the socket: a pipelined
+        burst of queries answers bit-identically to the same queries
+        sent one at a time."""
+        _, address = run_server()
         vertices = [int(v) for v in fitted_hard.vertex_ids]
         requests = [{"id": f"r{i}", "vertex": v, "top_k": PAST_TABLE + i % 3}
                     for i, v in enumerate(vertices)]
@@ -192,56 +194,22 @@ class TestBatchedExactness:
         for request_id in singles:
             assert match_payload(batched[request_id]) == \
                 match_payload(singles[request_id]), request_id
-        # and coalescing actually happened (not 2N singleton batches)
-        sizes = registry().histogram("netserve.batch.size")
-        assert sizes.row()["max"] > 1
-
-    def test_cross_connection_coalescing(self, run_server, gated_service,
-                                         fitted_hard):
-        """Two clients inside one window share a fused call — the whole
-        point of batching at the server instead of the client."""
-        service, gate = gated_service
-        _, address = run_server(service=service, batch_window_ms=200.0,
-                                max_batch=32)
-        vertices = [int(v) for v in fitted_hard.vertex_ids]
-        first, second = Client(address), Client(address)
-        # an idle batcher dispatches a lone request at once: keep the
-        # scorer busy, so the two clients' requests meet in the window
-        first.send({"id": "busy", "vertex": vertices[2],
-                    "top_k": PAST_TABLE})
-        first.send({"id": "a", "vertex": vertices[0], "top_k": PAST_TABLE})
-        second.send({"id": "b", "vertex": vertices[1], "top_k": PAST_TABLE})
-        pending = registry().gauge("netserve.pending")
-        assert wait_until(lambda: pending.value == 3)
-        gate.set()
-        assert {first.recv()["id"], first.recv()["id"]} == {"busy", "a"}
-        assert second.recv()["ok"] is True
-        first.close()
-        second.close()
-        flushes = registry().counter("netserve.batch.flush_total").value
-        sizes = registry().histogram("netserve.batch.size")
-        assert flushes == 2
-        assert sizes.row()["max"] == 2
 
 
 class TestBackpressure:
     def test_overloaded_shed_past_conn_inflight(self, run_server,
-                                                gated_service,
                                                 fitted_hard):
         """Pipelining past the per-connection cap without reading gets
         typed overloaded rejections, not unbounded buffering."""
-        service, gate = gated_service
-        _, address = run_server(service=service, batch_window_ms=2000.0,
-                                max_batch=1000, conn_inflight=2)
+        server, address = run_server(door=HeldNetServer, conn_inflight=2)
         client = Client(address)
         vertex = int(fitted_hard.vertex_ids[0])
-        # 2 occupy the cap (one held in the busy scorer, one parked in
-        # the huge window behind it), the rest shed
+        # 2 occupy the cap (held by the backend), the rest shed
         for i in range(5):
             client.send({"id": i, "vertex": vertex, "top_k": PAST_TABLE})
         shed_total = registry().counter("netserve.conn.overloaded_total")
         assert wait_until(lambda: shed_total.value == 3)
-        gate.set()
+        server.release()
         outcomes = {}
         for _ in range(5):
             response = client.recv()
@@ -254,18 +222,17 @@ class TestBackpressure:
         assert len(served) == 2
         assert shed_total.value == 3
 
-    @pytest.mark.parametrize("cap", ["conn_inflight", "max_pending"])
     def test_a_shed_is_traced_like_any_other_answer(self, run_server,
-                                                    gated_service,
-                                                    fitted_hard, cap):
-        """One refusal shape whichever bound refused: the answer
-        carries its ``trace_id``, joins the caller's trace context and
-        ships its spans, and the trace is flagged ``shed`` and kept at
-        sample rate 0 — or, with tracing off, carries no id at all."""
-        service, gate = gated_service
+                                                    make_service,
+                                                    fitted_hard):
+        """One refusal shape: the answer carries its ``trace_id``, joins
+        the caller's trace context and ships its spans, and the trace
+        is flagged ``shed`` and kept at sample rate 0 — or, with
+        tracing off, carries no id at all."""
+        service = make_service()
         service.tracer.policy = SamplePolicy(rate=0.0)
-        _, address = run_server(service=service, batch_window_ms=2000.0,
-                                **{cap: 1})
+        server, address = run_server(service=service, door=HeldNetServer,
+                                     conn_inflight=1)
         client = Client(address)
         vertex = int(fitted_hard.vertex_ids[0])
         # takes the one slot
@@ -292,10 +259,8 @@ class TestBackpressure:
         assert "trace_id" not in untraced
         reg = registry()
         assert reg.counter("serve.error.overloaded").value == 3
-        assert reg.counter(
-            "netserve.conn.overloaded_total" if cap == "conn_inflight"
-            else "netserve.shed_total").value == 3
-        gate.set()
+        assert reg.counter("netserve.conn.overloaded_total").value == 3
+        server.release()
         assert client.recv()["id"] == "held"
         client.close()
 
@@ -313,34 +278,26 @@ class TestBackpressure:
 
 class TestDrain:
     def test_drain_flushes_inflight_then_exits_clean(self, run_server,
-                                                     gated_service,
                                                      fitted_hard):
-        """Requests parked in the window when drain starts are still
+        """Requests the backend still holds when drain starts are still
         answered; the fixture teardown asserts exit code 0."""
-        service, gate = gated_service
-        server, address = run_server(service=service,
-                                     batch_window_ms=5000.0,
-                                     max_batch=1000)
+        server, address = run_server(door=HeldNetServer)
         client = Client(address)
         for i, vertex in enumerate(fitted_hard.vertex_ids[:3]):
             client.send({"id": i, "vertex": int(vertex),
                          "top_k": PAST_TABLE})
-        # wait until all three are accepted (one in the busy scorer, two
-        # parked behind it): drain guarantees flushing what was
-        # *accepted*, and bytes the reader has not yet seen are not
-        pending = registry().gauge("netserve.pending")
-        assert wait_until(lambda: pending.value == 3)
-        started = time.monotonic()
-        server.trigger_drain()  # window has ~5s left: drain must not wait
-        gate.set()
+        # wait until all three are accepted: drain guarantees flushing
+        # what was *accepted*, and bytes the reader has not yet seen
+        # are not
+        assert wait_until(lambda: len(server.parked) == 3)
+        server.trigger_drain()
+        server.release()
         got = []
         while len(got) < 3:
             response = client.recv()
             got.append(response)
         client.close()
         assert all(r["ok"] for r in got)
-        # drain flushed the parked window instead of waiting it out
-        assert time.monotonic() - started < 4.0
 
     def test_new_connections_refused_after_drain(self, run_server):
         server, address = run_server()

@@ -4,8 +4,8 @@
 before the rows function became one batched cut bounded by block
 maxima: one ``argpartition``, widened to the k-th value's tie class,
 and one ``lexsort`` per row.  Kept outside ``src/`` as the oracle the
-batched cut must equal, ``np.array_equal``, on every input (NaN rows
-included: where this loop raises, so must the kernel).
+batched cut must equal, ``np.array_equal``, on every input whose rows
+each hold at least k comparable values (NaN among them included).
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Serve-suite fixtures: a fitted soft-prompt matcher and a service
-factory with fast-tripping breaker defaults.
+factory.
 
-Every test runs against a clean metrics registry (breaker state and
-batcher gauges are process-wide), and services are pre-warmed in the
-factory so fault injection applied *after* construction never poisons
-warmup itself.
+Every test runs against a clean metrics registry (counters are
+process-wide), and services are pre-warmed in the factory so fault
+injection applied *after* construction never poisons warmup itself.
 """
 
 from __future__ import annotations
@@ -44,15 +43,10 @@ def fitted_soft(tiny_bundle, tiny_dataset):
 def make_service(fitted_soft):
     """Factory for pre-warmed services over the shared fitted matcher.
 
-    Keyword overrides go straight into :class:`ServeConfig`; defaults
-    trip the breaker quickly so fault tests stay fast.
+    Keyword overrides go straight into :class:`ServeConfig`.
     """
     def make(**overrides) -> MatchService:
-        settings = dict(breaker_window=4, breaker_min_calls=2,
-                        breaker_failure_threshold=0.5,
-                        breaker_cooldown_ms=60_000.0)
-        settings.update(overrides)
         return MatchService(fitted_soft,
-                            config=ServeConfig(**settings)).warmup()
+                            config=ServeConfig(**overrides)).warmup()
 
     return make

@@ -1,14 +1,13 @@
 """The answer table: every served byte is still the tile kernel's.
 
-``warmup()`` cuts each vertex's first ``table_k`` matches from the rows
-``_score_tile`` returns, and a request with ``top_k <= table_k`` is a
-slice of that entry.  The oracle here is independent of the service:
-the vertex's row of a ``batch_tile``-row ``CrossEM.score`` operand (or,
-behind an ANN index, of ``score_topk`` on that padded tile at the
-table's width), cut by ``deterministic_topk`` over the positions the
+``warmup()`` cuts each vertex's whole owned ranking from its row of a
+``BATCH_TILE``-row ``CrossEM.score`` operand, and every request is a
+prefix slice of that entry.  The oracle here is independent of the
+service: that row, cut by ``deterministic_topk`` over the positions the
 worker owns with the image ids as tie-break — for every vertex, every
-``top_k`` up to one past the table and a clamped huge one, unsharded
-and as every slot of 2 and 3 shards.
+``top_k`` up to one past the ``table`` op's head and a clamped huge
+one, unsharded and as every slot of 2 and 3 shards, with or without an
+ANN index attached.
 """
 
 from __future__ import annotations
@@ -23,12 +22,11 @@ import pytest
 
 from repro.core.matcher import CrossEM, CrossEMConfig
 from repro.index import IVFPQConfig, deterministic_topk
-from repro.obs import registry
+from repro.netserve import TABLE_K
+from repro.serve import BATCH_TILE as TILE
 from repro.serve import MatchService, ServeConfig
 from repro.shard import owned_positions
 
-TABLE_K = ServeConfig().table_k
-TILE = ServeConfig().batch_tile
 #: unsharded, then every slot of a 2- and a 3-shard fleet
 LAYOUTS = [(None, None)] + [(slot, count) for count in (2, 3)
                             for slot in range(count)]
@@ -66,17 +64,6 @@ def cut(matcher, row, top_k, slot=None, count=None):
 
 def brute_row(matcher, vertex):
     return matcher.score([vertex] * TILE)[0]
-
-
-def indexed_row(matcher, vertex, top_k, table_k=TABLE_K):
-    """The dense row the full tier built from an index search before
-    the table existed: ``score_topk`` on the padded tile, at least the
-    table's width, ``-inf`` off the shortlist."""
-    ids, scores = matcher.score_topk([vertex] * TILE, max(top_k, table_k))
-    row = np.full(len(matcher.images), -np.inf, dtype=np.float32)
-    valid = ids[0] >= 0
-    row[ids[0][valid]] = scores[0][valid]
-    return row
 
 
 def top_ks(matcher, table_k=TABLE_K):
@@ -124,12 +111,12 @@ class TestExactness:
     def test_ties_straddling_the_table_edge(self, tiny_bundle, tiny_dataset,
                                             slot, count):
         """Every image twice under shuffled ids: each score is an exact
-        tie.  An odd table width cuts a tie class in two, and the
-        prefix must still be the id-ordered answer."""
+        tie.  An odd ``top_k`` cuts a tie class in two, and the prefix
+        must still be the id-ordered answer."""
         matcher = fitted_hard(tiny_bundle, tiny_dataset,
                               duplicated(tiny_dataset.images))
         table_k = TABLE_K - 1
-        service = service_for(matcher, slot, count, table_k=table_k)
+        service = service_for(matcher, slot, count)
         for vertex in matcher.vertex_ids:
             row = brute_row(matcher, vertex)
             if count is None:
@@ -142,18 +129,20 @@ class TestExactness:
 
     @pytest.mark.parametrize("nprobe", [1, 4], ids=["probed", "exhaustive"])
     @pytest.mark.parametrize("slot,count", [(None, None), (0, 2), (1, 2)])
-    def test_indexed_answers_are_the_table_width_search(
+    def test_indexed_answers_are_the_tile_kernel(
             self, tiny_bundle, tiny_dataset, nprobe, slot, count):
+        """An attached index, probed or not, does not cut the table: an
+        indexed service serves the brute bytes."""
         matcher = fitted_hard(tiny_bundle, tiny_dataset)
         matcher.build_index(IVFPQConfig(nlist=4, nprobe=nprobe, pq_m=4,
                                         refine=2, seed=0))
         service = service_for(matcher, slot, count)
         for vertex in matcher.vertex_ids:
+            row = brute_row(matcher, vertex)
             for top_k in top_ks(matcher):
                 k = min(top_k, len(matcher.images))
-                assert served(service, vertex, top_k) == cut(
-                    matcher, indexed_row(matcher, vertex, k), k, slot,
-                    count), (vertex, top_k)
+                assert served(service, vertex, top_k) == \
+                    cut(matcher, row, k, slot, count), (vertex, top_k)
 
 
 class TestSlice:
@@ -175,15 +164,15 @@ class TestSlice:
                 return _real(self, *args, **kwargs)
 
             monkeypatch.setattr(CrossEM, name, spy)
-        requests = [{"id": i, "vertex": v, "top_k": (i % TABLE_K) + 1}
+        images = len(matcher.images)
+        requests = [{"id": i, "vertex": v, "top_k": (i % (images + 5)) + 1}
                     for i, v in enumerate(matcher.vertex_ids)]
         responses = service.handle_batch(requests) \
             + [service.handle(request) for request in requests]
         assert all(r["ok"] and r["tier"] == "full" for r in responses)
+        assert {len(r["matches"]) for r in responses} == \
+            {min(r["top_k"], images) for r in requests}
         assert calls == []
-        service.handle({"vertex": matcher.vertex_ids[0],
-                        "top_k": TABLE_K + 1})
-        assert calls == ["score_topk" if indexed else "score"]
 
     def test_mutating_a_response_cannot_reach_the_table(self, hard_matcher):
         service = service_for(hard_matcher)
@@ -213,8 +202,6 @@ class TestWarmup:
         service = MatchService(matcher)
         with pytest.raises(RuntimeError, match="text backend down"):
             service.warmup()
-        assert registry().counter(
-            "serve.breaker.text.failures_total").value >= 1
         # nothing was published: a request still reports the sick boot
         response = service.handle({"vertex": matcher.vertex_ids[0]})
         assert response["ok"] is False
@@ -257,12 +244,12 @@ class TestWarmup:
 
 
 def test_table_entries_own_their_memory(hard_matcher):
-    """Entries are cut out of their tile, so the table holds |V| x
-    table_k values, not a |V| x |I| score block."""
-    service = service_for(hard_matcher)
-    for ids, scores in service._table.values():
-        assert ids.base is None and scores.base is None
-        assert len(ids) == len(scores) == min(TABLE_K,
-                                              len(hard_matcher.images))
-        assert ids.dtype == np.int64 and scores.dtype == np.float32
+    """Entries are cut out of their tile, each the whole owned ranking:
+    no entry keeps a ``BATCH_TILE`` x |I| score block alive."""
+    for slot, count in LAYOUTS:
+        service = service_for(hard_matcher, slot, count)
+        for ids, scores in service._table.values():
+            assert ids.base is None and scores.base is None
+            assert len(ids) == len(scores) == service.owned_images
+            assert ids.dtype == np.int64 and scores.dtype == np.float32
 

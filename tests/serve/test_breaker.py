@@ -5,7 +5,17 @@ import pytest
 from repro.obs import registry
 from repro.serve import (STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN,
                          BreakerOpen, CircuitBreaker)
-from .test_deadline import FakeClock
+
+
+class FakeClock:
+    def __init__(self, start: float = 100.0) -> None:
+        self.now = start
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
 
 
 def make_breaker(clock, **overrides):

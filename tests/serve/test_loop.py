@@ -115,11 +115,11 @@ class TestServeLoop:
         assert reg.counter("serve.requests_total").value == 4
         assert reg.counter("serve.error.bad_request").value == 3
 
-    def test_piped_burst_coalesces_and_answers_handle_bytes(
+    def test_piped_burst_answers_handle_bytes_in_order(
             self, make_service, fitted_soft):
-        """Stdio goes through the same micro-batcher as the TCP door: a
-        burst of lines is fused into shared scoring calls, and fusing
-        changes no byte of any answer (DESIGN.md §13)."""
+        """Stdio answers every line inline, as the TCP door does: a
+        burst of deep requests comes back in line order, each with the
+        bytes ``handle`` gives it."""
         service = make_service()
         vertices = fitted_soft.vertex_ids
         requests = [{"id": f"q{i}", "vertex": vertices[i % len(vertices)],
@@ -127,12 +127,8 @@ class TestServeLoop:
         source = io.StringIO("".join(json.dumps(r) + "\n"
                                      for r in requests))
         sink = io.StringIO()
-        # a window far longer than the burst: whatever the first line's
-        # fate, the rest meet in one window (EOF's drain flushes it)
-        assert serve_loop(service, source, sink, window_ms=500.0) == 16
-        assert registry().histogram("netserve.batch.size").row()["max"] > 1
-        answers = {a["id"]: a for a in map(json.loads,
-                                           sink.getvalue().splitlines())}
-        for request in requests:
-            assert canonical(answers[request["id"]]) == \
-                canonical(service.handle(request))
+        assert serve_loop(service, source, sink) == 16
+        answers = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert [a["id"] for a in answers] == [r["id"] for r in requests]
+        for request, answer in zip(requests, answers):
+            assert canonical(answer) == canonical(service.handle(request))

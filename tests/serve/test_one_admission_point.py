@@ -1,10 +1,12 @@
-"""Keep the fork from growing back: one admission point, one pool.
+"""Keep the fork from growing back: no admission point, no pool.
 
-``MicroBatcher.submit`` is the only place a match request is admitted,
-queued and handed to a scoring thread.  ``MatchService`` once had a
-second queue and worker pool of its own (``start`` / ``submit`` /
-``shutdown`` over a ``BoundedQueue``, sized by ``ServeConfig.capacity``
-and ``.workers``); these assertions fail the day one reappears.
+Every door calls ``MatchService.handle`` inline: a request is a slice
+of the answer table, so there is nothing to queue or to run elsewhere.
+``MatchService`` once had a queue and worker pool of its own (``start``
+/ ``submit`` / ``shutdown`` over a ``BoundedQueue``, sized by
+``ServeConfig.capacity`` and ``.workers``), and the doors later shared
+a micro-batcher's window and pool; these assertions fail the day one
+reappears.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
+import repro.serve
 import repro.serve.service as service_module
 from repro.serve import MatchService, ServeConfig
 
@@ -22,3 +25,4 @@ def test_the_service_owns_no_thread_no_queue_and_no_knob_for_either():
         assert not hasattr(MatchService, name), name
     fields = {field.name for field in dataclasses.fields(ServeConfig)}
     assert not fields & {"capacity", "workers"}
+    assert not hasattr(repro.serve, "MicroBatcher")

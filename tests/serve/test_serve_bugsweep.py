@@ -1,11 +1,11 @@
-"""The serve-layer bug sweep: warmup breakers, top_k clamp, emit death.
+"""The serve-layer bug sweep: warmup failures, top_k clamp, emit death.
 
-Three previously-latent bugs, each pinned by a regression test:
+Previously-latent bugs, each pinned by a regression test:
 
-* ``warmup()`` used to run encodes outside the circuit breakers, so a
-  wedged encoder could stall startup forever with no breaker ever
-  noticing — now every warmup encode runs inside the answer table's
-  breaker-guarded tile calls.
+* ``warmup()`` used to run encodes outside the scoring path, so a
+  wedged encoder could stall startup with nothing noticing — now every
+  warmup encode runs inside the answer table's tile calls, and a
+  failure there fails the warm-up loudly.
 * ``_parse`` accepted any positive ``top_k`` (``10**9`` included) and
   downstream code dutifully tried to honour it; now it clamps to the
   image repository size and answers with that many matches.
@@ -14,7 +14,7 @@ Three previously-latent bugs, each pinned by a regression test:
   trace.
 * ``serve_loop``'s ``emit`` let a sink write failure propagate out of a
   worker thread mid-drain, silently killing the worker; now it is
-  caught, counted (``serve.emit.failed``), and triggers a clean stop.
+  caught, counted (``serve.emit.failed``), and stops the loop.
 """
 
 from __future__ import annotations
@@ -26,38 +26,41 @@ import time
 import pytest
 
 from repro.obs import registry, trace_recorder
-from repro.serve import MatchService, serve_loop
+from repro.serve import BATCH_TILE, MatchService, serve_loop
 
 
-class TestWarmupThroughBreakers:
-    def test_warmup_counts_in_the_text_breaker(self, fitted_soft):
-        """Every tile call of the table build shows up in breaker
-        telemetry — proof the calls run *inside* the breaker."""
+class TestWarmupThroughTiles:
+    def test_warmup_scores_one_tile_per_batch_tile_vertices(
+            self, fitted_soft, monkeypatch):
+        """The table build is whole ``BATCH_TILE``-row score calls, one
+        per ``BATCH_TILE`` vertices, and nothing else scores."""
         service = MatchService(fitted_soft)
-        tiles = -(-len(fitted_soft.vertex_ids) // service.config.batch_tile)
-        before = registry().counter(
-            "serve.breaker.text.successes_total").value
+        real = type(fitted_soft).score
+        calls = []
+
+        def spy(self, vertices=None):
+            calls.append(len(vertices))
+            return real(self, vertices)
+
+        monkeypatch.setattr(type(fitted_soft), "score", spy)
         service.warmup()
-        assert registry().counter(
-            "serve.breaker.text.successes_total").value == before + tiles
+        tiles = -(-len(fitted_soft.vertex_ids) // BATCH_TILE)
+        assert calls == [BATCH_TILE] * tiles
 
     def test_wedged_image_encoder_fails_loud(self, fitted_soft,
                                              monkeypatch):
-        """An image tower that raises during warm-up must surface
-        through the text breaker the table build calls it under
-        (counted as a breaker failure), not bypass it."""
+        """An image tower that raises during warm-up fails the warm-up
+        loudly, and a request meanwhile is a typed ``internal``."""
         service = MatchService(fitted_soft)
 
         def broken_encode(indices=None):
             raise RuntimeError("image tower wedged")
 
         monkeypatch.setattr(fitted_soft, "_encode_images", broken_encode)
-        failures_before = registry().counter(
-            "serve.breaker.text.failures_total").value
         with pytest.raises(RuntimeError, match="image tower wedged"):
             service.warmup()
-        assert registry().counter(
-            "serve.breaker.text.failures_total").value > failures_before
+        response = service.handle({"vertex": fitted_soft.vertex_ids[0]})
+        assert response["error"]["type"] == "internal"
 
 
 class TestTopKClamp:
@@ -151,7 +154,7 @@ class TestEmitFailure:
 
     def test_sink_failure_stops_reading(self, make_service, fitted_soft):
         """Once a write has failed the loop takes no more work: it asks
-        the source for at most the line it was already waiting on."""
+        the source for no further line."""
         service = make_service()
         line = json.dumps({"id": 1, "vertex": fitted_soft.vertex_ids[0]})
         failed = registry().counter("serve.emit.failed")
@@ -170,7 +173,7 @@ class TestEmitFailure:
 
         assert serve_loop(service, source(), _FailingSink(survive=1)) == 1
         assert failed.value >= 1
-        assert pulled == ["one more"]
+        assert pulled == []
 
     def test_healthy_sink_counts_nothing(self, make_service, fitted_soft):
         service = make_service()

@@ -1,38 +1,21 @@
 """Request tracing through the serve layer, on fake clocks.
 
-Every response must carry a ``trace_id``; error, deadline and shed
-requests must be retained even at sample rate 0; breaker flips and
-deadline checks must land inside the owning request's trace; with
-tracing disabled nothing is minted or recorded.  Scenarios about the
-scoring call ask for ``PAST_TABLE`` matches: a smaller request is a
-slice of the answer table and makes no scoring call to trace or fail.
+Every response must carry a ``trace_id``; error and shed requests must
+be retained even at sample rate 0; a request's slice of the answer
+table lands inside its own trace; with tracing disabled nothing is
+minted or recorded.
 """
 
 import itertools
-import threading
 
 import pytest
 
 from repro.obs.trace import (SamplePolicy, TraceRecorder, Tracer,
                              set_tracing_enabled)
-from repro.serve import MatchService, MicroBatcher, ServeConfig
+from repro.serve import MatchService, ServeConfig
 
-from .test_deadline import FakeClock
+from .test_breaker import FakeClock
 from .test_service import PAST_TABLE
-
-
-class AutoClock(FakeClock):
-    """A FakeClock that also advances a little on every read, so
-    deadlines actually elapse without real time passing."""
-
-    def __init__(self, start: float = 100.0, step: float = 0.01) -> None:
-        super().__init__(start)
-        self.step = step
-
-    def __call__(self) -> float:
-        value = self.now
-        self.now += self.step
-        return value
 
 
 def make_traced_service(fitted_soft, *, rate=1.0, clock=None,
@@ -42,38 +25,17 @@ def make_traced_service(fitted_soft, *, rate=1.0, clock=None,
     recorder = TraceRecorder(capacity=trace_capacity)
     tracer = Tracer(policy=SamplePolicy(rate=rate), recorder=recorder,
                     clock=clock, id_factory=lambda: next(ids))
-    settings = dict(breaker_window=4, breaker_min_calls=2,
-                    breaker_failure_threshold=0.5,
-                    breaker_cooldown_ms=60_000.0)
-    settings.update(overrides)
-    service = MatchService(fitted_soft, config=ServeConfig(**settings),
+    service = MatchService(fitted_soft, config=ServeConfig(**overrides),
                            clock=clock, tracer=tracer).warmup()
     return service, recorder
 
 
 def shed_by_full_batcher(service, request):
-    """``request``'s answer, asked past the answer table, from a batcher
-    whose one slot is taken by a call the scorer is still holding (a
-    hit never takes a slot, so it could not be shed)."""
-    gate = threading.Event()
-    handle_batch = service.handle_batch
-
-    def held(requests):
-        assert gate.wait(timeout=30)
-        return handle_batch(requests)
-
-    service.handle_batch = held
-    batcher = MicroBatcher(service, max_pending=1)
-    answers = []
-    batcher.submit({"vertex": request["vertex"], "top_k": PAST_TABLE},
-                   answers.append)
-    # refused by the submitter
-    batcher.submit(dict(request, top_k=PAST_TABLE), answers.append)
-    [shed] = answers  # ... while the admitted one is still held
-    gate.set()
-    assert batcher.drain()
-    assert len(answers) == 2 and answers[1]["ok"] is True
-    return shed
+    """``request``'s answer when a door refuses to admit it — what a
+    connection past its outstanding cap gets: the one refusal shape,
+    :meth:`MatchService.reject`."""
+    return service.reject(request, "overloaded",
+                          "connection has 1 responses outstanding (cap 1)")
 
 
 def span_names(span, acc=None):
@@ -116,23 +78,14 @@ class TestTraceIds:
         names = span_names(row["spans"])
         assert names[0] == "serve.request"
         assert "tier/full" in names
-        assert "matcher/score" in names
-        # the parsed request is recorded before any scoring work
+        # a deep request is a slice too: nothing is scored or encoded
+        assert "matcher/score" not in names
+        assert not events_of(row["spans"], "stage")
+        # the parsed request is recorded before the slice is cut
         [request] = events_of(row["spans"], "request")
         tier_span = next(c for c in row["spans"]["children"]
                          if c["name"] == "tier/full")
         assert request["at_ms"] <= tier_span["start_ms"]
-        # the matcher's stage hooks leave typed events inside the score;
-        # a served query never re-runs the text tower: its text rows are
-        # a hit on the frozen matrix warmup built
-        stages = [e["attrs"]["stage"]
-                  for e in events_of(row["spans"], "stage")]
-        assert "score" in stages
-        assert "encode_text" not in stages
-        prompt_hits = [e["attrs"]["hit"]
-                       for e in events_of(row["spans"], "cache")
-                       if e["attrs"]["cache"] == "prompt"]
-        assert prompt_hits == [True]
 
     def test_table_hit_records_its_cache_event(self, fitted_soft):
         """A request the answer table covers is a slice under
@@ -148,25 +101,6 @@ class TestTraceIds:
         caches = [e["attrs"] for e in events_of(row["spans"], "cache")]
         assert caches == [{"cache": "table", "hit": True}]
 
-    def test_lone_batched_query_is_scored_inside_its_trace(self,
-                                                           fitted_soft):
-        """What a lone TCP query gets: ``handle_batch([r])`` scores it
-        inside the request's own trace, so the retained trace shows the
-        matcher's span under ``tier/full`` (a pre-fetched group member
-        shows only the ``batch`` event — its scoring was shared)."""
-        service, recorder = make_traced_service(fitted_soft)
-        v = fitted_soft.vertex_ids
-        service.handle_batch([{"vertex": v[0], "top_k": PAST_TABLE}])
-        service.handle_batch([{"vertex": v[1], "top_k": PAST_TABLE},
-                              {"vertex": v[2], "top_k": PAST_TABLE}])
-        lone, fused, _ = recorder.snapshot()
-        tier_span = next(c for c in lone["spans"]["children"]
-                         if c["name"] == "tier/full")
-        assert "matcher/score" in span_names(tier_span)
-        assert not events_of(lone["spans"], "batch")
-        assert "matcher/score" not in span_names(fused["spans"])
-        assert events_of(fused["spans"], "batch")
-
 
 class TestForcedRetention:
     def test_errors_always_sampled_at_rate_zero(self, fitted_soft):
@@ -179,33 +113,6 @@ class TestForcedRetention:
         [event] = events_of(row["spans"], "error")
         assert event["attrs"]["code"] == "bad_request"
 
-    def test_deadline_blown_requests_always_sampled(self, fitted_soft):
-        clock = AutoClock(step=0.01)  # 10ms per clock read
-        service, recorder = make_traced_service(fitted_soft, rate=0.0,
-                                                clock=clock)
-        response = service.handle({"vertex": fitted_soft.vertex_ids[0],
-                                   "top_k": PAST_TABLE, "budget_ms": 1})
-        assert response["ok"] is False
-        assert response["error"]["type"] == "deadline_exceeded"
-        [row] = recorder.snapshot()
-        assert "deadline" in row["flags"] and "error" in row["flags"]
-        assert events_of(row["spans"], "deadline")
-
-    def test_breaker_transition_lands_in_request_trace(self, fitted_soft,
-                                                       monkeypatch):
-        service, recorder = make_traced_service(
-            fitted_soft, rate=0.0, breaker_window=2, breaker_min_calls=1)
-        monkeypatch.setattr(
-            service.matcher, "score",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
-        response = service.handle({"vertex": fitted_soft.vertex_ids[0],
-                                   "top_k": PAST_TABLE})
-        assert response["error"]["type"] == "internal"
-        [row] = recorder.snapshot()
-        [flip] = events_of(row["spans"], "breaker")
-        assert flip["attrs"] == {"breaker": "text", "from_state": "closed",
-                                 "to_state": "open"}
-
     def test_shed_requests_get_their_own_forced_trace(self, fitted_soft):
         service, recorder = make_traced_service(fitted_soft, rate=0.0)
         shed = shed_by_full_batcher(
@@ -216,7 +123,7 @@ class TestForcedRetention:
         [row] = recorder.snapshot()
         assert row["flags"] == ["error", "shed"]
         [event] = events_of(row["spans"], "shed")
-        assert "(1/1)" in event["attrs"]["reason"]
+        assert "(cap 1)" in event["attrs"]["reason"]
 
 
 class TestTraceJoin:

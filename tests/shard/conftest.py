@@ -78,8 +78,7 @@ def run_worker(fitted_hard):
             fitted_hard,
             config=ServeConfig(shard_slot=slot,
                                shard_count=count)).warmup()
-        settings = dict(host="127.0.0.1", port=0, batch_window_ms=2.0,
-                        max_batch=8, drain_timeout_s=10.0)
+        settings = dict(host="127.0.0.1", port=0, drain_timeout_s=10.0)
         settings.update(server_overrides)
         server = NetServer(service, NetServeConfig(**settings))
         ready = threading.Event()

@@ -29,7 +29,7 @@ from repro.loadgen import LoadConfig, SocketDriver, build_schedule, \
     fetch_info, run_schedule
 from repro.netserve.protocol import MAX_LINE_BYTES
 from repro.obs import registry
-from repro.serve import ServeConfig
+from repro.netserve import TABLE_K
 from repro.shard import ShardRouter
 
 from .conftest import StaticEndpoints
@@ -73,11 +73,12 @@ class Client:
             pass
 
 
-#: a request this wide is past every worker's answer table, so the router
-#: scatters it: the fan-out tests below use it to keep exercising the
+#: a request this wide is deeper than the head each worker's ``table``
+#: op ships, so the router scatters it and each worker answers from its
+#: own table: the fan-out tests below use it to keep exercising the
 #: fan-out (a ``top_k <= table_k`` hit is answered from the router's
 #: merged table and never reaches a shard)
-PAST_TABLE = ServeConfig().table_k + 1
+PAST_TABLE = TABLE_K + 1
 
 
 def match_payload(raw: bytes) -> str:

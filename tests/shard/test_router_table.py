@@ -36,7 +36,7 @@ import pytest
 
 from repro.core.matcher import CrossEM, CrossEMConfig
 from repro.index import IVFPQConfig
-from repro.netserve import NetServeConfig, NetServer
+from repro.netserve import TABLE_K, NetServeConfig, NetServer
 from repro.obs import registry
 from repro.serve import MatchService, ServeConfig, serve_loop
 from repro.serve.service import table_digest
@@ -46,7 +46,6 @@ from repro.shard.router import _Slice
 from .conftest import StaticEndpoints
 from .test_router import PAST_TABLE, Client, trace_ctx
 
-TABLE_K = ServeConfig().table_k
 
 
 class ScatterRouter(ShardRouter):
@@ -100,7 +99,7 @@ def serving(door):
 def worker(matcher, slot, count, server=NetServer):
     return server(MatchService(matcher, config=ServeConfig(
         shard_slot=slot, shard_count=count)).warmup(),
-        NetServeConfig(batch_window_ms=1.0, max_batch=8))
+        NetServeConfig())
 
 
 def router(endpoints, cls=ShardRouter):
