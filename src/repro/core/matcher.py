@@ -192,15 +192,6 @@ class CrossEM:
         rows = np.asarray([self._vertex_pos[v] for v in vertex_ids])
         return nn.Tensor(self._cached_text_matrix()[rows])
 
-    def encode_vertices_reference(self, vertex_ids: Sequence[int]) -> nn.Tensor:
-        """The uncached discrete-prompt path: re-tokenize and re-encode
-        every call.  No serving or training path calls it; it is the
-        golden reference the cache is tested against."""
-        texts = [self._hard_prompts[v] for v in vertex_ids]
-        token_ids = self.tokenizer.encode_batch(texts)
-        mask = self.tokenizer.attention_mask(token_ids)
-        return self.clip.encode_text(token_ids, mask)
-
     def _encode_images(self,
                        indices: Optional[Sequence[int]] = None) -> nn.Tensor:
         """Frozen image-tower embeddings for a batch of image indices;

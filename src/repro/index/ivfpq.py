@@ -51,6 +51,8 @@ __all__ = ["IVFPQConfig", "IVFPQIndex", "SearchResult", "build_ivfpq",
 _log = get_logger("repro.index.ivfpq")
 
 INDEX_KIND = "ivfpq"
+#: the shortlist key past a row's candidates; it sorts after every id
+_PAD = np.int64(np.iinfo(np.int64).max)
 
 
 @dataclasses.dataclass
@@ -140,6 +142,34 @@ def _pad_subspaces(matrix: np.ndarray, padded_dim: int) -> np.ndarray:
     out = np.zeros((matrix.shape[0], padded_dim), dtype=np.float32)
     out[:, :matrix.shape[1]] = matrix
     return out
+
+
+def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
+    """Column sums of an ``(m, n)`` float array in numpy's pairwise
+    order, so ``_pairwise_rows(a.T.copy())`` is bit-identical to
+    ``a.sum(axis=1)`` for a C-contiguous ``a``: below 8 rows a running
+    sum; up to 128, eight accumulators folded ``((0+1)+(2+3))+((4+5)+
+    (6+7))``, then the tail in sequence; above that, the two halves
+    split on a multiple of 8.  It sums in place, overwriting ``rows``."""
+    m = len(rows)
+    if m < 8:
+        for row in rows[1:]:
+            rows[0] += row
+        return rows[0]
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
+    body = m - m % 8
+    acc = rows[:8]
+    for lo in range(8, body, 8):
+        acc += rows[lo:lo + 8]
+    np.add(acc[0::2], acc[1::2], out=acc[0::2])
+    np.add(acc[0::4], acc[2::4], out=acc[0::4])
+    total = acc[0]
+    total += acc[4]
+    for row in rows[body:]:
+        total += row
+    return total
 
 
 def build_ivfpq(embeddings: np.ndarray,
@@ -257,7 +287,7 @@ class IVFPQIndex:
     def _take(self, rows: np.ndarray) -> np.ndarray:
         if isinstance(self._source, EmbeddingStore):
             return self._source.take(rows)
-        return self._source[rows]
+        return np.take(self._source, rows, axis=0)
 
     def _full_matrix(self) -> np.ndarray:
         """The whole repository (memmap view for stores) — only the
@@ -327,41 +357,28 @@ class IVFPQIndex:
 
     def _search_probed(self, queries: np.ndarray, kk: int, nprobe: int,
                        refine: int) -> SearchResult:
+        # Every step past the coarse GEMM is a few numpy calls for the
+        # whole batch (DESIGN.md §12 has the layout and the stage times).
         nq = len(queries)
-        ids = np.full((nq, kk), -1, dtype=np.int64)
-        scores = np.full((nq, kk), -np.inf, dtype=np.float32)
-        probes = np.zeros(nq, dtype=np.int64)
-        candidates = np.zeros(nq, dtype=np.int64)
-        shortlists = np.zeros(nq, dtype=np.int64)
-        # The whole batch's coarse scores, probe choices, ADC LUTs and
-        # candidate gathers run as a handful of large numpy ops; only
-        # shortlist selection and the exact re-rank stay per-query.
+        ksub = self.codebooks.shape[1]
         coarse = queries @ self.centroids.T            # (nq, nlist)
         # Probe choice: O(nlist) row-wise argpartition, then a stable
         # sort of just the nprobe winners so cells scan best-first.
         # (Boundary ties are pivot-resolved — harmless, they only pick
         # which cells get scanned; the *returned* ordering stays pinned
         # by the exact re-rank.)
-        if nprobe < self.nlist:
-            head = np.argpartition(-coarse, nprobe - 1, axis=1)[:, :nprobe]
-        else:
-            head = np.tile(np.arange(self.nlist), (nq, 1))
-        head_scores = np.take_along_axis(coarse, head, axis=1)
-        probe_order = np.take_along_axis(
-            head, np.argsort(-head_scores, axis=1, kind="stable"), axis=1)
-        padded = _pad_subspaces(queries, self.padded_dim)
-        subqueries = padded.reshape(nq, self.pq_m, self.sub_dim)
-        # (nq, m, ksub): LUT[q, j, c] = q_j · codebook_j[c] — built as
-        # pq_m BLAS matmuls, then laid out query-major for the flat
-        # per-candidate gather below.
-        luts = np.ascontiguousarray(
-            np.matmul(subqueries.transpose(1, 0, 2),
-                      self.codebooks.transpose(0, 2, 1)).transpose(1, 0, 2))
-        ksub = self.codebooks.shape[1]
-        code_cols = np.arange(self.pq_m, dtype=np.int64) * ksub
-        offsets = np.asarray(self.list_offsets)
-        lo = offsets[probe_order]                      # (nq, nprobe)
-        sizes = offsets[probe_order + 1] - lo
+        rows = np.arange(nq)[:, None]
+        head = np.argpartition(-coarse, nprobe - 1, axis=1)[:, :nprobe]
+        probe_order = head[rows, np.argsort(-coarse[rows, head], axis=1,
+                                            kind="stable")]
+        subqueries = _pad_subspaces(queries, self.padded_dim).reshape(
+            nq, self.pq_m, self.sub_dim)
+        # (pq_m, nq, ksub): LUT[j, q, c] = q_j · codebook_j[c], pq_m BLAS
+        # matmuls laid out subspace-major, as the ADC gather reads it.
+        luts = np.matmul(subqueries.transpose(1, 0, 2),
+                         self.codebooks.transpose(0, 2, 1))
+        lo = self.list_offsets[probe_order]            # (nq, nprobe)
+        sizes = self.list_offsets[probe_order + 1] - lo
         totals = sizes.sum(axis=1)
         seg_off = np.zeros(nq + 1, dtype=np.int64)
         np.cumsum(totals, out=seg_off[1:])
@@ -371,51 +388,35 @@ class IVFPQIndex:
         lens_flat = sizes.ravel()
         shifts = lo.ravel() - (np.cumsum(lens_flat) - lens_flat)
         cand_pos = np.repeat(shifts, lens_flat) + np.arange(grand)
-        cand_ids = np.asarray(self.list_ids)[cand_pos]
-        cand_codes = np.asarray(self.list_codes)[cand_pos]
-        base = np.repeat(
-            coarse[np.arange(nq)[:, None], probe_order].ravel(), lens_flat)
-        query_of = np.repeat(np.arange(nq, dtype=np.int64), totals)
-        # The ADC scan for every candidate of every query: pq_m
-        # flat-LUT lookups each, one fused gather + row sum.
-        flat_index = cand_codes + (query_of * (self.pq_m * ksub))[:, None]
-        flat_index += code_cols
-        adc = base + luts.ravel()[flat_index].sum(axis=1)
-        probes[:] = nprobe
-        candidates[:] = totals
-        # Shortlist selection: one argpartition per query (the only
-        # inherently per-query step — segment lengths vary), collected
-        # into a PAD-padded matrix so the exact re-rank can batch.
-        pad_id = np.int64(np.iinfo(np.int64).max)
+        base = np.repeat(coarse[rows, probe_order].ravel(), lens_flat)
+        # The ADC scan, subspace-major: one (pq_m, candidates) index into
+        # the flat LUT (code + query offset + subspace offset), one
+        # gather, and the pq_m rows summed in sum(axis=1)'s pairwise
+        # order.
+        lut_index = np.repeat(np.arange(nq) * ksub, totals) \
+            + (np.arange(self.pq_m) * (nq * ksub))[:, None]
+        lut_index += np.take(self.list_codes, cand_pos, axis=0).T
+        adc = _pairwise_rows(luts.ravel()[lut_index])
+        adc += base
         take_cap = max(refine * kk, kk)
-        take_max = int(min(take_cap, totals.max())) if nq else 0
-        shortmat = np.full((nq, take_max), pad_id, dtype=np.int64)
-        adcmat = np.full((nq, take_max), -np.inf, dtype=np.float32)
-        done = np.zeros(nq, dtype=bool)
-        escalate = []
+        live = totals >= kk
+        probes = np.where(live, nprobe, self.nlist)
+        candidates = np.where(live, totals, self.count)
+        shortlists = np.where(live, np.minimum(totals, take_cap), self.count)
         agreement, scored = 0.0, 0
-        for q in range(nq):
-            seg_lo, seg_hi = int(seg_off[q]), int(seg_off[q + 1])
-            if seg_hi - seg_lo < kk:
-                # The probed cells held fewer candidates than k —
-                # empty or skewed lists after coarse assignment.
-                # Escalate this query to an exact exhaustive scan
-                # rather than answer short.
-                done[q] = True
-                if self.count:
-                    escalate.append(q)
-                continue
-            adc_seg = adc[seg_lo:seg_hi]
-            take = min(take_cap, seg_hi - seg_lo)
-            if take < len(adc_seg):
-                head = (-adc_seg).argpartition(take - 1)[:take]
-            else:
-                head = np.arange(len(adc_seg))
-            shortmat[q, :take] = cand_ids[seg_lo + head]
-            adcmat[q, :take] = adc_seg[head]
-            shortlists[q] = take
-        if escalate:
-            esc = np.asarray(escalate, dtype=np.int64)
+        if kk and live.any():
+            ids, scores, hits, found = self._rerank(
+                queries, kk, take_cap, adc, totals, seg_off, cand_pos)
+            scored_rows = live & (found > 0)
+            agreement = float((hits[scored_rows] / found[scored_rows]).sum())
+            scored = int(np.count_nonzero(scored_rows))
+        else:
+            ids = np.full((nq, kk), -1, dtype=np.int64)
+            scores = np.full((nq, kk), -np.inf, dtype=np.float32)
+        # The probed cells of a row below k candidates (empty or skewed
+        # lists after coarse assignment) escalate to an exact scan.
+        esc = np.flatnonzero(~live)
+        if len(esc):
             # Exact inner products, but not brute force's bits: a BLAS
             # picks its kernel by the row count, and OpenBLAS 0.3.31
             # rounds a few-row product differently from the same rows
@@ -423,56 +424,76 @@ class IVFPQIndex:
             # row equals the same row of one >= 2-row GEMM over the
             # escalated sub-batch; a lone row is doubled, so it never
             # takes the GEMV path, whose sums differ again.
-            rows = esc if len(esc) > 1 else np.concatenate([esc, esc])
-            exact = (queries[rows] @ self._full_matrix().T)[:len(esc)]
+            twice = esc if len(esc) > 1 else np.concatenate([esc, esc])
+            exact = (queries[twice] @ self._full_matrix().T)[:len(esc)]
             # A row with fewer than k comparable scores (a NaN query's)
             # has no full answer: it keeps what deterministic_topk
             # returns and the -1 / -inf padding past it.
             ids[esc], scores[esc] = padded_topk_rows(exact, kk)
-            probes[esc] = self.nlist
-            candidates[esc] = shortlists[esc] = self.count
             agreement += float(len(esc))
             scored += len(esc)
-        live = ~done
-        if take_max and live.any():
-            # Batched exact re-rank.  Rows are sorted ascending by id
-            # (PAD sorts last), so the stable argsort on -scores breaks
-            # ties toward the lower vector id — the same total order
-            # deterministic_topk pins, now one call for the batch.
-            order_ids = np.sort(shortmat, axis=1)
-            gathered = self._take(
-                np.minimum(order_ids, self.count - 1).ravel()
-            ).reshape(nq, take_max, self.dim)
-            exact = (gathered @ queries[:, :, None])[:, :, 0]
-            exact[order_ids == pad_id] = -np.inf
-            top = np.argsort(-exact, axis=1, kind="stable")[:, :kk]
-            sel_ids = np.take_along_axis(order_ids, top, axis=1)
-            sel_scores = np.take_along_axis(exact, top, axis=1)
-            valid = sel_ids != pad_id
-            # sel_* can be narrower than kk when fewer than kk
-            # candidates were probed; the tail keeps its -1 / -inf pad.
-            width = sel_ids.shape[1]
-            full_ids = np.full((nq, kk), -1, dtype=np.int64)
-            full_scores = np.full((nq, kk), -np.inf, dtype=np.float32)
-            full_ids[:, :width] = np.where(valid, sel_ids, -1)
-            full_scores[:, :width] = np.where(valid, sel_scores, -np.inf)
-            ids[live] = full_ids[live]
-            scores[live] = full_scores[live]
-            # Recall proxy: how much of the exact top-k the raw ADC
-            # ranking already had, per live query.
-            adc_order = np.argsort(-adcmat, axis=1, kind="stable")[:, :kk]
-            adc_head = np.take_along_axis(shortmat, adc_order, axis=1)
-            for q in np.flatnonzero(live):
-                found = int(valid[q].sum())
-                if found:
-                    agreement += len(
-                        set(adc_head[q, :found].tolist())
-                        & set(ids[q, :found].tolist())) / found
-                    scored += 1
         return SearchResult(
             ids=ids, scores=scores, probes=probes, candidates=candidates,
             shortlists=shortlists,
             recall_proxy=agreement / scored if scored else 1.0)
+
+    def _rerank(self, queries: np.ndarray, kk: int, take_cap: int,
+                adc: np.ndarray, totals: np.ndarray, seg_off: np.ndarray,
+                cand_pos: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Shortlist every row's ``take_cap`` best ADC scores and
+        re-rank them exactly: ``(ids, scores, hits, found)``, where
+        ``hits`` of a row's ``found`` answers were in its ADC top k.
+        A row below k candidates gets an answer the caller replaces."""
+        nq = len(queries)
+        rows = np.arange(nq)[:, None]
+        width = int(totals.max())
+        take_max = min(take_cap, width)
+        # Every row's negated ADC scores in one +inf-padded matrix, one
+        # argpartition for the batch.
+        neg = np.full((nq, width), np.inf, dtype=np.float32)
+        neg.ravel()[np.arange(len(adc)) + np.repeat(
+            np.arange(nq) * width - seg_off[:-1], totals)] = -adc
+        pos = np.argpartition(neg, take_max - 1, axis=1)[:, :take_max]
+        short_neg = neg[rows, pos]
+        # The recall proxy's ADC head: each row's k best ADC scores.
+        adc_head = short_neg <= np.partition(short_neg, kk - 1,
+                                             axis=1)[:, kk - 1:kk]
+        # Where a tie straddles the shortlist cut or the k-th place, the
+        # set or the head is introselect's choice on the row alone, so
+        # such a row is cut again exactly as a lone row would be.
+        ragged = (totals > take_max) & (np.count_nonzero(
+            neg <= short_neg[:, -1:], axis=1) > take_max)
+        ragged |= np.count_nonzero(adc_head, axis=1) != kk
+        for q in np.flatnonzero(ragged & (totals >= kk)):
+            adc_seg = adc[seg_off[q]:seg_off[q + 1]]
+            take = min(take_cap, len(adc_seg))
+            if take < len(adc_seg):
+                row = (-adc_seg).argpartition(take - 1)[:take]
+            else:
+                row = np.arange(len(adc_seg))
+            pos[q, :take] = row
+            pos[q, take:] = len(adc_seg)
+            adc_head[q] = False
+            adc_head[q, np.argsort(-adc_seg[row], kind="stable")[:kk]] = True
+        # Keys ``id << 1 | not-in-head``, PAD past a row's shortlist:
+        # sorted, they order each row by id (PAD last), so the
+        # (-score, column) cut is the (-score, vector id) order, and
+        # every selected key still says whether the ADC head held it.
+        keys = np.asarray(self.list_ids)[cand_pos[np.minimum(
+            seg_off[:-1, None] + pos, len(adc) - 1)]] << 1 | ~adc_head
+        keys = np.sort(np.where(pos < totals[:, None], keys, _PAD), axis=1)
+        gathered = self._take(
+            np.minimum(keys >> 1, self.count - 1).ravel()
+        ).reshape(nq, take_max, self.dim)
+        exact = (gathered @ queries[:, :, None])[:, :, 0]
+        exact[keys == _PAD] = -np.inf
+        cols, scores = padded_topk_rows(exact, kk)
+        chosen = keys[rows, cols]
+        valid = (cols >= 0) & (chosen != _PAD)
+        return (np.where(valid, chosen >> 1, -1), scores,
+                np.count_nonzero(valid & (chosen & 1 == 0), axis=1),
+                np.count_nonzero(valid, axis=1))
 
     # -- introspection -----------------------------------------------------
     def describe(self) -> Dict[str, object]:

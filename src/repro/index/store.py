@@ -345,7 +345,8 @@ class EmbeddingStore:
         matter how large the repository is."""
         rows = np.asarray(rows, dtype=np.int64)
         if precision == "full":
-            return np.asarray(self.full[rows], dtype=np.float32)
+            return np.asarray(np.take(self.full, rows, axis=0),
+                              dtype=np.float32)
         if precision == "int8":
             codes = self.reader.section(self.SECTION_INT8)[rows]
             scales = self.reader.section(self.SECTION_SCALES)[rows]

@@ -161,7 +161,7 @@ def padded_topk_rows(scores: np.ndarray,
             ids[row, :len(top)] = top
             values[row, :len(top)] = row_scores[top]
         return ids, values
-    return top, np.take_along_axis(scores, top, axis=1)
+    return top, scores[np.arange(len(scores))[:, None], top]
 
 
 def _cut_by_block_bound(scores: np.ndarray, kk: int,

@@ -18,12 +18,12 @@ for the failure model and its guarantees.
 
 from .breaker import (STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN,
                       CircuitBreaker)
-from .errors import BadRequest, BreakerOpen, ServeError, error_response
+from .errors import BadRequest, ServeError, error_response
 from .loop import serve_loop
 from .service import BATCH_TILE, MatchService, ServeConfig, is_budget_ms
 
 __all__ = [
-    "ServeError", "BadRequest", "BreakerOpen", "error_response",
+    "ServeError", "BadRequest", "error_response",
     "is_budget_ms",
     "CircuitBreaker", "STATE_CLOSED", "STATE_HALF_OPEN", "STATE_OPEN",
     "BATCH_TILE", "MatchService", "ServeConfig",

@@ -5,13 +5,13 @@ The classic three-state machine:
 * **closed** — calls pass through; outcomes land in a sliding window.
   When the window holds at least ``min_calls`` outcomes and the failure
   rate reaches ``failure_threshold``, the breaker opens.
-* **open** — calls are rejected immediately with
-  :class:`~repro.serve.errors.BreakerOpen` (no backend work, no pile-up
-  behind a dead encoder).  After ``cooldown`` seconds the next call is
-  allowed through as a probe.
-* **half-open** — exactly one probe call runs at a time; its success
-  closes the breaker (window cleared), its failure re-opens it and the
-  cooldown restarts.
+* **open** — calls are refused at admission (no backend work, no
+  pile-up behind a dead worker).  After ``cooldown`` seconds the next
+  call is admitted as a probe.
+* **half-open** — admission hands out a single probe slot: one call
+  runs at a time and every other is refused until the probe's outcome
+  is recorded.  Its success closes the breaker (window cleared), its
+  failure re-opens it and the cooldown restarts.
 
 Every transition is recorded in the :mod:`repro.obs` metrics registry:
 ``serve.breaker.<name>.state`` is a gauge holding the state code
@@ -27,8 +27,10 @@ breaker suite does exactly this) cannot interfere through timing.  The
 only cross-instance state is the metrics registry, keyed by breaker
 *name*: give concurrently-live breakers distinct names or their
 ``serve.breaker.<name>.*`` instruments are shared.  All methods are
-thread-safe.  The shard router keeps one breaker per worker and drives
-it through :meth:`allows_call` and the ``record_*`` methods.
+thread-safe.  The shard router keeps one breaker per worker: each
+call it admits through :meth:`allows_call` ends in exactly one
+``record_*`` — a late or cancelled call counts as a failure — so the
+half-open probe slot is always handed back.
 """
 
 from __future__ import annotations
@@ -36,16 +38,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional
 
 from ..obs import add_trace_event, get_logger, registry
-from .errors import BreakerOpen
 
 __all__ = ["CircuitBreaker", "STATE_CLOSED", "STATE_HALF_OPEN", "STATE_OPEN"]
 
 _log = get_logger("repro.serve.breaker")
-
-T = TypeVar("T")
 
 STATE_CLOSED = "closed"
 STATE_HALF_OPEN = "half_open"
@@ -117,30 +116,19 @@ class CircuitBreaker:
             return self._state
 
     def allows_call(self) -> bool:
-        """Would a call be admitted right now?  (Non-binding: it does not
-        take the half-open probe slot.)"""
+        """Admit one call, or refuse it (counted in ``rejected_total``).
+        Closed admits every call; half-open admits one probe and holds
+        its slot until :meth:`record_success` or :meth:`record_failure`;
+        open admits none.  An admitted call must record its outcome."""
         with self._lock:
             self._maybe_half_open()
             if self._state == STATE_CLOSED:
                 return True
-            if self._state == STATE_HALF_OPEN:
-                return not self._probe_in_flight
-            return False
-
-    def _before_call(self) -> None:
-        with self._lock:
-            self._maybe_half_open()
-            if self._state == STATE_CLOSED:
-                return
             if self._state == STATE_HALF_OPEN and not self._probe_in_flight:
                 self._probe_in_flight = True
-                return
+                return True
             registry().counter(self._metric("rejected_total")).inc()
-            retry_after = None
-            if self._state == STATE_OPEN:
-                retry_after = max(
-                    0.0, self.cooldown - (self._clock() - self._opened_at))
-            raise BreakerOpen(self.name, retry_after=retry_after)
+            return False
 
     def record_success(self) -> None:
         with self._lock:
@@ -184,20 +172,3 @@ class CircuitBreaker:
             self._probe_in_flight = False
             self._opened_at = None
             self._transition(STATE_CLOSED)
-
-    def call(self, fn: Callable[[], T]) -> T:
-        """Run ``fn`` through the breaker.
-
-        Raises :class:`BreakerOpen` without calling ``fn`` when the
-        breaker is open (or its half-open probe slot is taken).  Any
-        exception from ``fn`` counts as a failure and propagates;
-        a normal return counts as a success.
-        """
-        self._before_call()
-        try:
-            result = fn()
-        except BaseException:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result

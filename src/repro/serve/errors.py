@@ -8,10 +8,6 @@ serving API:
 
 * :class:`BadRequest` — the request itself is malformed (unknown
   vertex, wrong field type).  Retrying it verbatim will never help.
-* :class:`BreakerOpen` — a circuit breaker is refusing calls to a
-  failing backend (:meth:`CircuitBreaker.call`).  No served request
-  reaches one: the service answers from its table, and the router
-  turns a shard's open breaker into a typed ``partial`` answer.
 
 All inherit :class:`ServeError`, so "any expected serving failure" is
 one ``except`` clause while genuinely unexpected bugs stay loud.
@@ -24,9 +20,9 @@ instance is draining; fail over).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-__all__ = ["ServeError", "BadRequest", "BreakerOpen", "error_response"]
+__all__ = ["ServeError", "BadRequest", "error_response"]
 
 
 def error_response(request_id: Any, code: str, message: str,
@@ -50,20 +46,3 @@ class BadRequest(ServeError):
     """The request is structurally invalid; it can never succeed."""
 
     code = "bad_request"
-
-
-class BreakerOpen(ServeError):
-    """A circuit breaker is open; the wrapped backend is not called.
-
-    ``retry_after`` is the remaining cooldown in seconds (``None`` when
-    the breaker is half-open and its single probe slot is taken).
-    """
-
-    code = "breaker_open"
-
-    def __init__(self, name: str, retry_after: Optional[float] = None) -> None:
-        detail = (f"; retry after {retry_after:.3f}s"
-                  if retry_after is not None else "")
-        super().__init__(f"circuit breaker {name!r} is open{detail}")
-        self.name = name
-        self.retry_after = retry_after

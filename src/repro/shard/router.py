@@ -632,6 +632,11 @@ class ShardRouter(LineServer):
                         reg.counter(f"shard.{slot}.hedges_total").inc()
                         attempts.add(launch("hedge", client.request_once,
                                             remaining))
+        except BaseException:
+            # cancelled mid-call: the outcome still lands, so a probe
+            # cannot keep the half-open slot
+            breaker.record_failure()
+            raise
         finally:
             for attempt in attempts:
                 attempt.cancel()

@@ -59,8 +59,8 @@ class MiniLM:
         For every offset ``k`` in ``1..window`` the (center, context)
         index pairs of *all* sentences are concatenated and scattered in
         one call per direction.  Unit increments into float64 counts are
-        exact integers, so the matrix is identical to the retained
-        per-token reference loop regardless of accumulation order.
+        exact integers, so the matrix is identical to the per-token loop
+        of ``tests/oracles/minilm.py`` regardless of accumulation order.
         """
         vocab_size = len(self.vocab)
         counts = np.zeros((vocab_size, vocab_size), dtype=np.float64)
@@ -74,21 +74,6 @@ class MiniLM:
             right = np.concatenate(rights)
             np.add.at(counts, (left, right), 1.0)
             np.add.at(counts, (right, left), 1.0)
-        return counts
-
-    def _cooccurrence_reference(self, sentences: Iterable[str]) -> np.ndarray:
-        """The retained naive per-token loop (golden-equivalence tests
-        assert :meth:`_cooccurrence` matches it exactly)."""
-        vocab_size = len(self.vocab)
-        counts = np.zeros((vocab_size, vocab_size), dtype=np.float64)
-        for sentence in sentences:
-            ids = [self.vocab.id_of(w) for w in self._tokenizer.tokenize(sentence)]
-            for i, center in enumerate(ids):
-                lo = max(0, i - self.window)
-                hi = min(len(ids), i + self.window + 1)
-                for j in range(lo, hi):
-                    if j != i:
-                        counts[center, ids[j]] += 1.0
         return counts
 
     def pretrain(self, sentences: Iterable[str], seed: SeedLike = 0) -> "MiniLM":
@@ -182,12 +167,6 @@ class MiniLM:
         sums = gathered.sum(axis=1)
         counts = np.maximum(lengths, 1).astype(np.float32)
         return (sums / counts[:, None]).astype(np.float32, copy=False)
-
-    def embed_texts_reference(self, texts: Sequence[str]) -> np.ndarray:
-        """The retained naive per-text loop (golden-equivalence tests
-        assert :meth:`embed_texts` matches it exactly)."""
-        return np.stack([self.embed_text(t) for t in texts]) if texts else \
-            np.zeros((0, self.dim), dtype=np.float32)
 
     def similarity(self, a: str, b: str) -> float:
         """Cosine similarity between two texts' embeddings."""

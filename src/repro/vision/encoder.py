@@ -102,14 +102,6 @@ class PatchFeatureExtractor:
                 np.stack([img.pixels for img in images[s:e]])),
             len(images), chunk=chunk, name="patch_features")
 
-    def features_batch_reference(self,
-                                 images: Sequence[SyntheticImage]) -> np.ndarray:
-        """The retained naive per-image loop; golden tests assert the
-        vectorized :meth:`features_batch` equals it exactly."""
-        if not images:
-            return np.zeros((0, self.spec.num_patches, self.dim), dtype=np.float32)
-        return np.stack([self.features(img.pixels) for img in images])
-
 
 class VisionEncoder(nn.Module):
     """ViT-style image tower: patch embedding + CLS + transformer.

@@ -11,6 +11,7 @@ import pytest
 from repro.core.minibatch import (kmeans, pairwise_proximity,
                                   property_closeness)
 from tests.oracles.kmeans import kmeans_loop, kmeans_reference
+from tests.oracles.minilm import embed_texts_reference
 from tests.oracles.proximity import pairwise_proximity_reference
 
 
@@ -149,8 +150,8 @@ class TestPropertyCloseness:
         properties, patches = closeness
         minilm, aligner = tiny_bundle.minilm, tiny_bundle.aligner
         for vid in tiny_dataset.entity_vertices:
-            matrix = minilm.embed_texts_reference(
-                _property_texts(tiny_dataset.graph, vid, 1))
+            matrix = embed_texts_reference(
+                minilm, _property_texts(tiny_dataset.graph, vid, 1))
             norms = np.linalg.norm(matrix, axis=1, keepdims=True)
             expected = (matrix / np.maximum(norms, 1e-8)).astype(np.float32)
             np.testing.assert_array_equal(properties[vid], expected)

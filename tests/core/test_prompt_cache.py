@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.matcher import CrossEM, CrossEMConfig
 from repro.obs import registry
+from tests.oracles.prompt_cache import encode_vertices_reference
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ class TestPromptCache:
     def test_cached_matches_reference_encode(self, fitted, tiny_dataset):
         vertices = tiny_dataset.entity_vertices[:6]
         cached = fitted.encode_vertices(vertices).numpy()
-        reference = fitted.encode_vertices_reference(vertices).numpy()
+        reference = encode_vertices_reference(fitted, vertices).numpy()
         np.testing.assert_allclose(cached, reference, atol=1e-6)
 
     def test_fit_invalidates_cache(self, tiny_bundle, tiny_dataset):

@@ -1,10 +1,12 @@
-"""Circuit-breaker state machine, driven by a fake clock."""
+"""Circuit-breaker state machine, driven by a fake clock the way the
+shard router drives it: admit with ``allows_call``, then record one
+outcome per admitted call."""
 
 import pytest
 
 from repro.obs import registry
 from repro.serve import (STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN,
-                         BreakerOpen, CircuitBreaker)
+                         CircuitBreaker)
 
 
 class FakeClock:
@@ -25,38 +27,40 @@ def make_breaker(clock, **overrides):
     return CircuitBreaker("enc", clock=clock, **settings)
 
 
-def boom():
-    raise OSError("backend down")
+def fail(breaker, times=2):
+    for _ in range(times):
+        assert breaker.allows_call()
+        breaker.record_failure()
+
+
+def succeed(breaker):
+    assert breaker.allows_call()
+    breaker.record_success()
 
 
 class TestClosedToOpen:
     def test_starts_closed_and_passes_calls(self):
         breaker = make_breaker(FakeClock())
         assert breaker.state() == STATE_CLOSED
-        assert breaker.call(lambda: 41 + 1) == 42
-        assert breaker.allows_call()
+        succeed(breaker)
+        assert breaker.allows_call() and breaker.allows_call()
 
     def test_stays_closed_below_min_calls(self):
         breaker = make_breaker(FakeClock(), min_calls=3)
-        for _ in range(2):
-            with pytest.raises(OSError):
-                breaker.call(boom)
+        fail(breaker)
         assert breaker.state() == STATE_CLOSED
 
     def test_opens_at_failure_threshold(self):
         breaker = make_breaker(FakeClock())
-        for _ in range(2):
-            with pytest.raises(OSError):
-                breaker.call(boom)
+        fail(breaker)
         assert breaker.state() == STATE_OPEN
         assert registry().counter("serve.breaker.enc.open_total").value == 1
 
     def test_successes_dilute_the_window(self):
         breaker = make_breaker(FakeClock(), window=4, min_calls=4)
         for _ in range(3):
-            breaker.call(lambda: "ok")
-        with pytest.raises(OSError):
-            breaker.call(boom)
+            succeed(breaker)
+        fail(breaker, times=1)
         # one failure in a window of four: 25% < 50% threshold
         assert breaker.state() == STATE_CLOSED
 
@@ -65,25 +69,19 @@ class TestOpen:
     def test_rejects_without_calling(self):
         clock = FakeClock()
         breaker = make_breaker(clock)
-        for _ in range(2):
-            with pytest.raises(OSError):
-                breaker.call(boom)
-        calls = []
-        with pytest.raises(BreakerOpen) as excinfo:
-            breaker.call(lambda: calls.append(1))
-        assert calls == []  # backend untouched while open
-        assert excinfo.value.retry_after == pytest.approx(10.0)
+        fail(breaker)
+        clock.advance(9.9)  # still inside the cooldown
+        assert not breaker.allows_call()
+        assert not breaker.allows_call()
         assert registry().counter(
-            "serve.breaker.enc.rejected_total").value == 1
+            "serve.breaker.enc.rejected_total").value == 2
 
     def test_state_gauge_tracks_transitions(self):
         clock = FakeClock()
         breaker = make_breaker(clock)
         gauge = registry().gauge("serve.breaker.enc.state")
         assert gauge.value == 0  # closed
-        for _ in range(2):
-            with pytest.raises(OSError):
-                breaker.call(boom)
+        fail(breaker)
         assert gauge.value == 2  # open
         clock.advance(10.0)
         assert breaker.state() == STATE_HALF_OPEN
@@ -93,27 +91,23 @@ class TestOpen:
 class TestHalfOpen:
     def trip(self, clock, **overrides):
         breaker = make_breaker(clock, **overrides)
-        for _ in range(2):
-            with pytest.raises(OSError):
-                breaker.call(boom)
+        fail(breaker)
         clock.advance(10.0)
         return breaker
 
     def test_probe_success_closes(self):
         clock = FakeClock()
         breaker = self.trip(clock)
-        assert breaker.call(lambda: "healthy") == "healthy"
+        succeed(breaker)
         assert breaker.state() == STATE_CLOSED
         # the window was cleared: one new failure cannot instantly re-open
-        with pytest.raises(OSError):
-            breaker.call(boom)
+        fail(breaker, times=1)
         assert breaker.state() == STATE_CLOSED
 
     def test_probe_failure_reopens_and_restarts_cooldown(self):
         clock = FakeClock()
         breaker = self.trip(clock)
-        with pytest.raises(OSError):
-            breaker.call(boom)
+        fail(breaker, times=1)
         assert breaker.state() == STATE_OPEN
         clock.advance(9.0)  # cooldown restarted: not yet probing again
         assert breaker.state() == STATE_OPEN
@@ -123,11 +117,20 @@ class TestHalfOpen:
     def test_single_probe_slot(self):
         clock = FakeClock()
         breaker = self.trip(clock)
-        breaker._before_call()  # probe admitted and now in flight
-        with pytest.raises(BreakerOpen):
-            breaker.call(lambda: "second caller")
+        assert breaker.allows_call()  # probe admitted and now in flight
+        assert not breaker.allows_call()  # the second caller is refused
         breaker.record_success()  # probe returns healthy
         assert breaker.state() == STATE_CLOSED
+        assert breaker.allows_call()
+
+    def test_a_failed_probe_frees_the_slot_for_the_next_cooldown(self):
+        clock = FakeClock()
+        breaker = self.trip(clock)
+        assert breaker.allows_call()
+        breaker.record_failure()
+        clock.advance(10.0)
+        assert breaker.allows_call()
+        assert not breaker.allows_call()
 
 
 class TestAdminControls:
@@ -138,7 +141,7 @@ class TestAdminControls:
         assert not breaker.allows_call()
         breaker.reset()
         assert breaker.state() == STATE_CLOSED
-        assert breaker.call(lambda: 7) == 7
+        succeed(breaker)
 
     @pytest.mark.parametrize("kwargs", [
         dict(window=0), dict(failure_threshold=0.0),
@@ -155,9 +158,7 @@ class TestClockIsolation:
     breaker per shard, and its tests drive them separately)."""
 
     def trip(self, breaker):
-        for _ in range(2):
-            with pytest.raises(OSError):
-                breaker.call(boom)
+        fail(breaker)
         assert breaker.state() == STATE_OPEN
 
     def test_two_breakers_on_independent_clocks(self):

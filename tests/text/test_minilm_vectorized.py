@@ -1,9 +1,12 @@
 """Golden-equivalence tests for MiniLM's vectorized paths: the batched
 ``embed_texts`` gather/mean and the ``np.add.at`` co-occurrence scatter
-must match their retained naive references exactly (``atol=0``)."""
+must match their naive references in ``tests/oracles/minilm.py``
+exactly (``atol=0``)."""
 
 import numpy as np
 import pytest
+
+from tests.oracles.minilm import cooccurrence_reference, embed_texts_reference
 
 
 @pytest.fixture(scope="module")
@@ -24,13 +27,13 @@ SAMPLE_TEXTS = [
 class TestEmbedTexts:
     def test_matches_reference_exactly(self, minilm):
         np.testing.assert_array_equal(minilm.embed_texts(SAMPLE_TEXTS),
-                                      minilm.embed_texts_reference(SAMPLE_TEXTS))
+                                      embed_texts_reference(minilm, SAMPLE_TEXTS))
 
     def test_matches_reference_on_vocabulary_phrases(self, minilm):
         words = [w for w in minilm.vocab.tokens()[5:40]]
         texts = [" ".join(words[i:i + 1 + i % 7]) for i in range(len(words))]
         np.testing.assert_array_equal(minilm.embed_texts(texts),
-                                      minilm.embed_texts_reference(texts))
+                                      embed_texts_reference(minilm, texts))
 
     def test_empty_batch(self, minilm):
         assert minilm.embed_texts([]).shape == (0, minilm.dim)
@@ -57,10 +60,10 @@ class TestCooccurrenceScatter:
         ]
         np.testing.assert_array_equal(
             minilm._cooccurrence(sentences),
-            minilm._cooccurrence_reference(sentences))
+            cooccurrence_reference(minilm, sentences))
 
     def test_matches_reference_on_corpus_slice(self, tiny_bundle, minilm):
         from repro.text.corpus import build_text_corpus
         corpus = build_text_corpus(tiny_bundle.universe, seed=7)[:50]
         np.testing.assert_array_equal(minilm._cooccurrence(corpus),
-                                      minilm._cooccurrence_reference(corpus))
+                                      cooccurrence_reference(minilm, corpus))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.vision.pipeline import chunked_encode, resolve_workers
+from tests.oracles.vision import features_batch_reference
 
 
 class TestChunkedEncode:
@@ -75,7 +76,7 @@ class TestBatchedPatchFeatures:
                                               tiny_dataset):
         extractor = tiny_bundle.patch_extractor
         batched = extractor.features_batch(tiny_dataset.images)
-        reference = extractor.features_batch_reference(tiny_dataset.images)
+        reference = features_batch_reference(extractor, tiny_dataset.images)
         np.testing.assert_array_equal(batched, reference)
 
     def test_aligned_batch_matches_per_image(self, tiny_bundle,
