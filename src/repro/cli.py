@@ -124,14 +124,6 @@ def _address(text: str) -> str:
     return text
 
 
-def _rate(text: str) -> float:
-    """A float in (0, 1] (a failure-rate threshold)."""
-    value = _positive_float(text)
-    if value > 1.0:
-        raise argparse.ArgumentTypeError(f"must be at most 1, got {text}")
-    return value
-
-
 def _unit_interval(text: str) -> float:
     """A float in [0, 1] (a sampling rate; 0 = head-sample nothing)."""
     value = _non_negative_float(text)
@@ -322,8 +314,8 @@ def _cmd_route(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .loadgen.socketdrv import parse_address
-    from .shard import (RouterConfig, ShardRouter, SupervisorConfig,
-                        WorkerSupervisor)
+    from .shard import (RouterBootError, RouterConfig, ShardRouter,
+                        SupervisorConfig, WorkerSupervisor)
 
     _reset_telemetry(args)
     host, port = parse_address(args.listen)
@@ -365,13 +357,8 @@ def _cmd_route(args: argparse.Namespace) -> int:
     router = ShardRouter(supervisor, RouterConfig(
         host=host, port=port,
         shard_timeout_ms=args.shard_timeout_ms,
-        hedge_fraction=args.hedge_fraction,
         conn_inflight=args.conn_inflight,
         drain_timeout_s=args.drain_timeout_s,
-        breaker_window=args.breaker_window,
-        breaker_failure_threshold=args.breaker_threshold,
-        breaker_min_calls=args.breaker_min_calls,
-        breaker_cooldown_ms=args.breaker_cooldown_ms,
         trace_sample_rate=args.trace_sample_rate,
         trace_capacity=args.trace_capacity))
 
@@ -381,7 +368,12 @@ def _cmd_route(args: argparse.Namespace) -> int:
               f"({args.benchmark} / {args.method})", file=sys.stderr,
               flush=True)
 
-    exit_code = router.run(ready=_announce)
+    try:
+        exit_code = router.run(ready=_announce)
+    except RouterBootError as exc:
+        supervisor.stop()
+        print(f"router did not boot: {exc}", file=sys.stderr)
+        return 1
     print(f"drained ({'clean' if exit_code == 0 else 'timed out'})",
           file=sys.stderr)
     _export_telemetry(args, benchmark=args.benchmark, method=args.method,
@@ -944,11 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: a fresh temp dir)")
     route.add_argument("--shard-timeout-ms", type=_positive_float,
                        default=2000.0, metavar="MS",
-                       help="ceiling on waiting for any one shard")
-    route.add_argument("--hedge-fraction", type=_positive_float,
-                       default=0.5, metavar="F",
-                       help="hedge an unanswered shard after this "
-                            "fraction of its budget (>= 1 disables)")
+                       help="how long a deep request waits for any "
+                            "one shard")
     route.add_argument("--conn-inflight", type=_positive_int, default=64,
                        help="per-connection outstanding-request cap")
     route.add_argument("--spawn-timeout-s", type=_positive_float,
@@ -963,24 +952,13 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--flap-window-s", type=_positive_float,
                        default=60.0, metavar="S",
                        help="sliding window the deaths are counted in")
-    route.add_argument("--breaker-window", type=_positive_int, default=8,
-                       help="per-shard breaker sliding window (calls)")
-    route.add_argument("--breaker-threshold", type=_rate, default=0.5,
-                       metavar="RATE",
-                       help="failure rate in the window that opens it")
-    route.add_argument("--breaker-min-calls", type=_positive_int,
-                       default=3,
-                       help="calls in the window before it can open")
-    route.add_argument("--breaker-cooldown-ms", type=_positive_float,
-                       default=1000.0, metavar="MS",
-                       help="open time before a half-open probe")
     route.add_argument("--drain-timeout-s", type=_positive_float,
                        default=30.0, metavar="S",
                        help="seconds the drain waits for in-flight work")
     route.add_argument("--trace-sample-rate", type=_unit_interval,
                        default=1.0, metavar="RATE",
                        help="head-sampling rate for routed-request "
-                            "traces (errors/partial always kept)")
+                            "traces (errors always kept)")
     route.add_argument("--trace-capacity", type=_positive_int,
                        default=256,
                        help="sampled traces retained in memory")

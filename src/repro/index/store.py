@@ -7,11 +7,14 @@ embedding matrices) in a layout a reader can map lazily::
     MAGIC (8 bytes) | header length (8-byte LE) | header JSON | payload
 
 The header records the schema version, the caller's metadata, and for
-every section its byte offset (64-byte aligned), dtype, shape and
-SHA-256 digest.  The payload is the raw section bytes — *not* an npz —
-so a reader can hand out ``np.memmap`` views straight into the file:
-opening a shard reads only the header, and scoring a shortlist touches
-only those vectors' pages.  That is what lets a repository larger than
+every section its payload offset (a multiple of 64), dtype, shape and
+SHA-256 digest.  The writer pads the header JSON with trailing spaces
+until the payload starts at a multiple of 64 bytes in the file, so each
+section is 64-byte aligned in the file and in its map — aligned enough
+for numpy to hand a mapped matrix to BLAS.  The payload is the raw
+section bytes — *not* an npz — so a reader can hand out ``np.memmap``
+views straight into the file: opening a shard reads only the header,
+and scoring a shortlist touches only those vectors' pages.  That is what lets a repository larger than
 RAM (or than the configured memory budget) be served without ever
 loading it fully.
 
@@ -79,9 +82,9 @@ def write_shard(path: Union[str, Path], sections: Dict[str, np.ndarray],
                 meta: Optional[dict] = None) -> Path:
     """Atomically publish ``sections`` + ``meta`` as a REPROIX1 shard.
 
-    Every section is stored C-contiguous at a 64-byte-aligned offset
-    with its own SHA-256 digest, so a reader can verify and map each
-    independently.  Returns the path written.
+    Every section is stored C-contiguous at a 64-byte-aligned file
+    offset with its own SHA-256 digest, so a reader can verify and map
+    each independently.  Returns the path written.
     """
     if not sections:
         raise ValueError("a shard needs at least one section")
@@ -107,6 +110,8 @@ def write_shard(path: Union[str, Path], sections: Dict[str, np.ndarray],
         "sections": entries,
         "meta": meta or {},
     }, sort_keys=True).encode()
+    # JSON allows trailing whitespace: the payload starts aligned
+    header += b" " * (-(_HEADER_PREFIX + len(header)) % _ALIGN)
     payload = bytearray(payload_bytes)
     for start, raw in blobs:
         payload[start:start + len(raw)] = raw

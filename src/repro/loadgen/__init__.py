@@ -13,7 +13,7 @@ mixes, and records latency without coordinated omission.
   is measured from the request's *intended* arrival time on an
   injectable fake-clock-testable schedule.
 * :mod:`repro.loadgen.report` — outcome classification
-  (ok/degraded/shed/deadline/error/lost), exact mergeable
+  (ok/degraded/shed/error/lost), exact mergeable
   fixed-bucket latency histograms, JSON artifacts, registry
   publication.
 * :mod:`repro.loadgen.socketdrv` — the same harness pointed at a

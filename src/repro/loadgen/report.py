@@ -4,11 +4,11 @@ The harness classifies every response into exactly one outcome off the
 fields the serve layer already emits — no side channel:
 
 * ``ok`` — ``ok: true`` and not degraded;
-* ``degraded`` — answered, but tagged ``degraded: true`` (a router's
-  ``partial`` answer when a shard is down);
+* ``degraded`` — answered, but tagged ``degraded: true`` (no door
+  answers so today);
 * ``shed`` — a typed ``overloaded`` rejection from admission control;
-* ``deadline`` — a typed ``deadline_exceeded`` error;
-* ``error`` — any other structured error (bad request, internal);
+* ``error`` — any other structured error (bad request, unavailable,
+  internal);
 * ``lost`` — submitted but never answered before shutdown (should be
   zero; anything else is a harness or drain bug worth seeing).
 
@@ -39,7 +39,7 @@ __all__ = ["OUTCOMES", "classify_response", "Sample", "LoadReport"]
 
 REPORT_SCHEMA = "repro.loadreport/1"
 
-OUTCOMES = ("ok", "degraded", "shed", "deadline", "error", "lost")
+OUTCOMES = ("ok", "degraded", "shed", "error", "lost")
 
 #: outcomes that count as "the service answered" for availability
 ANSWERED = ("ok", "degraded")
@@ -52,8 +52,6 @@ def classify_response(response: dict) -> str:
     code = (response.get("error") or {}).get("type")
     if code == "overloaded":
         return "shed"
-    if code == "deadline_exceeded":
-        return "deadline"
     return "error"
 
 
@@ -141,7 +139,6 @@ class LoadReport:
             "degraded_fraction": fraction(outcomes["degraded"]),
             "shed_fraction": fraction(outcomes["shed"]),
             "error_fraction": fraction(outcomes["error"]
-                                       + outcomes["deadline"]
                                        + outcomes["lost"]),
             "duration_s": duration,
             "offered_rate": offered / duration if duration else 0.0,

@@ -23,9 +23,9 @@ task finishes.
 
 Order and backpressure, per connection:
 
-* a control op whose answer is a coroutine (the router's ``info`` and
-  ``stats``) holds the connection: reading pauses and no buffered line
-  is dispatched until its answer is written, so lines are still
+* a control op whose answer is a coroutine (the router's ``stats``)
+  holds the connection: reading pauses and no buffered line is
+  dispatched until its answer is written, so lines are still
   dispatched in the order they arrived;
 * at most ``conn_inflight`` match requests are outstanding (submitted,
   response not yet written); beyond that the connection gets typed

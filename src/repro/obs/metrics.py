@@ -64,7 +64,7 @@ class Gauge:
 
     ``set`` is last-write-wins; ``inc``/``dec`` are atomic adjustments
     for values maintained from several threads (queue depth, in-flight
-    requests, breaker state transitions).
+    requests).
     """
 
     __slots__ = ("name", "_value", "_lock")

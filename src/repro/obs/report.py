@@ -6,7 +6,7 @@
   (per-path count / total / p50 / p95, children under parents, heaviest
   siblings first) — the process-wide "where does time go";
 * the top-N slowest sampled traces, each as its span tree with typed
-  events (breaker transitions, deadline checks, cache hits, sheds)
+  events (table hits, errors, sheds, trace gaps)
   interleaved in causal (timestamp) order — the per-request "where did
   *this* request's time go";
 * every histogram row that carries a ``buckets`` payload (all of them
@@ -101,8 +101,8 @@ def _emit_span(span: dict, depth: int, lines: List[str]) -> None:
                  f"@{span['start_ms']:8.2f}ms "
                  f"+{span['duration_ms']:8.2f}ms")
     # Children and events share one causal timeline inside their parent:
-    # merge them by timestamp so e.g. a breaker transition prints before
-    # the tier span it caused to be skipped.
+    # merge them by timestamp so e.g. a trace gap prints where the
+    # shard's call ended.
     timeline = [("span", child["start_ms"], child)
                 for child in span.get("children", ())]
     timeline += [("event", event["at_ms"], event)

@@ -39,18 +39,15 @@ from .hist import BucketHistogram
 
 __all__ = ["aggregate_fleet", "delta_summary", "combine_summaries"]
 
-#: what a delta summary reads, per door: a service (``serve.service``;
-#: it never degrades, so every ``ok`` is full) and a shard router, whose
-#: ``ok_total`` counts its degraded (partial) answers too
+#: what a delta summary reads, per door: a service (``serve.service``)
+#: and a shard router.  Neither degrades: every ``ok`` is a whole answer
 _SERVICE_DOOR = {"offered": "serve.requests_total",
                  "answered": "serve.ok_total",
-                 "degraded": None,
                  "shed": "serve.error.overloaded",
                  "errors": "serve.error_total",
                  "latency": "serve.request_ms"}
 _ROUTER_DOOR = {"offered": "shard.router.requests_total",
                 "answered": "shard.router.ok_total",
-                "degraded": "shard.router.degraded_total",
                 "shed": "shard.router.error.overloaded",
                 "errors": "shard.router.error_total",
                 "latency": "shard.router.request_ms"}
@@ -89,7 +86,7 @@ def aggregate_fleet(per_shard: Dict[str, Optional[dict]],
     ``None`` for a shard that failed to answer (still counted in
     ``shards.total`` so a scrape of a limping fleet says so).
     ``own_rows``/``own_spans`` are the aggregator's *own* instruments
-    (router queue depths, breaker states), appended unlabeled —
+    (router request counts and latencies), appended unlabeled —
     filtered to names the shards did not already report, so an
     in-process fleet sharing one registry never double-counts.
     """
@@ -159,9 +156,7 @@ def _row_map(rows: Iterable[dict]) -> Dict[str, dict]:
 
 
 def _counter_delta(before: Dict[str, dict], after: Dict[str, dict],
-                   name: Optional[str]) -> int:
-    if name is None:
-        return 0
+                   name: str) -> int:
     older = before.get(name, {}).get("value", 0)
     newer = after.get(name, {}).get("value", 0)
     return max(0, int(newer) - int(older))
@@ -178,7 +173,8 @@ def delta_summary(before_rows: Iterable[dict],
     router's own ``shard.router.*`` counters — the front door — not by
     the workers' ``serve.*`` sums, which miss hits and count a
     scattered request once per shard.  Counter deltas give
-    offered/answered/degraded/shed; :meth:`BucketHistogram.delta_from`
+    offered/answered/shed/errors (``degraded`` is always 0: no door
+    answers degraded); :meth:`BucketHistogram.delta_from`
     on the door's latency histogram gives the window's quantiles
     (``None`` when the metric is missing or its row carries no buckets —
     evaluate_slo then fails latency objectives loudly rather than
@@ -189,8 +185,6 @@ def delta_summary(before_rows: Iterable[dict],
     after = _row_map(after_rows)
     offered = _counter_delta(before, after, door["offered"])
     answered = _counter_delta(before, after, door["answered"])
-    degraded = _counter_delta(before, after, door["degraded"])
-    ok = answered - degraded
     shed = _counter_delta(before, after, door["shed"])
     errors = _counter_delta(before, after, door["errors"])
 
@@ -215,12 +209,12 @@ def delta_summary(before_rows: Iterable[dict],
     return {
         "offered": offered,
         "answered": answered,
-        "ok": ok,
-        "degraded": degraded,
+        "ok": answered,
+        "degraded": 0,
         "shed": shed,
         "errors": errors,
         "availability": (answered / offered) if offered else None,
-        "degraded_fraction": (degraded / offered) if offered else None,
+        "degraded_fraction": 0.0 if offered else None,
         "shed_fraction": (shed / offered) if offered else None,
         "p50_ms": p50, "p95_ms": p95, "p99_ms": p99,
         "latency_buckets": latency_buckets,

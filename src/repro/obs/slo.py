@@ -10,7 +10,7 @@ objective verdicts plus error-budget math:
 
 * **availability** counts a request as answered when the service
   returned a result at any tier — ``ok`` or ``degraded``.  Shed,
-  deadline-blown, errored and lost requests all spend error budget.
+  errored and lost requests all spend error budget.
 * **burn rate** is ``observed_failure / allowed_failure`` where
   ``allowed_failure = 1 - availability_target``: 1.0 means the run
   consumed its budget exactly; 2.0 means a sustained run like this

@@ -2,18 +2,18 @@
 
 The process-wide span aggregate (:mod:`repro.obs.spans`) answers "where
 does time go *overall*"; it cannot answer "where did *this* request's
-time go" — which is the question a degraded or deadline-blown query
-raises.  A :class:`Trace` carries that per-request story:
+time go" — which is the question a slow or failed query raises.  A
+:class:`Trace` carries that per-request story:
 
 * a stable ``trace_id`` returned to the client in every response, so a
   slow answer can be looked up in the exported telemetry;
 * a tree of timed spans (:class:`TraceSpan`) with typed, timestamped
-  events — breaker transitions, deadline checks, cache hits/misses,
-  load shedding — in causal order;
+  events — table hits, errors, load shedding, trace gaps — in causal
+  order;
 * head sampling (:class:`SamplePolicy`): a configurable keep rate drawn
-  at trace start, with flagged traces (``error``, ``degraded``,
-  ``deadline``, ``shed``) *always* retained regardless of the draw, so
-  the interesting tail is never sampled away;
+  at trace start, with flagged traces (``error``, ``shed``) *always*
+  retained regardless of the draw, so the interesting tail is never
+  sampled away;
 * a bounded in-process :class:`TraceRecorder` whose snapshot exports as
   ``{"type": "trace", ...}`` rows through the schema-v2 JSONL exporter.
 
@@ -23,9 +23,9 @@ a caller-supplied ``trace_id``/``parent_span_id`` instead of minting —
 how a shard worker continues the router's trace across the wire.  The
 worker ships its finished span tree back compactly
 (:meth:`Trace.to_wire`); the caller re-bases the offsets with
-:func:`shift_span_row` and hangs the subtree under the attempt span that
-won (:meth:`Trace.graft`), yielding one causal timeline spanning both
-processes.
+:func:`shift_span_row` and hangs the subtree under the span that sent
+the request (:meth:`Trace.graft`), yielding one causal timeline spanning
+both processes.
 
 Cross-thread propagation: the active (trace, span) context is
 thread-local, so worker threads do not see it by default.  A dispatcher
@@ -61,7 +61,7 @@ from .metrics import registry
 from .spans import _telemetry_env_enabled
 
 __all__ = [
-    "FLAG_ERROR", "FLAG_DEGRADED", "FLAG_DEADLINE", "FLAG_SHED",
+    "FLAG_ERROR", "FLAG_SHED",
     "TraceEvent", "TraceSpan", "Trace", "NULL_TRACE", "SamplePolicy",
     "TraceRecorder", "Tracer", "trace_recorder", "tracer",
     "set_tracing_enabled", "tracing_enabled",
@@ -70,13 +70,10 @@ __all__ = [
 ]
 
 FLAG_ERROR = "error"
-FLAG_DEGRADED = "degraded"
-FLAG_DEADLINE = "deadline"
 FLAG_SHED = "shed"
 
 #: flags that force retention regardless of the head-sampling draw
-FORCE_FLAGS: FrozenSet[str] = frozenset(
-    {FLAG_ERROR, FLAG_DEGRADED, FLAG_DEADLINE, FLAG_SHED})
+FORCE_FLAGS: FrozenSet[str] = frozenset({FLAG_ERROR, FLAG_SHED})
 
 _enabled = _telemetry_env_enabled()
 _local = threading.local()
@@ -93,8 +90,8 @@ def tracing_enabled() -> bool:
 
 
 class TraceEvent:
-    """One typed, timestamped point in a span (breaker flip, deadline
-    check, cache hit, shed decision...)."""
+    """One typed, timestamped point in a span (cache hit, shed
+    decision, trace gap...)."""
 
     __slots__ = ("kind", "at", "attrs")
 
@@ -349,9 +346,8 @@ class SamplePolicy:
 
     ``rate`` is the probability a trace is kept by the head draw (made
     once, at trace start).  A trace carrying any flag in
-    ``force_flags`` is kept regardless — errors, degraded answers,
-    deadline blows and sheds are exactly the traces worth reading, so
-    they are never sampled away.  ``rng`` is injectable for
+    ``force_flags`` is kept regardless — errors and sheds are exactly
+    the traces worth reading, so they are never sampled away.  ``rng`` is injectable for
     deterministic tests.
     """
 

@@ -4,9 +4,6 @@ A fault-tolerant query layer over a fitted matcher.  The pieces, each
 its own module and each independently testable:
 
 * :mod:`repro.serve.errors` — the typed failure taxonomy.
-* :mod:`repro.serve.breaker` — the circuit breaker the shard router
-  puts around each worker (closed → open → half-open,
-  metrics-visible).
 * :mod:`repro.serve.service` — :class:`MatchService`: every answer is a
   slice of the answer table ``warmup()`` cut (each vertex's whole
   owned ranking), or it is a typed error.
@@ -16,16 +13,12 @@ See README "Serving" for the request/response schema and DESIGN.md §9
 for the failure model and its guarantees.
 """
 
-from .breaker import (STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN,
-                      CircuitBreaker)
 from .errors import BadRequest, ServeError, error_response
 from .loop import serve_loop
-from .service import BATCH_TILE, MatchService, ServeConfig, is_budget_ms
+from .service import BATCH_TILE, MatchService, ServeConfig
 
 __all__ = [
     "ServeError", "BadRequest", "error_response",
-    "is_budget_ms",
-    "CircuitBreaker", "STATE_CLOSED", "STATE_HALF_OPEN", "STATE_OPEN",
     "BATCH_TILE", "MatchService", "ServeConfig",
     "serve_loop",
 ]

@@ -48,8 +48,8 @@ from ..obs.trace import (FLAG_ERROR, FLAG_SHED, SamplePolicy, Tracer,
                          trace_span)
 from .errors import BadRequest, error_response
 
-__all__ = ["BATCH_TILE", "ServeConfig", "MatchService", "is_budget_ms",
-           "parse_query", "parse_trace_context", "table_digest"]
+__all__ = ["BATCH_TILE", "ServeConfig", "MatchService", "parse_query",
+           "parse_trace_context", "table_digest"]
 
 _log = get_logger("repro.serve.service")
 
@@ -58,15 +58,6 @@ _log = get_logger("repro.serve.service")
 #: duplicates), which pins the BLAS kernel, so a row's bits do not
 #: depend on which vertices share its tile (DESIGN.md §13)
 BATCH_TILE = 8
-
-
-def is_budget_ms(value: Any) -> bool:
-    """Is ``value`` a usable wire ``budget_ms`` — a positive, *finite*
-    number?  ``json.loads`` admits ``NaN``/``Infinity`` (and integers
-    past float range); a budget that never expires is no budget, and a
-    ``NaN`` would make an exported trace invalid strict JSON."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and 0 < value <= sys.float_info.max
 
 
 def parse_trace_context(request: Any) -> Tuple[Optional[str],
@@ -150,9 +141,9 @@ class _Query:
 def parse_query(request: Any, *, vertices: Collection[int], images: int,
                 top_k_default: int) -> _Query:
     """Validate one match request — the field checks every door applies:
-    the service before answering, the shard router before answering a
-    request from its merged table (a request this rejects is scattered,
-    so the workers word the error).  Raises :class:`BadRequest`."""
+    the service before answering, the shard router before it answers
+    from its merged table or scatters (so a request this rejects gets
+    the same error from every door).  Raises :class:`BadRequest`."""
     if not isinstance(request, dict):
         raise BadRequest("request must be a JSON object")
     vertex = request.get("vertex")
@@ -167,12 +158,17 @@ def parse_query(request: Any, *, vertices: Collection[int], images: int,
     # return.  The response simply carries the clamped (achievable)
     # count.
     top_k = min(top_k, images)
-    # Outside input, so validated like the rest; a slice never spends
-    # it, but the router bounds its own wait with it.
+    # Outside input, so validated like the rest; no door spends it (a
+    # slice cannot be late), but traces record it for replay.  It must
+    # be finite: ``json.loads`` admits ``NaN``/``Infinity`` (and
+    # integers past float range), and a ``NaN`` would make an exported
+    # trace invalid strict JSON.
     budget_ms = request.get("budget_ms")
     budget = None
     if budget_ms is not None:
-        if not is_budget_ms(budget_ms):
+        if isinstance(budget_ms, bool) \
+                or not isinstance(budget_ms, (int, float)) \
+                or not 0 < budget_ms <= sys.float_info.max:
             raise BadRequest("field 'budget_ms' must be a positive, "
                              "finite number of milliseconds")
         budget = float(budget_ms) / 1000.0

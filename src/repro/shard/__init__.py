@@ -12,12 +12,13 @@ behind a fault-tolerant front door (``repro route --shards N``):
   restart crashes with exponential backoff, and mark flapping workers
   dead instead of restarting them forever.
 * :mod:`repro.shard.client` — one shard's multiplexed JSONL
-  connection, plus the fresh-socket one-shot path hedged retries need.
-* :mod:`repro.shard.router` — the asyncio scatter/gather server:
-  per-shard circuit breakers, hedged retries, deadline-capped waits,
-  typed ``degraded: partial`` answers when shards are down, and an
-  ordered drain (stop accepting → finish in-flight → close shard
-  connections → SIGTERM workers → reap → exit 0).
+  connection, plus the fresh-socket one-shot path control ops use.
+* :mod:`repro.shard.router` — the asyncio front door: hits answered
+  from the workers' merged answer tables, deeper requests scattered
+  once to every shard and merged (typed ``unavailable`` when a shard
+  fails or is late), and an ordered drain (stop accepting → finish
+  in-flight → close shard connections → SIGTERM workers → reap →
+  exit 0).
 
 See README "Scale-out" and DESIGN.md §14 for the partition contract,
 the merge exactness argument, and the failure model.
@@ -25,12 +26,12 @@ the merge exactness argument, and the failure model.
 
 from .client import ShardClient, ShardUnavailable
 from .partition import merge_matches, owned_positions
-from .router import RouterConfig, ShardRouter
+from .router import RouterBootError, RouterConfig, ShardRouter
 from .supervisor import SupervisorConfig, WorkerSupervisor
 
 __all__ = [
     "ShardClient", "ShardUnavailable",
     "merge_matches", "owned_positions",
-    "RouterConfig", "ShardRouter",
+    "RouterBootError", "RouterConfig", "ShardRouter",
     "SupervisorConfig", "WorkerSupervisor",
 ]

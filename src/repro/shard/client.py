@@ -8,21 +8,21 @@ never sees the downstream client's ids — the router owns that mapping.
 
 Two request paths:
 
-* :meth:`request` — the pooled path: write on the shared connection,
-  await the pump.  Reconnects lazily, including to a *new* address
-  when the supervisor restarted the worker on a fresh ephemeral port.
-  At most :meth:`cap_inflight` requests are outstanding on it — the
-  worker's own per-connection cap, which it advertises in ``info`` —
-  so the router's excess waits here, inside the caller's timeout,
-  instead of being shed ``overloaded`` by the worker.
-* :meth:`request_once` — the hedge path: a brand-new throwaway
-  connection for exactly one exchange.  A hedged retry must not queue
-  behind whatever is stalling the pooled socket, which is the whole
-  point of hedging.
+* :meth:`request` — the pooled path every match request takes: write
+  on the shared connection, await the pump.  Reconnects lazily,
+  including to a *new* address when the supervisor restarted the
+  worker on a fresh ephemeral port.  At most :meth:`cap_inflight`
+  requests are outstanding on it — the worker's own per-connection
+  cap, which it advertises in ``info`` — so the router's excess waits
+  here, inside the caller's timeout, instead of being shed
+  ``overloaded`` by the worker.
+* :meth:`control` — a control op (``table``, ``stats``) on a
+  brand-new throwaway connection (:meth:`request_once`), so it never
+  queues behind match traffic on the pooled socket.
 
 Failures surface as :class:`ShardUnavailable` (typed with a short
-reason) so the router's breaker accounting can treat "connection
-refused", "EOF mid-request" and "no address yet" uniformly.
+reason) so the router can treat "connection refused", "EOF
+mid-request" and "no address yet" uniformly.
 """
 
 from __future__ import annotations
@@ -211,8 +211,8 @@ class ShardClient:
             self._pending.pop(internal_id, None)
 
     async def request_once(self, payload: dict, *, timeout: float) -> dict:
-        """One exchange on a fresh throwaway connection (the hedge
-        path): connect, send, read one line, close."""
+        """One exchange on a fresh throwaway connection (the transport
+        of :meth:`control`): connect, send, read one line, close."""
         address = self._get_address()
         if address is None:
             raise ShardUnavailable(self.slot, "no_address",
@@ -225,7 +225,7 @@ class ShardClient:
                                    f"{type(exc).__name__}: {exc}") from exc
         try:
             body = dict(payload)
-            body["id"] = f"s{self.slot}-hedge-{next(self._ids)}"
+            body["id"] = f"s{self.slot}-once-{next(self._ids)}"
             writer.write(encode_response(body))
             await writer.drain()
             lines = LineReader(reader, max_line_bytes=RESPONSE_LINE_BYTES)
@@ -252,10 +252,9 @@ class ShardClient:
         whole answer ``table``), on a throwaway connection — a control
         exchange must not queue behind whatever match traffic occupies
         the pooled socket.  Raises :class:`ShardUnavailable` on any
-        failure (including a worker too old to know the op, or a line
-        past ``RESPONSE_LINE_BYTES``), so the router can report a
-        partial scrape or scatter without a table instead of
-        crashing."""
+        failure (including a worker that does not know the op, or a
+        line past ``RESPONSE_LINE_BYTES``), so the router can report a
+        partial scrape or refuse to boot instead of crashing."""
         response = await self.request_once({"op": op}, timeout=timeout)
         payload = response.get(op)
         if not response.get("ok") or not isinstance(payload, dict):

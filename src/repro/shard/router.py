@@ -6,66 +6,49 @@ side.  A client that worked against a single server works against the
 router unchanged — same requests, same response schema, and
 *bit-identical* response payloads (DESIGN.md §14).
 
-A **hit** (``top_k <= table_k``, the ``table`` op's depth
-:data:`~repro.netserve.protocol.TABLE_K`) is answered by the router
-alone.  At boot it fetches the head of each worker's answer table once
-(the ``table`` control op, checked against its sha256) and merges the
-slices with :func:`~repro.shard.partition.merge_matches` into the
-unsharded head.
-A hit is a slice of it: no fan-out, no task, no shard span — and it
-stays exact while a shard is dead, because that shard's slice is
-already merged.  A slot that comes back at a new address has its slice
-refetched in the background; a changed digest re-merges.  A fetch that
-fails leaves no table, and then every request scatters.
+The router opens only once it holds the unsharded *answer table*: at
+boot it fetches the head of each worker's table (the ``table`` control
+op, checked against its sha256) and merges the slices with
+:func:`~repro.shard.partition.merge_matches`.  A fetch or merge that
+fails refuses the boot (:class:`RouterBootError`).  Every request then
+takes one of three straight paths:
 
-Everything else — deeper requests, requests the shared field checks
-(:func:`~repro.serve.service.parse_query`) reject, and every request
-while there is no table — fans out to every shard worker on the back
-side, each answers from its own table (every vertex's whole owned
-ranking), and the router merges the per-shard top-k lists with the
-shared ``(-score, image id)`` total order
-(:mod:`repro.shard.partition`).  So the fleet buys fault isolation,
-not capacity.
+* a request the shared field checks (:func:`~repro.serve.service.
+  parse_query`) reject gets the router's own typed ``bad_request``, in
+  the workers' envelope;
+* a **hit** (``top_k <= table_k``, the ``table`` op's depth
+  :data:`~repro.netserve.protocol.TABLE_K`) is a slice of the merged
+  table: no fan-out, no task, no shard span — and it stays exact while
+  a shard is dead, because that shard's slice is already merged;
+* a deeper request asks every shard once, over its pooled connection;
+  each answers from its own table (every vertex's whole owned
+  ranking), and the router merges the per-shard lists with the shared
+  ``(-score, image id)`` total order (:mod:`repro.shard.partition`).
+  The wait is bounded by ``shard_timeout_ms``; a shard that fails or
+  is late makes the answer typed ``unavailable``, naming the slots
+  that did not answer.  A routed answer is whole or it is an error.
 
-The headline of the fan-out is what happens when shards misbehave:
-
-* **per-shard circuit breakers** — each shard's calls run through its
-  own :class:`~repro.serve.breaker.CircuitBreaker`; a shard that keeps
-  failing or timing out is skipped entirely for the cooldown instead
-  of taxing every request with a doomed wait;
-* **hedged retries** — when a shard has not answered by
-  ``hedge_fraction`` of its budget, the router re-sends the query on a
-  fresh one-shot connection (never queued behind the stalled pooled
-  socket); first answer wins, and a shard that answers neither in
-  time is marked *late* (a breaker failure), not waited on;
-* **partial-result degradation** — open-breaker/late/dead shards cost
-  coverage, not availability: the router answers from the shards that
-  did respond, typed ``degraded: true, reason: "partial"`` with
-  ``shards_answered``/``shards_total``, so a merged answer never
-  claims more coverage than it has.  Only when *no* shard answers
-  does a request fail (typed ``unavailable``);
-* **deadline budgets** — a request's ``budget_ms`` is forwarded to the
-  shards verbatim (they validate it and answer from their tables) and
-  caps how long the router itself waits, so the router never holds a
-  request past what the client paid for.
+A slot that comes back at a new address has its slice refetched in the
+background; a changed digest re-merges, and a refetch that fails keeps
+the slot's previous slice.
 
 Graceful drain (SIGTERM/SIGINT) is ordered: stop accepting → finish
 every in-flight fan-out and flush → close shard connections → SIGTERM
 the workers through the supervisor and reap them → exit 0.
 
 Everything observable exports through the ordinary registry:
-``shard.router.*`` (requests, table hits, partials, sheds, drain) and
-``shard.<slot>.*`` (latency, hedges, lates, breaker state, restarts
-from the supervisor) — one OpenMetrics snapshot shows the whole fleet.
+``shard.router.*`` (requests, table hits, unavailable answers, sheds,
+drain) and ``shard.<slot>.*`` (latency, answered, failed and late
+calls, restarts from the supervisor) — one OpenMetrics snapshot shows
+the whole fleet.
 
 The router is also the fleet's observability front door (DESIGN.md
-§15): every fan-out propagates a trace context to each shard attempt
-and stitches the returned worker subtrees into one cross-process
-timeline (hedged retries become sibling ``attempt/*`` spans with a
-``hedge_won`` event; a shard that answers nothing stitchable leaves a
-typed ``trace_gap``), and the ``stats`` op answers with a live,
-aggregated scrape of every worker — counters summed, bucket histograms
-merged, gauges/spans labeled ``shard="<slot>"``.
+§15): every fan-out propagates a trace context to each shard and
+stitches the returned worker subtrees under their ``shard/<slot>``
+spans into one cross-process timeline (a shard that answers nothing
+stitchable leaves a typed ``trace_gap``), and the ``stats`` op answers
+with a live, aggregated scrape of every worker — counters summed,
+bucket histograms merged, gauges/spans labeled ``shard="<slot>"``.
 """
 
 from __future__ import annotations
@@ -78,16 +61,14 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..netserve.lineserver import LineServer
 from ..obs import get_logger, registry, span_snapshot
 from ..obs.scrape import aggregate_fleet
-from ..obs.trace import (FLAG_DEGRADED, FLAG_ERROR, SamplePolicy, Tracer,
-                         shift_span_row, trace_recorder)
-from ..serve.breaker import STATE_CODES, CircuitBreaker
+from ..obs.trace import (FLAG_ERROR, SamplePolicy, Tracer, shift_span_row,
+                         trace_recorder)
 from ..serve.errors import BadRequest, error_response
-from ..serve.service import (is_budget_ms, parse_query, parse_trace_context,
-                             table_digest)
+from ..serve.service import parse_query, parse_trace_context, table_digest
 from .client import ShardClient, ShardUnavailable
 from .partition import merge_matches
 
-__all__ = ["RouterConfig", "ShardRouter"]
+__all__ = ["RouterBootError", "RouterConfig", "ShardRouter"]
 
 _log = get_logger("repro.shard.router")
 
@@ -150,6 +131,10 @@ class _AnswerTable:
                 "sha256": self.sha256}
 
 
+class RouterBootError(RuntimeError):
+    """The router could not build its answer table, so it never opens."""
+
+
 @dataclasses.dataclass
 class RouterConfig:
     """Tuning knobs of the scatter/gather front end."""
@@ -157,28 +142,16 @@ class RouterConfig:
     #: bind address; port 0 binds an ephemeral port (tests)
     host: str = "127.0.0.1"
     port: int = 0
-    #: ceiling on how long the router waits for any shard, and the
-    #: effective budget for requests that carry none
+    #: how long a deep request waits for any shard's answer
     shard_timeout_ms: float = 2000.0
-    #: fraction of the shard budget after which an unanswered shard is
-    #: hedged on a fresh connection; >= 1 disables hedging
-    hedge_fraction: float = 0.5
     #: per-connection outstanding-request cap (typed shed beyond it)
     conn_inflight: int = 64
-    #: budget of the proxied ``info`` handshake
+    #: budget of each ``info`` and ``table`` fetch (at boot, on a heal)
     info_timeout_ms: float = 2000.0
     #: seconds the drain waits for in-flight fan-outs to finish
     drain_timeout_s: float = 30.0
-    #: per-shard circuit breaker: sliding window (calls)
-    breaker_window: int = 8
-    #: per-shard circuit breaker: failure rate that opens it
-    breaker_failure_threshold: float = 0.5
-    #: per-shard circuit breaker: minimum calls before it can open
-    breaker_min_calls: int = 3
-    #: per-shard circuit breaker: open time before a half-open probe
-    breaker_cooldown_ms: float = 1000.0
-    #: head-sampling rate for route traces (degraded/partial and error
-    #: outcomes are always retained regardless)
+    #: head-sampling rate for route traces (error outcomes are always
+    #: retained regardless)
     trace_sample_rate: float = 1.0
     #: sampled traces retained in the bounded recorder (newest win)
     trace_capacity: int = 256
@@ -188,23 +161,12 @@ class RouterConfig:
     def __post_init__(self) -> None:
         if self.shard_timeout_ms <= 0:
             raise ValueError("shard_timeout_ms must be positive")
-        if self.hedge_fraction <= 0:
-            raise ValueError("hedge_fraction must be positive "
-                             "(>= 1 disables hedging)")
         if self.conn_inflight < 1:
             raise ValueError("conn_inflight must be at least 1")
         if self.info_timeout_ms <= 0:
             raise ValueError("info_timeout_ms must be positive")
         if self.drain_timeout_s <= 0:
             raise ValueError("drain_timeout_s must be positive")
-        if self.breaker_window < 1:
-            raise ValueError("breaker_window must be at least 1")
-        if not 0.0 < self.breaker_failure_threshold <= 1.0:
-            raise ValueError("breaker_failure_threshold must be in (0, 1]")
-        if self.breaker_min_calls < 1:
-            raise ValueError("breaker_min_calls must be at least 1")
-        if self.breaker_cooldown_ms <= 0:
-            raise ValueError("breaker_cooldown_ms must be positive")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError("trace_sample_rate must be in [0, 1]")
         if self.trace_capacity < 1:
@@ -220,10 +182,11 @@ class ShardRouter(LineServer):
     ``endpoints`` supplies the fleet: ``count`` (total slots),
     ``address_of(slot)`` (``None`` while a worker is down — the
     supervisor's restarts surface here as address changes), and
-    optionally ``live_count()`` (for the info payload) and ``stop()``
-    (called at the tail of the drain; the supervisor's ordered
-    SIGTERM + reap).  Tests pass a trivial static provider; production
-    passes a :class:`~repro.shard.supervisor.WorkerSupervisor`.
+    optionally ``stop()`` (called at the tail of the drain; the
+    supervisor's ordered SIGTERM + reap).  Tests pass a trivial static
+    provider; production passes a
+    :class:`~repro.shard.supervisor.WorkerSupervisor`.  Every slot must
+    answer ``info`` and ``table`` when the router opens.
     """
 
     def __init__(self, endpoints: Any,
@@ -237,14 +200,6 @@ class ShardRouter(LineServer):
             tracer = Tracer(policy=SamplePolicy(
                 rate=self.config.trace_sample_rate))
         self.tracer = tracer
-        cooldown = self.config.breaker_cooldown_ms / 1000.0
-        self._breakers = [
-            CircuitBreaker(f"shard{slot}", window=self.config.breaker_window,
-                           failure_threshold=(
-                               self.config.breaker_failure_threshold),
-                           min_calls=self.config.breaker_min_calls,
-                           cooldown=cooldown)
-            for slot in range(endpoints.count)]
         self._clients: List[ShardClient] = []
         self._fanouts: Set[asyncio.Task] = set()
         self._info_cache: Optional[dict] = None
@@ -253,7 +208,7 @@ class ShardRouter(LineServer):
         self._slices: List[Optional[_Slice]] = [None] * endpoints.count
         self._sliced_from: List[Optional[Tuple[str, int]]] = \
             [None] * endpoints.count
-        #: the merged table hits are answered from; None = scatter all
+        #: the merged table; set before the router opens
         self._table: Optional[_AnswerTable] = None
         self._table_tasks: Set[asyncio.Task] = set()
 
@@ -264,6 +219,12 @@ class ShardRouter(LineServer):
                         self.endpoints.address_of(slot))
             for slot in range(self.endpoints.count)]
         await self._load_table()
+        if self._table is None:  # the failed fetch or merge has warned
+            for client in self._clients:
+                await client.close()
+            _log.error("no answer table; refusing to boot")
+            raise RouterBootError(
+                "could not fetch and merge every shard's answer table")
         self._spawn(self._watch_slots())
 
     async def _close(self) -> bool:
@@ -281,19 +242,27 @@ class ShardRouter(LineServer):
 
     def submit(self, request: Any, deliver: Callable[[dict], None]) -> None:
         registry().counter("shard.router.requests_total").inc()
-        response = self._table_answer(request)
+        table = self._table
+        try:
+            query = parse_query(request, vertices=table.rows,
+                                images=table.images,
+                                top_k_default=table.top_k_default)
+        except BadRequest as exc:
+            response = self._bad_request(request, exc)
+        else:
+            response = self._table_answer(request, query)
         if response is not None:
             deliver(response)
             return
-        task = asyncio.ensure_future(self._answer_and_deliver(request,
-                                                              deliver))
+        task = asyncio.ensure_future(self._answer_and_deliver(
+            request, query, deliver))
         self._fanouts.add(task)
         task.add_done_callback(self._fanouts.discard)
 
-    async def _answer_and_deliver(self, request: Any,
+    async def _answer_and_deliver(self, request: dict, query: Any,
                                   deliver: Callable[[dict], None]) -> None:
         try:
-            response = await self._answer(request)
+            response = await self._answer(request, query)
         except Exception as exc:  # isolate a router bug to its request
             registry().counter("shard.router.internal_errors_total").inc()
             _log.error("internal error routing request",
@@ -302,21 +271,24 @@ class ShardRouter(LineServer):
                 request, "internal", f"{type(exc).__name__}: {exc}")
         deliver(response)
 
+    def _bad_request(self, request: Any, error: BadRequest) -> dict:
+        """The router's own answer to a request :func:`parse_query`
+        rejects: the workers' error envelope, traced and flagged as a
+        worker traces one."""
+        trace_id, parent_span, return_spans = parse_trace_context(request)
+        trace = self.tracer.start("route.request", trace_id=trace_id,
+                                  parent_span_id=parent_span)
+        trace.add_event("error", code=error.code)
+        trace.flag(FLAG_ERROR)
+        return self._traced(trace, self._error(request, error.code,
+                                               str(error)), return_spans)
+
     # -- the answer table -----------------------------------------------------
-    def _table_answer(self, request: Any) -> Optional[dict]:
+    def _table_answer(self, request: dict, query: Any) -> Optional[dict]:
         """A hit's whole answer, from the merged table: no task, no
-        fan-out, no shard span.  ``None`` when the request is not a hit
-        — no table, a request :func:`parse_query` rejects (the workers
-        word that error), or ``top_k`` past the table."""
+        fan-out, no shard span.  ``None`` when ``top_k`` is past the
+        table."""
         table = self._table
-        if table is None:
-            return None
-        try:
-            query = parse_query(request, vertices=table.rows,
-                                images=table.images,
-                                top_k_default=table.top_k_default)
-        except BadRequest:
-            return None
         if query.top_k > table.k:
             return None
         started = time.monotonic()
@@ -353,8 +325,8 @@ class ShardRouter(LineServer):
                 timeout))
         except (ShardUnavailable, asyncio.TimeoutError, ValueError,
                 TypeError, OverflowError) as exc:
-            _log.warning("table slice fetch failed; scattering hits",
-                         slot=slot, error=f"{type(exc).__name__}: {exc}")
+            _log.warning("table slice fetch failed", slot=slot,
+                         error=f"{type(exc).__name__}: {exc}")
             return None
 
     async def _load_table(self) -> None:
@@ -366,24 +338,22 @@ class ShardRouter(LineServer):
                                   for slot in range(self.endpoints.count)))
         await self._merge()
 
-    async def _merge(self) -> None:
-        """Publish the merge of every slice, or no table at all when a
-        slice is missing or the slices disagree.  Each shard lists its
-        owned matches in the one total order ``(-score, image id)``, so
-        the best ``k`` of the union lie inside the slices: a merged row
-        cut at ``top_k <= k`` is the unsharded answer (DESIGN.md §14)."""
+    async def _merge(self) -> bool:
+        """Publish the merge of every slice and say whether it did; when
+        a slice is missing or the slices disagree, the current table (at
+        boot: none) stays.  Each shard lists its owned matches in the
+        one total order ``(-score, image id)``, so the best ``k`` of the
+        union lie inside the slices: a merged row cut at ``top_k <= k``
+        is the unsharded answer (DESIGN.md §14)."""
         slices = self._slices
         if any(piece is None for piece in slices):
-            self._table = None  # the failed fetch has warned
-            return
+            return False  # the failed fetch has warned
         info = await self._shard_info()
         if info is None or not isinstance(info.get("images"), int) \
                 or not isinstance(info.get("top_k_default"), int) \
                 or len({(piece.k, piece.vertices) for piece in slices}) != 1:
-            _log.warning("shard tables disagree or no shard info; "
-                         "scattering hits")
-            self._table = None
-            return
+            _log.warning("shard tables disagree or no shard info")
+            return False
         k, vertices = slices[0].k, slices[0].vertices
         rows = {vertex: merge_matches([piece.rows[i] for piece in slices], k)
                 for i, vertex in enumerate(vertices)}
@@ -394,6 +364,7 @@ class ShardRouter(LineServer):
                                    max(1, info["top_k_default"]))
         _log.info("answering hits from the merged table", k=k,
                   vertices=len(rows), sha256=sha256[:12])
+        return True
 
     async def _watch_slots(self) -> None:
         """Refetch, once and in the background, the slice of a slot that
@@ -409,77 +380,60 @@ class ShardRouter(LineServer):
                     self._spawn(self._refetch(slot))
 
     async def _refetch(self, slot: int) -> None:
+        """A failed refetch keeps the slot's previous slice, and so does
+        one that does not merge with the others."""
         fresh = await self._fetch_slice(slot)
         stale = self._slices[slot]
+        if fresh is None or fresh.sha256 == stale.sha256:
+            return  # warned, or the respawned worker cut the same slice
         self._slices[slot] = fresh
-        changed = fresh is not None and stale is not None \
-            and fresh.sha256 != stale.sha256
-        if fresh is not None and not changed and self._table is not None:
-            return  # the respawned worker cut the same slice
-        await self._merge()
-        if changed:
-            registry().counter("shard.router.table_changed_total").inc()
-            _log.warning("table slice changed on heal; re-merged",
-                         slot=slot, sha256=fresh.sha256[:12])
+        if not await self._merge():
+            self._slices[slot] = stale
+            return
+        registry().counter("shard.router.table_changed_total").inc()
+        _log.warning("table slice changed on heal; re-merged",
+                     slot=slot, sha256=fresh.sha256[:12])
 
     # -- scatter/gather -----------------------------------------------------
-    async def _answer(self, request: Any) -> dict:
-        cfg = self.config
+    async def _answer(self, request: dict, query: Any) -> dict:
+        """A deep request: every shard asked once, the answers merged —
+        or typed ``unavailable`` when any shard failed or was late."""
         reg = registry()
         loop = asyncio.get_running_loop()
         started = loop.time()
-        if not isinstance(request, dict):
-            # same wording the serve layer's validation uses
-            return self._error(None, "bad_request",
-                               "request must be a JSON object")
-        request_id = request.get("id")
         # join the client's trace when it sent a context, else mint —
         # either way the fan-out below propagates *this* trace's id to
-        # every shard attempt (DESIGN.md §15).  No thread-local
-        # activation: this is asyncio, spans are passed explicitly.
+        # every shard (DESIGN.md §15).  No thread-local activation:
+        # this is asyncio, spans are passed explicitly.
         trace_id, parent_span, return_spans = parse_trace_context(request)
         trace = self.tracer.start("route.request", trace_id=trace_id,
                                   parent_span_id=parent_span)
-        budget_s = cfg.shard_timeout_ms / 1000.0
-        budget_ms = request.get("budget_ms")
-        if is_budget_ms(budget_ms):
-            # the shard applies the same budget server-side (the field
-            # is forwarded verbatim); this caps the router's own wait
-            budget_s = min(budget_s, float(budget_ms) / 1000.0)
-        hedge_after_s = budget_s * cfg.hedge_fraction \
-            if cfg.hedge_fraction < 1.0 else None
+        timeout = self.config.shard_timeout_ms / 1000.0
         count = self.endpoints.count
         results = await asyncio.gather(
-            *(self._call_shard(slot, request, budget_s, hedge_after_s,
-                               trace)
+            *(self._call_shard(slot, request, timeout, trace)
               for slot in range(count)))
         elapsed_ms = (loop.time() - started) * 1e3
         reg.histogram("shard.router.request_ms").observe(elapsed_ms)
-        oks = [r for r in results if r is not None and r.get("ok")]
-        errors = [r for r in results if r is not None and not r.get("ok")]
-        if oks:
-            response = await self._merged_response(request, request_id,
-                                                   oks, count, elapsed_ms)
-        elif errors:
-            # every answering shard refused identically (bad request,
-            # shed): forward the lowest slot's error under our id
-            error = errors[0].get("error")
-            reg.counter("shard.router.error_total").inc()
-            if isinstance(error, dict) and isinstance(error.get("type"), str):
-                reg.counter(f"shard.router.error.{error['type']}").inc()
-            response = {"id": request_id, "ok": False, "error": error,
-                        "elapsed_ms": round(elapsed_ms, 3)}
-        else:
+        missing = [str(slot) for slot, result in enumerate(results)
+                   if result is None]
+        if missing:
             reg.counter("shard.router.unavailable_total").inc()
             response = self._error(
                 request, "unavailable",
-                f"no shard answered (0/{count})")
-        # flags drive forced retention: a partial/degraded or failed
-        # fan-out is kept even at sample rate 0
-        if not response.get("ok"):
-            trace.flag(FLAG_ERROR)
-        elif response.get("degraded"):
-            trace.flag(FLAG_DEGRADED)
+                f"shard{'s' if len(missing) > 1 else ''} "
+                f"{', '.join(missing)} did not answer "
+                f"({count - len(missing)} of {count} answered)")
+            trace.flag(FLAG_ERROR)  # kept even at sample rate 0
+        else:
+            reg.counter("shard.router.ok_total").inc()
+            response = {"id": request.get("id"), "ok": True,
+                        "vertex": query.vertex, "tier": "full",
+                        "degraded": False,
+                        "matches": merge_matches(
+                            [r.get("matches", []) for r in results],
+                            query.top_k),
+                        "elapsed_ms": round(elapsed_ms, 3)}
         return self._traced(trace, response, return_spans)
 
     @staticmethod
@@ -493,194 +447,66 @@ class ShardRouter(LineServer):
                 response["trace"] = trace.to_wire()
         return response
 
-    async def _merged_response(self, request: dict, request_id: Any,
-                               oks: List[dict], count: int,
-                               elapsed_ms: float) -> dict:
-        reg = registry()
-        top_k = request.get("top_k")
-        if isinstance(top_k, bool) or not isinstance(top_k, int) \
-                or top_k < 1:
-            # shards answered, so at least one is reachable for info;
-            # their default is authoritative (all spawned identically)
-            top_k = await self._top_k_default(
-                max(len(r.get("matches", [])) for r in oks))
-        matches = merge_matches([r.get("matches", []) for r in oks], top_k)
-        partial = len(oks) < count
-        # shard bodies come from other processes: one that says it is
-        # degraded makes the merged answer degraded too
-        shard_degraded = [r for r in oks if r.get("degraded")]
-        degraded = partial or bool(shard_degraded)
-        response = {"id": request_id, "ok": True,
-                    "vertex": oks[0].get("vertex"), "tier": "full",
-                    "degraded": degraded, "matches": matches,
-                    "elapsed_ms": round(elapsed_ms, 3)}
-        reg.counter("shard.router.ok_total").inc()
-        if partial:
-            reg.counter("shard.router.partial_total").inc()
-            response["reason"] = "partial"
-            response["shards_answered"] = len(oks)
-            response["shards_total"] = count
-        elif degraded:
-            reasons = [r.get("reason") for r in shard_degraded
-                       if r.get("reason")]
-            if reasons:
-                response["reason"] = reasons[0]
-        if degraded:
-            reg.counter("shard.router.degraded_total").inc()
-        return response
-
-    def _forwarded(self, request: dict, trace: Any,
-                   attempt_span: Any) -> dict:
-        """The request body one attempt sends downstream.  With router
-        tracing on, the attempt's span becomes the worker-side parent
-        and the worker is asked to ship its spans back for stitching;
-        with tracing off the request (including any client-supplied
-        context) passes through untouched."""
-        if trace.trace_id is None or attempt_span is None:
-            return request
-        body = dict(request)
-        body["trace"] = {"trace_id": trace.trace_id,
-                         "parent_span": attempt_span.span_id,
-                         "return_spans": True}
-        return body
-
-    async def _call_shard(self, slot: int, request: dict, budget_s: float,
-                          hedge_after_s: Optional[float],
+    async def _call_shard(self, slot: int, request: dict, timeout: float,
                           trace: Any) -> Optional[dict]:
-        """One shard's answer, through its breaker, with hedging.
-        Returns the shard's response dict, or ``None`` when the shard
-        was skipped (open breaker), failed, or never answered in time —
-        the partial-degradation cases.
+        """One shard's ``ok`` answer over its pooled connection, or
+        ``None`` when the call failed (no connection, an error answer)
+        or was late.
 
-        Tracing: the shard gets a ``shard/<slot>`` span; every attempt
-        (pooled, hedge) is a sibling child span carrying the trace
-        context downstream.  The winner's returned subtree is re-based
-        and grafted under its attempt span; a shard that answers with
+        Tracing: the shard gets a ``shard/<slot>`` span carrying the
+        trace context downstream; the worker's returned subtree is
+        re-based and grafted under it.  A shard that answers with
         nothing stitchable leaves a typed ``trace_gap`` event instead —
         a hole in the timeline is data, not a crash."""
         reg = registry()
-        breaker = self._breakers[slot]
-        reg.gauge(f"shard.{slot}.breaker_state").set(
-            float(STATE_CODES[breaker.state()]))
-        shard_span = trace.open_span(f"shard/{slot}", trace.root) \
-            if trace.trace_id is not None else None
-        if not breaker.allows_call():
-            reg.counter(f"shard.{slot}.skipped_total").inc()
-            if shard_span is not None:
-                trace.add_event("trace_gap", shard_span, slot=slot,
-                                reason="skipped")
-                trace.close_span(shard_span)
-            return None
-        client = self._clients[slot]
+        shard_span = None
+        if trace.trace_id is not None:
+            # the shard's span is the worker-side parent, and the worker
+            # ships its spans back; with tracing off the request (any
+            # client-supplied context included) passes through as is
+            shard_span = trace.open_span(f"shard/{slot}", trace.root)
+            request = dict(request, trace={
+                "trace_id": trace.trace_id,
+                "parent_span": shard_span.span_id, "return_spans": True})
         loop = asyncio.get_running_loop()
         started = loop.time()
-        deadline_at = started + budget_s
-        attempt_meta: Dict[asyncio.Task, Tuple[str, Any]] = {}
-
-        def launch(kind: str, call, timeout: float) -> asyncio.Task:
-            attempt_span = trace.open_span(f"attempt/{kind}", shard_span) \
-                if shard_span is not None else None
-            task = asyncio.ensure_future(
-                call(self._forwarded(request, trace, attempt_span),
-                     timeout=timeout))
-            attempt_meta[task] = (kind, attempt_span)
-            return task
-
-        attempts: Set[asyncio.Task] = {
-            launch("pooled", client.request, budget_s)}
-        hedged = hedge_after_s is None
         response: Optional[dict] = None
-        winner: Tuple[str, Any] = ("pooled", None)
-        failed: Optional[BaseException] = None
+        failed: Optional[str] = None
         try:
-            while attempts and response is None:
-                now = loop.time()
-                remaining = deadline_at - now
-                if remaining <= 0:
-                    break
-                if not hedged:
-                    remaining = min(remaining,
-                                    started + hedge_after_s - now)
-                done, attempts = await asyncio.wait(
-                    attempts, timeout=max(remaining, 0.001),
-                    return_when=asyncio.FIRST_COMPLETED)
-                for attempt in done:
-                    kind, attempt_span = attempt_meta.pop(
-                        attempt, ("pooled", None))
-                    if attempt_span is not None:
-                        trace.close_span(attempt_span)
-                    if attempt.cancelled():
-                        continue
-                    error = attempt.exception()
-                    if error is None:
-                        if response is None:
-                            response = attempt.result()
-                            winner = (kind, attempt_span)
-                    elif not isinstance(error, asyncio.TimeoutError):
-                        # a timed-out attempt is "late", not "failed" —
-                        # the deadline accounting below covers it
-                        failed = error
-                        if attempt_span is not None:
-                            trace.add_event(
-                                "attempt_failed", attempt_span,
-                                error=type(error).__name__)
-                if response is None and not hedged \
-                        and loop.time() >= started + hedge_after_s:
-                    hedged = True
-                    remaining = deadline_at - loop.time()
-                    if remaining > 0:
-                        reg.counter(f"shard.{slot}.hedges_total").inc()
-                        attempts.add(launch("hedge", client.request_once,
-                                            remaining))
-        except BaseException:
-            # cancelled mid-call: the outcome still lands, so a probe
-            # cannot keep the half-open slot
-            breaker.record_failure()
-            raise
-        finally:
-            for attempt in attempts:
-                attempt.cancel()
-            if attempts:
-                await asyncio.gather(*attempts, return_exceptions=True)
-            for _, attempt_span in attempt_meta.values():
-                if attempt_span is not None:
-                    trace.close_span(attempt_span)
-        latency_ms = (loop.time() - started) * 1e3
-        reg.histogram(f"shard.{slot}.latency_ms").observe(latency_ms)
+            response = await self._clients[slot].request(request,
+                                                         timeout=timeout)
+        except asyncio.TimeoutError:
+            pass  # late: counted below
+        except ShardUnavailable as exc:
+            failed = str(exc)
+        if response is not None and not response.get("ok"):
+            failed = f"answered {response.get('error')!r}"
+            response = None
+        reg.histogram(f"shard.{slot}.latency_ms").observe(
+            (loop.time() - started) * 1e3)
         if response is not None:
-            breaker.record_success()
             reg.counter(f"shard.{slot}.answered_total").inc()
             subtree = response.pop("trace", None)
             if shard_span is not None:
-                win_kind, win_span = winner
-                if win_kind == "hedge":
-                    trace.add_event("hedge_won", shard_span, slot=slot,
-                                    winner="hedge")
-                target = win_span if win_span is not None else shard_span
                 if isinstance(subtree, dict) \
                         and isinstance(subtree.get("spans"), dict):
-                    delta_ms = (target.start - trace.root.start) * 1e3
+                    delta_ms = (shard_span.start - trace.root.start) * 1e3
                     row = shift_span_row(subtree["spans"], delta_ms)
                     row["process"] = f"shard{slot}"
-                    trace.graft(target, row)
+                    trace.graft(shard_span, row)
                 else:
-                    # worker sampled its side away (or predates
-                    # propagation): a typed hole, not a crash
-                    trace.add_event("trace_gap", target, slot=slot,
+                    # worker sampled its side away: a typed hole
+                    trace.add_event("trace_gap", shard_span, slot=slot,
                                     reason="unsampled")
                 trace.close_span(shard_span)
             return response
-        breaker.record_failure()
         if failed is None:
-            # no attempt errored — the shard simply never answered
             reg.counter(f"shard.{slot}.late_total").inc()
             _log.warning("shard late", slot=slot,
-                         budget_ms=round(budget_s * 1e3, 1))
+                         timeout_ms=round(timeout * 1e3, 1))
         else:
             reg.counter(f"shard.{slot}.failed_total").inc()
-            detail = f"{type(failed).__name__}: {failed}" \
-                if not isinstance(failed, ShardUnavailable) else str(failed)
-            _log.warning("shard call failed", slot=slot, error=detail)
+            _log.warning("shard call failed", slot=slot, error=failed)
         if shard_span is not None:
             trace.add_event("trace_gap", shard_span, slot=slot,
                             reason="late" if failed is None else "failed")
@@ -714,33 +540,20 @@ class ShardRouter(LineServer):
                 return info
         return None
 
-    async def _top_k_default(self, fallback: int) -> int:
-        info = await self._shard_info()
-        if info is not None and isinstance(info.get("top_k_default"), int):
-            return max(1, info["top_k_default"])
-        return max(1, fallback)
-
-    async def info(self, request_id: Any) -> dict:
-        info = await self._shard_info()
-        if info is None:
-            return error_response(request_id, "unavailable",
-                                  "no shard reachable for info")
-        live = self.endpoints.live_count() \
-            if hasattr(self.endpoints, "live_count") \
-            else sum(1 for b in self._breakers if b.state() != "open")
-        payload = dict(info)
-        payload["table_sha256"] = self._table.sha256 \
-            if self._table is not None else None
-        payload["shards"] = {"total": self.endpoints.count, "live": live}
+    def info(self, request_id: Any) -> dict:
+        """The workers' repository metadata (fetched at boot), with the
+        merged table's digest and the fleet's published addresses."""
+        payload = dict(self._info_cache)
+        payload["table_sha256"] = self._table.sha256
+        payload["shards"] = {
+            "total": self.endpoints.count,
+            "live": sum(1 for slot in range(self.endpoints.count)
+                        if self.endpoints.address_of(slot) is not None)}
         payload["conn_inflight"] = self.config.conn_inflight  # this door's
         return {"id": request_id, "ok": True, "info": payload}
 
     def table(self, request_id: Any) -> dict:
         """The merged answer table hits are answered from."""
-        if self._table is None:
-            return error_response(request_id, "unavailable",
-                                  "no answer table: every request is "
-                                  "scattered")
         return {"id": request_id, "ok": True, "table": self._table.payload()}
 
     async def stats(self, request_id: Any) -> dict:

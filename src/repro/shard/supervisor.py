@@ -18,8 +18,9 @@ Restart policy, per slot:
 * deaths are counted in a sliding ``flap_window_s`` window; at
   ``flap_max`` deaths inside the window the slot is marked **dead**
   and never respawned — a flapping worker (bad config, poisoned
-  checkpoint) must not burn CPU refitting forever, and the router
-  serves partial answers without it;
+  checkpoint) must not burn CPU refitting forever; the router keeps
+  answering hits from its merged table, and deeper requests come back
+  typed ``unavailable``;
 * a worker that has a pid but never becomes healthy within
   ``spawn_timeout_s`` is killed and counted as a death like any crash.
 

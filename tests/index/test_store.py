@@ -48,6 +48,34 @@ class TestShardRoundtrip:
         for name in reader.section_names():
             assert reader.section_entry(name)["offset"] % 64 == 0
 
+    def test_sections_are_aligned_in_the_file(self, sections, tmp_path):
+        """Whatever the header's length, the padded header puts every
+        section of a reopened shard on a 64-byte boundary in memory."""
+        for pad in range(0, 64, 5):
+            path = write_shard(tmp_path / f"x{pad}.ix", sections,
+                               meta={"pad": "x" * pad})
+            reader = ShardReader(path, verify="full")
+            for name, array in sections.items():
+                got = reader.section(name)
+                assert got.ctypes.data % 64 == 0, (pad, name)
+                np.testing.assert_array_equal(np.asarray(got), array)
+
+    def test_an_unpadded_shard_still_opens(self, sections, tmp_path):
+        """A shard written before the header was padded: its header
+        ends at the JSON's last byte."""
+        path = write_shard(tmp_path / "x.ix", sections,
+                           meta={"pad": "xyz"})
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = blob[16:16 + header_len].rstrip(b" ")
+        path.write_bytes(blob[:8] + len(header).to_bytes(8, "little")
+                         + header + blob[16 + header_len:])
+        reader = ShardReader(path, verify="full")
+        reader.verify_payload()
+        for name, array in sections.items():
+            np.testing.assert_array_equal(np.asarray(reader.section(name)),
+                                          array)
+
 
 class TestInt8Quantization:
     def test_round_trip_error_is_bounded_by_scale(self, rng):

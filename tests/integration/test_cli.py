@@ -2,6 +2,7 @@
 
 import io
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -126,10 +127,10 @@ class TestCLIValidation:
         ["serve", "cub", "--top-k", "0"],
         ["serve", "cub", "--shard-count", "0"],
         ["serve", "cub", "--shard-slot", "-1"],
-        ["route", "cub", "--listen", ":0", "--breaker-threshold", "0"],
-        ["route", "cub", "--listen", ":0", "--breaker-threshold", "1.5"],
-        ["route", "cub", "--listen", ":0", "--breaker-min-calls", "0"],
-        ["route", "cub", "--listen", ":0", "--breaker-cooldown-ms", "0"],
+        ["route", "cub", "--listen", ":0", "--shard-timeout-ms", "0"],
+        ["route", "cub", "--listen", ":0", "--conn-inflight", "0"],
+        ["route", "cub", "--listen", ":0", "--trace-sample-rate", "1.5"],
+        ["route", "cub", "--listen", ":0", "--drain-timeout-s", "0"],
         ["serve", "cub", "--trace-sample-rate", "1.5"],
         ["serve", "cub", "--trace-sample-rate", "-0.1"],
         ["load", "run", "cub", "--rate", "0"],
@@ -165,6 +166,13 @@ class TestCLIValidation:
         ["route", "cub", "--listen", ":0", "--default-budget-ms", "100"],
         ["load", "run", "cub", "--index", "shard.npz"],
         ["load", "run", "cub", "--default-budget-ms", "100"],
+        # and the router's hedge and per-shard breakers: a request past
+        # the merged table asks every shard once
+        ["route", "cub", "--listen", ":0", "--hedge-fraction", "0.5"],
+        ["route", "cub", "--listen", ":0", "--breaker-window", "8"],
+        ["route", "cub", "--listen", ":0", "--breaker-threshold", "0.5"],
+        ["route", "cub", "--listen", ":0", "--breaker-min-calls", "3"],
+        ["route", "cub", "--listen", ":0", "--breaker-cooldown-ms", "100"],
     ])
     def test_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -239,6 +247,38 @@ class TestCLIServe:
                   if row["type"] == "trace"]
         assert len(traces) == 1
         assert traces[0]["sampled"] == "forced"
+
+
+class TestCLIRoute:
+    def test_route_exits_1_when_the_router_cannot_boot(
+            self, monkeypatch, capsys, tmp_path):
+        """Every worker is up, but none answers ``info`` or ``table``
+        (nothing listens where they say they do): the router refuses to
+        open, the fleet is stopped, and ``repro route`` exits 1."""
+        probe = socket.create_server(("127.0.0.1", 0))
+        address = probe.getsockname()[:2]
+        probe.close()
+        stopped = []
+
+        class SilentFleet:
+            def __init__(self, command_for_slot, count, work_dir, config):
+                self.count = count
+
+            def start(self, *, wait_healthy=True):
+                return self
+
+            def address_of(self, slot):
+                return address
+
+            def stop(self):
+                stopped.append(True)
+
+        monkeypatch.setattr("repro.shard.WorkerSupervisor", SilentFleet)
+        assert cli.main(["route", "cub", "--listen", "127.0.0.1:0",
+                         "--shards", "2", "--work-dir", str(tmp_path),
+                         "--log-level", "off"]) == 1
+        assert stopped == [True]
+        assert "router did not boot" in capsys.readouterr().err
 
 
 class TestCLIObs:

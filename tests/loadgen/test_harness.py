@@ -16,7 +16,7 @@ class TestClassify:
         ({"ok": True, "degraded": False}, "ok"),
         ({"ok": True, "degraded": True}, "degraded"),
         ({"ok": False, "error": {"type": "overloaded"}}, "shed"),
-        ({"ok": False, "error": {"type": "deadline_exceeded"}}, "deadline"),
+        ({"ok": False, "error": {"type": "unavailable"}}, "error"),
         ({"ok": False, "error": {"type": "bad_request"}}, "error"),
         ({"ok": False, "error": {"type": "internal"}}, "error"),
         ({"ok": False}, "error"),
@@ -120,7 +120,7 @@ class TestReportBookkeeping:
             {"ok": True},
             {"ok": True, "degraded": True},
             {"ok": False, "error": {"type": "overloaded"}},
-            {"ok": False, "error": {"type": "deadline_exceeded"}},
+            {"ok": False, "error": {"type": "unavailable"}},
             {"ok": False, "error": {"type": "internal"}},
         ])
 

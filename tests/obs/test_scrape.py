@@ -145,15 +145,12 @@ def summary_rows(offered, ok, shed, errors, latencies) -> list:
     ]
 
 
-def router_rows(offered, ok, degraded, shed, errors, latencies) -> list:
-    """A router's front-door counters; its ``ok_total`` includes the
-    degraded (partial) answers."""
+def router_rows(offered, ok, shed, errors, latencies) -> list:
+    """A router's front-door counters; every ``ok`` is a whole answer."""
     return [
         {"type": "counter", "name": "shard.router.requests_total",
          "value": offered},
         {"type": "counter", "name": "shard.router.ok_total", "value": ok},
-        {"type": "counter", "name": "shard.router.degraded_total",
-         "value": degraded},
         {"type": "counter", "name": "shard.router.error.overloaded",
          "value": shed},
         {"type": "counter", "name": "shard.router.error_total",
@@ -180,17 +177,17 @@ class TestDeltaSummary:
         assert summary["latency_buckets"]["count"] == 10
 
     def test_router_scrape_is_judged_at_the_front_door(self):
-        """A router's ``ok_total`` already counts its partial answers:
-        answered is its delta, degraded a part of it."""
-        before = router_rows(100, 90, 5, 3, 7, [5.0] * 10)
-        after = router_rows(150, 135, 10, 6, 12, [5.0] * 10 + [50.0] * 10)
+        """The router's own counters, not the workers': answered is
+        its ``ok_total`` delta, all of it whole."""
+        before = router_rows(100, 90, 3, 7, [5.0] * 10)
+        after = router_rows(150, 135, 6, 12, [5.0] * 10 + [50.0] * 10)
         summary = delta_summary(before, after, router=True)
         assert summary["offered"] == 50
         assert summary["answered"] == 45
-        assert summary["ok"] == 40 and summary["degraded"] == 5
+        assert summary["ok"] == 45 and summary["degraded"] == 0
         assert summary["shed"] == 3 and summary["errors"] == 5
         assert summary["availability"] == pytest.approx(0.9)
-        assert summary["degraded_fraction"] == pytest.approx(0.1)
+        assert summary["degraded_fraction"] == 0.0
         assert summary["latency_buckets"]["count"] == 10
         assert summary["p50_ms"] > 10.0
 
@@ -204,7 +201,7 @@ class TestDeltaSummary:
                 {slot: {"metrics": summary_rows(scattered, scattered, 0,
                                                 0, [5.0] * scattered)}
                  for slot in ("0", "1")},
-                own_rows=router_rows(routed, routed, 0, 0, 0,
+                own_rows=router_rows(routed, routed, 0, 0,
                                      [1.0] * routed))["metrics"]
 
         before, after = fleet(10, 4), fleet(40, 10)  # 30 routed, 6 past

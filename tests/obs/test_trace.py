@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.obs import registry
-from repro.obs.trace import (FLAG_DEGRADED, FLAG_ERROR, NULL_TRACE,
+from repro.obs.trace import (FLAG_ERROR, FLAG_SHED, NULL_TRACE,
                              SamplePolicy, TraceRecorder, Tracer,
                              activate_context, add_trace_event,
                              capture_context, current_trace, flag_trace,
@@ -98,8 +98,7 @@ class TestSampling:
         assert len(tracer.recorder) == 0
         assert registry().counter("obs.trace.unsampled").value == 1
 
-    @pytest.mark.parametrize("flag", [FLAG_ERROR, FLAG_DEGRADED,
-                                      "deadline", "shed"])
+    @pytest.mark.parametrize("flag", [FLAG_ERROR, FLAG_SHED])
     def test_flagged_traces_always_kept(self, flag):
         tracer = make_tracer(policy=SamplePolicy(rate=0.0))
         with tracer.trace("req"):

@@ -1,5 +1,5 @@
-"""Serve-suite fixtures: a fitted soft-prompt matcher and a service
-factory.
+"""Serve-suite fixtures: a fitted soft-prompt matcher, a service
+factory and a fake clock.
 
 Every test runs against a clean metrics registry (counters are
 process-wide), and services are pre-warmed in the factory so fault
@@ -13,6 +13,19 @@ import pytest
 from repro.core.matcher import CrossEM, CrossEMConfig
 from repro.obs import registry, reset_spans, set_tracing_enabled, trace_recorder
 from repro.serve import MatchService, ServeConfig
+
+
+class FakeClock:
+    """A clock that moves only when a test advances it."""
+
+    def __init__(self, start: float = 100.0) -> None:
+        self.now = start
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
 
 
 @pytest.fixture(autouse=True)

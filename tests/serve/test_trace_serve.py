@@ -14,7 +14,7 @@ from repro.obs.trace import (SamplePolicy, TraceRecorder, Tracer,
                              set_tracing_enabled)
 from repro.serve import MatchService, ServeConfig
 
-from .test_breaker import FakeClock
+from .conftest import FakeClock
 from .test_service import PAST_TABLE
 
 

@@ -66,6 +66,34 @@ class StaticEndpoints:
         return sum(1 for a in self.addresses if a is not None)
 
 
+class HungWorker(NetServer):
+    """A worker that accepts match requests and never answers them —
+    control ops (``info``, ``table``, ``stats``) still answer — until
+    its drain begins, which answers what it holds so the drain stays
+    clean."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.held = []
+
+    def submit(self, request, deliver) -> None:
+        self.held.append((request, deliver))
+
+    def trigger_drain(self) -> None:
+        loop = self._loop
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(self._release)
+            except RuntimeError:
+                pass  # loop already closed: nothing is held
+        super().trigger_drain()
+
+    def _release(self) -> None:
+        held, self.held = self.held, []
+        for request, deliver in held:
+            deliver(self.service.handle(request))
+
+
 @pytest.fixture()
 def run_worker(fitted_hard):
     """Start NetServers over (optionally masked) services; teardown
@@ -73,6 +101,7 @@ def run_worker(fitted_hard):
     started = []
 
     def start(slot: Optional[int] = None, count: Optional[int] = None,
+              server_cls=NetServer,
               **server_overrides) -> Tuple[NetServer, Tuple[str, int]]:
         service = MatchService(
             fitted_hard,
@@ -80,7 +109,7 @@ def run_worker(fitted_hard):
                                shard_count=count)).warmup()
         settings = dict(host="127.0.0.1", port=0, drain_timeout_s=10.0)
         settings.update(server_overrides)
-        server = NetServer(service, NetServeConfig(**settings))
+        server = server_cls(service, NetServeConfig(**settings))
         ready = threading.Event()
         bound = {}
         exit_code = {}

@@ -6,33 +6,26 @@ request — compared over the wire, byte for byte, modulo ``elapsed_ms``
 alone.  The identity tests pin ``trace_id`` by sending an explicit
 trace context (DESIGN.md §15): both the router and the single-process
 server must *join* the caller's id rather than mint their own, so the
-id is part of the compared payload, not masked out of it (the PR 9
-masking debt).  Then the faults: a dead shard costs
-coverage (typed partial), not availability; an open breaker skips the
-doomed shard and heals after cooldown back to bit-identity; a stalled
-pooled connection is hedged on a fresh one; oversized and garbled
-lines are answered, not fatal.
+id is part of the compared payload, not masked out of it.  Then the
+faults: a dead or hung shard makes a request past the merged head typed
+``unavailable`` (at once, or after ``shard_timeout_ms``), never a
+partial answer; a revived shard answers the next request whole;
+oversized and garbled lines are answered, not fatal.
 """
 
 from __future__ import annotations
 
-import asyncio
-import itertools
 import json
 import socket
-import threading
 import time
-
-import pytest
 
 from repro.loadgen import LoadConfig, SocketDriver, build_schedule, \
     fetch_info, run_schedule
 from repro.netserve.protocol import MAX_LINE_BYTES
 from repro.obs import registry
 from repro.netserve import TABLE_K
-from repro.shard import ShardRouter
 
-from .conftest import StaticEndpoints
+from .conftest import HungWorker, StaticEndpoints
 
 
 class Client:
@@ -185,169 +178,109 @@ class TestInfo:
         assert 0 < info["shard"]["owned_images"] < info["images"]
 
 
-class TestPartialDegradation:
-    def test_dead_shard_costs_coverage_not_availability(
+class TestDeepFaults:
+    """A request past the merged head asks every shard once: a shard
+    that fails or is late makes the answer typed ``unavailable``, never
+    partial, while hits stay exact."""
+
+    def test_dead_shard_makes_a_deep_request_unavailable_at_once(
             self, shard_cluster, run_router, fitted_hard):
         endpoints, _ = shard_cluster
-        _, address = run_router(endpoints, shard_timeout_ms=2000.0)
+        _, address = run_router(endpoints)
         endpoints.addresses[2] = None  # the worker "died"
         client = Client(address)
+        started = time.monotonic()
         response = client.ask({"id": "p1", "top_k": PAST_TABLE,
                                "vertex": int(fitted_hard.vertex_ids[0])})
+        elapsed = time.monotonic() - started
         client.close()
-        assert response["ok"] is True
-        assert response["degraded"] is True
-        assert response["reason"] == "partial"
-        assert response["shards_answered"] == 2
-        assert response["shards_total"] == 3
-        # every image the two live shards own: 7 + 7 of the 20
-        assert len(response["matches"]) == 14
-        owned_by_2 = registry().counter("shard.2.failed_total").value
-        assert owned_by_2 >= 1
-        assert registry().counter("shard.router.partial_total").value >= 1
+        assert response["ok"] is False and response["id"] == "p1"
+        assert response["error"]["type"] == "unavailable"
+        assert response["error"]["message"].startswith(
+            "shard 2 did not answer"), response
+        assert "degraded" not in response and "reason" not in response
+        assert elapsed < 5.0, "the dead shard was waited on"
+        reg = registry()
+        assert reg.counter("shard.2.failed_total").value == 1
+        assert reg.counter("shard.2.late_total").value == 0
+        assert reg.counter("shard.router.unavailable_total").value == 1
 
-    def test_a_shard_saying_degraded_degrades_the_merge(self):
-        """Every merged answer is ``tier: "full"``; it is degraded when
-        it is partial or when any shard body says ``degraded: true``."""
-        router = ShardRouter(StaticEndpoints([None, None]))
-
-        def body(image, degraded, **extra):
-            return dict({"ok": True, "vertex": 3, "tier": "full",
-                         "degraded": degraded,
-                         "matches": [{"image": image, "score": 1.0}]},
-                        **extra)
-
-        def merged(*oks):
-            return asyncio.run(router._merged_response(
-                {"top_k": 2}, "m", list(oks), 2, 0.0))
-
-        healthy = merged(body(1, False), body(2, False))
-        assert healthy["tier"] == "full" and healthy["degraded"] is False
-        assert "reason" not in healthy
-        flagged = merged(body(1, False), body(2, True, reason="odd"))
-        assert flagged["tier"] == "full" and flagged["degraded"] is True
-        assert flagged["reason"] == "odd"
-        assert registry().counter("shard.router.degraded_total").value == 1
+    def test_hung_shard_is_unavailable_within_the_timeout(
+            self, run_worker, run_router, fitted_hard):
+        """Slot 1 accepts match requests and never answers them: a deep
+        request waits ``shard_timeout_ms`` and no longer, while every
+        hit is still the single-process answer."""
+        _, live = run_worker(slot=0, count=2)
+        _, hung = run_worker(slot=1, count=2, server_cls=HungWorker)
+        _, single_address = run_worker()
+        _, address = run_router(StaticEndpoints([live, hung]),
+                                shard_timeout_ms=300.0)
+        client = Client(address)
+        single = Client(single_address)
+        vertex = int(fitted_hard.vertex_ids[0])
+        started = time.monotonic()
+        deep = client.ask({"id": "deep", "vertex": vertex,
+                           "top_k": PAST_TABLE})
+        elapsed = time.monotonic() - started
+        assert deep["ok"] is False
+        assert deep["error"]["type"] == "unavailable"
+        assert deep["error"]["message"].startswith(
+            "shard 1 did not answer"), deep
+        assert 0.25 <= elapsed < 0.3 + 2.0, elapsed
+        for top_k in (1, 5, TABLE_K):
+            request = {"id": f"hit-{top_k}", "vertex": vertex,
+                       "top_k": top_k, "trace": trace_ctx(f"h-{top_k}")}
+            assert match_payload(client.ask_raw(request)) == \
+                match_payload(single.ask_raw(request))
+        client.close()
+        single.close()
+        reg = registry()
+        assert reg.counter("shard.1.late_total").value == 1
+        assert reg.counter("shard.0.answered_total").value == 1
+        assert reg.counter("shard.router.table_hits_total").value == 3
 
     def test_all_shards_down_is_typed_unavailable(self, shard_cluster,
-                                                  run_router):
+                                                  run_router, fitted_hard):
         endpoints, _ = shard_cluster
         _, address = run_router(endpoints)
         endpoints.addresses[:] = [None, None, None]
         client = Client(address)
-        response = client.ask({"id": "u1", "vertex": 1,
-                               "top_k": PAST_TABLE})
+        response = client.ask({"id": "u1", "top_k": PAST_TABLE,
+                               "vertex": int(fitted_hard.vertex_ids[0])})
         client.close()
         assert response["ok"] is False and response["id"] == "u1"
         assert response["error"]["type"] == "unavailable"
+        assert response["error"]["message"] == \
+            "shards 0, 1, 2 did not answer (0 of 3 answered)"
         assert registry().counter(
             "shard.router.unavailable_total").value == 1
 
 
-class TestBreakerRecovery:
-    def test_open_skip_then_halfopen_heals_to_bit_identity(
+class TestRecovery:
+    def test_dead_then_revived_shard_heals_to_bit_identity(
             self, shard_cluster, run_router, fitted_hard):
+        """No breaker stands between a revived worker and the next
+        request: the first deep request after it comes back is whole
+        and equals the single-process answer."""
         endpoints, single_address = shard_cluster
-        _, address = run_router(endpoints, breaker_window=4,
-                                breaker_min_calls=2,
-                                breaker_failure_threshold=0.5,
-                                breaker_cooldown_ms=200.0)
+        _, address = run_router(endpoints)
         vertex = int(fitted_hard.vertex_ids[0])
         client = Client(address)
         stashed = endpoints.addresses[1]
         endpoints.addresses[1] = None  # kill: the worker is unreachable
-        for i in range(4):  # feed the breaker failures until it opens
+        for i in range(3):
             response = client.ask({"id": i, "vertex": vertex,
                                    "top_k": PAST_TABLE})
-            assert response["ok"] is True and response["reason"] == "partial"
-        assert registry().counter("shard.1.skipped_total").value >= 1, \
-            "breaker never opened — shard 1 kept being dialed"
-        # revive the worker and let the cooldown elapse
-        endpoints.addresses[1] = stashed
-        time.sleep(0.25)
+            assert response["error"]["type"] == "unavailable"
+        endpoints.addresses[1] = stashed  # revive it
         single = Client(single_address)
-        deadline = time.monotonic() + 10.0
-        healed = False
-        while time.monotonic() < deadline and not healed:
-            request = {"id": "heal", "vertex": vertex, "top_k": PAST_TABLE,
-                       "trace": trace_ctx("heal-trace")}
-            routed_raw = client.ask_raw(request)
-            healed = json.loads(routed_raw).get("reason") != "partial"
-            if healed:
-                assert match_payload(routed_raw) == \
-                    match_payload(single.ask_raw(request))
-            else:
-                time.sleep(0.1)
+        request = {"id": "heal", "vertex": vertex, "top_k": PAST_TABLE,
+                   "trace": trace_ctx("heal-trace")}
+        assert match_payload(client.ask_raw(request)) == \
+            match_payload(single.ask_raw(request))
         client.close()
         single.close()
-        assert healed, "breaker never closed after the worker came back"
-
-
-class TestHedging:
-    def test_stalled_pooled_connection_is_hedged_fresh(self, run_router):
-        """First (pooled) connection swallows requests; every fresh
-        connection answers fast.  The hedge must win."""
-        server = socket.create_server(("127.0.0.1", 0))
-        server.settimeout(0.2)
-        stop = threading.Event()
-        connections = itertools.count()
-        # the router's pooled connection is the first to carry a match
-        # request; its boot-time info and table exchanges come before
-        pooled = {}
-
-        def serve(conn, index):
-            stream = conn.makefile("rwb")
-            for line in stream:
-                try:
-                    request = json.loads(line)
-                except ValueError:
-                    continue
-                if "op" not in request and \
-                        pooled.setdefault("index", index) == index:
-                    stop.wait(20.0)  # the stall the hedge routes around
-                    return
-                body = {"id": request.get("id"), "ok": True,
-                        "vertex": request.get("vertex"), "tier": "full",
-                        "degraded": False,
-                        "matches": [{"image": 7, "score": 1.0}],
-                        "elapsed_ms": 0.1}
-                stream.write((json.dumps(body) + "\n").encode("utf-8"))
-                stream.flush()
-
-        def accept_loop():
-            while not stop.is_set():
-                try:
-                    conn, _ = server.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                threading.Thread(target=serve,
-                                 args=(conn, next(connections)),
-                                 daemon=True).start()
-
-        acceptor = threading.Thread(target=accept_loop, daemon=True)
-        acceptor.start()
-        try:
-            endpoints = StaticEndpoints([server.getsockname()[:2]])
-            _, address = run_router(endpoints, shard_timeout_ms=8000.0,
-                                    hedge_fraction=0.05)
-            client = Client(address)
-            started = time.monotonic()
-            response = client.ask({"id": "h1", "vertex": 3,
-                                   "top_k": PAST_TABLE})
-            elapsed = time.monotonic() - started
-            client.close()
-            assert response["ok"] is True
-            assert response["matches"] == [{"image": 7, "score": 1.0}]
-            assert response.get("degraded") is False
-            assert elapsed < 6.0, "answer came from the stall, not the hedge"
-            assert registry().counter("shard.0.hedges_total").value == 1
-            assert registry().counter("shard.0.answered_total").value == 1
-        finally:
-            stop.set()
-            server.close()
-            acceptor.join(timeout=5.0)
+        assert registry().counter("shard.1.failed_total").value == 3
 
 
 class TestProtocolEdges:

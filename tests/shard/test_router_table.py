@@ -12,9 +12,9 @@ sockets:
   worlds with 2 and 3 shards — and the merged table's digest is the
   unsharded table's;
 * a hit stays exact while a shard is dead; past the table, the same
-  fleet answers a typed partial;
-* a worker that does not know the ``table`` op leaves the router
-  scattering, exactly as before;
+  fleet answers typed ``unavailable``;
+* a worker that does not know the ``table`` op makes the router refuse
+  to boot;
 * a slot that heals at a new address is refetched, and a changed
   digest re-merges the table;
 * the ``table`` op itself: a worker's payload carries the digest its
@@ -40,19 +40,18 @@ from repro.netserve import TABLE_K, NetServeConfig, NetServer
 from repro.obs import registry
 from repro.serve import MatchService, ServeConfig, serve_loop
 from repro.serve.service import table_digest
-from repro.shard import RouterConfig, ShardRouter
+from repro.shard import RouterBootError, RouterConfig, ShardRouter
 from repro.shard.router import _Slice
 
 from .conftest import StaticEndpoints
 from .test_router import PAST_TABLE, Client, trace_ctx
 
 
-
 class ScatterRouter(ShardRouter):
-    """The router with its table left unfetched: every request fans out,
-    as before the router answered hits."""
+    """The router answering nothing from its table: every valid request
+    fans out to the shards, as a request past the table does."""
 
-    async def _fetch_slice(self, slot):
+    def _table_answer(self, request, query):
         return None
 
 
@@ -188,7 +187,7 @@ def test_table_answer_equals_scatter_and_unsharded(world, count):
 
 
 class TestDeadShard:
-    def test_hit_stays_exact_past_the_table_is_partial(
+    def test_hit_stays_exact_past_the_table_is_unavailable(
             self, shard_cluster, run_router, fitted_hard):
         endpoints, single_address = shard_cluster
         _, address = run_router(endpoints, shard_timeout_ms=2000.0)
@@ -206,41 +205,28 @@ class TestDeadShard:
                            "top_k": PAST_TABLE})
         client.close()
         single.close()
-        assert past["ok"] is True and past["degraded"] is True
-        assert past["reason"] == "partial"
-        assert (past["shards_answered"], past["shards_total"]) == (2, 3)
+        assert past["ok"] is False
+        assert past["error"]["type"] == "unavailable"
+        assert past["error"]["message"] == \
+            "shard 1 did not answer (2 of 3 answered)"
         assert registry().counter("shard.router.table_hits_total").value \
             == 3
 
 
 class TestTablelessWorker:
-    def test_router_keeps_scattering(self, fitted_hard, run_worker):
-        _, single_address = run_worker()
+    def test_router_refuses_to_boot(self, fitted_hard):
+        """Without every slice there is no merged table, and a router
+        without one never opens: ``run`` raises before it listens."""
         with contextlib.ExitStack() as stack:
             endpoints = StaticEndpoints([
                 stack.enter_context(serving(worker(fitted_hard, 0, 2))),
                 stack.enter_context(serving(worker(
                     fitted_hard, 1, 2, server=TablelessWorker)))])
             door = router(endpoints)
-            address = stack.enter_context(serving(door))
-            assert door.table("t")["error"]["type"] == "unavailable"
-            client = Client(address)
-            single = Client(single_address)
-            vertices = [int(v) for v in fitted_hard.vertex_ids][:4]
-            for vertex in vertices:
-                request = {"id": vertex, "vertex": vertex, "top_k": 3,
-                           "trace": trace_ctx(f"old-{vertex}")}
-                assert canonical(client.ask_raw(request)) == \
-                    canonical(single.ask_raw(request))
-            info = client.ask({"op": "info", "id": "i"})["info"]
-            client.close()
-            single.close()
-        reg = registry()
-        assert reg.counter("shard.router.table_hits_total").value == 0
-        for slot in (0, 1):
-            assert reg.counter(f"shard.{slot}.answered_total").value \
-                == len(vertices)
-        assert info["table_sha256"] is None
+            with pytest.raises(RouterBootError, match="answer table"):
+                door.run(install_signals=False)
+            assert door.bound is None
+            assert door._table is None
 
 
 def wait_for(predicate, timeout=10.0) -> bool:
