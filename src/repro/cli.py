@@ -727,6 +727,7 @@ def _live_slo(spec, args: argparse.Namespace) -> int:
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
     import json as _json
+    from pathlib import Path
 
     from .obs.frontier import is_frontier_doc
     from .obs.slo import evaluate_slo, format_slo
@@ -742,7 +743,7 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
         print("obs slo needs a report file (or --connect HOST:PORT "
               "to judge a live fleet)", file=sys.stderr)
         return 2
-    doc = _json.loads(open(args.path, encoding="utf-8").read())
+    doc = _json.loads(Path(args.path).read_text(encoding="utf-8"))
     if is_frontier_doc(doc):
         knee = doc.get("knee")
         if knee is None:

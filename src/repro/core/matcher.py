@@ -205,18 +205,48 @@ class CrossEM:
         write through it would corrupt every later answer.
         """
         if self._image_embeds is None:
-            with span("encode/image_cache"), nn.no_grad():
+            with span("encode/image_cache"):
                 # C-contiguous, as the per-call gather used to hand it
                 # to the GEMM: layout picks the BLAS path (DESIGN.md §6)
-                self._image_embeds = np.ascontiguousarray(chunked_encode(
-                    lambda s, e: self.clip.encode_image(
-                        np.stack([img.pixels
-                                  for img in self.images[s:e]])).numpy(),
-                    len(self.images), chunk=64, name="encode_image"))
+                self._image_embeds = np.ascontiguousarray(
+                    self._encode_image_rows(range(len(self.images))))
             self._image_embeds.setflags(write=False)
         if indices is None:
             return nn.Tensor(self._image_embeds)
         return nn.Tensor(self._image_embeds[np.asarray(indices)])
+
+    def _encode_image_rows(self, positions: Sequence[int]) -> np.ndarray:
+        """Image-tower embeddings of the images at ``positions``, in
+        order, through the shared 64-row chunked encode path."""
+        with nn.no_grad():
+            return chunked_encode(
+                lambda s, e: self.clip.encode_image(np.stack(
+                    [self.images[p].pixels for p in positions[s:e]])).numpy(),
+                len(positions), chunk=64, name="encode_image")
+
+    def image_matrix(self, positions: Sequence[int]) -> np.ndarray:
+        """The frozen image matrix at its whole-repository shape
+        ``(|I|, d)``, with only the rows at ``positions`` encoded and
+        every other row zero: the scoring operand of a shard worker
+        that answers for those images alone (DESIGN.md §14).
+
+        The shape stays whole because BLAS picks its kernel by shape: a
+        product against the encoded rows alone can differ from the same
+        columns of the whole product in the last bit.  A warm
+        whole-repository cache is returned as it is.  The partial matrix
+        is never cached here: services over one matcher may own
+        different positions."""
+        self._require_fitted()
+        if self._image_embeds is not None:
+            return self._image_embeds
+        positions = np.asarray(positions, dtype=np.int64)
+        matrix = np.zeros((len(self.images), self.clip.embed_dim),
+                          dtype=np.float32)
+        if len(positions):
+            with span("encode/image_rows"):
+                matrix[positions] = self._encode_image_rows(positions)
+        matrix.setflags(write=False)
+        return matrix
 
     # -- training (Algorithm 1) ------------------------------------------------
     def _trainable_parameters(self) -> List[nn.Parameter]:
@@ -572,16 +602,19 @@ class CrossEM:
         if self.graph is None:
             raise RuntimeError("CrossEM.fit must be called before inference")
 
-    def score(self,
-              vertex_ids: Optional[Sequence[int]] = None) -> np.ndarray:
+    def score(self, vertex_ids: Optional[Sequence[int]] = None,
+              images: Optional[np.ndarray] = None) -> np.ndarray:
         """Similarity matrix (vertices x all images), evaluated frozen:
-        rows of the frozen text matrix against the frozen image matrix."""
+        rows of the frozen text matrix against the frozen image matrix,
+        or against ``images``, a matrix from :meth:`image_matrix`."""
         self._require_fitted()
         with trace_span("matcher/score"):
             vertex_ids = list(vertex_ids if vertex_ids is not None
                               else self.vertex_ids)
             text = self._text_queries(vertex_ids)
-            return text @ self._encode_images().numpy().T
+            if images is None:
+                images = self._encode_images().numpy()
+            return text @ images.T
 
     def _text_queries(self, vertex_ids: Sequence[int]) -> np.ndarray:
         """The prompted text embedding rows for ``vertex_ids`` — the

@@ -9,8 +9,9 @@ vertex match queries with production failure semantics:
   shard worker's owned share otherwise), so every request, whatever its
   ``top_k``, is a prefix slice of its vertex's row (DESIGN.md §13).  A
   slice is already computed: it cannot hang, so nothing on the request
-  path waits, retries or spends a budget.  The text tower runs once, in
-  that build, which fills the matcher's frozen text and image matrices;
+  path waits, retries or spends a budget.  The towers run once, in
+  that build, which fills the matcher's frozen text matrix and encodes
+  the images the service answers for;
 * so every answer is ``tier: "full"``, or it is a typed error:
   ``bad_request`` for a request the field checks refuse
   (:func:`parse_query`), or ``internal`` for a service too broken to
@@ -104,8 +105,9 @@ class ServeConfig:
     trace_capacity: int = 256
     #: shard membership (both set or both None): this worker answers
     #: only for image positions ``p`` with ``p % shard_count ==
-    #: shard_slot``.  Scoring is unchanged — the full score row is
-    #: computed exactly as single-process — the mask applies only at
+    #: shard_slot``.  It encodes only those images, but scores them
+    #: through an operand of the unsharded shape, so every owned score
+    #: is the bits a single process computes; the mask then applies at
     #: top-k selection, which is what makes the router's cross-shard
     #: merge bit-identical (DESIGN.md §14).
     shard_slot: Optional[int] = None
@@ -249,8 +251,8 @@ class MatchService:
 
     # -- construction ------------------------------------------------------
     def warmup(self) -> "MatchService":
-        """Populate every embedding cache — image matrix, frozen text
-        matrix (tuned soft prompts included) — and build the answer
+        """Encode the images the service answers for, fill the frozen
+        text matrix (tuned soft prompts included) and build the answer
         table, so no request triggers a bulk encode.  A backend that
         cannot even warm up fails the service *here*, loudly, not one
         request at a time.
@@ -276,16 +278,21 @@ class MatchService:
         """Every vertex's whole owned ranking, cut by :meth:`_top` from
         its row of a ``BATCH_TILE``-row :meth:`CrossEM.score` operand.
         The order is total, so the first ``top_k`` entries are exactly
-        what ``_top(row, top_k)`` returns (DESIGN.md §13).  An attached
-        ANN index is not consulted: at full depth it cannot narrow the
-        row."""
+        what ``_top(row, top_k)`` returns (DESIGN.md §13).  A shard
+        worker encodes only the images it owns, into an operand of the
+        unsharded shape (:meth:`CrossEM.image_matrix`, DESIGN.md §14).
+        An attached ANN index is not consulted: at full depth it cannot
+        narrow the row."""
         depth = self.owned_images
         vertices = list(self.matcher.vertex_ids)
+        images = None if self._owned is None \
+            else self.matcher.image_matrix(self._owned)
         table: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for start in range(0, len(vertices), BATCH_TILE):
             chunk = vertices[start:start + BATCH_TILE]
             padded = chunk + [chunk[-1]] * (BATCH_TILE - len(chunk))
-            for vertex, row in zip(chunk, self.matcher.score(padded)):
+            for vertex, row in zip(chunk,
+                                   self.matcher.score(padded, images)):
                 ids, scores = self._top(row, depth)
                 ids.setflags(write=False)
                 scores.setflags(write=False)
@@ -304,8 +311,8 @@ class MatchService:
         # One total order on every served path: (-score, image id) —
         # not position: repositories are shuffled after ids are
         # assigned, and ids are all a router can re-sort by.  A shard
-        # worker selects among its owned positions only: the scores
-        # themselves are full-row exact, so the router's merge in the
+        # worker selects among its owned positions only: their scores
+        # are the unsharded row's bits, so the router's merge in the
         # same order reconstructs the unsharded answer bit for bit,
         # exact ties included (DESIGN.md §14).  A non-finite score is
         # never a match; clamping k to the finite count keeps it out.

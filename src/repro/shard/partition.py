@@ -6,10 +6,13 @@ The scale-out contract in two halves:
 ``p % count``.  Round-robin by *position* (not id hashing) because it
 is balanced to within one image by construction, needs no coordination,
 and every worker can compute it locally from nothing but ``(count,
-slot)``.  A shard worker scores the *full* row exactly as the
-single-process service does (same matcher, same seed, same fused
-kernels — scoring never sees the partition) and selects among its owned
-positions only at top-k time, so the per-image scores on any two
+slot)``.  The partition reaches encoding: a shard worker (same
+matcher, same seed) runs the image tower over its owned positions
+only.  Its scoring operand keeps the unsharded shape — owned rows
+filled, the rest zero — because BLAS picks its kernel by shape, and a
+product against the owned rows alone can differ from the same columns
+of the whole product in the last bit (DESIGN.md §14).  It then selects
+among its owned positions only, so the per-image scores on any two
 shards are the same float32 bits the unsharded service would produce.
 
 **Merge** — the router concatenates per-shard match lists and re-sorts

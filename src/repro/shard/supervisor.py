@@ -214,12 +214,15 @@ class WorkerSupervisor:
                 with contextlib.suppress(OSError):
                     worker.proc.kill()
                 worker.proc.wait()
-            if worker.log_handle is not None:
-                worker.log_handle.close()
-                worker.log_handle = None
             with self._lock:
                 worker.state = STATE_STOPPED
                 worker.address = None
+        # every log, a dead worker's too: ``_note_death`` cleared its
+        # proc but not its log handle
+        for worker in workers:
+            if worker.log_handle is not None:
+                worker.log_handle.close()
+                worker.log_handle = None
 
     # -- internals ----------------------------------------------------------
     def _spawn(self, worker: _Worker, now: float) -> None:

@@ -13,7 +13,7 @@ PCP mini-batch generation (§IV-A) and negative sampling (§IV-B) exploit.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,17 +55,74 @@ class SyntheticImage:
     image_id: int
 
 
-def _texture(color: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-color striped texture so colors differ beyond mean RGB."""
-    base = np.zeros((PATCH, PATCH), dtype=np.float32)
-    period = 2 + (color % 4)
-    phase = int(rng.integers(period))
-    base[(np.arange(PATCH) + phase) % period == 0, :] = 0.15
-    return base
+#: chance that one attribute patch of a repository view is occluded
+OCCLUSION_PROB = 0.15
+#: images per whole-array paint / noise / clip pass: bounds the float32
+#: noise buffer a pass holds (1,024 views are 7 MB)
+RENDER_BLOCK = 1024
+
+
+def _paint(block: np.ndarray, paints: List[Tuple[int, int, int, float, int]]) -> None:
+    """Paint every ``(view, part, color, scale, phase)`` attribute patch
+    into ``block`` at once.
+
+    A patch is its color's RGB signature times the jitter ``scale``,
+    clipped, plus a per-color striped texture (rows where ``(y + phase)
+    % period == 0`` gain 0.15, so colors differ beyond mean RGB),
+    clipped again.  Every step is the float32 arithmetic one patch at a
+    time would do: NEP 50 makes ``float32 * python float`` a float32
+    multiply, hence the cast of the scales first."""
+    view, part, color, scale, phase = (np.asarray(col) for col in zip(*paints))
+    rgb = np.clip(COLOR_RGB[color] * scale.astype(np.float32)[:, None],
+                  0.0, 1.0)
+    period = 2 + color % 4
+    stripe = (np.arange(PATCH) + phase[:, None]) % period[:, None] == 0
+    texture = np.where(stripe, np.float32(0.15), np.float32(0.0))
+    rows = np.clip(rgb[:, None, :] + texture[:, :, None], 0.0, 1.0)
+    grid = block.reshape(len(block), GRID, PATCH, GRID, PATCH, CHANNELS)
+    grid[view, part // GRID, :, part % GRID, :, :] = rows[:, :, None, :]
+
+
+def _render_views(items: Sequence[List[Tuple[int, int]]],
+                  rng: np.random.Generator, noise: float,
+                  occlusion_prob: float) -> np.ndarray:
+    """``(len(items), SIDE, SIDE, CHANNELS)`` float32: one noisy view per
+    entry of ``items`` (a concept's sorted ``(part, color)`` pairs).
+
+    Each view draws from ``rng`` in one fixed order — background,
+    occlusion, then per painted patch its jitter and texture phase,
+    then sensor noise — so a view is the same whether rendered alone or
+    in a batch, and the generator ends in the same state.  Painting,
+    noising and clipping then run as whole-array ops per block of
+    views."""
+    shape = (SIDE, SIDE, CHANNELS)
+    views = np.empty((len(items),) + shape, dtype=np.float32)
+    for start in range(0, len(items), RENDER_BLOCK):
+        block = views[start:start + RENDER_BLOCK]
+        jitter = np.empty_like(block)
+        paints: List[Tuple[int, int, int, float, int]] = []
+        for view, visual in enumerate(items[start:start + RENDER_BLOCK]):
+            block[view] = rng.uniform(0.35, 0.65, size=shape)
+            occlude = -1
+            if visual and rng.random() < occlusion_prob:
+                occlude = int(rng.integers(len(visual)))
+            for k, (part, color) in enumerate(visual):
+                if k == occlude:
+                    continue
+                scale = rng.uniform(0.85, 1.15)
+                phase = int(rng.integers(2 + color % 4))
+                paints.append((view, part, color, scale, phase))
+            jitter[view] = rng.normal(0.0, noise, size=shape)
+        if paints:
+            _paint(block, paints)
+        block += jitter
+        np.clip(block, 0.0, 1.0, out=block)
+    return views
 
 
 def render_concept(concept: Concept, rng: SeedLike = None,
-                   noise: float = 0.08, occlusion_prob: float = 0.15) -> np.ndarray:
+                   noise: float = 0.08,
+                   occlusion_prob: float = OCCLUSION_PROB) -> np.ndarray:
     """Render one noisy view of ``concept``.
 
     Each call produces a different "photo": background noise differs,
@@ -73,24 +130,8 @@ def render_concept(concept: Concept, rng: SeedLike = None,
     ``occlusion_prob`` one attribute patch is occluded (painted as
     background), mimicking view-dependent visibility.
     """
-    rng = rng_from(rng)
-    image = rng.uniform(0.35, 0.65, size=(SIDE, SIDE, CHANNELS)).astype(np.float32)
-    items = concept.visual_items()
-    occlude = -1
-    if items and rng.random() < occlusion_prob:
-        occlude = int(rng.integers(len(items)))
-    for k, (part, color) in enumerate(items):
-        if k == occlude:
-            continue
-        row, col = divmod(part, GRID)
-        ys, xs = row * PATCH, col * PATCH
-        rgb = COLOR_RGB[color] * float(rng.uniform(0.85, 1.15))
-        block = np.clip(rgb, 0.0, 1.0)[None, None, :] * np.ones(
-            (PATCH, PATCH, CHANNELS), dtype=np.float32)
-        block += _texture(color, rng)[:, :, None]
-        image[ys:ys + PATCH, xs:xs + PATCH] = np.clip(block, 0.0, 1.0)
-    image += rng.normal(0.0, noise, size=image.shape).astype(np.float32)
-    return np.clip(image, 0.0, 1.0)
+    return _render_views([concept.visual_items()], rng_from(rng), noise,
+                         occlusion_prob)[0]
 
 
 def render_repository(concepts: Sequence[Concept], images_per_concept: int,
@@ -98,15 +139,18 @@ def render_repository(concepts: Sequence[Concept], images_per_concept: int,
     """Render ``images_per_concept`` views of every concept.
 
     Returns a flat, shuffled image repository (the paper's I) with
-    ground-truth concept provenance attached for evaluation.
+    ground-truth concept provenance attached for evaluation.  Views are
+    rendered batch-wide, bit-identical to one :func:`render_concept`
+    call per image from the same generator.
     """
     rng = rng_from(seed)
-    repository: List[SyntheticImage] = []
-    image_id = 0
-    for concept in concepts:
-        for _ in range(images_per_concept):
-            pixels = render_concept(concept, rng, noise=noise)
-            repository.append(SyntheticImage(pixels, concept.index, image_id))
-            image_id += 1
+    depicted = [concept for concept in concepts
+                for _ in range(images_per_concept)]
+    visuals = [concept.visual_items() for concept in concepts]
+    pixels = _render_views([visual for visual in visuals
+                            for _ in range(images_per_concept)],
+                           rng, noise, OCCLUSION_PROB)
+    repository = [SyntheticImage(pixels[image_id], concept.index, image_id)
+                  for image_id, concept in enumerate(depicted)]
     order = rng.permutation(len(repository))
     return [repository[i] for i in order]

@@ -38,9 +38,9 @@ class TestWarmupThroughTiles:
         real = type(fitted_soft).score
         calls = []
 
-        def spy(self, vertices=None):
+        def spy(self, vertices=None, images=None):
             calls.append(len(vertices))
-            return real(self, vertices)
+            return real(self, vertices, images)
 
         monkeypatch.setattr(type(fitted_soft), "score", spy)
         service.warmup()
